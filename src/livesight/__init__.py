@@ -25,7 +25,7 @@ from .gradcheck import grad_check
 from .metrics import auc, gauc, hit_rate, mse, uauc
 from .optim import ParamStore, adam_step
 from .prodfore import CategoryHierarchy, ProductModel
-from .ranker import RankingModel, assemble_input, rank_forward, rank_loss, train_ranker
+from .ranker import RankingModel, rank_loss, train_ranker
 from .simgen import RankSample, StatPanel, World, gen_interactions, gen_stream, gen_world
 from .statfore import StatisticModel, revin_denormalize, revin_normalize
 from .tensor import Tensor
@@ -58,7 +58,6 @@ __all__ = [
     "WindowError",
     "World",
     "adam_step",
-    "assemble_input",
     "auc",
     "gauc",
     "gen_interactions",
@@ -67,7 +66,6 @@ __all__ = [
     "grad_check",
     "hit_rate",
     "mse",
-    "rank_forward",
     "rank_loss",
     "revin_denormalize",
     "revin_normalize",

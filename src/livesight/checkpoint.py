@@ -53,6 +53,12 @@ def save_checkpoint(path, store, config_hash="", extra=None):
         fh.write(buf.getvalue())
 
 
+def read_manifest(path):
+    """The JSON manifest of a checkpoint file, without reading its arrays."""
+    with zipfile.ZipFile(path, "r") as zf:
+        return json.loads(zf.read("manifest.json"))
+
+
 def read_checkpoint(path):
     """Return (arrays, moments_m, moments_v, manifest) from a checkpoint file."""
     with zipfile.ZipFile(path, "r") as zf:

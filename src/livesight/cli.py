@@ -1,4 +1,4 @@
-"""Command-line harness: generation, the three training stages, evaluation,
+"""Command-line harness: generation, the three training stages, the full run,
 ablations, and plain-text report summaries.
 
 Configuration comes from an optional JSON file (--config) with flag
@@ -13,17 +13,9 @@ import sys
 from pathlib import Path
 
 from . import checkpoint, pipeline, prodfore, ranker, simgen, statfore
-from .config import (
-    SERVICES,
-    ExperimentConfig,
-    ProdConfig,
-    StatConfig,
-    config_hash,
-    load_config,
-    to_dict,
-)
+from .config import SERVICES, ExperimentConfig, config_hash, load_config, to_dict
 from .pipeline import ABLATIONS
-from .prodfore import CategoryHierarchy, ProductModel
+from .prodfore import ProductModel
 from .statfore import StatisticModel
 
 
@@ -97,26 +89,12 @@ def cmd_train_prod(args):
     return 0
 
 
-def _load_stat(path):
-    _, _, _, manifest = checkpoint.read_checkpoint(path)
-    model = StatisticModel(StatConfig(**manifest["extra"]["config"]))
-    checkpoint.load_checkpoint(path, model.store)
-    return model
-
-
-def _load_prod(path, hierarchy):
-    _, _, _, manifest = checkpoint.read_checkpoint(path)
-    model = ProductModel(ProdConfig(**manifest["extra"]["config"]), hierarchy)
-    checkpoint.load_checkpoint(path, model.store)
-    return model
-
-
 def cmd_train_rank(args):
     cfg = _load_base_config(args)
     world = simgen.import_dataset(args.data)
-    stat_model = _load_stat(args.stat_ckpt)
-    prod_model = _load_prod(args.prod_ckpt, world.hierarchy)
-    bank, widths = pipeline.build_foresight_bank(
+    stat_model = pipeline.load_forecaster(args.stat_ckpt)
+    prod_model = pipeline.load_forecaster(args.prod_ckpt, world.hierarchy)
+    bank, bank_rows = pipeline.build_foresight_bank(
         world, stat_model, prod_model, k_enc=cfg.rank.k_enc
     )
     rank_cfg = dataclasses.replace(
@@ -125,17 +103,9 @@ def cmd_train_rank(args):
         **({"epochs": args.epochs} if args.epochs is not None else {}),
     )
     tasks = SERVICES[world.config.service]
-    vocab = {
-        "user_id": world.config.users,
-        "aff_bucket": world.config.n_c1,
-        "author_id": world.config.streams,
-        "room_category": world.config.n_c1,
-        "item_c3": world.config.n_c3,
-        "cross_match": 2,
-        "click_bucket": 4,
-    }
     _, report, history = ranker.train_ranker(
-        world.samples, cfg.variant, rank_cfg, tasks, vocab, bank=bank, widths=widths
+        world.samples, cfg.variant, rank_cfg, tasks, pipeline.vocab_sizes(world.config),
+        bank=bank, rows=bank_rows,
     )
     rows = [
         [cfg.variant, task, report[task]["AUC"], report[task]["UAUC"], report[task]["GAUC"]]
@@ -158,11 +128,6 @@ def cmd_run(args):
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0
-
-
-def cmd_eval(args):
-    # rebuilds reports, reusing cached foresight checkpoints when present
-    return cmd_run(args)
 
 
 def cmd_ablate(args):
@@ -239,11 +204,6 @@ def build_parser():
     common(p)
     p.add_argument("--variant", choices=["base", "+stat", "+prod", "+both"])
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("eval", help="rebuild evaluation reports")
-    common(p)
-    p.add_argument("--variant", choices=["base", "+stat", "+prod", "+both"])
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run one ablation study")
     common(p)

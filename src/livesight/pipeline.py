@@ -1,13 +1,14 @@
 """End-to-end experiment pipeline and the four ablation studies.
 
 Stages: generate world -> train statistic forecaster -> train product
-forecaster -> precompute per-(room, bucket) foresight vectors -> train ranker
-variants -> write CSV reports. Foresight models are cached as checkpoints
-keyed by config hash so ablations don't retrain them.
+forecaster -> precompute the foresight bank, one row per (room, bucket) ->
+train ranker variants -> write CSV reports. Foresight models are cached as
+checkpoints keyed by config hash so ablations don't retrain them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,8 +45,8 @@ class Artifacts:
     eval_rooms: np.ndarray
     stat_model: StatisticModel
     prod_model: ProductModel
-    bank: dict
-    widths: dict
+    bank: ranker.ForesightBank
+    rows: np.ndarray  # (S,) bank row of each world sample
     vocab: dict
     timings: dict = field(default_factory=dict)
 
@@ -76,43 +77,96 @@ def build_models(cfg, world, train_rooms, timings=None):
     return stat_model, prod_model
 
 
+def _windows(streams, buckets, context):
+    """Statistic windows (len(buckets), N, context), each ending at its bucket
+    of the aligned stream."""
+    return np.stack(
+        [st.panel.values[:, t - context + 1 : t + 1] for st, t in zip(streams, buckets)]
+    )
+
+
+def _latest_event(stream, buckets):
+    """Index of the stream's latest product event at or before each bucket."""
+    return np.searchsorted(stream.event_buckets, buckets, side="right") - 1
+
+
+def _stat_block(steps, enc, horizon, channels=slice(None)):
+    """Forecast steps 1..horizon of some channels, then their encodings (if
+    `enc` is given), flattened per key."""
+    parts = [steps[:, channels, :horizon].reshape(len(steps), -1)]
+    if enc is not None:
+        parts.append(enc[:, channels].reshape(len(steps), -1))
+    return np.concatenate(parts, axis=1)
+
+
 def build_foresight_bank(world, stat_model, prod_model, k_enc=8):
-    """Foresight constants for every (room, bucket) that appears in a sample."""
+    """Foresight constants for every (room, bucket) that appears in a sample.
+
+    Returns (bank, rows): a ForesightBank with one row per distinct key, and
+    the bank row of each world sample.
+    """
     c = stat_model.config
-    d = prod_model.config.d_model
-    by_room = {}
-    for s in world.samples:
-        by_room.setdefault(s.room_id, set()).add(s.bucket)
-    streams = {st.room_id: st for st in world.streams}
-    bank = {}
-    for room_id, buckets in by_room.items():
-        st = streams[room_id]
-        ts = sorted(buckets)
-        windows = np.stack(
-            [st.panel.values[:, t - c.context + 1 : t + 1] for t in ts]
-        )
-        pred5, enc = statfore.forecast_batch(stat_model, windows, c.horizon_train)
-        probs, enc_prod = prodfore.forecast_all_prefixes(prod_model, st.events)
-        for row, t in enumerate(ts):
-            cur = int(np.searchsorted(st.event_buckets, t, side="right")) - 1
-            # encodings exist for positions 1..cur; take the trailing k_enc
-            tail = enc_prod[max(1, cur + 1 - k_enc) : cur + 1]
-            bank[(room_id, t)] = {
-                "stat": np.concatenate(
-                    [pred5[row, :, : c.horizon_infer].ravel(), enc[row].ravel()]
-                ),
-                "stat_steps": pred5[row].ravel(),
-                "dist": probs[cur].copy(),
-                "prod_enc": tail.ravel().copy(),
-            }
-    widths = {
-        "stat": len(st.panel.channels) * (c.horizon_infer + stat_model.config.d_model),
-        "stat_steps": len(st.panel.channels) * c.horizon_train,
-        "n_c3": world.hierarchy.n_c3,
-        "d_mix": d,
-        "prod_enc": k_enc * d,
+    span = world.config.buckets  # every bucket index is below it
+    room_index = {st.room_id: i for i, st in enumerate(world.streams)}
+    codes = np.array([room_index[s.room_id] * span + s.bucket for s in world.samples])
+    codes, rows = np.unique(codes, return_inverse=True)
+    keys = np.stack(np.divmod(codes, span), axis=1)  # (room index, bucket) per row
+    n, h = len(world.streams[0].panel.channels), c.horizon_infer
+    steps = np.empty((len(keys), n, c.horizon_train))
+    stat = np.empty((len(keys), n * h + n * c.d_model))
+    # the ranker's stat block already holds every channel encoding: the
+    # stat_enc column is a view into it rather than a second copy
+    enc = stat[:, n * h :].reshape(len(keys), n, c.d_model)
+    dist = np.empty((len(keys), prod_model.hierarchy.n_c3))
+    prod_enc = np.empty((len(keys), k_enc * prod_model.config.d_model))
+    # filled room by room: each room's windows form one batch
+    for r in np.unique(keys[:, 0]):
+        st, sel = world.streams[r], keys[:, 0] == r
+        ts = keys[sel, 1]
+        windows = _windows([st] * len(ts), ts, c.context)
+        steps[sel], enc[sel] = statfore.forecast_batch(stat_model, windows, c.horizon_train)
+        ends = _latest_event(st, ts)
+        dist[sel], prod_enc[sel] = prodfore.forecast_prefixes(prod_model, st.events, ends, k_enc)
+    stat[:, : n * h] = _stat_block(steps, None, h)
+    bank = ranker.ForesightBank(
+        room=np.array([world.streams[r].room_id for r in keys[:, 0]]),
+        bucket=keys[:, 1],
+        stat_steps=steps,
+        stat_enc=enc,
+        stat=stat,
+        dist=dist,
+        prod_enc=prod_enc,
+        d_mix=prod_model.config.d_model,
+    )
+    return bank, rows
+
+
+def vocab_sizes(sim):
+    """Embedding-table sizes of the ranker's id fields in a world built from `sim`."""
+    return {
+        "user_id": sim.users,
+        "aff_bucket": sim.n_c1,
+        "author_id": sim.streams,
+        "room_category": sim.n_c1,
+        "item_c3": sim.n_c3,
+        "cross_match": 2,
+        "click_bucket": 4,
     }
-    return bank, widths
+
+
+def load_forecaster(path, hierarchy=None, config_hash=None):
+    """Rebuild a forecaster from its checkpoint, with the config saved in it.
+
+    Without `hierarchy` the file holds a statistic model, with it a product
+    model. A given `config_hash` must match the checkpoint's.
+    """
+    config = checkpoint.read_manifest(path)["extra"]["config"]
+    if hierarchy is None:
+        model = StatisticModel(StatConfig(**config))
+    else:
+        model = ProductModel(ProdConfig(**config), hierarchy)
+    checkpoint.load_checkpoint(path, model.store, config_hash=config_hash)
+    return model
 
 
 def prepare(cfg, out_dir=None, reuse=True):
@@ -136,10 +190,8 @@ def prepare(cfg, out_dir=None, reuse=True):
     prod_path = out / f"prodfore-{prod_hash}.ckpt" if out else None
 
     if reuse and stat_path and stat_path.exists() and prod_path and prod_path.exists():
-        stat_model = StatisticModel(stat_cfg)
-        checkpoint.load_checkpoint(stat_path, stat_model.store, config_hash=stat_hash)
-        prod_model = ProductModel(prod_cfg, world.hierarchy)
-        checkpoint.load_checkpoint(prod_path, prod_model.store, config_hash=prod_hash)
+        stat_model = load_forecaster(stat_path, config_hash=stat_hash)
+        prod_model = load_forecaster(prod_path, world.hierarchy, config_hash=prod_hash)
     else:
         stat_model, prod_model = build_models(cfg, world, train_rooms, timings)
         if out:
@@ -154,17 +206,8 @@ def prepare(cfg, out_dir=None, reuse=True):
             )
 
     t0 = time.monotonic()
-    bank, widths = build_foresight_bank(world, stat_model, prod_model, k_enc=cfg.rank.k_enc)
+    bank, rows = build_foresight_bank(world, stat_model, prod_model, k_enc=cfg.rank.k_enc)
     timings["bank"] = time.monotonic() - t0
-    vocab = {
-        "user_id": cfg.sim.users,
-        "aff_bucket": cfg.sim.n_c1,
-        "author_id": cfg.sim.streams,
-        "room_category": cfg.sim.n_c1,
-        "item_c3": cfg.sim.n_c3,
-        "cross_match": 2,
-        "click_bucket": 4,
-    }
     return Artifacts(
         cfg=cfg,
         world=world,
@@ -173,13 +216,13 @@ def prepare(cfg, out_dir=None, reuse=True):
         stat_model=stat_model,
         prod_model=prod_model,
         bank=bank,
-        widths=widths,
-        vocab=vocab,
+        rows=rows,
+        vocab=vocab_sizes(cfg.sim),
         timings=timings,
     )
 
 
-def train_variant(art, variant, bank=None, widths=None):
+def train_variant(art, variant, bank=None):
     """Train one ranker variant against (a possibly substituted) bank."""
     tasks = SERVICES[art.cfg.sim.service]
     _, report, history = ranker.train_ranker(
@@ -189,7 +232,7 @@ def train_variant(art, variant, bank=None, widths=None):
         tasks,
         art.vocab,
         bank=bank if bank is not None else art.bank,
-        widths=widths if widths is not None else art.widths,
+        rows=art.rows,
     )
     return report, history
 
@@ -262,88 +305,32 @@ def run_pipeline(cfg):
 # ablations
 
 
-def _mask_stat_bank(art, keep_channels, horizon):
-    """Bank whose statistic part keeps only some channels/steps of the forecasts.
-
-    `keep_channels` indexes into the panel channel order; `horizon` truncates
-    the forecast steps. Encodings ride along only for full-channel masks.
-    """
-    c = art.stat_model.config
-    pred_idx = []
-    for ch in keep_channels:
-        pred_idx.extend(range(ch * c.horizon_train, ch * c.horizon_train + horizon))
-    pred_idx = np.asarray(pred_idx, dtype=np.int64)
-    bank = {}
-    for key, entry in art.bank.items():
-        bank[key] = dict(entry)
-        bank[key]["stat"] = entry["stat_steps"][pred_idx]
-    widths = dict(art.widths)
-    widths["stat"] = len(pred_idx)
-    return bank, widths
+def _stat_baseline_bank(art, method):
+    """The bank with a forecast-only statistic block: the model's first
+    `horizon_infer` steps, or a window baseline's, for every row at once."""
+    bank, c = art.bank, art.stat_model.config
+    if method == "model":
+        stat = _stat_block(bank.stat_steps, None, c.horizon_infer)
+    else:
+        streams = {st.room_id: st for st in art.world.streams}
+        windows = _windows([streams[r] for r in bank.room], bank.bucket, c.context)
+        stat = statfore.baseline_forecast(windows, c.horizon_infer, method)
+    return dataclasses.replace(bank, stat=stat.reshape(len(bank), -1))
 
 
-def _stat_with_encodings_masked(art, keep_channels):
-    """Forecast+encoding foresight restricted to a channel group."""
-    c = art.stat_model.config
-    n = len(art.world.streams[0].panel.channels)
-    d = c.d_model
-    idx = []
-    for ch in keep_channels:
-        idx.extend(range(ch * c.horizon_infer, (ch + 1) * c.horizon_infer))
-    for ch in keep_channels:
-        idx.extend(n * c.horizon_infer + ch * d + np.arange(d))
-    idx = np.asarray(idx, dtype=np.int64)
-    bank = {}
-    for key, entry in art.bank.items():
-        bank[key] = dict(entry)
-        bank[key]["stat"] = entry["stat"][idx]
-    widths = dict(art.widths)
-    widths["stat"] = len(idx)
-    return bank, widths
-
-
-def _substituted_stat_bank(art, method):
-    """Swap the model's forecasts for a baseline's; forecast-only features."""
-    c = art.stat_model.config
-    streams = {st.room_id: st for st in art.world.streams}
-    n = len(art.world.streams[0].panel.channels)
-    model_idx = np.asarray(
-        [ch * c.horizon_train + k for ch in range(n) for k in range(c.horizon_infer)]
-    )
-    bank = {}
-    for (room_id, t), entry in art.bank.items():
-        if method == "model":
-            vec = entry["stat_steps"][model_idx]
-        else:
-            st = streams[room_id]
-            window = st.panel.values[:, t - c.context + 1 : t + 1]
-            vec = statfore.baseline_forecast(window, c.horizon_infer, method).ravel()
-        bank[(room_id, t)] = dict(entry)
-        bank[(room_id, t)]["stat"] = vec
-    widths = dict(art.widths)
-    widths["stat"] = n * c.horizon_infer
-    return bank, widths
-
-
-def _substituted_prod_bank(art, method):
-    """Swap the model's category distribution for a baseline's one-hot."""
-    streams = {st.room_id: st for st in art.world.streams}
-    n_c3 = art.world.hierarchy.n_c3
-    bank = {}
-    for (room_id, t), entry in art.bank.items():
-        entry = dict(entry)
-        if method != "model":
-            st = streams[room_id]
-            cur = int(np.searchsorted(st.event_buckets, t, side="right")) - 1
-            cat = prodfore.baseline_category(st.events[: cur + 1], method)
-            onehot = np.zeros(n_c3)
-            onehot[cat] = 1.0
-            entry["dist"] = onehot
-        entry["prod_enc"] = np.zeros(0)
-        bank[(room_id, t)] = entry
-    widths = dict(art.widths)
-    widths["prod_enc"] = 0
-    return bank, widths
+def _prod_baseline_bank(art, method):
+    """The bank with the category distribution as its only product part: the
+    model's, or a baseline's one-hot; the product encodings are dropped."""
+    bank = art.bank
+    dist = bank.dist
+    if method != "model":
+        streams = {st.room_id: st for st in art.world.streams}
+        cats = []
+        for r, t in zip(bank.room, bank.bucket):
+            events = streams[r].events[: _latest_event(streams[r], t) + 1]
+            cats.append(prodfore.baseline_category(events, method))
+        dist = np.eye(dist.shape[1])[cats]
+    return dataclasses.replace(bank, dist=dist, prod_enc=np.zeros((len(bank), 0)))
 
 
 def run_ablation(cfg, which, art=None):
@@ -360,8 +347,7 @@ def run_ablation(cfg, which, art=None):
     if which == "accuracy-stat":
         stat_eval, _ = forecast_reports(art)
         for method in ("mean", "latest", "model"):
-            bank, widths = _substituted_stat_bank(art, method)
-            report, _ = train_variant(art, "+stat", bank, widths)
+            report, _ = train_variant(art, "+stat", _stat_baseline_bank(art, method))
             rows.append(
                 [method, stat_eval[method], report["ctr"]["AUC"], report["cvr"]["AUC"]]
             )
@@ -369,8 +355,7 @@ def run_ablation(cfg, which, art=None):
     elif which == "accuracy-prod":
         _, prod_eval = forecast_reports(art)
         for method in ("most-frequent", "latest", "model"):
-            bank, widths = _substituted_prod_bank(art, method)
-            report, _ = train_variant(art, "+prod", bank, widths)
+            report, _ = train_variant(art, "+prod", _prod_baseline_bank(art, method))
             rows.append(
                 [method, prod_eval[method], report["ctr"]["AUC"], report["cvr"]["AUC"]]
             )
@@ -381,9 +366,12 @@ def run_ablation(cfg, which, art=None):
         panel = art.world.streams[0].panel
         for i, g in enumerate(panel.groups):
             groups.setdefault(g, []).append(i)
+        c = art.stat_model.config
         for group in statfore.GROUPS:
-            bank, widths = _stat_with_encodings_masked(art, groups[group])
-            report, _ = train_variant(art, "+stat", bank, widths)
+            stat = _stat_block(
+                art.bank.stat_steps, art.bank.stat_enc, c.horizon_infer, groups[group]
+            )
+            report, _ = train_variant(art, "+stat", dataclasses.replace(art.bank, stat=stat))
             rows.append(
                 [
                     group,
@@ -398,10 +386,9 @@ def run_ablation(cfg, which, art=None):
         eval_panels = [art.world.streams[i].panel for i in art.eval_rooms]
         per_step = statfore.mse_per_step(art.stat_model, eval_panels)
         base_report, _ = train_variant(art, "base")
-        all_channels = range(len(art.world.streams[0].panel.channels))
         for h in range(1, art.stat_model.config.horizon_train + 1):
-            bank, widths = _mask_stat_bank(art, list(all_channels), h)
-            report, _ = train_variant(art, "+stat", bank, widths)
+            stat = _stat_block(art.bank.stat_steps, None, h)
+            report, _ = train_variant(art, "+stat", dataclasses.replace(art.bank, stat=stat))
             rows.append(
                 [
                     h,

@@ -19,14 +19,12 @@ from . import tensor as T
 from .config import ProdConfig, config_hash, to_dict
 from .errors import (
     ConfigurationError,
-    DimensionError,
     ParseError,
     SequenceError,
     VocabularyError,
 )
 from .metrics import hit_rate
 from .optim import ParamStore, adam_step
-from .tensor import Tensor
 
 
 @dataclass
@@ -188,13 +186,6 @@ class ProductModel:
         return logits, enc
 
 
-def product_forward(model, events):
-    """One sequence -> (next-category logits after the last event, E (L-1, D))."""
-    events = as_events(events)
-    logits, enc = model.forward_positions(events[None])
-    return logits[(0, -1)], T.take(enc, (0, slice(1, None)))
-
-
 def truncate_context(events, max_context):
     # keep the most recent events; documented behavior, not an error
     return events[-max_context:] if len(events) > max_context else events
@@ -213,6 +204,39 @@ def forecast_all_prefixes(model, events):
     events = truncate_context(as_events(events), model.config.max_context)
     logits, enc = model.forward_positions(events[None])
     return T.softmax(logits, axis=-1).data[0].copy(), enc.data[0].copy()
+
+
+def forecast_prefixes(model, events, ends, k_enc):
+    """Forecast after each prefix `events[:end + 1]`, batched.
+
+    Returns distributions (len(ends), |C3|) and the prefix's trailing `k_enc`
+    per-position encodings, flattened and zero-filled to k_enc*D for short
+    prefixes: row by row what `forecast_product` gives for the same prefix.
+    Prefixes inside the context share one causal pass over the first
+    `max_context` events; each longer prefix runs over its own trailing
+    window, so no forecast reads an event after its end.
+    """
+    events = as_events(events)
+    m, d = model.config.max_context, model.config.d_model
+    ends = np.asarray(ends, dtype=np.int64)
+    dist = np.zeros((len(ends), model.hierarchy.n_c3))
+    enc_out = np.zeros((len(ends), k_enc * d))
+    head = np.flatnonzero(ends < m)
+    if len(head):
+        probs, enc = forecast_all_prefixes(model, events[:m])
+        for i, cur in zip(head, ends[head]):
+            dist[i] = probs[cur]
+            # encodings exist for positions 1..cur; take the trailing k_enc
+            tail = enc[max(1, cur + 1 - k_enc) : cur + 1].ravel()
+            enc_out[i, : len(tail)] = tail
+    late = np.flatnonzero(ends >= m)
+    if len(late):
+        windows = np.stack([events[end - m + 1 : end + 1] for end in ends[late]])
+        logits, enc = model.forward_positions(windows)
+        dist[late] = T.softmax(logits, axis=-1).data[:, -1]
+        tail = enc.data[:, max(1, m - k_enc) :].reshape(len(late), -1)
+        enc_out[late, : tail.shape[1]] = tail
+    return dist, enc_out
 
 
 def _pad_batch(sequences, max_context):
@@ -288,10 +312,6 @@ def baseline_category(events, method):
     raise ValueError(f"unknown baseline {method!r}")
 
 
-def hitrate(predictions, truths):
-    return hit_rate(predictions, truths)
-
-
 def evaluate_hitrate(model, sequences):
     """Top-1 next-category accuracy for the model and both baselines."""
     preds = {"model": [], "latest": [], "most-frequent": []}
@@ -306,23 +326,4 @@ def evaluate_hitrate(model, sequences):
             preds["latest"].append(baseline_category(seq[:k], "latest"))
             preds["most-frequent"].append(baseline_category(seq[:k], "most-frequent"))
         truths.extend(seq[1:, 3].tolist())
-    return {name: hitrate(vals, truths) for name, vals in preds.items()}
-
-
-def build_prod_foresight(forecast, c3_mix, k_enc=8):
-    """Expected-category embedding plus the last K encoder positions.
-
-    The distribution and encodings enter as constants; the mixture
-    `distribution @ c3_mix` is the single trainable path (into c3_mix only).
-    Returns a 1-D tensor of width D + min(L-1, k_enc)*D.
-    """
-    if not isinstance(c3_mix, Tensor):
-        raise DimensionError("c3_mix must be a Tensor owned by the ranker store")
-    n_c3 = forecast.distribution.shape[0]
-    if c3_mix.shape[0] != n_c3:
-        raise DimensionError(
-            f"c3_mix rows {c3_mix.shape[0]} != category vocabulary {n_c3}"
-        )
-    mix = T.reshape(Tensor(forecast.distribution[None]) @ c3_mix, (c3_mix.shape[1],))
-    tail = forecast.encoding[-k_enc:]
-    return T.concat([mix, Tensor(tail.ravel().copy())], axis=0)
+    return {name: hit_rate(vals, truths) for name, vals in preds.items()}

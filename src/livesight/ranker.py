@@ -25,22 +25,38 @@ from .tensor import Tensor
 FIELD_NAMES = RankSample.FIELD_NAMES
 
 
-@dataclass
-class ForesightVector:
-    """Per-(room, bucket) foresight constants; absent parts are None."""
+@dataclass(frozen=True)
+class ForesightBank:
+    """Frozen foresight columns, one row per distinct (room, bucket) key.
 
-    stat: np.ndarray = None  # flattened forecasts + channel encodings
-    dist: np.ndarray = None  # next level-3 category distribution
-    prod_enc: np.ndarray = None  # flattened last-K product encodings
+    Every column is a plain numpy array, checked once when the bank is built
+    (or replaced), so no gradient can reach the forecasters behind it.
+    """
+
+    room: np.ndarray  # (K,) room ids
+    bucket: np.ndarray  # (K,) time buckets
+    stat_steps: np.ndarray  # (K, N, h_train) forecasts in count scale
+    stat_enc: np.ndarray  # (K, N, D) channel encodings
+    stat: np.ndarray  # (K, ·) the statistic block the ranker reads
+    dist: np.ndarray  # (K, |C3|) next level-3 category distribution
+    prod_enc: np.ndarray  # (K, k_enc*D) trailing product encodings, zero-filled
+    d_mix: int  # width of the ranker's category mixing table
 
     def __post_init__(self):
-        for name in ("stat", "dist", "prod_enc"):
-            val = getattr(self, name)
-            if val is not None and not isinstance(val, np.ndarray):
+        for name in ("room", "bucket", "stat_steps", "stat_enc", "stat", "dist", "prod_enc"):
+            col = getattr(self, name)
+            if not isinstance(col, np.ndarray):
                 raise ContractError(
-                    f"foresight part {name!r} must be a detached numpy array, "
-                    f"got {type(val).__name__}; foresight models stay frozen"
+                    f"foresight column {name!r} must be a detached numpy array, "
+                    f"got {type(col).__name__}; foresight models stay frozen"
                 )
+            if len(col) != len(self.room):
+                raise ContractError(
+                    f"foresight column {name!r} has {len(col)} rows, not {len(self.room)}"
+                )
+
+    def __len__(self):
+        return len(self.room)
 
 
 def _uses(variant):
@@ -142,90 +158,43 @@ class RankingModel:
         return T.sigmoid(T.concat(heads, axis=1))
 
 
-def assemble_input(model, sample, foresight=None):
-    """One sample -> the assembled 1-D input vector (embeddings then foresight)."""
-    foresight = foresight or ForesightVector()
-    kwargs = {}
-    if model.use_stat:
-        if foresight.stat is None:
-            raise ConfigurationError(f"variant {model.variant} requires the statistic part")
-        kwargs["stat"] = foresight.stat[None]
-    if model.use_prod:
-        if foresight.dist is None or foresight.prod_enc is None:
-            raise ConfigurationError(f"variant {model.variant} requires the product part")
-        kwargs["dist"] = foresight.dist[None]
-        kwargs["prod_enc"] = foresight.prod_enc[None]
-    x = model.features(np.asarray(sample.field_values())[None], **kwargs)
-    return T.reshape(x, (model.input_width,))
-
-
-def rank_forward(model, x):
-    """Input vector(s) -> dict task -> probability tensor."""
-    single = x.ndim == 1
-    if single:
-        x = T.reshape(x, (1,) + x.shape)
-    probs = model.forward(x)
-    out = {}
-    for j, task in enumerate(model.tasks):
-        col = T.take(probs, (slice(None), j))
-        out[task] = T.take(col, (0,)) if single else col
-    return out
-
-
 def rank_loss(predictions, labels):
     """Summed-over-tasks, mean-over-batch binary cross entropy."""
     return T.binary_cross_entropy(predictions, labels)
 
 
-def _banked(bank, samples, key, width):
-    rows = np.zeros((len(samples), width))
-    for i, s in enumerate(samples):
-        vec = bank[(s.room_id, s.bucket)][key]
-        if not isinstance(vec, np.ndarray):
-            raise ContractError(
-                f"foresight bank entry {key!r} is {type(vec).__name__}, not a "
-                "detached numpy array"
-            )
-        rows[i, : len(vec)] = vec  # short prefixes zero-fill the tail
-    return rows
+def _banked(bank, rows, use_stat, use_prod):
+    """Each sample's foresight blocks: one gather of the per-key columns."""
+    stat = bank.stat[rows] if use_stat else None
+    dist, enc = (bank.dist[rows], bank.prod_enc[rows]) if use_prod else (None, None)
+    return stat, dist, enc
 
 
-def train_ranker(samples, variant, config, tasks, vocab_sizes, bank=None, widths=None):
+def train_ranker(samples, variant, config, tasks, vocab_sizes, bank=None, rows=None):
     """Train one variant and report held-out AUC/UAUC/GAUC per task.
 
-    `bank` maps (room_id, bucket) -> {"stat": vec, "dist": vec, "prod_enc": vec},
-    all plain numpy. Foresight model objects are rejected: the only trainable
-    path touching foresight is the c3_mix table created here.
+    `bank` is a ForesightBank and `rows[i]` the bank row of samples[i]; block
+    widths come from the bank's column shapes. The only trainable path
+    touching foresight is the c3_mix table created here.
     """
     use_stat, use_prod = _uses(variant)
-    if (use_stat or use_prod) and bank is None:
-        raise ConfigurationError(f"variant {variant} needs a foresight bank")
-    if bank is not None and not isinstance(bank, dict):
-        raise ContractError(
-            f"foresight bank must be a dict of numpy vectors, got {type(bank).__name__}"
-        )
-    widths = widths or {}
-    model = RankingModel(
-        config,
-        vocab_sizes,
-        tasks,
-        variant,
-        stat_width=widths.get("stat", 0),
-        n_c3=widths.get("n_c3", 0),
-        d_mix=widths.get("d_mix", 32),
-        prod_enc_width=widths.get("prod_enc", 0),
-    )
+    if (use_stat or use_prod) and (bank is None or rows is None):
+        raise ConfigurationError(f"variant {variant} needs a foresight bank and its sample rows")
+    if bank is not None and not isinstance(bank, ForesightBank):
+        raise ContractError(f"foresight bank must be a ForesightBank, got {type(bank).__name__}")
+    shapes = {}
+    if bank is not None:
+        shapes = dict(stat_width=bank.stat.shape[1], n_c3=bank.dist.shape[1],
+                      d_mix=bank.d_mix, prod_enc_width=bank.prod_enc.shape[1])
+    model = RankingModel(config, vocab_sizes, tasks, variant, **shapes)
 
     fields = np.asarray([s.field_values() for s in samples], dtype=np.int64)
     labels = np.asarray([[s.labels[t] for t in tasks] for s in samples], dtype=np.float64)
     users = np.asarray([s.user_id for s in samples])
     weights = np.asarray([s.weight for s in samples])
     stat = dist = enc = None
-    if use_stat:
-        stat = _banked(bank, samples, "stat", model.stat_width)
-    if use_prod:
-        dist = _banked(bank, samples, "dist", vocab_sizes["item_c3"])
-        enc = _banked(bank, samples, "prod_enc", model.prod_enc_width)
+    if use_stat or use_prod:
+        stat, dist, enc = _banked(bank, rows, use_stat, use_prod)
 
     split_rng = np.random.default_rng([config.seed, 0xE5])
     order = split_rng.permutation(len(samples))

@@ -52,39 +52,26 @@ class StatPanel:
                 raise ValueError(f"unknown channel group {g!r}")
 
 
-@dataclass
-class StatForecast:
-    predicted: np.ndarray  # (N, h) original count scale
-    encoding: np.ndarray  # (N, D) final channel encodings
-    horizon: int
-
-
 def revin_normalize(window):
     """Return (normalized, mu, delta) with per-channel mean/scale.
 
+    `window` is (..., N, W); each channel is normalized along the last axis.
     delta is the population std floored at 1e-6 so constant channels stay
     invertible.
     """
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise DimensionError(f"window must be (N, W), got {window.shape}")
-    if window.shape[1] < 2:
-        raise WindowError(f"need at least 2 observations per channel, got {window.shape[1]}")
-    mu = window.mean(axis=1, keepdims=True)
-    delta = np.maximum(window.std(axis=1, keepdims=True), SCALE_FLOOR)
+    if window.ndim < 2:
+        raise DimensionError(f"window must be (..., N, W), got {window.shape}")
+    if window.shape[-1] < 2:
+        raise WindowError(f"need at least 2 observations per channel, got {window.shape[-1]}")
+    mu = window.mean(axis=-1, keepdims=True)
+    delta = np.maximum(window.std(axis=-1, keepdims=True), SCALE_FLOOR)
     return (window - mu) / delta, mu, delta
 
 
 def revin_denormalize(values, mu, delta):
     values = np.asarray(values, dtype=np.float64)
     return values * delta + mu
-
-
-def _batch_normalize(windows):
-    # (B, N, W) counterpart of revin_normalize
-    mu = windows.mean(axis=2, keepdims=True)
-    delta = np.maximum(windows.std(axis=2, keepdims=True), SCALE_FLOOR)
-    return (windows - mu) / delta, mu, delta
 
 
 class StatisticModel:
@@ -117,10 +104,6 @@ class StatisticModel:
         return pred, enc
 
 
-def statistic_forward(model, normalized_windows):
-    return model.forward(normalized_windows)
-
-
 def collect_windows(panels, context, horizon, stride=1):
     """Sliding (window, future) pairs from every panel, stacked for batching."""
     xs, ys = [], []
@@ -149,7 +132,7 @@ def train_statistic(model, panels, epochs=None):
         losses = []
         for lo in range(0, len(order), c.batch):
             idx = order[lo : lo + c.batch]
-            normed, mu, delta = _batch_normalize(x[idx])
+            normed, mu, delta = revin_normalize(x[idx])
             pred_norm, _ = model.forward(Tensor(normed))
             pred = pred_norm * Tensor(delta) + Tensor(mu)
             diff = pred + T.mul(Tensor(y[idx]), -1.0)
@@ -162,35 +145,24 @@ def train_statistic(model, panels, epochs=None):
     return history
 
 
-def forecast_statistic(model, window):
-    """Forecast the next `horizon_infer` steps of one (N, W) window, original scale."""
-    normed, mu, delta = revin_normalize(window)
-    pred_norm, enc = model.forward(Tensor(normed[None]))
-    h = model.config.horizon_infer
-    predicted = revin_denormalize(pred_norm.data[0, :, :h], mu, delta)
-    return StatForecast(predicted=predicted, encoding=enc.data[0].copy(), horizon=h)
-
-
-def build_stat_foresight(forecast):
-    """Flattened forecasts and encodings, as a constant vector (length N*h + N*D)."""
-    return np.concatenate([forecast.predicted.ravel(), forecast.encoding.ravel()])
-
-
 def baseline_forecast(window, horizon, method):
-    """Repeat either the window mean or the latest value, per channel."""
+    """Repeat either the window mean or the latest value, per channel.
+
+    `window` is (..., N, W); the forecast is (..., N, horizon).
+    """
     window = np.asarray(window, dtype=np.float64)
     if method == "mean":
-        col = window.mean(axis=1, keepdims=True)
+        col = window.mean(axis=-1, keepdims=True)
     elif method == "latest":
-        col = window[:, -1:]
+        col = window[..., -1:]
     else:
         raise ValueError(f"unknown baseline {method!r}")
-    return np.repeat(col, horizon, axis=1)
+    return np.repeat(col, horizon, axis=-1)
 
 
 def forecast_batch(model, windows, horizon):
     """Denormalized forecasts for stacked windows (B, N, W), first `horizon` steps."""
-    normed, mu, delta = _batch_normalize(windows)
+    normed, mu, delta = revin_normalize(windows)
     pred_norm, enc = model.forward(Tensor(normed))
     pred = pred_norm.data[:, :, :horizon] * delta + mu
     return pred, enc.data
@@ -204,8 +176,7 @@ def evaluate_statistic(model, panels, horizon=None):
     pred, _ = forecast_batch(model, x, h)
     out = {"model": float(np.mean((pred - y) ** 2))}
     for method in ("mean", "latest"):
-        base = np.stack([baseline_forecast(w, h, method) for w in x])
-        out[method] = float(np.mean((base - y) ** 2))
+        out[method] = float(np.mean((baseline_forecast(x, h, method) - y) ** 2))
     return out
 
 

@@ -35,7 +35,7 @@ from livesight.simgen import (
     gen_world,
     probe_future_vs_past,
 )
-from livesight.statfore import StatisticModel, _batch_normalize, revin_denormalize, revin_normalize
+from livesight.statfore import StatisticModel, revin_denormalize, revin_normalize
 from livesight.tensor import Tensor
 
 SEEDS = (101, 202, 303)
@@ -85,9 +85,7 @@ def forecasting_runs():
 
         c = art.stat_model.config
         n = len(CHANNEL_NAMES)
-        feats = np.stack(
-            [art.bank[(s.room_id, s.bucket)]["stat_steps"] for s in art.world.samples]
-        )
+        feats = art.bank.stat_steps[art.rows].reshape(len(art.rows), -1)
         y = np.array([s.labels["ctr"] for s in art.world.samples], dtype=float)
         probe = []
         for h in range(1, c.horizon_train + 1):
@@ -151,7 +149,7 @@ def test_criterion_2_gradients_match_central_differences():
     rng = np.random.default_rng(3)
     x = rng.poisson(12.0, (2, 3, 8)).astype(np.float64)
     y = rng.poisson(12.0, (2, 3, 5)).astype(np.float64)
-    normed, mu, delta = _batch_normalize(x)
+    normed, mu, delta = revin_normalize(x)
 
     def stat_loss():
         pred_norm, _ = stat_model.forward(Tensor(normed))
@@ -293,7 +291,7 @@ def test_criterion_8_foresight_models_frozen_during_ranking(tmp_path):
         SERVICES["shopping"],
         art.vocab,
         bank=art.bank,
-        widths=art.widths,
+        rows=art.rows,
     )
 
     checkpoint.save_checkpoint(tmp_path / "stat_after.ckpt", art.stat_model.store)
@@ -310,10 +308,10 @@ def test_criterion_8_foresight_models_frozen_during_ranking(tmp_path):
         art.vocab,
         SERVICES["shopping"],
         "+both",
-        stat_width=art.widths["stat"],
-        n_c3=art.widths["n_c3"],
-        d_mix=art.widths["d_mix"],
-        prod_enc_width=art.widths["prod_enc"],
+        stat_width=art.bank.stat.shape[1],
+        n_c3=art.bank.dist.shape[1],
+        d_mix=art.bank.d_mix,
+        prod_enc_width=art.bank.prod_enc.shape[1],
     )
     mix_moved = not np.array_equal(model.store["c3_mix"].data, fresh.store["c3_mix"].data)
     print(

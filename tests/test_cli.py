@@ -83,7 +83,7 @@ def test_run_then_ablate(tiny_config, tmp_path, capsys):
     assert (out / "rank_report.csv").exists()
     assert (out / "forecast_report.csv").exists()
     # second invocation reuses the cached foresight checkpoints
-    assert main(["eval", "--config", tiny_config, "--out", str(out)]) == 0
+    assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
     assert main(["ablate", "--config", tiny_config, "--out", str(out), "--which", "channels"]) == 0
     text = (out / "ablation_channels.csv").read_text()
     assert "out-room" in text and "in-room" in text

@@ -1,12 +1,12 @@
 """Pipeline plumbing: room splits, foresight bank bookkeeping, checkpoint
-reuse, CSV formatting, and ablation bank surgery."""
+reuse, CSV formatting, and the ablations' column selections."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from livesight import pipeline, statfore
+from livesight import pipeline, prodfore, statfore
 from livesight.config import (
     ExperimentConfig,
     ProdConfig,
@@ -53,23 +53,52 @@ def test_write_csv_formats_and_headers(tmp_path):
 
 
 def test_bank_covers_every_sample(art):
+    bank, c = art.bank, art.stat_model.config
     keys = {(s.room_id, s.bucket) for s in art.world.samples}
-    assert set(art.bank) == keys
-    w = art.widths
-    entry = next(iter(art.bank.values()))
-    assert entry["stat"].shape == (w["stat"],)
-    assert entry["stat_steps"].shape == (w["stat_steps"],)
-    assert entry["dist"].shape == (w["n_c3"],)
-    assert abs(entry["dist"].sum() - 1.0) < 1e-9
-    assert entry["prod_enc"].shape[0] <= w["prod_enc"]
-    assert entry["prod_enc"].shape[0] % w["d_mix"] == 0
+    assert set(zip(bank.room.tolist(), bank.bucket.tolist())) == keys
+    assert len(bank) == len(keys)
+    n, d = len(art.world.streams[0].panel.channels), c.d_model
+    assert bank.stat_steps.shape == (len(bank), n, c.horizon_train)
+    assert bank.stat_enc.shape == (len(bank), n, d)
+    assert bank.stat.shape == (len(bank), n * c.horizon_infer + n * d)
+    assert bank.dist.shape == (len(bank), art.world.hierarchy.n_c3)
+    assert np.allclose(bank.dist.sum(axis=1), 1.0, atol=1e-9)
+    assert bank.prod_enc.shape == (len(bank), TINY.rank.k_enc * bank.d_mix)
+
+
+def test_bank_rows_point_at_sample_keys(art):
+    assert art.rows.shape == (len(art.world.samples),)
+    for i, s in enumerate(art.world.samples):
+        assert (art.bank.room[art.rows[i]], art.bank.bucket[art.rows[i]]) == (s.room_id, s.bucket)
 
 
 def test_bank_entries_are_plain_arrays(art):
-    for entry in art.bank.values():
-        for part in entry.values():
-            assert isinstance(part, np.ndarray)
-        break
+    for name in ("room", "bucket", "stat_steps", "stat_enc", "stat", "dist", "prod_enc"):
+        assert isinstance(getattr(art.bank, name), np.ndarray)
+
+
+def test_long_streams_forecast_each_prefix_without_lookahead():
+    # streams longer than the product context (64 events): each bank row must
+    # be the forecast from its own prefix, never from later events
+    cfg = dataclasses.replace(
+        TINY,
+        sim=dataclasses.replace(TINY.sim, buckets=600),
+        stat=StatConfig(epochs=1),
+        prod=ProdConfig(epochs=1),
+    )
+    art = pipeline.prepare(cfg)
+    model, k_enc = art.prod_model, cfg.rank.k_enc
+    streams = {st.room_id: st for st in art.world.streams}
+    assert max(len(st.events) for st in streams.values()) > model.config.max_context
+    for room_id, t, dist, enc in zip(art.bank.room, art.bank.bucket, art.bank.dist,
+                                     art.bank.prod_enc):
+        st = streams[room_id]
+        cur = int(np.searchsorted(st.event_buckets, t, side="right")) - 1
+        fc = prodfore.forecast_product(model, st.events[: cur + 1])
+        tail = fc.encoding[-k_enc:].ravel()
+        assert np.allclose(dist, fc.distribution, rtol=0, atol=1e-12)
+        assert np.allclose(enc[: len(tail)], tail, rtol=0, atol=1e-12)
+        assert not enc[len(tail) :].any()
 
 
 def test_checkpoint_reuse_restores_same_models(art, tmp_path):
@@ -89,44 +118,52 @@ def test_forecast_reports_have_three_methods_each(art):
 
 def test_masked_stat_bank_slices_forecast_steps(art):
     c = art.stat_model.config
-    bank, widths = pipeline._mask_stat_bank(art, [0, 3], horizon=2)
-    key = next(iter(art.bank))
-    assert widths["stat"] == 4
-    src = art.bank[key]["stat_steps"]
-    expect = [src[0], src[1], src[3 * c.horizon_train], src[3 * c.horizon_train + 1]]
-    assert np.array_equal(bank[key]["stat"], expect)
+    stat = pipeline._stat_block(art.bank.stat_steps, None, 2, [0, 3])
+    assert stat.shape == (len(art.bank), 4)
+    src = art.bank.stat_steps.reshape(len(art.bank), -1)
+    expect = src[:, [0, 1, 3 * c.horizon_train, 3 * c.horizon_train + 1]]
+    assert np.array_equal(stat, expect)
 
 
 def test_group_masked_bank_keeps_forecasts_and_encodings(art):
     c = art.stat_model.config
-    bank, widths = pipeline._stat_with_encodings_masked(art, [1])
-    assert widths["stat"] == c.horizon_infer + c.d_model
-    key = next(iter(art.bank))
-    src = art.bank[key]["stat"]
-    assert np.array_equal(
-        bank[key]["stat"][: c.horizon_infer],
-        src[c.horizon_infer : 2 * c.horizon_infer],
+    n = len(art.world.streams[0].panel.channels)
+    stat = pipeline._stat_block(art.bank.stat_steps, art.bank.stat_enc, c.horizon_infer, [1])
+    assert stat.shape == (len(art.bank), c.horizon_infer + c.d_model)
+    src = art.bank.stat
+    enc_lo = n * c.horizon_infer + c.d_model
+    expect = np.concatenate(
+        [src[:, c.horizon_infer : 2 * c.horizon_infer], src[:, enc_lo : enc_lo + c.d_model]],
+        axis=1,
     )
+    assert np.array_equal(stat, expect)
 
 
 def test_substituted_stat_bank_matches_baseline(art):
     c = art.stat_model.config
-    bank, widths = pipeline._substituted_stat_bank(art, "latest")
-    room_id, t = key = next(iter(art.bank))
-    st = {s.room_id: s for s in art.world.streams}[room_id]
-    window = st.panel.values[:, t - c.context + 1 : t + 1]
-    expect = statfore.baseline_forecast(window, c.horizon_infer, "latest").ravel()
-    assert np.array_equal(bank[key]["stat"], expect)
-    assert widths["stat"] == len(expect)
+    bank = pipeline._stat_baseline_bank(art, "latest")
+    streams = {s.room_id: s for s in art.world.streams}
+    for k in (0, len(bank) - 1):
+        st = streams[bank.room[k]]
+        t = bank.bucket[k]
+        window = st.panel.values[:, t - c.context + 1 : t + 1]
+        expect = statfore.baseline_forecast(window, c.horizon_infer, "latest").ravel()
+        assert np.array_equal(bank.stat[k], expect)
+    model = pipeline._stat_baseline_bank(art, "model")
+    n = len(art.world.streams[0].panel.channels)
+    idx = [ch * c.horizon_train + k for ch in range(n) for k in range(c.horizon_infer)]
+    assert np.array_equal(model.stat, art.bank.stat_steps.reshape(len(bank), -1)[:, idx])
 
 
 def test_substituted_prod_bank_onehot_drops_encodings(art):
-    bank, widths = pipeline._substituted_prod_bank(art, "latest")
-    assert widths["prod_enc"] == 0
-    key = next(iter(art.bank))
-    assert bank[key]["prod_enc"].shape == (0,)
-    dist = bank[key]["dist"]
-    assert dist.sum() == 1.0 and (dist == 1.0).sum() == 1
+    bank = pipeline._prod_baseline_bank(art, "latest")
+    assert bank.prod_enc.shape == (len(bank), 0)
+    assert np.all(bank.dist.sum(axis=1) == 1.0) and np.all((bank.dist == 1.0).sum(axis=1) == 1)
+    streams = {s.room_id: s for s in art.world.streams}
+    st = streams[bank.room[0]]
+    cur = int(np.searchsorted(st.event_buckets, bank.bucket[0], side="right")) - 1
+    assert bank.dist[0, st.events[cur, 3]] == 1.0
+    assert pipeline._prod_baseline_bank(art, "model").dist is art.bank.dist
 
 
 def test_ablation_rejects_unknown_study():

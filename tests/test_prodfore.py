@@ -1,27 +1,25 @@
-"""Product-event model: hierarchy, causal forecasting, baselines, foresight vector."""
+"""Product-event model: hierarchy, causal forecasting, baselines, prefix forecasts."""
 
 import numpy as np
 import pytest
 
 from livesight import tensor as T
 from livesight.config import ProdConfig
-from livesight.errors import DimensionError, SequenceError
+from livesight.errors import SequenceError
 from livesight.gradcheck import grad_check
+from livesight.metrics import hit_rate
 from livesight.prodfore import (
     CategoryHierarchy,
     ProductModel,
     as_events,
     baseline_category,
-    build_prod_foresight,
     evaluate_hitrate,
     forecast_all_prefixes,
+    forecast_prefixes,
     forecast_product,
-    hitrate,
-    product_forward,
     train_product,
     truncate_context,
 )
-from livesight.tensor import Tensor
 
 TINY = ProdConfig(d_model=8, n_blocks=1, heads=2, d_ff=16, max_context=16,
                   epochs=100, batch=8, lr=6e-3, seed=0)
@@ -93,9 +91,9 @@ def test_embedding_gradient_hits_only_used_rows():
 def test_forward_shapes_and_context_cap():
     h = small_hierarchy()
     model = ProductModel(TINY, h)
-    logits, enc = product_forward(model, seq_for(h, [1, 2, 3]))
-    assert logits.shape == (h.n_c3,)
-    assert enc.shape == (2, TINY.d_model)  # per-position encodings drop position 0
+    fc = forecast_product(model, seq_for(h, [1, 2, 3]))
+    assert fc.distribution.shape == (h.n_c3,)
+    assert fc.encoding.shape == (2, TINY.d_model)  # per-position encodings drop position 0
     too_long = seq_for(h, [i % h.n_products for i in range(17)])
     with pytest.raises(SequenceError):
         model.forward_positions(too_long[None])
@@ -112,9 +110,9 @@ def test_appending_event_preserves_earlier_encodings():
     _, enc_a = model.forward_positions(short[None])
     _, enc_b = model.forward_positions(longer[None])
     assert enc_a.data[0].tobytes() == enc_b.data[0, :3].tobytes()
-    logits_a, _ = product_forward(model, short)
-    logits_b, _ = product_forward(model, longer)
-    assert not np.array_equal(logits_a.data, logits_b.data)
+    fc_a = forecast_product(model, short)
+    fc_b = forecast_product(model, longer)
+    assert not np.array_equal(fc_a.distribution, fc_b.distribution)
 
 
 def test_truncate_keeps_most_recent():
@@ -196,8 +194,8 @@ def test_baseline_categories():
 
 
 def test_hitrate_values():
-    assert hitrate([1, 2, 3], [1, 9, 3]) == pytest.approx(2 / 3)
-    assert hitrate([4, 4], [4, 4]) == 1.0
+    assert hit_rate([1, 2, 3], [1, 9, 3]) == pytest.approx(2 / 3)
+    assert hit_rate([4, 4], [4, 4]) == 1.0
 
 
 def test_evaluate_hitrate_reports_all_methods():
@@ -208,32 +206,21 @@ def test_evaluate_hitrate_reports_all_methods():
     assert all(0.0 <= v <= 1.0 for v in out.values())
 
 
-def test_build_prod_foresight_mixtures():
-    rng = np.random.default_rng(0)
-    c3_mix = Tensor(rng.normal(size=(10, 6)), requires_grad=True)
-    enc = rng.normal(size=(4, 8))
-
-    onehot = np.zeros(10)
-    onehot[7] = 1.0
-    from livesight.prodfore import ProdForecast
-
-    vec = build_prod_foresight(ProdForecast(onehot, enc), c3_mix, k_enc=2)
-    assert vec.shape == (6 + 2 * 8,)
-    assert np.allclose(vec.data[:6], c3_mix.data[7], atol=1e-12)
-    assert np.array_equal(vec.data[6:], enc[-2:].ravel())
-
-    uniform = np.full(10, 0.1)
-    vec_u = build_prod_foresight(ProdForecast(uniform, enc), c3_mix, k_enc=2)
-    assert np.allclose(vec_u.data[:6], c3_mix.data.mean(axis=0), atol=1e-12)
-
-    # trainable path reaches the mixing table and nothing else
-    T.tsum(vec_u).backward()
-    assert c3_mix.grad is not None and np.abs(c3_mix.grad).sum() > 0
-
-    with pytest.raises(DimensionError):
-        build_prod_foresight(ProdForecast(onehot, enc), Tensor(np.zeros((9, 6))))
-    with pytest.raises(DimensionError):
-        build_prod_foresight(ProdForecast(onehot, enc), np.zeros((10, 6)))
+def test_prefix_forecasts_match_single_prefix_reference():
+    h = small_hierarchy()
+    model = ProductModel(TINY, h)  # max_context 16
+    events = seq_for(h, [(5 * i) % h.n_products for i in range(40)])
+    ends = np.array([0, 1, 3, 15, 16, 17, 39])  # inside and beyond the context
+    k_enc = 3
+    dist, enc = forecast_prefixes(model, events, ends, k_enc)
+    assert dist.shape == (len(ends), h.n_c3)
+    assert enc.shape == (len(ends), k_enc * TINY.d_model)
+    for i, end in enumerate(ends):
+        fc = forecast_product(model, events[: end + 1])
+        tail = fc.encoding[-k_enc:].ravel()
+        assert np.allclose(dist[i], fc.distribution, rtol=0, atol=1e-12)
+        assert np.allclose(enc[i, : len(tail)], tail, rtol=0, atol=1e-12)
+        assert not enc[i, len(tail) :].any()  # short prefixes zero-fill the tail
 
 
 def test_training_is_deterministic():

@@ -1,5 +1,7 @@
 """Multi-task ranker: input assembly, heads, loss, and the frozen-foresight contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,7 @@ from livesight import tensor as T
 from livesight.config import RankConfig
 from livesight.errors import ConfigurationError, ContractError, DimensionError, LabelError
 from livesight.gradcheck import grad_check
-from livesight.ranker import (
-    ForesightVector,
-    RankingModel,
-    assemble_input,
-    rank_forward,
-    rank_loss,
-    train_ranker,
-)
+from livesight.ranker import ForesightBank, RankingModel, rank_loss, train_ranker
 from livesight.simgen import RankSample
 from livesight.tensor import Tensor
 
@@ -29,7 +24,7 @@ VOCAB = {
 }
 TASKS = ("ctr", "cvr")
 CFG = RankConfig(emb_width=16, hidden=64, epochs=8, batch=16, lr=1e-2, seed=0)
-WIDTHS = {"stat": 20, "n_c3": 12, "d_mix": 8, "prod_enc": 24}
+BASE_WIDTH = 16 * 7
 
 
 def sample(seed=0, **labels):
@@ -50,43 +45,55 @@ def sample(seed=0, **labels):
 
 
 def model_for(variant):
-    return RankingModel(CFG, VOCAB, TASKS, variant, stat_width=WIDTHS["stat"],
-                        n_c3=WIDTHS["n_c3"], d_mix=WIDTHS["d_mix"],
-                        prod_enc_width=WIDTHS["prod_enc"])
+    return RankingModel(CFG, VOCAB, TASKS, variant, stat_width=20, n_c3=12, d_mix=8,
+                        prod_enc_width=24)
+
+
+def fields_of(s):
+    return np.asarray(s.field_values())[None]
 
 
 def full_foresight():
     rng = np.random.default_rng(42)
-    return ForesightVector(stat=rng.normal(size=20), dist=rng.dirichlet(np.ones(12)),
-                           prod_enc=rng.normal(size=24))
+    return {"stat": rng.normal(size=(1, 20)), "dist": rng.dirichlet(np.ones(12), size=1),
+            "prod_enc": rng.normal(size=(1, 24))}
+
+
+def bank_of(stat, dist, prod_enc):
+    k = len(dist)
+    return ForesightBank(room=np.array([f"r{i}" for i in range(k)]),
+                         bucket=np.zeros(k, dtype=np.int64), stat_steps=np.zeros((k, 4, 5)),
+                         stat_enc=np.zeros((k, 4, 2)), stat=stat, dist=dist,
+                         prod_enc=prod_enc, d_mix=8)
 
 
 def test_input_width_additivity():
-    base = assemble_input(model_for("base"), sample())
-    stat = assemble_input(model_for("+stat"), sample(), full_foresight())
-    prod = assemble_input(model_for("+prod"), sample(), full_foresight())
-    both = assemble_input(model_for("+both"), sample(), full_foresight())
-    assert base.shape == (16 * 7,)
-    assert stat.shape == (16 * 7 + 20,)
-    assert prod.shape == (16 * 7 + 8 + 24,)
+    fore = full_foresight()
+    base = model_for("base").features(fields_of(sample()), **fore)
+    stat = model_for("+stat").features(fields_of(sample()), **fore)
+    prod = model_for("+prod").features(fields_of(sample()), **fore)
+    both = model_for("+both").features(fields_of(sample()), **fore)
+    assert base.shape == (1, BASE_WIDTH)
+    assert stat.shape == (1, BASE_WIDTH + 20)
+    assert prod.shape == (1, BASE_WIDTH + 8 + 24)
     # +both adds exactly the widths the single variants added
-    assert both.shape[0] == base.shape[0] + 20 + 8 + 24
+    assert both.shape[1] == base.shape[1] + 20 + 8 + 24
 
 
 def test_base_prefix_is_shared_across_variants():
     s = sample(1)
-    zeroed = ForesightVector(stat=np.zeros(20), dist=np.zeros(12), prod_enc=np.zeros(24))
-    base = assemble_input(model_for("base"), s)
-    stat = assemble_input(model_for("+stat"), s, zeroed)
-    assert np.array_equal(stat.data[: base.shape[0]], base.data)
-    assert not stat.data[base.shape[0]:].any()
+    zeroed = {"stat": np.zeros((1, 20)), "dist": np.zeros((1, 12)), "prod_enc": np.zeros((1, 24))}
+    base = model_for("base").features(fields_of(s))
+    stat = model_for("+stat").features(fields_of(s), **zeroed)
+    assert np.array_equal(stat.data[:, :BASE_WIDTH], base.data)
+    assert not stat.data[:, BASE_WIDTH:].any()
 
 
 def test_missing_foresight_part_rejected():
     with pytest.raises(ConfigurationError):
-        assemble_input(model_for("+stat"), sample())
+        model_for("+stat").features(fields_of(sample()))
     with pytest.raises(ConfigurationError):
-        assemble_input(model_for("+prod"), sample(), ForesightVector(stat=np.zeros(20)))
+        model_for("+prod").features(fields_of(sample()), stat=np.zeros((1, 20)))
     with pytest.raises(ConfigurationError):
         RankingModel(CFG, VOCAB, TASKS, "+stat")  # no stat width configured
     with pytest.raises(ConfigurationError):
@@ -94,27 +101,52 @@ def test_missing_foresight_part_rejected():
 
 
 def test_foresight_must_be_detached():
+    fore = full_foresight()
     with pytest.raises(ContractError, match="frozen"):
-        ForesightVector(stat=Tensor(np.zeros(20)))
+        bank_of(Tensor(np.zeros((1, 20))), fore["dist"], fore["prod_enc"])
+    assert len(bank_of(**fore)) == 1
+
+
+def test_c3_mix_is_the_only_trainable_foresight_path():
+    model = RankingModel(CFG, VOCAB, TASKS, "+prod", n_c3=12, d_mix=6, prod_enc_width=16)
+    mix = model.store["c3_mix"].data
+    enc = np.random.default_rng(0).normal(size=(1, 16))
+    onehot = np.zeros((1, 12))
+    onehot[0, 7] = 1.0
+    x = model.features(fields_of(sample()), dist=onehot, prod_enc=enc)
+    assert x.shape == (1, BASE_WIDTH + 6 + 16)
+    assert np.allclose(x.data[0, BASE_WIDTH : BASE_WIDTH + 6], mix[7], atol=1e-12)
+    # unfitted normalizer, damped by 1/width: the encodings enter as constants
+    assert np.array_equal(x.data[0, BASE_WIDTH + 6 :], enc[0] / 16)
+
+    uniform = np.full((1, 12), 1.0 / 12)
+    x_u = model.features(fields_of(sample()), dist=uniform, prod_enc=enc)
+    assert np.allclose(x_u.data[0, BASE_WIDTH : BASE_WIDTH + 6], mix.mean(axis=0), atol=1e-12)
+
+    # the foresight columns reach the mixing table and no other parameter
+    model.store.zero_grad()
+    T.tsum(T.take(x_u, (slice(None), slice(BASE_WIDTH, None)))).backward()
+    for name, p in model.store.items():
+        moved = p.grad is not None and np.abs(p.grad).sum() > 0
+        assert moved == (name == "c3_mix"), name
+
+    with pytest.raises(DimensionError):
+        model.features(fields_of(sample()), dist=np.zeros((1, 9)), prod_enc=enc)
 
 
 def test_forward_probabilities_in_open_interval():
     model = model_for("+both")
-    x = assemble_input(model, sample(2), full_foresight())
-    out = rank_forward(model, x)
-    assert set(out) == set(TASKS)
-    for t in TASKS:
-        p = float(out[t].data)
-        assert 0.0 < p < 1.0
+    probs = model.forward(model.features(fields_of(sample(2)), **full_foresight()))
+    assert probs.shape == (1, len(TASKS))
+    assert np.all((0.0 < probs.data) & (probs.data < 1.0))
 
 
 def test_all_zero_parameters_give_half():
     model = model_for("base")
     for _, p in model.store.items():
         p.data = np.zeros_like(p.data)
-    out = rank_forward(model, assemble_input(model, sample(3)))
-    for t in TASKS:
-        assert float(out[t].data) == 0.5
+    probs = model.forward(model.features(fields_of(sample(3))))
+    assert np.all(probs.data == 0.5)
 
 
 def test_width_mismatch_rejected():
@@ -154,28 +186,24 @@ def test_rank_loss_hand_values():
 
 
 def dataset(n=400, seed=5):
+    """n samples, each on its own bank row."""
     rng = np.random.default_rng(seed)
     samples = []
-    bank = {}
+    stat = rng.normal(size=(n, 20))
     for i in range(n):
         s = sample(1000 + i)
         # make ctr depend on the stat part so foresight has signal to find
-        stat_vec = rng.normal(size=20)
-        s.labels["ctr"] = int(rng.random() < 1.0 / (1.0 + np.exp(-2.0 * stat_vec[:4].mean())))
-        s = RankSample(**{**s.__dict__, "room_id": f"r{i}", "bucket": 0})
-        bank[(s.room_id, 0)] = {
-            "stat": stat_vec,
-            "dist": rng.dirichlet(np.ones(12)),
-            "prod_enc": rng.normal(size=24),
-        }
-        samples.append(s)
-    return samples, bank
+        s.labels["ctr"] = int(rng.random() < 1.0 / (1.0 + np.exp(-2.0 * stat[i, :4].mean())))
+        samples.append(RankSample(**{**s.__dict__, "room_id": f"r{i}", "bucket": 0}))
+    bank = bank_of(stat, rng.dirichlet(np.ones(12), size=n), rng.normal(size=(n, 24)))
+    return samples, bank, np.arange(n)
 
 
 def test_training_reduces_loss_and_reports_metrics():
-    samples, bank = dataset()
+    samples, bank, rows = dataset()
     model, report, history = train_ranker(samples, "+stat", CFG, TASKS, VOCAB,
-                                          bank=bank, widths=WIDTHS)
+                                          bank=bank, rows=rows)
+    assert model.stat_width == 20
     assert history[-1] < history[0]
     for task in TASKS:
         assert set(report[task]) == {"AUC", "UAUC", "GAUC"}
@@ -183,33 +211,40 @@ def test_training_reduces_loss_and_reports_metrics():
 
 
 def test_base_variant_needs_no_bank():
-    samples, _ = dataset(200)
+    samples, _, _ = dataset(200)
     model, report, _ = train_ranker(samples, "base", CFG, TASKS, VOCAB)
-    assert model.input_width == 16 * 7
+    assert model.input_width == BASE_WIDTH
     assert "ctr" in report
 
 
 def test_variant_without_bank_rejected():
-    samples, _ = dataset(50)
+    samples, bank, rows = dataset(50)
     with pytest.raises(ConfigurationError, match="bank"):
-        train_ranker(samples, "+stat", CFG, TASKS, VOCAB, widths=WIDTHS)
-    with pytest.raises(ContractError, match="dict"):
-        train_ranker(samples, "+stat", CFG, TASKS, VOCAB, bank=object(), widths=WIDTHS)
+        train_ranker(samples, "+stat", CFG, TASKS, VOCAB)
+    with pytest.raises(ConfigurationError, match="rows"):
+        train_ranker(samples, "+stat", CFG, TASKS, VOCAB, bank=bank)
+    with pytest.raises(ContractError, match="ForesightBank"):
+        train_ranker(samples, "+stat", CFG, TASKS, VOCAB, bank=object(), rows=rows)
 
 
 def test_live_tensor_in_bank_rejected():
-    samples, bank = dataset(50)
-    key = next(iter(bank))
-    bank[key]["stat"] = Tensor(np.zeros(20))  # a trainable object must not slip in
+    _, bank, _ = dataset(50)
+    # a trainable object must not slip in when a column is swapped either
     with pytest.raises(ContractError, match="detached"):
-        train_ranker(samples, "+stat", CFG, TASKS, VOCAB, bank=bank, widths=WIDTHS)
+        dataclasses.replace(bank, stat=Tensor(np.zeros((50, 20))))
+
+
+def test_bank_columns_must_share_rows():
+    _, bank, _ = dataset(50)
+    with pytest.raises(ContractError, match="49 rows"):
+        dataclasses.replace(bank, dist=bank.dist[:49])
+    assert len(bank) == 50
 
 
 def test_training_is_deterministic():
-    samples, bank = dataset(120)
+    samples, bank, rows = dataset(120)
     reports = []
     for _ in range(2):
-        _, report, _ = train_ranker(samples, "+both", CFG, TASKS, VOCAB,
-                                    bank=bank, widths=WIDTHS)
+        _, report, _ = train_ranker(samples, "+both", CFG, TASKS, VOCAB, bank=bank, rows=rows)
         reports.append(report)
     assert reports[0] == reports[1]

@@ -5,15 +5,14 @@ import pytest
 
 from livesight.config import StatConfig
 from livesight.errors import DimensionError, WindowError
+from livesight.pipeline import _stat_block
 from livesight.statfore import (
-    StatForecast,
     StatPanel,
     StatisticModel,
     baseline_forecast,
-    build_stat_foresight,
     collect_windows,
     evaluate_statistic,
-    forecast_statistic,
+    forecast_batch,
     mse_per_step,
     revin_denormalize,
     revin_normalize,
@@ -59,6 +58,16 @@ def test_revin_round_trip_property():
         panel[seed % 8] = 13.0  # always one constant channel
         normed, mu, delta = revin_normalize(panel)
         assert np.allclose(revin_denormalize(normed, mu, delta), panel, atol=1e-9)
+
+
+def test_revin_normalizes_batches_along_the_last_axis():
+    rng = np.random.default_rng(9)
+    windows = rng.poisson(10.0, size=(3, 4, 8)).astype(float)
+    normed, mu, delta = revin_normalize(windows)
+    assert mu.shape == delta.shape == (3, 4, 1)
+    for b in range(3):
+        one = revin_normalize(windows[b])
+        assert np.array_equal(normed[b], one[0]) and np.array_equal(mu[b], one[1])
 
 
 def test_revin_rejects_short_windows():
@@ -120,11 +129,10 @@ def test_training_reduces_loss_on_periodic_panels():
 def test_forecast_uses_inference_horizon():
     model = StatisticModel(TINY)
     window = np.random.default_rng(2).poisson(10.0, size=(4, 8)).astype(float)
-    fc = forecast_statistic(model, window)
-    assert isinstance(fc, StatForecast)
-    assert fc.predicted.shape == (4, 3)  # trained on 5, serves 3
-    assert fc.encoding.shape == (4, 8)
-    assert np.all(np.isfinite(fc.predicted))
+    pred, enc = forecast_batch(model, window[None], TINY.horizon_infer)
+    assert pred.shape == (1, 4, 3)  # trained on 5, serves 3
+    assert enc.shape == (1, 4, 8)
+    assert np.all(np.isfinite(pred))
 
 
 def test_train_horizon_must_cover_inference():
@@ -138,13 +146,17 @@ def test_baseline_forecasts():
     assert np.array_equal(baseline_forecast(window, 2, "latest"), [[3.0, 3.0]])
     with pytest.raises(ValueError):
         baseline_forecast(window, 2, "oracle")
+    # stacked windows: each one forecast as if alone
+    stacked = np.stack([window, 2 * window])
+    for method in ("mean", "latest"):
+        out = baseline_forecast(stacked, 2, method)
+        assert np.array_equal(out[1], baseline_forecast(2 * window, 2, method))
 
 
 def test_build_stat_foresight_width_and_zero():
-    fc = StatForecast(predicted=np.ones((2, 3)), encoding=np.ones((2, 4)), horizon=3)
-    vec = build_stat_foresight(fc)
-    assert vec.shape == (14,)  # N*h + N*D = 6 + 8
-    zero = build_stat_foresight(StatForecast(np.zeros((2, 3)), np.zeros((2, 4)), 3))
+    vec = _stat_block(np.ones((1, 2, 5)), np.ones((1, 2, 4)), horizon=3)
+    assert vec.shape == (1, 14)  # N*h + N*D = 6 + 8
+    zero = _stat_block(np.zeros((1, 2, 5)), np.zeros((1, 2, 4)), horizon=3)
     assert not zero.any()
 
 
