@@ -44,7 +44,8 @@ def _stat_config(cfg, args):
         over["horizon_train"] = args.horizon
     if getattr(args, "epochs", None) is not None:
         over["epochs"] = args.epochs
-    return dataclasses.replace(cfg.stat, **over)
+    # through the experiment config, which checks the context against the samples
+    return dataclasses.replace(cfg, stat=dataclasses.replace(cfg.stat, **over)).stat
 
 
 def cmd_gen(args):

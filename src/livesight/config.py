@@ -20,6 +20,10 @@ SERVICES = {
 
 VARIANTS = ("base", "+stat", "+prod", "+both")
 
+# the earliest bucket an exposure sample can sit in; the statistic window
+# ending at a sample's bucket must not start before the stream does
+SAMPLE_BUCKET_FLOOR = 32
+
 
 @dataclass
 class SimConfig:
@@ -130,6 +134,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
+        if self.stat.context > SAMPLE_BUCKET_FLOOR + 1:
+            raise ConfigurationError(
+                f"stat.context {self.stat.context} is longer than the {SAMPLE_BUCKET_FLOOR + 1} "
+                f"buckets before the first exposure sample (bucket {SAMPLE_BUCKET_FLOOR})"
+            )
 
     @property
     def tasks(self):

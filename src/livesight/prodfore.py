@@ -313,15 +313,16 @@ def baseline_category(events, method):
 
 
 def evaluate_hitrate(model, sequences):
-    """Top-1 next-category accuracy for the model and both baselines."""
+    """Top-1 next-category accuracy for the model and both baselines, scored
+    at every position of each sequence that has a successor event."""
     preds = {"model": [], "latest": [], "most-frequent": []}
     truths = []
     for seq in sequences:
-        seq = truncate_context(as_events(seq), model.config.max_context)
+        seq = as_events(seq)
         if len(seq) < 2:
             continue
-        probs, _ = forecast_all_prefixes(model, seq)
-        preds["model"].extend(probs[:-1].argmax(axis=1).tolist())
+        probs, _ = forecast_prefixes(model, seq, np.arange(len(seq) - 1), k_enc=0)
+        preds["model"].extend(probs.argmax(axis=1).tolist())
         for k in range(1, len(seq)):
             preds["latest"].append(baseline_category(seq[:k], "latest"))
             preds["most-frequent"].append(baseline_category(seq[:k], "most-frequent"))

@@ -104,17 +104,13 @@ class RankingModel:
         self.stat_norm = (np.zeros(self.stat_width), np.ones(self.stat_width))
         self.enc_norm = (np.zeros(self.prod_enc_width), np.ones(self.prod_enc_width))
 
-    def fit_normalizers(self, stat_block, enc_block):
-        if self.use_stat and stat_block is not None:
-            self.stat_norm = (
-                stat_block.mean(axis=0),
-                np.maximum(stat_block.std(axis=0), 1e-6),
-            )
-        if self.use_prod and enc_block is not None:
-            self.enc_norm = (
-                enc_block.mean(axis=0),
-                np.maximum(enc_block.std(axis=0), 1e-6),
-            )
+    def fit_normalizers(self, bank, rows):
+        """Standardize the foresight blocks by their mean and std over the
+        samples on bank rows `rows` (the train split), gathered chunk by chunk."""
+        if self.use_stat:
+            self.stat_norm = _moments(bank.stat, rows)
+        if self.use_prod:
+            self.enc_norm = _moments(bank.prod_enc, rows)
 
     def features(self, fields, stat=None, dist=None, prod_enc=None):
         """Assemble the trunk input for a batch: (B, input_width) tensor."""
@@ -163,8 +159,40 @@ def rank_loss(predictions, labels):
     return T.binary_cross_entropy(predictions, labels)
 
 
+# rows gathered at a time when fitting the normalizers: ~8 MB at 1,000 columns
+NORM_CHUNK = 1024
+
+
+def _column_sum(col, rows, center=None):
+    """Axis-0 sum of col[rows] (minus `center`, squared, if given), gathered
+    NORM_CHUNK rows at a time. The running total goes in as the first row of
+    the next chunk, so the rows are added one by one in order: the same floats
+    as numpy's reduction over the whole gathered block."""
+    total = np.empty((0, col.shape[1]))
+    for lo in range(0, len(rows), NORM_CHUNK):
+        chunk = col[rows[lo : lo + NORM_CHUNK]]
+        if center is not None:
+            chunk -= center
+            chunk *= chunk
+        total = np.add.reduce(np.concatenate([total, chunk]), axis=0, keepdims=True)
+    return total[0]
+
+
+def _moments(col, rows):
+    """(mean, std floored at 1e-6) of col[rows] along axis 0, equal to
+    `block.mean(axis=0)` and `block.std(axis=0)` of the gathered block."""
+    if col.shape[1] == 1:  # numpy sums a lone column pairwise, not row by row
+        block = col[rows]
+        mean, std = block.mean(axis=0), block.std(axis=0)
+    else:
+        mean = _column_sum(col, rows) / len(rows)
+        std = np.sqrt(_column_sum(col, rows, center=mean) / len(rows))
+    return mean, np.maximum(std, 1e-6)
+
+
 def _banked(bank, rows, use_stat, use_prod):
-    """Each sample's foresight blocks: one gather of the per-key columns."""
+    """One batch's foresight blocks, gathered from the per-key columns through
+    the batch's bank rows; None for a part the variant does not read."""
     stat = bank.stat[rows] if use_stat else None
     dist, enc = (bank.dist[rows], bank.prod_enc[rows]) if use_prod else (None, None)
     return stat, dist, enc
@@ -192,9 +220,6 @@ def train_ranker(samples, variant, config, tasks, vocab_sizes, bank=None, rows=N
     labels = np.asarray([[s.labels[t] for t in tasks] for s in samples], dtype=np.float64)
     users = np.asarray([s.user_id for s in samples])
     weights = np.asarray([s.weight for s in samples])
-    stat = dist = enc = None
-    if use_stat or use_prod:
-        stat, dist, enc = _banked(bank, rows, use_stat, use_prod)
 
     split_rng = np.random.default_rng([config.seed, 0xE5])
     order = split_rng.permutation(len(samples))
@@ -205,17 +230,15 @@ def train_ranker(samples, variant, config, tasks, vocab_sizes, bank=None, rows=N
     va, fit = tr[:n_val], tr[n_val:]
     if not len(fit):
         va, fit = tr, tr
-    model.fit_normalizers(
-        stat[tr] if stat is not None else None, enc[tr] if enc is not None else None
-    )
+    if use_stat or use_prod:
+        model.fit_normalizers(bank, rows[tr])
 
     def batch_input(idx):
-        return model.features(
-            fields[idx],
-            stat=stat[idx] if use_stat else None,
-            dist=dist[idx] if use_prod else None,
-            prod_enc=enc[idx] if use_prod else None,
-        )
+        # foresight is gathered per batch: no block holds a row per sample
+        stat = dist = enc = None
+        if use_stat or use_prod:
+            stat, dist, enc = _banked(bank, rows[idx], use_stat, use_prod)
+        return model.features(fields[idx], stat=stat, dist=dist, prod_enc=enc)
 
     epoch_rng = np.random.default_rng([config.seed, 0xE6])
     history = []

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SERVICES, SimConfig, to_dict
+from .config import SAMPLE_BUCKET_FLOOR, SERVICES, SimConfig, to_dict
 from .errors import ConfigurationError, DatasetError, ParseError
 from .metrics import auc
 from .prodfore import CategoryHierarchy
@@ -213,7 +213,7 @@ def _task_coeffs(cfg):
     return {t: per_task[t] for t in SERVICES[cfg.service] if t != "ctr"}
 
 
-def gen_interactions(streams, world, seed, bucket_lo=32, lookahead=5):
+def gen_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookahead=5):
     """Exposure events with labels whose ground truth peeks at the future.
 
     Click follows sigmoid(a*affinity + b*[highlight] + c0) where affinity is

@@ -97,6 +97,23 @@ def test_errors_exit_nonzero(capsys):
     assert "48" in capsys.readouterr().err
 
 
+def test_stat_context_past_the_first_sample_rejected(tiny_config, dataset_dir, tmp_path, capsys):
+    doc = json.loads(open(tiny_config).read())
+    doc["stat"]["context"] = 40
+    path = tmp_path / "long-context.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "stat.context 40" in err and "bucket 32" in err
+    assert not (tmp_path / "run").exists()  # rejected before any stage ran
+    # the --context flag goes through the same check
+    ckpt = tmp_path / "stat.ckpt"
+    args = ["--config", tiny_config, "--data", str(dataset_dir), "--out", str(ckpt)]
+    assert main(["train-stat", *args, "--context", "40"]) == 1
+    assert "stat.context 40" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_parser_rejects_unknown_variant():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--variant", "+everything"])

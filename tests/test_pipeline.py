@@ -6,13 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from livesight import pipeline, prodfore, statfore
+from livesight import metrics, pipeline, prodfore, statfore
 from livesight.config import (
     ExperimentConfig,
     ProdConfig,
     RankConfig,
     SimConfig,
     StatConfig,
+    from_dict,
 )
 from livesight.errors import ConfigurationError
 from livesight.pipeline import split_rooms, write_csv
@@ -77,17 +78,22 @@ def test_bank_entries_are_plain_arrays(art):
         assert isinstance(getattr(art.bank, name), np.ndarray)
 
 
-def test_long_streams_forecast_each_prefix_without_lookahead():
-    # streams longer than the product context (64 events): each bank row must
-    # be the forecast from its own prefix, never from later events
+@pytest.fixture(scope="module")
+def long_art():
+    """A world whose streams run past the product context (64 events)."""
     cfg = dataclasses.replace(
         TINY,
         sim=dataclasses.replace(TINY.sim, buckets=600),
         stat=StatConfig(epochs=1),
         prod=ProdConfig(epochs=1),
     )
-    art = pipeline.prepare(cfg)
-    model, k_enc = art.prod_model, cfg.rank.k_enc
+    return pipeline.prepare(cfg)
+
+
+def test_long_streams_forecast_each_prefix_without_lookahead(long_art):
+    # each bank row must be the forecast from its own prefix, never from later events
+    art = long_art
+    model, k_enc = art.prod_model, art.cfg.rank.k_enc
     streams = {st.room_id: st for st in art.world.streams}
     assert max(len(st.events) for st in streams.values()) > model.config.max_context
     for room_id, t, dist, enc in zip(art.bank.room, art.bank.bucket, art.bank.dist,
@@ -99,6 +105,36 @@ def test_long_streams_forecast_each_prefix_without_lookahead():
         assert np.allclose(dist, fc.distribution, rtol=0, atol=1e-12)
         assert np.allclose(enc[: len(tail)], tail, rtol=0, atol=1e-12)
         assert not enc[len(tail) :].any()
+
+
+def test_hitrate_scores_every_position_of_long_streams(long_art):
+    model = long_art.prod_model
+    seqs = [long_art.world.streams[i].events for i in long_art.eval_rooms]
+    assert max(len(seq) for seq in seqs) > model.config.max_context + 1
+    # brute force: one forecast per prefix, at every position with a successor
+    preds = {"model": [], "latest": [], "most-frequent": []}
+    truths = []
+    for seq in seqs:
+        for k in range(1, len(seq)):
+            preds["model"].append(int(prodfore.forecast_product(model, seq[:k]).distribution.argmax()))
+            for method in ("latest", "most-frequent"):
+                preds[method].append(prodfore.baseline_category(seq[:k], method))
+            truths.append(int(seq[k, 3]))
+    assert len(truths) == sum(len(seq) - 1 for seq in seqs)
+    assert prodfore.evaluate_hitrate(model, seqs) == {
+        name: metrics.hit_rate(vals, truths) for name, vals in preds.items()
+    }
+
+
+def test_stat_context_must_fit_before_the_first_sample():
+    with pytest.raises(ConfigurationError, match="context 34.*bucket 32"):
+        from_dict({"stat": {"context": 34}})
+    # the longest window that fits: the first sample's bucket ends it at index 0
+    cfg = dataclasses.replace(
+        TINY, stat=StatConfig(context=33, epochs=1), prod=ProdConfig(epochs=1)
+    )
+    art = pipeline.prepare(cfg)
+    assert art.bank.bucket.min() == 32
 
 
 def test_checkpoint_reuse_restores_same_models(art, tmp_path):

@@ -1,15 +1,17 @@
 """Multi-task ranker: input assembly, heads, loss, and the frozen-foresight contract."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from livesight import pipeline, simgen
 from livesight import tensor as T
-from livesight.config import RankConfig
+from livesight.config import RankConfig, SimConfig
 from livesight.errors import ConfigurationError, ContractError, DimensionError, LabelError
 from livesight.gradcheck import grad_check
-from livesight.ranker import ForesightBank, RankingModel, rank_loss, train_ranker
+from livesight.ranker import NORM_CHUNK, ForesightBank, RankingModel, rank_loss, train_ranker
 from livesight.simgen import RankSample
 from livesight.tensor import Tensor
 
@@ -248,3 +250,42 @@ def test_training_is_deterministic():
         _, report, _ = train_ranker(samples, "+both", CFG, TASKS, VOCAB, bank=bank, rows=rows)
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("stat_width,enc_width", [(20, 24), (1, 0)])
+def test_normalizers_equal_numpy_moments_of_the_gathered_block(stat_width, enc_width):
+    # a lone column (numpy sums it pairwise) and the zero-width product
+    # encodings of a baseline-substituted bank are covered too
+    rng = np.random.default_rng(7)
+    k = 40
+    bank = bank_of(rng.normal(size=(k, stat_width)) * 50, rng.dirichlet(np.ones(12), size=k),
+                   rng.normal(size=(k, enc_width)) + 3)
+    model = RankingModel(CFG, VOCAB, TASKS, "+both", stat_width=stat_width, n_c3=12, d_mix=8,
+                         prod_enc_width=enc_width)
+    for n in (2 * NORM_CHUNK + 7, 1):  # several gather chunks, and a one-sample split
+        rows = rng.integers(0, k, size=n)
+        model.fit_normalizers(bank, rows)
+        for (mean, std), col in ((model.stat_norm, bank.stat), (model.enc_norm, bank.prod_enc)):
+            block = col[rows]
+            assert np.array_equal(mean, block.mean(axis=0))
+            assert np.array_equal(std, np.maximum(block.std(axis=0), 1e-6))
+
+
+def test_training_holds_no_whole_sample_foresight_block():
+    world = simgen.gen_world(SimConfig(), seed=0)
+    samples, n_c3 = world.samples, world.config.n_c3
+    rng = np.random.default_rng(3)
+    k, wide = 40, 1000
+    bank = bank_of(rng.normal(size=(k, wide)), rng.dirichlet(np.ones(n_c3), size=k),
+                   rng.normal(size=(k, wide)))
+    rows = rng.integers(0, k, size=len(samples))
+    block_bytes = len(samples) * (wide + n_c3 + wide) * 8
+    tracemalloc.start()
+    try:
+        train_ranker(samples, "+both", RankConfig(epochs=1), TASKS,
+                     pipeline.vocab_sizes(world.config), bank=bank, rows=rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the held-out forward is one batch of a fifth of the samples; the rest is per batch
+    assert peak < block_bytes
