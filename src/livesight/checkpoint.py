@@ -85,8 +85,7 @@ def load_checkpoint(path, store, config_hash=None):
             f"expected {config_hash!r}"
         )
     store.load_arrays(arrays)
-    store.moments_m = m
-    store.moments_v = v
+    store.load_moments(m, v)
     store.step = int(manifest["step"])
     return manifest
 

@@ -10,7 +10,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError, DimensionError, VocabularyError
-from .tensor import Tensor
 
 # Additive attention mask value. Large enough that exp() underflows to an
 # exact 0.0 weight, small enough to stay finite.
@@ -40,7 +39,7 @@ def dense_forward(x, w, b):
         )
     if b.shape != (w.shape[1],):
         raise DimensionError(f"b shape {b.shape} does not match W columns {w.shape[1]}")
-    return x @ w + b
+    return T.dense(x, w, b)
 
 
 def lookup(table, indices, vocab_name="vocabulary"):
@@ -78,7 +77,9 @@ def multi_head_attention(tokens, heads, causal, params):
 
     `tokens` is (L, D) or (B, L, D). With `causal` set, position t attends
     only to positions <= t; otherwise attention is full (used across channel
-    tokens in the statistic model).
+    tokens in the statistic model). The graph holds three nodes: the scores
+    (Q and K from one GEMM), the softmax, and the mixing of the value heads
+    with the output projection.
     """
     tokens = T.as_tensor(tokens)
     squeeze = tokens.ndim == 2
@@ -86,25 +87,16 @@ def multi_head_attention(tokens, heads, causal, params):
         tokens = T.reshape(tokens, (1,) + tokens.shape)
     if tokens.ndim != 3:
         raise DimensionError(f"attention expects 2-D or 3-D tokens, got {tokens.shape}")
-    b, length, d = tokens.shape
+    _, length, d = tokens.shape
     if heads < 1 or d % heads != 0:
         raise ConfigurationError(f"model width {d} not divisible by {heads} heads")
-    dh = d // heads
-
-    def split(x):  # (B, L, D) -> (B, H, L, dh)
-        return T.swapaxes(T.reshape(x, (b, length, heads, dh)), 1, 2)
-
-    q = split(dense_forward(tokens, params["wq"], params["bq"]))
-    k = split(dense_forward(tokens, params["wk"], params["bk"]))
-    v = split(dense_forward(tokens, params["wv"], params["bv"]))
-
-    scores = T.mul(q @ T.swapaxes(k, -1, -2), 1.0 / np.sqrt(dh))
-    if causal:
-        mask = np.triu(np.full((length, length), MASK_VALUE), k=1)
-        scores = scores + Tensor(mask)
-    attn = T.softmax(scores, axis=-1)
-    mixed = T.swapaxes(attn @ v, 1, 2)  # (B, L, H, dh)
-    out = dense_forward(T.reshape(mixed, (b, length, d)), params["wo"], params["bo"])
+    mask = np.triu(np.full((length, length), MASK_VALUE), k=1) if causal else None
+    scores = T.attention_scores(
+        tokens, heads, mask, params["wq"], params["bq"], params["wk"], params["bk"]
+    )
+    out = T.attention_mix(
+        T.softmax(scores, axis=-1), tokens, params["wv"], params["bv"], params["wo"], params["bo"]
+    )
     if squeeze:
         out = T.reshape(out, (length, d))
     return out

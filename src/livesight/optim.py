@@ -12,11 +12,18 @@ class ParamStore:
     """Insertion-ordered mapping of dotted names to trainable tensors.
 
     Also owns the Adam moment buffers and step counter so a model's full
-    optimizer state travels with its parameters.
+    optimizer state travels with its parameters. Every parameter's data is a
+    view into one flat float64 buffer, `values`, and the moments are views
+    into two more (`moments_m`, `moments_v`: name -> array, empty until the
+    first step), so `adam_step` updates them all with a few vector ops. Code
+    that restores state writes into the views (`load_arrays`, `load_moments`,
+    `values[:] = ...`): rebinding a `p.data` would leave it out of the update.
     """
 
     def __init__(self):
         self._params = {}
+        self.values = np.empty(0)
+        self._m = self._v = None
         self.moments_m = {}
         self.moments_v = {}
         self.step = 0
@@ -24,9 +31,31 @@ class ParamStore:
     def add(self, name, data):
         if name in self._params:
             raise StateError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+        if self._m is not None:
+            raise StateError(f"cannot add parameter {name!r} after the first optimizer step")
+        arr = np.asarray(data, dtype=np.float64)
+        t = Tensor(arr, requires_grad=True)
         self._params[name] = t
+        # one copy of the buffer per parameter: stores hold a few dozen
+        self.values = np.concatenate([self.values, arr.ravel()])
+        for p, view in zip(self._params.values(), self._views(self.values).values()):
+            p.data = view
         return t
+
+    def _views(self, flat):
+        """name -> the slice of `flat` that holds that parameter, in its shape."""
+        views, lo = {}, 0
+        for name, p in self._params.items():
+            views[name] = flat[lo : lo + p.data.size].reshape(p.data.shape)
+            lo += p.data.size
+        return views
+
+    def _moments(self):
+        """The flat (m, v) buffers, zero-filled on first use."""
+        if self._m is None:
+            self._m, self._v = np.zeros_like(self.values), np.zeros_like(self.values)
+            self.moments_m, self.moments_v = self._views(self._m), self._views(self._v)
+        return self._m, self._v
 
     def __getitem__(self, name):
         try:
@@ -47,7 +76,7 @@ class ParamStore:
         return self._params.items()
 
     def n_parameters(self):
-        return sum(p.data.size for p in self._params.values())
+        return self.values.size
 
     def zero_grad(self):
         for p in self._params.values():
@@ -58,18 +87,32 @@ class ParamStore:
         return {name: p.data for name, p in self._params.items()}
 
     def load_arrays(self, arrays):
-        for name, p in self._params.items():
-            if name not in arrays:
-                raise StateError(f"checkpoint missing parameter {name!r}")
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise StateError(
-                    f"parameter {name!r} shape {arr.shape} != expected {p.data.shape}"
-                )
-            p.data = arr.copy()
-        extra = set(arrays) - set(self._params)
-        if extra:
-            raise StateError(f"checkpoint has unknown parameters {sorted(extra)!r}")
+        _write(self._views(self.values), arrays, "parameter")
+
+    def load_moments(self, moments_m, moments_v):
+        """Write saved Adam moments into the moment buffers. None saved means
+        the optimizer never stepped: the moments are empty again."""
+        if not moments_m and not moments_v:
+            self._m = self._v = None
+            self.moments_m, self.moments_v = {}, {}
+            return
+        self._moments()
+        _write(self.moments_m, moments_m, "moment")
+        _write(self.moments_v, moments_v, "moment")
+
+
+def _write(views, arrays, kind):
+    """Copy arrays[name] into each view, checking names and shapes."""
+    for name, view in views.items():
+        if name not in arrays:
+            raise StateError(f"checkpoint missing {kind} {name!r}")
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        if arr.shape != view.shape:
+            raise StateError(f"{kind} {name!r} shape {arr.shape} != expected {view.shape}")
+        view[...] = arr
+    extra = set(arrays) - set(views)
+    if extra:
+        raise StateError(f"checkpoint has unknown {kind}s {sorted(extra)!r}")
 
 
 def adam_step(store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -77,6 +120,8 @@ def adam_step(store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
 
     Requires every parameter to have a populated gradient; a missing gradient
     means the graph was wired wrong, and silently skipping it would mask that.
+    The update runs over the flat buffers, element by element the same
+    arithmetic as a per-parameter loop.
     """
     for name, p in store.items():
         if p.grad is None:
@@ -85,16 +130,18 @@ def adam_step(store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     t = store.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, p in store.items():
-        g = p.grad
-        m = store.moments_m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        else:
-            v = store.moments_v[name]
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        store.moments_m[name] = m
-        store.moments_v[name] = v
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m, v = store._moments()
+    g = np.concatenate([p.grad.ravel() for _, p in store.items()])
+    m *= beta1
+    m += (1.0 - beta1) * g
+    g *= g
+    g *= 1.0 - beta2
+    v *= beta2
+    v += g
+    update = m / bc1
+    update *= lr
+    denom = v / bc2
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update /= denom
+    store.values -= update

@@ -3,12 +3,14 @@
 Stages: generate world -> train statistic forecaster -> train product
 forecaster -> precompute the foresight bank, one row per (room, bucket) ->
 train ranker variants -> write CSV reports. Foresight models are cached as
-checkpoints keyed by config hash so ablations don't retrain them.
+checkpoints keyed by config and training-data hash so ablations don't retrain
+them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -169,11 +171,28 @@ def load_forecaster(path, hierarchy=None, config_hash=None):
     return model
 
 
+def training_digest(world, train_rooms):
+    """SHA-256 of what the forecasters train on: the train rooms' panel values
+    and product events, and the category hierarchy."""
+    h = hashlib.sha256()
+    hier = world.hierarchy
+    arrays = [hier.c2_to_c1, hier.c3_to_c2, hier.p_to_c3]
+    for i in train_rooms:
+        arrays += [world.streams[i].panel.values, world.streams[i].events]
+    for arr in arrays:
+        arr = np.asarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
 def prepare(cfg, out_dir=None, reuse=True):
     """Generate (or regenerate) the world and produce trained foresight models.
 
-    With `reuse`, checkpoints in `out_dir` whose config hash matches are
-    loaded instead of retrained.
+    With `reuse`, checkpoints in `out_dir` whose key matches are loaded
+    instead of retrained. A checkpoint's key (its file name and manifest
+    `config_hash`) hashes the model config and `training_digest`, so another
+    world in the same directory trains its own forecasters.
     """
     timings = {}
     t0 = time.monotonic()
@@ -184,8 +203,9 @@ def prepare(cfg, out_dir=None, reuse=True):
     out = Path(out_dir) if out_dir else None
     stat_cfg = StatConfig(**_seeded(cfg.stat, cfg.seed))
     prod_cfg = ProdConfig(**_seeded(cfg.prod, cfg.seed))
-    stat_hash = config_hash(to_dict(stat_cfg))
-    prod_hash = config_hash(to_dict(prod_cfg))
+    data = training_digest(world, train_rooms)
+    stat_hash = config_hash({"config": to_dict(stat_cfg), "data_sha256": data})
+    prod_hash = config_hash({"config": to_dict(prod_cfg), "data_sha256": data})
     stat_path = out / f"statfore-{stat_hash}.ckpt" if out else None
     prod_path = out / f"prodfore-{prod_hash}.ckpt" if out else None
 

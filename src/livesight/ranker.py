@@ -198,6 +198,24 @@ def _banked(bank, rows, use_stat, use_prod):
     return stat, dist, enc
 
 
+def predict(model, batch_input, idx, batch):
+    """Probabilities (len(idx), n_tasks) of samples `idx`, forwarded `batch`
+    rows at a time, so no split's whole input is built at once.
+    `batch_input(idx)` assembles the trunk input of some samples.
+
+    Chunks start at multiples of `batch`, and a one-row tail joins the chunk
+    before it, since numpy multiplies a lone row with another BLAS routine.
+    OpenBLAS's matrix-vector kernel, which the one-column task heads use,
+    blocks rows by four, so with `batch` a multiple of four every row gets
+    the same floats as in one forward over all of `idx`.
+    """
+    cuts = list(range(batch, len(idx), batch))
+    if cuts and len(idx) - cuts[-1] == 1:
+        cuts.pop()
+    chunks = np.split(idx, cuts)
+    return np.concatenate([model.forward(batch_input(chunk)).data for chunk in chunks])
+
+
 def train_ranker(samples, variant, config, tasks, vocab_sizes, bank=None, rows=None):
     """Train one variant and report held-out AUC/UAUC/GAUC per task.
 
@@ -255,18 +273,17 @@ def train_ranker(samples, variant, config, tasks, vocab_sizes, bank=None, rows=N
             adam_step(model.store, lr=config.lr)
             losses.append(float(loss.data))
         history.append(float(np.mean(losses)))
-        val = float(rank_loss(model.forward(batch_input(va)), labels[va]).data)
+        val = float(rank_loss(predict(model, batch_input, va, config.batch), labels[va]).data)
         if val < best_val:
             best_val = val
             best_epoch = epoch
-            best_state = {name: p.data.copy() for name, p in model.store.items()}
+            best_state = model.store.values.copy()
         elif epoch - best_epoch >= 3:  # wider variants overfit sooner; stop each at its own knee
             break
     if best_state is not None:
-        for name, p in model.store.items():
-            p.data = best_state[name]
+        model.store.values[:] = best_state
 
-    probs_ev = model.forward(batch_input(ev)).data
+    probs_ev = predict(model, batch_input, ev, config.batch)
     report = {}
     for j, task in enumerate(tasks):
         report[task] = {

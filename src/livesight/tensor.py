@@ -187,6 +187,29 @@ def matmul(a, b):
     return _node(data, (a, b), backward)
 
 
+def dense(x, w, b):
+    """y = x @ w + b as one node: `x` (..., F_in), `w` (F_in, F_out), `b` (F_out,).
+
+    The leading axes of `x` are flattened to rows, so the forward is one GEMM
+    and the weight gradient one (F_in, rows) @ (rows, F_out) product.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    x2 = x.data.reshape(-1, w.data.shape[0])
+    out = x2 @ w.data
+    out += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad or x._parents:
+            x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad or w._parents:
+            w._accumulate(x2.T @ g2)
+        if b.requires_grad or b._parents:
+            b._accumulate(g2.sum(axis=0))
+
+    return _node(out.reshape(x.data.shape[:-1] + out.shape[-1:]), (x, w, b), backward)
+
+
 # -- shape manipulation ----------------------------------------------------
 
 
@@ -333,6 +356,77 @@ def layer_norm(a, gain, bias, eps=1e-5):
     return _node(data, (a, gain, bias), backward)
 
 
+def attention_scores(x, heads, mask, wq, bq, wk, bk):
+    """Scaled dot-product scores (B, H, L, L) of multi-head attention, one node.
+
+    `x` is (B, L, D) and `mask` None or an additive (L, L) array. Q and K come
+    from one GEMM of the flattened tokens against the concatenated wq|wk.
+    """
+    x, wq, bq, wk, bk = (as_tensor(t) for t in (x, wq, bq, wk, bk))
+    b, length, d = x.data.shape
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    x2 = x.data.reshape(b * length, d)
+    w_qk = np.concatenate([wq.data, wk.data], axis=1)
+    qk = x2 @ w_qk
+    qk += np.concatenate([bq.data, bk.data])
+    q, k = qk.reshape(b, length, 2, heads, dh).transpose(2, 0, 3, 1, 4)  # (B, H, L, dh)
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    if mask is not None:
+        scores += mask
+
+    def backward(g):
+        g = g * scale
+        g_qk = np.stack([g @ k, np.swapaxes(g, -1, -2) @ q])  # (2, B, H, L, dh)
+        g_qk = g_qk.transpose(1, 3, 0, 2, 4).reshape(b * length, 2 * d)
+        g_w, g_b = x2.T @ g_qk, g_qk.sum(axis=0)
+        for j, (w, bias) in enumerate(((wq, bq), (wk, bk))):
+            if w.requires_grad or w._parents:
+                w._accumulate(g_w[:, j * d : (j + 1) * d])
+            if bias.requires_grad or bias._parents:
+                bias._accumulate(g_b[j * d : (j + 1) * d])
+        if x.requires_grad or x._parents:
+            x._accumulate((g_qk @ w_qk.T).reshape(x.data.shape))
+
+    return _node(scores, (x, wq, bq, wk, bk), backward)
+
+
+def attention_mix(weights, x, wv, bv, wo, bo):
+    """Attention weights (B, H, L, L) applied to the value heads of `x`
+    (B, L, D), then the output projection: (B, L, D), one node."""
+    weights, x, wv, bv, wo, bo = (as_tensor(t) for t in (weights, x, wv, bv, wo, bo))
+    b, heads, length, _ = weights.data.shape
+    d = x.data.shape[-1]
+    dh = d // heads
+    x2 = x.data.reshape(b * length, d)
+    v = x2 @ wv.data
+    v += bv.data
+    v = v.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)  # (B, H, L, dh)
+    mixed = (weights.data @ v).transpose(0, 2, 1, 3).reshape(b * length, d)
+    out = mixed @ wo.data
+    out += bo.data
+
+    def backward(g):
+        g2 = g.reshape(b * length, d)
+        if wo.requires_grad or wo._parents:
+            wo._accumulate(mixed.T @ g2)
+        if bo.requires_grad or bo._parents:
+            bo._accumulate(g2.sum(axis=0))
+        g_mixed = (g2 @ wo.data.T).reshape(b, length, heads, dh).transpose(0, 2, 1, 3)
+        if weights.requires_grad or weights._parents:
+            weights._accumulate(g_mixed @ np.swapaxes(v, -1, -2))
+        g_v = (np.swapaxes(weights.data, -1, -2) @ g_mixed).transpose(0, 2, 1, 3)
+        g_v = g_v.reshape(b * length, d)
+        if wv.requires_grad or wv._parents:
+            wv._accumulate(x2.T @ g_v)
+        if bv.requires_grad or bv._parents:
+            bv._accumulate(g_v.sum(axis=0))
+        if x.requires_grad or x._parents:
+            x._accumulate((g_v @ wv.data.T).reshape(x.data.shape))
+
+    return _node(out.reshape(b, length, d), (weights, x, wv, bv, wo, bo), backward)
+
+
 # -- lookups and losses ----------------------------------------------------
 
 
@@ -345,9 +439,13 @@ def embedding(table, indices):
     data = table.data[idx]
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        table._accumulate(gt)
+        # one bincount over flat (row, column) bins adds the rows of g in
+        # index order, as np.add.at would; `% rows` wraps negative indices
+        # the way the gather above does
+        rows, width = table.data.shape[0], table.data[0].size
+        bins = (idx.reshape(-1, 1) % rows) * width + np.arange(width)
+        gt = np.bincount(bins.ravel(), weights=g.reshape(-1), minlength=table.data.size)
+        table._accumulate(gt.reshape(table.data.shape))
 
     return _node(data, (table,), backward)
 

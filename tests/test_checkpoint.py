@@ -109,3 +109,38 @@ def test_unsupported_format_rejected(tmp_path):
         zf.writestr("manifest.json", json.dumps({"format": 99}))
     with pytest.raises(StateError, match="format"):
         read_checkpoint(path)
+
+
+def step_once(store):
+    loss = T.tsum(store["enc.w"] @ T.reshape(store["enc.b"], (3, 1)))
+    store.zero_grad()
+    loss.backward()
+    adam_step(store, lr=1e-2)
+
+
+def test_loaded_state_lives_in_the_flat_buffers(tmp_path):
+    store = trained_store(6)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, config_hash="h")
+    fresh = clone_shapes(store)
+    load_checkpoint(path, fresh)
+    assert all(np.shares_memory(p.data, fresh.values) for _, p in fresh.items())
+    # the next step reads the loaded moments and moves what the model reads
+    step_once(store)
+    step_once(fresh)
+    for name, p in store.items():
+        assert fresh[name].data.tobytes() == p.data.tobytes()
+        assert fresh.moments_v[name].tobytes() == store.moments_v[name].tobytes()
+
+
+def test_never_stepped_store_saves_no_moments(tmp_path):
+    store = clone_shapes(trained_store(7))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store)
+    _, m, v, manifest = read_checkpoint(path)
+    assert manifest["moments"] == [] and m == {} and v == {}
+    stepped = trained_store(7)
+    load_checkpoint(path, stepped)
+    assert stepped.moments_m == {} and stepped.moments_v == {}
+    step_once(stepped)
+    assert sorted(stepped.moments_m) == ["enc.b", "enc.w"]

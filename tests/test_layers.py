@@ -7,6 +7,7 @@ from livesight import tensor as T
 from livesight.errors import ConfigurationError, DimensionError, VocabularyError
 from livesight.gradcheck import grad_check
 from livesight.layers import (
+    MASK_VALUE,
     dense_forward,
     encoder,
     init_attention,
@@ -50,6 +51,100 @@ def test_dense_gradient_oracle():
         return T.tsum(dense_forward(store["x"], store["w"], store["b"]) * Tensor(probe))
 
     assert grad_check(loss, store) < 1e-6
+
+
+def test_dense_gradient_oracle_on_3d_inputs():
+    store = ParamStore()
+    rng = np.random.default_rng(11)
+    store.add("x", rng.normal(size=(2, 3, 4)))
+    store.add("w", rng.normal(size=(4, 5)))
+    store.add("b", rng.normal(size=5))
+    probe = rng.normal(size=(2, 3, 5))
+
+    def loss():
+        return T.tsum(dense_forward(store["x"], store["w"], store["b"]) * Tensor(probe))
+
+    assert grad_check(loss, store) < 1e-6
+
+
+def composed_dense(x, w, b):
+    """dense as two graph nodes, matmul then add: the reference for T.dense."""
+    return x @ w + b
+
+
+def composed_attention(tokens, heads, causal, params):
+    """Attention from small graph ops: the reference for the fused T.attention."""
+    squeeze = tokens.ndim == 2
+    if squeeze:
+        tokens = T.reshape(tokens, (1,) + tokens.shape)
+    b, length, d = tokens.shape
+    dh = d // heads
+
+    def split(x):  # (B, L, D) -> (B, H, L, dh)
+        return T.swapaxes(T.reshape(x, (b, length, heads, dh)), 1, 2)
+
+    q = split(composed_dense(tokens, params["wq"], params["bq"]))
+    k = split(composed_dense(tokens, params["wk"], params["bk"]))
+    v = split(composed_dense(tokens, params["wv"], params["bv"]))
+    scores = T.mul(q @ T.swapaxes(k, -1, -2), 1.0 / np.sqrt(dh))
+    if causal:
+        scores = scores + Tensor(np.triu(np.full((length, length), MASK_VALUE), k=1))
+    mixed = T.swapaxes(T.softmax(scores, axis=-1) @ v, 1, 2)  # (B, L, H, dh)
+    out = composed_dense(T.reshape(mixed, (b, length, d)), params["wo"], params["bo"])
+    return T.reshape(out, (length, d)) if squeeze else out
+
+
+def outputs_and_gradients(build, store, probe):
+    store.zero_grad()
+    out = build()
+    T.tsum(out * Tensor(probe)).backward()
+    return out.data, {name: p.grad for name, p in store.items()}
+
+
+def assert_fused_matches_composed(fused, composed, store, probe):
+    out_f, grads_f = outputs_and_gradients(fused, store, probe)
+    out_c, grads_c = outputs_and_gradients(composed, store, probe)
+    assert np.allclose(out_f, out_c, rtol=0, atol=1e-12)
+    for name in store.names():
+        assert np.allclose(grads_f[name], grads_c[name], rtol=0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (3, 4, 6)])
+def test_fused_dense_matches_composed_ops(shape):
+    store = ParamStore()
+    rng = np.random.default_rng(12)
+    x, w, b = (store.add(n, rng.normal(size=s)) for n, s in (("x", shape), ("w", (6, 7)), ("b", 7)))
+    probe = rng.normal(size=shape[:-1] + (7,))
+    assert_fused_matches_composed(
+        lambda: dense_forward(x, w, b), lambda: composed_dense(x, w, b), store, probe
+    )
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("causal", [True, False])
+@pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8)])
+def test_fused_attention_matches_composed_ops(shape, causal, heads):
+    store, params, rng = _attention_setup(13)
+    for name in params:  # non-zero biases, so their gradients are exercised
+        params[name].data[...] += 0.1 * rng.normal(size=params[name].shape)
+    x = store.add("x", rng.normal(size=shape))
+    probe = rng.normal(size=shape)
+    assert_fused_matches_composed(
+        lambda: multi_head_attention(x, heads, causal, params),
+        lambda: composed_attention(x, heads, causal, params),
+        store,
+        probe,
+    )
+
+
+def test_attention_is_three_graph_nodes():
+    store, params, rng = _attention_setup(14)
+    x = store.add("x", rng.normal(size=(2, 3, 8)))
+    out = multi_head_attention(x, heads=2, causal=True, params=params)
+    weights = out._parents[0]
+    (scores,) = weights._parents
+    assert out._parents[1:] == (x, params["wv"], params["bv"], params["wo"], params["bo"])
+    assert scores._parents == (x, params["wq"], params["bq"], params["wk"], params["bk"])
 
 
 def test_layer_norm_gradient_oracle():

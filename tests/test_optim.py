@@ -100,3 +100,62 @@ def test_load_arrays_validates_names_and_shapes():
         store.load_arrays({"w": np.zeros((2, 2)), "extra": np.zeros(1)})
     store.load_arrays({"w": np.ones((2, 2))})
     assert np.array_equal(store["w"].data, np.ones((2, 2)))
+
+
+def reference_adam(params, grads, state, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam loop, kept as the reference for the flat update."""
+    bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+    for name, g in grads.items():
+        m, v = state.get(name, (np.zeros_like(g), np.zeros_like(g)))
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        state[name] = (m, v)
+        params[name] = params[name] - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def test_flat_adam_equals_per_parameter_loop():
+    rng = np.random.default_rng(4)
+    shapes = {"emb": (7, 3), "w": (3, 5), "b": (5,), "scalar": ()}
+    store = ParamStore()
+    ref = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    for name, arr in ref.items():
+        store.add(name, arr)
+    state = {}
+    for t in range(1, 6):
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6) for name, shape in shapes.items()}
+        for name, g in grads.items():
+            store[name].grad = g
+        adam_step(store, lr=1e-2)
+        reference_adam(ref, grads, state, t, lr=1e-2)
+        for name in shapes:
+            assert np.array_equal(store[name].data, ref[name])
+            assert np.array_equal(store.moments_m[name], state[name][0])
+            assert np.array_equal(store.moments_v[name], state[name][1])
+
+
+def shares_buffer(store):
+    return all(np.shares_memory(p.data, store.values) for _, p in store.items())
+
+
+def test_parameters_are_views_of_one_buffer():
+    store = ParamStore()
+    store.add("a", np.ones((2, 3)))
+    b = store.add("b", np.arange(4.0))
+    assert shares_buffer(store) and store.values.size == store.n_parameters() == 10
+    assert np.array_equal(b.data, np.arange(4.0))
+    assert store.moments_m == {} and store.moments_v == {}
+    for _, p in store.items():
+        p.grad = np.ones_like(p.data)
+    adam_step(store)
+    with pytest.raises(StateError, match="after the first optimizer step"):
+        store.add("c", np.zeros(1))
+
+
+def test_load_arrays_writes_into_the_buffer():
+    store = make_store(0.0)
+    store.load_arrays({"w": np.array([5.0])})
+    assert shares_buffer(store)
+    store["w"].grad = np.ones(1)
+    adam_step(store, lr=1e-3)
+    # the update reaches the tensor the model reads
+    assert abs(store["w"].data[0] - (5.0 - 1e-3)) < 1e-9

@@ -146,6 +146,20 @@ def test_checkpoint_reuse_restores_same_models(art, tmp_path):
         assert p.data.tobytes() == again.prod_model.store[name].data.tobytes()
 
 
+def test_checkpoint_cache_is_keyed_by_the_training_data(tmp_path):
+    first = pipeline.prepare(TINY, out_dir=tmp_path, reuse=True)
+    other = dataclasses.replace(TINY, sim=dataclasses.replace(TINY.sim, streams=15))
+    second = pipeline.prepare(other, out_dir=tmp_path, reuse=True)
+    # same model configs and seed, another world: new forecasters, not the first pair
+    assert len(list(tmp_path.glob("statfore-*.ckpt"))) == 2
+    assert len(list(tmp_path.glob("prodfore-*.ckpt"))) == 2
+    fresh = pipeline.build_models(other, second.world, second.train_rooms)
+    for old, new, trained in zip((first.stat_model, first.prod_model),
+                                 (second.stat_model, second.prod_model), fresh):
+        w_old, w_new, w_trained = (m.store["head.w"].data for m in (old, new, trained))
+        assert w_new.tobytes() == w_trained.tobytes() != w_old.tobytes()
+
+
 def test_forecast_reports_have_three_methods_each(art):
     stat_eval, prod_eval = pipeline.forecast_reports(art)
     assert set(stat_eval) == {"model", "mean", "latest"}

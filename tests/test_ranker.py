@@ -11,7 +11,15 @@ from livesight import tensor as T
 from livesight.config import RankConfig, SimConfig
 from livesight.errors import ConfigurationError, ContractError, DimensionError, LabelError
 from livesight.gradcheck import grad_check
-from livesight.ranker import NORM_CHUNK, ForesightBank, RankingModel, rank_loss, train_ranker
+from livesight.optim import adam_step
+from livesight.ranker import (
+    NORM_CHUNK,
+    ForesightBank,
+    RankingModel,
+    predict,
+    rank_loss,
+    train_ranker,
+)
 from livesight.simgen import RankSample
 from livesight.tensor import Tensor
 
@@ -287,5 +295,42 @@ def test_training_holds_no_whole_sample_foresight_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the held-out forward is one batch of a fifth of the samples; the rest is per batch
+    # every forward, the validation and held-out ones too, reads one batch
     assert peak < block_bytes
+
+
+@pytest.mark.parametrize("n", [1, 2, 129, 300, 1025])
+def test_batched_scoring_equals_one_whole_forward(n):
+    # 1025 and 129 leave a one-row tail, which joins the chunk before it
+    rng = np.random.default_rng(n)
+    k = 30
+    bank = bank_of(rng.normal(size=(k, 20)), rng.dirichlet(np.ones(12), size=k),
+                   rng.normal(size=(k, 24)))
+    rows = rng.integers(0, k, size=n)
+    fields = np.stack([np.asarray(sample(i).field_values()) for i in range(n)])
+    model = RankingModel(RankConfig(batch=128), VOCAB, TASKS, "+both", stat_width=20,
+                         n_c3=12, d_mix=8, prod_enc_width=24)
+    model.fit_normalizers(bank, rows)
+
+    def batch_input(idx):
+        return model.features(fields[idx], stat=bank.stat[rows[idx]],
+                              dist=bank.dist[rows[idx]], prod_enc=bank.prod_enc[rows[idx]])
+
+    idx = rng.permutation(n)
+    whole = model.forward(batch_input(idx)).data
+    assert np.array_equal(predict(model, batch_input, idx, 128), whole)
+    # a batch off the BLAS kernels' row blocking may move the last bits only
+    assert np.allclose(predict(model, batch_input, idx, 7), whole, rtol=1e-14, atol=0)
+
+
+def test_restored_best_state_stays_in_the_flat_buffer():
+    samples, bank, rows = dataset(120)
+    model, _, _ = train_ranker(samples, "+both", CFG, TASKS, VOCAB, bank=bank, rows=rows)
+    assert all(np.shares_memory(p.data, model.store.values) for _, p in model.store.items())
+    x = model.features(np.stack([s.field_values() for s in samples[:5]]),
+                       stat=bank.stat[:5], dist=bank.dist[:5], prod_enc=bank.prod_enc[:5])
+    before = model.forward(x).data.copy()
+    for _, p in model.store.items():
+        p.grad = np.ones_like(p.data)
+    adam_step(model.store, lr=1e-2)
+    assert not np.array_equal(model.forward(x).data, before)

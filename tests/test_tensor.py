@@ -165,6 +165,20 @@ def test_embedding_gather_and_scatter_add():
         T.embedding(table, np.array([0.5]))
 
 
+def test_embedding_scatter_equals_add_at_reference():
+    # repeated indices in a 2-D index array: the rows must be added in index
+    # order, the same floats as np.add.at
+    rng = np.random.default_rng(3)
+    table = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    idx = rng.integers(0, 6, size=(40, 3))
+    idx[0, :] = 2
+    probe = rng.normal(size=(40, 3, 5)) * 10.0 ** rng.integers(-8, 8, size=(40, 3, 1))
+    T.tsum(T.embedding(table, idx) * Tensor(probe)).backward()
+    expected = np.zeros((6, 5))
+    np.add.at(expected, idx, probe)
+    assert np.array_equal(table.grad, expected)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(DimensionError):
