@@ -12,11 +12,13 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import checkpoint, pipeline, prodfore, ranker, simgen, statfore
-from .config import SERVICES, ExperimentConfig, config_hash, load_config, to_dict
+from . import pipeline, ranker, simgen
+from .config import SERVICES, VARIANTS, ExperimentConfig, load_config
 from .pipeline import ABLATIONS
-from .prodfore import ProductModel
-from .statfore import StatisticModel
+
+
+# flags that override a field of the model config section a command trains
+MODEL_FLAGS = (("context", "context"), ("horizon", "horizon_train"), ("epochs", "epochs"))
 
 
 def _load_base_config(args):
@@ -33,19 +35,15 @@ def _load_base_config(args):
             sim_over[name] = getattr(args, name)
     if sim_over:
         cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, **sim_over))
+    over = {
+        name: getattr(args, flag) for flag, name in MODEL_FLAGS
+        if getattr(args, flag, None) is not None
+    }
+    if over:
+        # through the experiment config, which checks the context against the samples
+        section = dataclasses.replace(getattr(cfg, args.section), **over)
+        cfg = dataclasses.replace(cfg, **{args.section: section})
     return cfg
-
-
-def _stat_config(cfg, args):
-    over = {"seed": cfg.seed}
-    if getattr(args, "context", None) is not None:
-        over["context"] = args.context
-    if getattr(args, "horizon", None) is not None:
-        over["horizon_train"] = args.horizon
-    if getattr(args, "epochs", None) is not None:
-        over["epochs"] = args.epochs
-    # through the experiment config, which checks the context against the samples
-    return dataclasses.replace(cfg, stat=dataclasses.replace(cfg.stat, **over)).stat
 
 
 def cmd_gen(args):
@@ -59,33 +57,17 @@ def cmd_gen(args):
     return 0
 
 
-def cmd_train_stat(args):
+def cmd_train_forecaster(args):
+    """train-stat and train-prod: train one forecaster on the dataset's train
+    rooms and save it, by default under the name `run` gives it."""
     cfg = _load_base_config(args)
     world = simgen.import_dataset(args.data)
     train_rooms, _ = pipeline.split_rooms(len(world.streams))
-    stat_cfg = _stat_config(cfg, args)
-    model = StatisticModel(stat_cfg)
-    history = statfore.train_statistic(model, [world.streams[i].panel for i in train_rooms])
-    h = config_hash(to_dict(stat_cfg))
-    out = Path(args.out) if args.out else Path(args.data) / f"statfore-{h}.ckpt"
-    checkpoint.save_checkpoint(out, model.store, config_hash=h, extra={"config": to_dict(stat_cfg)})
-    print(f"loss {history[0]:.3f} -> {history[-1]:.3f}; saved {out}")
-    return 0
-
-
-def cmd_train_prod(args):
-    cfg = _load_base_config(args)
-    world = simgen.import_dataset(args.data)
-    train_rooms, _ = pipeline.split_rooms(len(world.streams))
-    over = {"seed": cfg.seed}
-    if args.epochs is not None:
-        over["epochs"] = args.epochs
-    prod_cfg = dataclasses.replace(cfg.prod, **over)
-    model = ProductModel(prod_cfg, world.hierarchy)
-    history = prodfore.train_product(model, [world.streams[i].events for i in train_rooms])
-    h = config_hash(to_dict(prod_cfg))
-    out = Path(args.out) if args.out else Path(args.data) / f"prodfore-{h}.ckpt"
-    checkpoint.save_checkpoint(out, model.store, config_hash=h, extra={"config": to_dict(prod_cfg)})
+    model_cfg = pipeline.model_configs(cfg)[args.section]
+    model, history = pipeline.train_forecaster(model_cfg, world, train_rooms)
+    key = pipeline.forecaster_key(model_cfg, pipeline.training_digest(world, train_rooms))
+    out = Path(args.out or Path(args.data) / pipeline.checkpoint_name(args.section, key))
+    pipeline.save_forecaster(out, model, key)
     print(f"loss {history[0]:.3f} -> {history[-1]:.3f}; saved {out}")
     return 0
 
@@ -93,32 +75,22 @@ def cmd_train_prod(args):
 def cmd_train_rank(args):
     cfg = _load_base_config(args)
     world = simgen.import_dataset(args.data)
-    stat_model = pipeline.load_forecaster(args.stat_ckpt)
-    prod_model = pipeline.load_forecaster(args.prod_ckpt, world.hierarchy)
+    train_rooms, _ = pipeline.split_rooms(len(world.streams))
+    data = pipeline.training_digest(world, train_rooms)
+    stat_model = pipeline.load_forecaster(args.stat_ckpt, "stat", world.hierarchy, data)
+    prod_model = pipeline.load_forecaster(args.prod_ckpt, "prod", world.hierarchy, data)
     bank, bank_rows = pipeline.build_foresight_bank(
         world, stat_model, prod_model, k_enc=cfg.rank.k_enc
     )
-    rank_cfg = dataclasses.replace(
-        cfg.rank,
-        seed=cfg.seed,
-        **({"epochs": args.epochs} if args.epochs is not None else {}),
-    )
-    tasks = SERVICES[world.config.service]
     _, report, history = ranker.train_ranker(
-        world.samples, cfg.variant, rank_cfg, tasks, pipeline.vocab_sizes(world.config),
+        world.samples, cfg.variant, dataclasses.replace(cfg.rank, seed=cfg.seed),
+        SERVICES[world.config.service], pipeline.vocab_sizes(world.config),
         bank=bank, rows=bank_rows,
     )
-    rows = [
-        [cfg.variant, task, report[task]["AUC"], report[task]["UAUC"], report[task]["GAUC"]]
-        for task in tasks
-    ]
-    out = Path(args.out or cfg.out_dir)
-    path = pipeline.write_csv(
-        out / "rank_report.csv", cfg, ["variant", "task", "AUC", "UAUC", "GAUC"], rows
-    )
+    path = pipeline.write_rank_report(cfg.out_dir, cfg, {cfg.variant: report})
     print(f"loss {history[0]:.3f} -> {history[-1]:.3f}")
-    for row in rows:
-        print(f"{row[0]} {row[1]}: AUC={row[2]:.4f} UAUC={row[3]:.4f} GAUC={row[4]:.4f}")
+    for task, m in report.items():
+        print(f"{cfg.variant} {task}: AUC={m['AUC']:.4f} UAUC={m['UAUC']:.4f} GAUC={m['GAUC']:.4f}")
     print(f"wrote {path}")
     return 0
 
@@ -178,32 +150,27 @@ def build_parser():
     p.add_argument("--buckets", type=int)
     p.set_defaults(func=cmd_gen, out="data")
 
-    p = sub.add_parser("train-stat", help="train the statistic forecaster")
-    common(p)
-    p.add_argument("--data", required=True, help="dataset directory from gen")
-    p.add_argument("--context", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_train_stat)
-
-    p = sub.add_parser("train-prod", help="train the product-sequence forecaster")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_train_prod)
+    for section, model in (("stat", "statistic"), ("prod", "product-sequence")):
+        p = sub.add_parser(f"train-{section}", help=f"train the {model} forecaster")
+        common(p)
+        p.add_argument("--data", required=True, help="dataset directory from gen")
+        if section == "stat":
+            p.add_argument("--context", type=int)
+            p.add_argument("--horizon", type=int)
+        p.add_argument("--epochs", type=int)
+        p.set_defaults(func=cmd_train_forecaster, section=section)
 
     p = sub.add_parser("train-rank", help="train one ranker variant")
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--stat-ckpt", required=True)
     p.add_argument("--prod-ckpt", required=True)
-    p.add_argument("--variant", choices=["base", "+stat", "+prod", "+both"])
+    p.add_argument("--variant", choices=list(VARIANTS))
     p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_train_rank)
+    p.set_defaults(func=cmd_train_rank, section="rank")
 
     p = sub.add_parser("run", help="full pipeline: gen, train everything, report")
     common(p)
-    p.add_argument("--variant", choices=["base", "+stat", "+prod", "+both"])
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ablate", help="run one ablation study")

@@ -25,6 +25,14 @@ VARIANTS = ("base", "+stat", "+prod", "+both")
 SAMPLE_BUCKET_FLOOR = 32
 
 
+def _check_training(cfg):
+    for name in ("epochs", "batch"):
+        if getattr(cfg, name) < 1:
+            raise ConfigurationError(
+                f"{type(cfg).__name__}.{name} must be >= 1, got {getattr(cfg, name)}"
+            )
+
+
 @dataclass
 class SimConfig:
     streams: int = 60
@@ -94,6 +102,7 @@ class StatConfig:
             )
         if self.context < 2:
             raise ConfigurationError(f"context must be >= 2, got {self.context}")
+        _check_training(self)
 
 
 @dataclass
@@ -108,6 +117,9 @@ class ProdConfig:
     lr: float = 6e-3
     seed: int = 0
 
+    def __post_init__(self):
+        _check_training(self)
+
 
 @dataclass
 class RankConfig:
@@ -119,6 +131,9 @@ class RankConfig:
     lr: float = 1e-3
     eval_fraction: float = 0.2
     seed: int = 0
+
+    def __post_init__(self):
+        _check_training(self)
 
 
 @dataclass

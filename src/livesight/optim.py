@@ -82,10 +82,6 @@ class ParamStore:
         for p in self._params.values():
             p.grad = None
 
-    def state_arrays(self):
-        """name -> ndarray view of current values (used by checkpoints)."""
-        return {name: p.data for name, p in self._params.items()}
-
     def load_arrays(self, arrays):
         _write(self._views(self.values), arrays, "parameter")
 

@@ -3,8 +3,8 @@
 Stages: generate world -> train statistic forecaster -> train product
 forecaster -> precompute the foresight bank, one row per (room, bucket) ->
 train ranker variants -> write CSV reports. Foresight models are cached as
-checkpoints keyed by config and training-data hash so ablations don't retrain
-them.
+checkpoints keyed by config and training-data hash, on every path that
+trains or loads them, so ablations don't retrain them.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import numpy as np
 from . import checkpoint, statfore, prodfore, ranker, simgen
 from .config import (
     SERVICES,
+    VARIANTS,
     ExperimentConfig,
     ProdConfig,
     StatConfig,
     config_hash,
     to_dict,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, StateError
 from .prodfore import ProductModel
 from .statfore import StatisticModel
 
@@ -51,32 +52,6 @@ class Artifacts:
     rows: np.ndarray  # (S,) bank row of each world sample
     vocab: dict
     timings: dict = field(default_factory=dict)
-
-
-def _seeded(cfg_section, seed):
-    """Copy a model config with its training seed tied to the experiment seed."""
-    d = to_dict(cfg_section)
-    d["seed"] = seed
-    return d
-
-
-def build_models(cfg, world, train_rooms, timings=None):
-    timings = {} if timings is None else timings
-    stat_cfg = StatConfig(**_seeded(cfg.stat, cfg.seed))
-    prod_cfg = ProdConfig(**_seeded(cfg.prod, cfg.seed))
-    train_panels = [world.streams[i].panel for i in train_rooms]
-    train_seqs = [world.streams[i].events for i in train_rooms]
-
-    t0 = time.monotonic()
-    stat_model = StatisticModel(stat_cfg)
-    statfore.train_statistic(stat_model, train_panels)
-    timings["train_stat"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    prod_model = ProductModel(prod_cfg, world.hierarchy)
-    prodfore.train_product(prod_model, train_seqs)
-    timings["train_prod"] = time.monotonic() - t0
-    return stat_model, prod_model
 
 
 def _windows(streams, buckets, context):
@@ -156,21 +131,6 @@ def vocab_sizes(sim):
     }
 
 
-def load_forecaster(path, hierarchy=None, config_hash=None):
-    """Rebuild a forecaster from its checkpoint, with the config saved in it.
-
-    Without `hierarchy` the file holds a statistic model, with it a product
-    model. A given `config_hash` must match the checkpoint's.
-    """
-    config = checkpoint.read_manifest(path)["extra"]["config"]
-    if hierarchy is None:
-        model = StatisticModel(StatConfig(**config))
-    else:
-        model = ProductModel(ProdConfig(**config), hierarchy)
-    checkpoint.load_checkpoint(path, model.store, config_hash=config_hash)
-    return model
-
-
 def training_digest(world, train_rooms):
     """SHA-256 of what the forecasters train on: the train rooms' panel values
     and product events, and the category hierarchy."""
@@ -186,13 +146,78 @@ def training_digest(world, train_rooms):
     return h.hexdigest()
 
 
+# ---------------------------------------------------------------------------
+# forecaster checkpoints: one trainer, one key, one saver, one loader
+
+
+FORECASTERS = {"stat": (StatConfig, "statistic"), "prod": (ProdConfig, "product")}
+
+
+def model_configs(cfg):
+    """{"stat": StatConfig, "prod": ProdConfig}, each with its training seed
+    tied to the experiment seed."""
+    return {kind: dataclasses.replace(getattr(cfg, kind), seed=cfg.seed) for kind in FORECASTERS}
+
+
+def _new_forecaster(model_cfg, hierarchy):
+    if isinstance(model_cfg, StatConfig):
+        return StatisticModel(model_cfg)
+    return ProductModel(model_cfg, hierarchy)
+
+
+def train_forecaster(model_cfg, world, train_rooms):
+    """Train the forecaster that `model_cfg` configures (a StatConfig or a
+    ProdConfig) on the train rooms. Returns (model, per-epoch losses)."""
+    model = _new_forecaster(model_cfg, world.hierarchy)
+    streams = [world.streams[i] for i in train_rooms]
+    if isinstance(model, StatisticModel):
+        return model, statfore.train_statistic(model, [st.panel for st in streams])
+    return model, prodfore.train_product(model, [st.events for st in streams])
+
+
+def forecaster_key(model_cfg, data):
+    """A forecaster checkpoint's key: its model config and the
+    `training_digest` of the data it trains on."""
+    return config_hash({"config": to_dict(model_cfg), "data_sha256": data})
+
+
+def checkpoint_name(kind, key):
+    return f"{kind}fore-{key}.ckpt"
+
+
+def save_forecaster(path, model, key):
+    checkpoint.save_checkpoint(
+        path, model.store, config_hash=key, extra={"config": to_dict(model.config)}
+    )
+
+
+def load_forecaster(path, kind, hierarchy, data, key=None):
+    """Rebuild a `kind` ("stat" or "prod") forecaster from its checkpoint. A
+    checkpoint of the other kind, or whose key is not `key` (by default its
+    saved config's key on `data`, a `training_digest`), raises StateError."""
+    config = checkpoint.read_manifest(path)["extra"].get("config", {})
+    held = [
+        k for k, (cls, _) in FORECASTERS.items()
+        if set(config) == {f.name for f in dataclasses.fields(cls)}
+    ]
+    if held != [kind]:
+        found = f"a {FORECASTERS[held[0]][1]} forecaster" if held else "no forecaster"
+        raise StateError(f"{path} holds {found}, not a {FORECASTERS[kind][1]} forecaster")
+    model = _new_forecaster(FORECASTERS[kind][0](**config), hierarchy)
+    checkpoint.load_checkpoint(
+        path, model.store, config_hash=key or forecaster_key(model.config, data)
+    )
+    return model
+
+
 def prepare(cfg, out_dir=None, reuse=True):
     """Generate (or regenerate) the world and produce trained foresight models.
 
-    With `reuse`, checkpoints in `out_dir` whose key matches are loaded
-    instead of retrained. A checkpoint's key (its file name and manifest
-    `config_hash`) hashes the model config and `training_digest`, so another
-    world in the same directory trains its own forecasters.
+    With `reuse`, each forecaster whose checkpoint in `out_dir` has the
+    matching key is loaded instead of retrained. A checkpoint's key (its file
+    name and manifest `config_hash`, see `forecaster_key`) hashes the model
+    config and `training_digest`, so another world in the same directory
+    trains its own forecasters.
     """
     timings = {}
     t0 = time.monotonic()
@@ -200,30 +225,22 @@ def prepare(cfg, out_dir=None, reuse=True):
     timings["gen"] = time.monotonic() - t0
     train_rooms, eval_rooms = split_rooms(len(world.streams))
 
-    out = Path(out_dir) if out_dir else None
-    stat_cfg = StatConfig(**_seeded(cfg.stat, cfg.seed))
-    prod_cfg = ProdConfig(**_seeded(cfg.prod, cfg.seed))
     data = training_digest(world, train_rooms)
-    stat_hash = config_hash({"config": to_dict(stat_cfg), "data_sha256": data})
-    prod_hash = config_hash({"config": to_dict(prod_cfg), "data_sha256": data})
-    stat_path = out / f"statfore-{stat_hash}.ckpt" if out else None
-    prod_path = out / f"prodfore-{prod_hash}.ckpt" if out else None
-
-    if reuse and stat_path and stat_path.exists() and prod_path and prod_path.exists():
-        stat_model = load_forecaster(stat_path, config_hash=stat_hash)
-        prod_model = load_forecaster(prod_path, world.hierarchy, config_hash=prod_hash)
-    else:
-        stat_model, prod_model = build_models(cfg, world, train_rooms, timings)
+    out = Path(out_dir) if out_dir else None
+    models = {}
+    for kind, model_cfg in model_configs(cfg).items():
+        key = forecaster_key(model_cfg, data)
+        path = out / checkpoint_name(kind, key) if out else None
+        if reuse and path and path.exists():
+            models[kind] = load_forecaster(path, kind, world.hierarchy, data, key=key)
+            continue
+        t0 = time.monotonic()
+        models[kind], _ = train_forecaster(model_cfg, world, train_rooms)
+        timings[f"train_{kind}"] = time.monotonic() - t0
         if out:
             out.mkdir(parents=True, exist_ok=True)
-            checkpoint.save_checkpoint(
-                stat_path, stat_model.store, config_hash=stat_hash,
-                extra={"config": to_dict(stat_cfg)},
-            )
-            checkpoint.save_checkpoint(
-                prod_path, prod_model.store, config_hash=prod_hash,
-                extra={"config": to_dict(prod_cfg)},
-            )
+            save_forecaster(path, models[kind], key)
+    stat_model, prod_model = models["stat"], models["prod"]
 
     t0 = time.monotonic()
     bank, rows = build_foresight_bank(world, stat_model, prod_model, k_enc=cfg.rank.k_enc)
@@ -285,6 +302,18 @@ def write_csv(path, cfg, columns, rows):
     return path
 
 
+def write_rank_report(out_dir, cfg, reports):
+    """rank_report.csv: AUC, UAUC and GAUC per variant and task, from a
+    {variant: ranker report} mapping."""
+    rows = [
+        [variant, task, m["AUC"], m["UAUC"], m["GAUC"]]
+        for variant, report in reports.items()
+        for task, m in report.items()
+    ]
+    columns = ["variant", "task", "AUC", "UAUC", "GAUC"]
+    return write_csv(Path(out_dir) / "rank_report.csv", cfg, columns, rows)
+
+
 def run_pipeline(cfg):
     """gen -> train models -> train ranker variants -> reports. Returns file paths."""
     out = Path(cfg.out_dir)
@@ -292,19 +321,9 @@ def run_pipeline(cfg):
     art = prepare(cfg, out_dir=out, reuse=True)
     simgen.export_dataset(art.world, out / "data")
 
-    service_variants = ("base", "+stat") if cfg.sim.service == "talent" else (
-        "base", "+stat", "+prod", "+both"
-    )
-    tasks = SERVICES[cfg.sim.service]
-    rank_rows = []
-    for variant in service_variants:
-        report, _ = train_variant(art, variant)
-        for task in tasks:
-            m = report[task]
-            rank_rows.append([variant, task, m["AUC"], m["UAUC"], m["GAUC"]])
-    rank_path = write_csv(
-        out / "rank_report.csv", cfg, ["variant", "task", "AUC", "UAUC", "GAUC"], rank_rows
-    )
+    service_variants = ("base", "+stat") if cfg.sim.service == "talent" else VARIANTS
+    reports = {variant: train_variant(art, variant)[0] for variant in service_variants}
+    rank_path = write_rank_report(out, cfg, reports)
 
     stat_eval, prod_eval = forecast_reports(art)
     forecast_rows = [

@@ -46,18 +46,26 @@ def test_gen_requires_seed(capsys):
         main(["gen", "--out", "/tmp/nowhere"])
 
 
-def test_train_stages_and_report(tiny_config, dataset_dir, tmp_path, capsys):
-    stat_ckpt = tmp_path / "stat.ckpt"
-    prod_ckpt = tmp_path / "prod.ckpt"
+@pytest.fixture(scope="module")
+def checkpoints(tiny_config, dataset_dir, tmp_path_factory):
+    """Both forecasters trained on dataset_dir: {"stat": path, "prod": path}."""
+    out = tmp_path_factory.mktemp("ckpt")
+    paths = {kind: out / f"{kind}.ckpt" for kind in ("stat", "prod")}
     args = ["--config", tiny_config, "--data", str(dataset_dir)]
-    assert main(["train-stat", *args, "--out", str(stat_ckpt)]) == 0
-    assert main(["train-prod", *args, "--out", str(prod_ckpt)]) == 0
-    assert stat_ckpt.exists() and prod_ckpt.exists()
+    for kind, path in paths.items():
+        assert main([f"train-{kind}", *args, "--out", str(path)]) == 0
+        assert path.exists()
+    return paths
 
-    rc = main(
+
+def train_rank(tiny_config, data, stat_ckpt, prod_ckpt, out):
+    return main(
         [
             "train-rank",
-            *args,
+            "--config",
+            tiny_config,
+            "--data",
+            str(data),
             "--stat-ckpt",
             str(stat_ckpt),
             "--prod-ckpt",
@@ -65,9 +73,14 @@ def test_train_stages_and_report(tiny_config, dataset_dir, tmp_path, capsys):
             "--variant",
             "+both",
             "--out",
-            str(tmp_path / "rank"),
+            str(out),
         ]
     )
+
+
+def test_train_stages_and_report(tiny_config, dataset_dir, checkpoints, tmp_path, capsys):
+    rc = train_rank(tiny_config, dataset_dir, checkpoints["stat"], checkpoints["prod"],
+                    tmp_path / "rank")
     assert rc == 0
     assert (tmp_path / "rank" / "rank_report.csv").exists()
 
@@ -75,6 +88,51 @@ def test_train_stages_and_report(tiny_config, dataset_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rank_report.csv" in out and "AUC" in out
     assert (tmp_path / "rank" / "summary.txt").exists()
+
+
+def test_train_rank_rejects_swapped_checkpoints(tiny_config, dataset_dir, checkpoints,
+                                                tmp_path, capsys):
+    rc = train_rank(tiny_config, dataset_dir, checkpoints["prod"], checkpoints["stat"],
+                    tmp_path / "rank")
+    assert rc == 1
+    assert "holds a product forecaster, not a statistic forecaster" in capsys.readouterr().err
+    assert not (tmp_path / "rank").exists()
+
+
+def test_train_rank_rejects_checkpoints_of_another_dataset(tiny_config, checkpoints,
+                                                           tmp_path, capsys):
+    other = tmp_path / "other"
+    assert main(["gen", "--config", tiny_config, "--seed", "4", "--out", str(other)]) == 0
+    rc = train_rank(tiny_config, other, checkpoints["stat"], checkpoints["prod"],
+                    tmp_path / "rank")
+    assert rc == 1
+    assert "was trained on another config or dataset" in capsys.readouterr().err
+    assert not (tmp_path / "rank").exists()
+
+
+def test_forecaster_keys_agree_across_commands(tiny_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
+    data = out / "data"
+    for kind in ("stat", "prod"):
+        assert main([f"train-{kind}", "--config", tiny_config, "--data", str(data)]) == 0
+    run_ckpts = {p.name: p.read_bytes() for p in out.glob("*.ckpt")}
+    assert sorted(run_ckpts) == sorted(p.name for p in data.glob("*.ckpt"))
+    assert len(run_ckpts) == 2
+    # the exported dataset trains the same forecasters as the generated world
+    assert all((data / name).read_bytes() == blob for name, blob in run_ckpts.items())
+    stat_ckpt, prod_ckpt = (next(out.glob(f"{kind}fore-*.ckpt")) for kind in ("stat", "prod"))
+    assert train_rank(tiny_config, data, stat_ckpt, prod_ckpt, tmp_path / "rank") == 0
+
+
+def test_train_stat_rejects_zero_epochs(tiny_config, dataset_dir, tmp_path, capsys):
+    ckpt = tmp_path / "stat.ckpt"
+    args = ["--config", tiny_config, "--data", str(dataset_dir), "--epochs", "0"]
+    assert main(["train-stat", *args, "--out", str(ckpt)]) == 1
+    assert "StatConfig.epochs must be >= 1, got 0" in capsys.readouterr().err
+    assert not ckpt.exists()
+    assert main(["train-stat", *args]) == 1
+    assert not list(dataset_dir.glob("*.ckpt"))
 
 
 def test_run_then_ablate(tiny_config, tmp_path, capsys):
@@ -115,8 +173,9 @@ def test_stat_context_past_the_first_sample_rejected(tiny_config, dataset_dir, t
 
 
 def test_parser_rejects_unknown_variant():
+    args = ["--data", "d", "--stat-ckpt", "s", "--prod-ckpt", "p"]
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "--variant", "+everything"])
+        build_parser().parse_args(["train-rank", *args, "--variant", "+everything"])
 
 
 def test_parser_rejects_unknown_ablation():

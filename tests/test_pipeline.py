@@ -137,6 +137,14 @@ def test_stat_context_must_fit_before_the_first_sample():
     assert art.bank.bucket.min() == 32
 
 
+@pytest.mark.parametrize("section", ["stat", "prod", "rank"])
+@pytest.mark.parametrize("name", ["epochs", "batch"])
+def test_training_needs_an_epoch_and_a_batch(section, name):
+    with pytest.raises(ConfigurationError, match=f"{name} must be >= 1, got 0"):
+        from_dict({section: {name: 0}})
+    assert getattr(getattr(from_dict({section: {name: 1}}), section), name) == 1
+
+
 def test_checkpoint_reuse_restores_same_models(art, tmp_path):
     first = pipeline.prepare(TINY, out_dir=tmp_path, reuse=True)
     again = pipeline.prepare(TINY, out_dir=tmp_path, reuse=True)
@@ -153,11 +161,24 @@ def test_checkpoint_cache_is_keyed_by_the_training_data(tmp_path):
     # same model configs and seed, another world: new forecasters, not the first pair
     assert len(list(tmp_path.glob("statfore-*.ckpt"))) == 2
     assert len(list(tmp_path.glob("prodfore-*.ckpt"))) == 2
-    fresh = pipeline.build_models(other, second.world, second.train_rooms)
+    fresh = [
+        pipeline.train_forecaster(c, second.world, second.train_rooms)[0]
+        for c in pipeline.model_configs(other).values()
+    ]
     for old, new, trained in zip((first.stat_model, first.prod_model),
                                  (second.stat_model, second.prod_model), fresh):
         w_old, w_new, w_trained = (m.store["head.w"].data for m in (old, new, trained))
         assert w_new.tobytes() == w_trained.tobytes() != w_old.tobytes()
+
+
+def test_only_a_missing_checkpoint_is_retrained(tmp_path):
+    pipeline.prepare(TINY, out_dir=tmp_path, reuse=True)
+    (prod_ckpt,) = tmp_path.glob("prodfore-*.ckpt")
+    blob = prod_ckpt.read_bytes()
+    prod_ckpt.unlink()
+    again = pipeline.prepare(TINY, out_dir=tmp_path, reuse=True)
+    assert "train_stat" not in again.timings and "train_prod" in again.timings
+    assert prod_ckpt.read_bytes() == blob
 
 
 def test_forecast_reports_have_three_methods_each(art):
