@@ -26,7 +26,7 @@ from .metrics import auc, gauc, hit_rate, mse, uauc
 from .optim import ParamStore, adam_step
 from .prodfore import CategoryHierarchy, ProductModel
 from .ranker import RankingModel, rank_loss, train_ranker
-from .simgen import RankSample, StatPanel, World, gen_interactions, gen_stream, gen_world
+from .simgen import SampleTable, StatPanel, World, gen_interactions, gen_stream, gen_world
 from .statfore import StatisticModel, revin_denormalize, revin_normalize
 from .tensor import Tensor
 
@@ -44,8 +44,8 @@ __all__ = [
     "ProdConfig",
     "ProductModel",
     "RankConfig",
-    "RankSample",
     "RankingModel",
+    "SampleTable",
     "SequenceError",
     "SimConfig",
     "StatConfig",

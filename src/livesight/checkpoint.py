@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import zipfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -53,15 +54,27 @@ def save_checkpoint(path, store, config_hash="", extra=None):
         fh.write(buf.getvalue())
 
 
+@contextmanager
+def _archive(path):
+    """The checkpoint's zip archive, open for reading. A file that is not a
+    zip, is truncated, fails a member's CRC-32, lacks a member or holds a blob
+    of the wrong size raises StateError naming the path."""
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            yield zf
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        raise StateError(f"{path} is not a readable checkpoint: {exc}") from exc
+
+
 def read_manifest(path):
     """The JSON manifest of a checkpoint file, without reading its arrays."""
-    with zipfile.ZipFile(path, "r") as zf:
+    with _archive(path) as zf:
         return json.loads(zf.read("manifest.json"))
 
 
 def read_checkpoint(path):
     """Return (arrays, moments_m, moments_v, manifest) from a checkpoint file."""
-    with zipfile.ZipFile(path, "r") as zf:
+    with _archive(path) as zf:
         manifest = json.loads(zf.read("manifest.json"))
         if manifest.get("format") != _FORMAT:
             raise StateError(f"unsupported checkpoint format {manifest.get('format')!r}")

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline, ranker, simgen
-from .config import SERVICES, VARIANTS, ExperimentConfig, load_config
+from .config import VARIANTS, ExperimentConfig, load_config
 from .pipeline import ABLATIONS
 
 
@@ -83,8 +83,7 @@ def cmd_train_rank(args):
         world, stat_model, prod_model, k_enc=cfg.rank.k_enc
     )
     _, report, history = ranker.train_ranker(
-        world.samples, cfg.variant, dataclasses.replace(cfg.rank, seed=cfg.seed),
-        SERVICES[world.config.service], pipeline.vocab_sizes(world.config),
+        world.samples, cfg.variant, cfg.rank, pipeline.vocab_sizes(world.config),
         bank=bank, rows=bank_rows,
     )
     path = pipeline.write_rank_report(cfg.out_dir, cfg, {cfg.variant: report})

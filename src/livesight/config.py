@@ -31,6 +31,8 @@ def _check_training(cfg):
             raise ConfigurationError(
                 f"{type(cfg).__name__}.{name} must be >= 1, got {getattr(cfg, name)}"
             )
+    if not cfg.lr > 0:
+        raise ConfigurationError(f"{type(cfg).__name__}.lr must be > 0, got {cfg.lr}")
 
 
 @dataclass
@@ -134,6 +136,10 @@ class RankConfig:
 
     def __post_init__(self):
         _check_training(self)
+        if not 0 < self.eval_fraction < 1:
+            raise ConfigurationError(
+                f"RankConfig.eval_fraction must be in (0, 1), got {self.eval_fraction}"
+            )
 
 
 @dataclass
@@ -194,12 +200,6 @@ def from_dict(data):
 def load_config(path):
     with open(path) as fh:
         return from_dict(json.load(fh))
-
-
-def save_config(path, cfg):
-    with open(path, "w") as fh:
-        json.dump(to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def config_hash(cfg):

@@ -75,9 +75,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def n_parameters(self):
-        return self.values.size
-
     def zero_grad(self):
         for p in self._params.values():
             p.grad = None

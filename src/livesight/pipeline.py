@@ -19,7 +19,6 @@ import numpy as np
 
 from . import checkpoint, statfore, prodfore, ranker, simgen
 from .config import (
-    SERVICES,
     VARIANTS,
     ExperimentConfig,
     ProdConfig,
@@ -84,9 +83,8 @@ def build_foresight_bank(world, stat_model, prod_model, k_enc=8):
     """
     c = stat_model.config
     span = world.config.buckets  # every bucket index is below it
-    room_index = {st.room_id: i for i, st in enumerate(world.streams)}
-    codes = np.array([room_index[s.room_id] * span + s.bucket for s in world.samples])
-    codes, rows = np.unique(codes, return_inverse=True)
+    samples = world.samples
+    codes, rows = np.unique(samples.room * span + samples.bucket, return_inverse=True)
     keys = np.stack(np.divmod(codes, span), axis=1)  # (room index, bucket) per row
     n, h = len(world.streams[0].panel.channels), c.horizon_infer
     steps = np.empty((len(keys), n, c.horizon_train))
@@ -106,7 +104,7 @@ def build_foresight_bank(world, stat_model, prod_model, k_enc=8):
         dist[sel], prod_enc[sel] = prodfore.forecast_prefixes(prod_model, st.events, ends, k_enc)
     stat[:, : n * h] = _stat_block(steps, None, h)
     bank = ranker.ForesightBank(
-        room=np.array([world.streams[r].room_id for r in keys[:, 0]]),
+        room=keys[:, 0],
         bucket=keys[:, 1],
         stat_steps=steps,
         stat_enc=enc,
@@ -261,12 +259,10 @@ def prepare(cfg, out_dir=None, reuse=True):
 
 def train_variant(art, variant, bank=None):
     """Train one ranker variant against (a possibly substituted) bank."""
-    tasks = SERVICES[art.cfg.sim.service]
     _, report, history = ranker.train_ranker(
         art.world.samples,
         variant,
         art.cfg.rank,
-        tasks,
         art.vocab,
         bank=bank if bank is not None else art.bank,
         rows=art.rows,
@@ -351,8 +347,7 @@ def _stat_baseline_bank(art, method):
     if method == "model":
         stat = _stat_block(bank.stat_steps, None, c.horizon_infer)
     else:
-        streams = {st.room_id: st for st in art.world.streams}
-        windows = _windows([streams[r] for r in bank.room], bank.bucket, c.context)
+        windows = _windows([art.world.streams[r] for r in bank.room], bank.bucket, c.context)
         stat = statfore.baseline_forecast(windows, c.horizon_infer, method)
     return dataclasses.replace(bank, stat=stat.reshape(len(bank), -1))
 
@@ -363,7 +358,7 @@ def _prod_baseline_bank(art, method):
     bank = art.bank
     dist = bank.dist
     if method != "model":
-        streams = {st.room_id: st for st in art.world.streams}
+        streams = art.world.streams
         cats = []
         for r, t in zip(bank.room, bank.bucket):
             events = streams[r].events[: _latest_event(streams[r], t) + 1]

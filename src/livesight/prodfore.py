@@ -79,9 +79,6 @@ class CategoryHierarchy:
         c2 = int(self.c3_to_c2[c3])
         return int(self.c2_to_c1[c2]), c2, c3
 
-    def c1_of_c3(self, c3):
-        return int(self.c2_to_c1[self.c3_to_c2[c3]])
-
     def c3_children_of_c2(self, c2):
         return np.flatnonzero(self.c3_to_c2 == c2)
 

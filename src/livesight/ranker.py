@@ -19,10 +19,8 @@ from . import tensor as T
 from .config import RankConfig
 from .errors import ConfigurationError, ContractError, DimensionError
 from .optim import ParamStore, adam_step
-from .simgen import RankSample
+from .simgen import FIELD_NAMES
 from .tensor import Tensor
-
-FIELD_NAMES = RankSample.FIELD_NAMES
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,7 @@ class ForesightBank:
     (or replaced), so no gradient can reach the forecasters behind it.
     """
 
-    room: np.ndarray  # (K,) room ids
+    room: np.ndarray  # (K,) stream indices, as in SampleTable.room
     bucket: np.ndarray  # (K,) time buckets
     stat_steps: np.ndarray  # (K, N, h_train) forecasts in count scale
     stat_enc: np.ndarray  # (K, N, D) channel encodings
@@ -216,10 +214,11 @@ def predict(model, batch_input, idx, batch):
     return np.concatenate([model.forward(batch_input(chunk)).data for chunk in chunks])
 
 
-def train_ranker(samples, variant, config, tasks, vocab_sizes, bank=None, rows=None):
-    """Train one variant and report held-out AUC/UAUC/GAUC per task.
+def train_ranker(samples, variant, config, vocab_sizes, bank=None, rows=None):
+    """Train one variant on a SampleTable and report held-out AUC/UAUC/GAUC
+    per task of the table.
 
-    `bank` is a ForesightBank and `rows[i]` the bank row of samples[i]; block
+    `bank` is a ForesightBank and `rows[i]` the bank row of sample i; block
     widths come from the bank's column shapes. The only trainable path
     touching foresight is the c3_mix table created here.
     """
@@ -232,12 +231,12 @@ def train_ranker(samples, variant, config, tasks, vocab_sizes, bank=None, rows=N
     if bank is not None:
         shapes = dict(stat_width=bank.stat.shape[1], n_c3=bank.dist.shape[1],
                       d_mix=bank.d_mix, prod_enc_width=bank.prod_enc.shape[1])
+    tasks = samples.tasks
     model = RankingModel(config, vocab_sizes, tasks, variant, **shapes)
 
-    fields = np.asarray([s.field_values() for s in samples], dtype=np.int64)
-    labels = np.asarray([[s.labels[t] for t in tasks] for s in samples], dtype=np.float64)
-    users = np.asarray([s.user_id for s in samples])
-    weights = np.asarray([s.weight for s in samples])
+    fields, weights = samples.fields, samples.weight
+    labels = samples.labels.astype(np.float64)
+    users = fields[:, 0]
 
     split_rng = np.random.default_rng([config.seed, 0xE5])
     order = split_rng.permutation(len(samples))

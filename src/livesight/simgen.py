@@ -13,13 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import SAMPLE_BUCKET_FLOOR, SERVICES, SimConfig, to_dict
-from .errors import ConfigurationError, DatasetError, ParseError
+from .config import SAMPLE_BUCKET_FLOOR, SERVICES, SimConfig, from_dict, to_dict
+from .errors import ConfigurationError, DatasetError, DimensionError, ParseError
 from .metrics import auc
 from .prodfore import CategoryHierarchy
 from .statfore import StatPanel
@@ -75,32 +75,41 @@ class Stream:
     phases: np.ndarray  # (T,) int in {0, 1, 2}
 
 
-@dataclass
-class RankSample:
-    room_id: str
-    bucket: int
-    user_id: int
-    aff_bucket: int
-    author_id: int
-    room_category: int
-    item_c3: int
-    cross_match: int
-    click_bucket: int
-    weight: float
-    labels: dict
+# the ranker's id fields, in the column order of SampleTable.fields
+FIELD_NAMES = (
+    "user_id",
+    "aff_bucket",
+    "author_id",
+    "room_category",
+    "item_c3",
+    "cross_match",
+    "click_bucket",
+)
 
-    FIELD_NAMES = (
-        "user_id",
-        "aff_bucket",
-        "author_id",
-        "room_category",
-        "item_c3",
-        "cross_match",
-        "click_bucket",
-    )
 
-    def field_values(self):
-        return [getattr(self, name) for name in self.FIELD_NAMES]
+@dataclass(frozen=True)
+class SampleTable:
+    """Labeled exposures as aligned columns, one row per sample."""
+
+    room: np.ndarray  # (S,) index into the world's streams
+    bucket: np.ndarray  # (S,) time bucket of the exposure
+    fields: np.ndarray  # (S, len(FIELD_NAMES)) int64 ids, in FIELD_NAMES order
+    labels: np.ndarray  # (S, len(tasks)) 0/1 labels
+    weight: np.ndarray  # (S,) sample weights
+    tasks: tuple  # the label columns' task names, in the service's order
+
+    def __post_init__(self):
+        n = len(self.room)
+        shapes = {"bucket": (n,), "fields": (n, len(FIELD_NAMES)),
+                  "labels": (n, len(self.tasks)), "weight": (n,)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise DimensionError(
+                    f"sample column {name!r} has shape {getattr(self, name).shape}, not {shape}"
+                )
+
+    def __len__(self):
+        return len(self.room)
 
 
 @dataclass
@@ -112,7 +121,7 @@ class World:
     user_prefs: np.ndarray  # (U, n_c1) Dirichlet rows
     user_aff_bucket: np.ndarray
     user_click_bucket: np.ndarray
-    samples: list = field(default_factory=list)
+    samples: SampleTable = None
 
 
 def _sample_phases(rng, matrix, t_total):
@@ -223,15 +232,16 @@ def gen_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookah
     positive rate above 15% for any preference spread. The conversion-style
     labels read the NEXT 3 product events and whether a grab phase lands
     within the next `lookahead` buckets.
+
+    Returns a SampleTable whose `room` column indexes `streams`.
     """
     if not streams:
         raise DatasetError("no streams to sample exposures from")
     cfg = world.config
     rng = np.random.default_rng(seed)
-    hierarchy = world.hierarchy
     prefs = world.user_prefs
     coeffs = _task_coeffs(cfg)
-    samples = []
+    drawn = []  # (room, bucket, user, item_c3, *labels) per kept exposure
     for _ in range(cfg.n_samples):
         r = int(rng.integers(len(streams)))
         u = int(rng.integers(cfg.users))
@@ -253,28 +263,26 @@ def gen_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookah
             + cfg.click_highlight_coeff * float(st.phases[t] == HIGHLIGHT)
             + cfg.click_bias
         )
-        labels = {"ctr": int(rng.random() < _sigmoid(click_logit))}
-        for task, (a2, b2, c2) in coeffs.items():
+        labels = [int(rng.random() < _sigmoid(click_logit))]
+        for a2, b2, c2 in coeffs.values():
             logit = a2 * aff_future + b2 * float(grab_soon) + c2
-            labels[task] = int(rng.random() < _sigmoid(logit))
-        samples.append(
-            RankSample(
-                room_id=st.room_id,
-                bucket=t,
-                user_id=u,
-                aff_bucket=int(world.user_aff_bucket[u]),
-                author_id=st.author.author_id,
-                room_category=st.author.home_c1,
-                item_c3=int(st.events[cur, 3]),
-                cross_match=int(world.user_aff_bucket[u] == st.author.home_c1),
-                click_bucket=int(world.user_click_bucket[u]),
-                weight=1.0,
-                labels=labels,
-            )
-        )
-    if not samples:
+            labels.append(int(rng.random() < _sigmoid(logit)))
+        drawn.append((r, t, u, int(st.events[cur, 3]), *labels))
+    if not drawn:
         raise DatasetError("no valid exposure buckets; streams too short")
-    return samples
+    cols = np.asarray(drawn, dtype=np.int64)
+    room, bucket, user, item = cols[:, :4].T
+    # the user- and room-derived ids are gathers, filled after the draws
+    author = np.asarray([st.author.author_id for st in streams], dtype=np.int64)[room]
+    home = np.asarray([st.author.home_c1 for st in streams], dtype=np.int64)[room]
+    aff = world.user_aff_bucket[user]
+    fields = np.stack(
+        [user, aff, author, home, item, (aff == home).astype(np.int64),
+         world.user_click_bucket[user]],
+        axis=1,
+    )
+    return SampleTable(room=room, bucket=bucket, fields=fields, labels=cols[:, 4:],
+                       weight=np.ones(len(cols)), tasks=("ctr", *coeffs))
 
 
 def gen_world(config, seed):
@@ -308,11 +316,6 @@ def gen_world(config, seed):
     return world
 
 
-def label_rates(samples):
-    tasks = samples[0].labels.keys()
-    return {t: float(np.mean([s.labels[t] for s in samples])) for t in tasks}
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -324,18 +327,17 @@ def _dump_jsonl(path, rows):
             fh.write("\n")
 
 
-def _load_jsonl(path):
-    rows = []
+def _read_jsonl(path):
+    """(line number, record) for each non-blank line of a JSON Lines file."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                yield lineno, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
-    return rows
 
 
 FILES = ("panels.jsonl", "products.jsonl", "samples.jsonl", "users.jsonl", "latent.jsonl")
@@ -378,23 +380,25 @@ def export_dataset(world, dir_path):
             for st in world.streams
         ),
     )
+    samples = world.samples
+    room_ids = [st.room_id for st in world.streams]
     _dump_jsonl(
         dir_path / "samples.jsonl",
         (
             {
-                "room_id": s.room_id,
-                "bucket": s.bucket,
-                "user_id": s.user_id,
-                "aff_bucket": s.aff_bucket,
-                "author_id": s.author_id,
-                "room_category": s.room_category,
-                "item_c3": s.item_c3,
-                "cross_match": s.cross_match,
-                "click_bucket": s.click_bucket,
-                "weight": s.weight,
-                "labels": s.labels,
+                "room_id": room_ids[r],
+                "bucket": t,
+                **dict(zip(FIELD_NAMES, ids)),
+                "weight": w,
+                "labels": dict(zip(samples.tasks, y)),
             }
-            for s in world.samples
+            for r, t, ids, w, y in zip(
+                samples.room.tolist(),
+                samples.bucket.tolist(),
+                samples.fields.tolist(),
+                samples.weight.tolist(),
+                samples.labels.tolist(),
+            )
         ),
     )
     _dump_jsonl(
@@ -440,8 +444,6 @@ def export_dataset(world, dir_path):
 
 def import_dataset(dir_path):
     """Inverse of export_dataset; warns (not fails) on a manifest hash mismatch."""
-    from .config import from_dict
-
     dir_path = Path(dir_path)
     with open(dir_path / "manifest.json") as fh:
         manifest = json.load(fh)
@@ -453,10 +455,10 @@ def import_dataset(dir_path):
         )
     cfg = from_dict({"sim": manifest["config"]}).sim
     hierarchy = CategoryHierarchy.from_json(dir_path / "hierarchy.json")
-    panels = {r["room_id"]: r for r in _load_jsonl(dir_path / "panels.jsonl")}
-    products = {r["room_id"]: r for r in _load_jsonl(dir_path / "products.jsonl")}
-    latents = {r["room_id"]: r for r in _load_jsonl(dir_path / "latent.jsonl")}
-    users = _load_jsonl(dir_path / "users.jsonl")
+    panels = {r["room_id"]: r for _, r in _read_jsonl(dir_path / "panels.jsonl")}
+    products = {r["room_id"]: r for _, r in _read_jsonl(dir_path / "products.jsonl")}
+    latents = {r["room_id"]: r for _, r in _read_jsonl(dir_path / "latent.jsonl")}
+    users = [r for _, r in _read_jsonl(dir_path / "users.jsonl")]
 
     streams = []
     for i, room_id in enumerate(sorted(panels)):
@@ -495,42 +497,32 @@ def import_dataset(dir_path):
         user_aff_bucket=np.asarray([u["aff_bucket"] for u in users], dtype=np.int64),
         user_click_bucket=np.asarray([u["click_bucket"] for u in users], dtype=np.int64),
     )
-    world.samples = [
-        RankSample(
-            room_id=r["room_id"],
-            bucket=r["bucket"],
-            user_id=r["user_id"],
-            aff_bucket=r["aff_bucket"],
-            author_id=r["author_id"],
-            room_category=r["room_category"],
-            item_c3=r["item_c3"],
-            cross_match=r["cross_match"],
-            click_bucket=r["click_bucket"],
-            weight=r["weight"],
-            labels=r["labels"],
-        )
-        for r in _load_jsonl(dir_path / "samples.jsonl")
-    ]
+    room_index = {st.room_id: i for i, st in enumerate(streams)}
+    world.samples = _read_samples(dir_path / "samples.jsonl", room_index, SERVICES[cfg.service])
     return world
 
 
-def structurally_equal(a, b):
-    if len(a.streams) != len(b.streams) or len(a.samples) != len(b.samples):
-        return False
-    for sa, sb in zip(a.streams, b.streams):
-        if sa.room_id != sb.room_id or not np.array_equal(sa.panel.values, sb.panel.values):
-            return False
-        if sa.author.home_c1 != sb.author.home_c1:
-            return False
-        if not np.array_equal(sa.events, sb.events):
-            return False
-        if not np.array_equal(sa.event_buckets, sb.event_buckets):
-            return False
-        if not np.array_equal(sa.phases, sb.phases):
-            return False
-    if not np.allclose(a.user_prefs, b.user_prefs):
-        return False
-    return all(xa == xb for xa, xb in zip(a.samples, b.samples))
+SAMPLE_KEYS = ("room_id", "bucket", *FIELD_NAMES, "weight", "labels")
+
+
+def _read_samples(path, room_index, tasks):
+    """The SampleTable of a samples.jsonl file; a row without one of its keys
+    or labels, or on an unknown room, raises ParseError naming its line."""
+    ids, weight = [], []
+    for line, r in _read_jsonl(path):
+        missing = [k for k in SAMPLE_KEYS if k not in r]
+        missing = missing or [f"labels.{t}" for t in tasks if t not in r["labels"]]
+        if missing:
+            raise ParseError(f"sample has no {', '.join(missing)}", path=str(path), line=line)
+        if r["room_id"] not in room_index:
+            raise ParseError(f"sample room {r['room_id']!r} has no panel", path=str(path), line=line)
+        ids.append([room_index[r["room_id"]], r["bucket"], *(r[k] for k in FIELD_NAMES),
+                    *(r["labels"][t] for t in tasks)])
+        weight.append(r["weight"])
+    cols = np.asarray(ids, dtype=np.int64).reshape(len(ids), 2 + len(FIELD_NAMES) + len(tasks))
+    return SampleTable(room=cols[:, 0], bucket=cols[:, 1], fields=cols[:, 2 : 2 + len(FIELD_NAMES)],
+                       labels=cols[:, 2 + len(FIELD_NAMES) :],
+                       weight=np.asarray(weight, dtype=np.float64), tasks=tuple(tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +530,15 @@ def structurally_equal(a, b):
 
 
 def _probe_features(world, future):
-    rows, ys = [], []
-    streams = {st.room_id: st for st in world.streams}
-    task = "cvr" if "cvr" in world.samples[0].labels else "lvtr"
-    for s in world.samples:
-        st = streams[s.room_id]
-        t = s.bucket
+    samples = world.samples
+    task = samples.tasks.index("cvr" if "cvr" in samples.tasks else "lvtr")
+    rows = []
+    for r, t, u in zip(samples.room.tolist(), samples.bucket.tolist(),
+                       samples.fields[:, 0].tolist()):
+        st = world.streams[r]
         cur = int(np.searchsorted(st.event_buckets, t, side="right")) - 1
         past = [
-            world.user_prefs[s.user_id, st.events[cur, 1]],
+            world.user_prefs[u, st.events[cur, 1]],
             float(st.phases[t] == HIGHLIGHT),
             float(st.phases[t] == GRAB),
             float(st.panel.values[1, max(0, t - 7) : t + 1].mean()),
@@ -554,13 +546,12 @@ def _probe_features(world, future):
         if future:
             nxt = st.events[cur + 1 : cur + 4]
             past = past + [
-                float(world.user_prefs[s.user_id, nxt[:, 1]].mean()),
+                float(world.user_prefs[u, nxt[:, 1]].mean()),
                 float((st.phases[t + 1 : t + 6] == GRAB).any()),
                 float((st.phases[t + 1 : t + 6] == HIGHLIGHT).any()),
             ]
         rows.append(past)
-        ys.append(s.labels[task])
-    return np.asarray(rows), np.asarray(ys)
+    return np.asarray(rows), samples.labels[:, task]
 
 
 def _logistic_auc(x, y, seed=0, epochs=400, lr=0.5):

@@ -30,7 +30,6 @@ from livesight.simgen import (
     CHANNEL_NAMES,
     HIGHLIGHT,
     STEADY,
-    RankSample,
     gen_stream,
     gen_world,
     probe_future_vs_past,
@@ -86,7 +85,8 @@ def forecasting_runs():
         c = art.stat_model.config
         n = len(CHANNEL_NAMES)
         feats = art.bank.stat_steps[art.rows].reshape(len(art.rows), -1)
-        y = np.array([s.labels["ctr"] for s in art.world.samples], dtype=float)
+        samples = art.world.samples
+        y = samples.labels[:, samples.tasks.index("ctr")].astype(float)
         probe = []
         for h in range(1, c.horizon_train + 1):
             idx = np.asarray([ch * c.horizon_train + (h - 1) for ch in range(n)])
@@ -288,7 +288,6 @@ def test_criterion_8_foresight_models_frozen_during_ranking(tmp_path):
         art.world.samples,
         "+both",
         cfg,
-        SERVICES["shopping"],
         art.vocab,
         bank=art.bank,
         rows=art.rows,

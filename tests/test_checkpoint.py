@@ -1,10 +1,20 @@
 """Checkpoint files: bit-exact round trips and deterministic bytes."""
 
+import json
+import re
+import zipfile
+
 import numpy as np
 import pytest
 
 from livesight import tensor as T
-from livesight.checkpoint import file_digest, load_checkpoint, read_checkpoint, save_checkpoint
+from livesight.checkpoint import (
+    file_digest,
+    load_checkpoint,
+    read_checkpoint,
+    read_manifest,
+    save_checkpoint,
+)
 from livesight.errors import StateError
 from livesight.optim import ParamStore, adam_step
 
@@ -101,9 +111,6 @@ def test_extra_metadata_survives(tmp_path):
 
 
 def test_unsupported_format_rejected(tmp_path):
-    import json
-    import zipfile
-
     path = tmp_path / "bad.ckpt"
     with zipfile.ZipFile(path, "w") as zf:
         zf.writestr("manifest.json", json.dumps({"format": 99}))
@@ -144,3 +151,46 @@ def test_never_stepped_store_saves_no_moments(tmp_path):
     assert stepped.moments_m == {} and stepped.moments_v == {}
     step_once(stepped)
     assert sorted(stepped.moments_m) == ["enc.b", "enc.w"]
+
+
+def damaged_checkpoint(tmp_path, damage):
+    """A checkpoint file damaged one way, and whether its manifest still reads."""
+    store = trained_store(8)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, config_hash="h")
+    data = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(data[: len(data) // 2])
+        return path, False
+    if damage == "flipped":  # one byte inside a parameter blob: its CRC-32 fails
+        at = data.find(store["enc.w"].data.tobytes()) + 5
+        assert at > 5
+        path.write_bytes(data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :])
+        return path, True
+    if damage == "not a zip":
+        path.write_text('{"seed": 7}\n')
+        return path, False
+    manifest = {"format": 1, "config_hash": "h", "step": 0, "extra": {},
+                "params": {"enc.w": [4, 3]}, "moments": []}
+    with zipfile.ZipFile(path, "w") as zf:
+        if damage == "wrong shape":
+            manifest["params"]["enc.w"] = [5, 3]
+            zf.writestr("param/enc.w", store["enc.w"].data.tobytes())
+        zf.writestr("manifest.json", json.dumps(manifest))
+    return path, True
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped", "not a zip", "missing member",
+                                    "wrong shape"])
+def test_unreadable_checkpoint_raises_state_error(tmp_path, damage):
+    path, manifest_reads = damaged_checkpoint(tmp_path, damage)
+    named = re.escape(f"{path} is not a readable checkpoint")
+    with pytest.raises(StateError, match=named):
+        read_checkpoint(path)
+    with pytest.raises(StateError, match=named):
+        load_checkpoint(path, clone_shapes(trained_store(8)))
+    if manifest_reads:
+        assert read_manifest(path)["config_hash"] == "h"
+    else:
+        with pytest.raises(StateError, match=named):
+            read_manifest(path)

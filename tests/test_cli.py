@@ -125,6 +125,31 @@ def test_forecaster_keys_agree_across_commands(tiny_config, tmp_path, capsys):
     assert train_rank(tiny_config, data, stat_ckpt, prod_ckpt, tmp_path / "rank") == 0
 
 
+def test_train_rank_reproduces_the_run_rows(tiny_config, tmp_path):
+    # both train the ranker with the config's rank.seed, not the experiment seed
+    out = tmp_path / "run"
+    assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
+    stat_ckpt, prod_ckpt = (next(out.glob(f"{kind}fore-*.ckpt")) for kind in ("stat", "prod"))
+    assert train_rank(tiny_config, out / "data", stat_ckpt, prod_ckpt, tmp_path / "rank") == 0
+
+    def both_rows(path):
+        return [line for line in path.read_text().splitlines() if line.startswith("+both,")]
+
+    rows = both_rows(tmp_path / "rank" / "rank_report.csv")
+    assert len(rows) == 2
+    assert rows == both_rows(out / "rank_report.csv")
+
+
+def test_train_rank_rejects_a_file_that_is_not_a_checkpoint(tiny_config, dataset_dir, checkpoints,
+                                                            tmp_path, capsys):
+    manifest = dataset_dir / "manifest.json"
+    assert train_rank(tiny_config, dataset_dir, manifest, checkpoints["prod"], tmp_path / "rank") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest} is not a readable checkpoint")
+    assert "Traceback" not in err
+    assert not (tmp_path / "rank").exists()
+
+
 def test_train_stat_rejects_zero_epochs(tiny_config, dataset_dir, tmp_path, capsys):
     ckpt = tmp_path / "stat.ckpt"
     args = ["--config", tiny_config, "--data", str(dataset_dir), "--epochs", "0"]

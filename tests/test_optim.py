@@ -21,7 +21,7 @@ def test_store_rejects_duplicates_and_unknowns():
         store["nope"]
     assert "w" in store and "nope" not in store
     assert store.names() == ["w"]
-    assert store.n_parameters() == 1
+    assert store.values.size == 1
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
@@ -141,7 +141,7 @@ def test_parameters_are_views_of_one_buffer():
     store = ParamStore()
     store.add("a", np.ones((2, 3)))
     b = store.add("b", np.arange(4.0))
-    assert shares_buffer(store) and store.values.size == store.n_parameters() == 10
+    assert shares_buffer(store) and store.values.size == 10
     assert np.array_equal(b.data, np.arange(4.0))
     assert store.moments_m == {} and store.moments_v == {}
     for _, p in store.items():

@@ -55,7 +55,8 @@ def test_write_csv_formats_and_headers(tmp_path):
 
 def test_bank_covers_every_sample(art):
     bank, c = art.bank, art.stat_model.config
-    keys = {(s.room_id, s.bucket) for s in art.world.samples}
+    samples = art.world.samples
+    keys = set(zip(samples.room.tolist(), samples.bucket.tolist()))
     assert set(zip(bank.room.tolist(), bank.bucket.tolist())) == keys
     assert len(bank) == len(keys)
     n, d = len(art.world.streams[0].panel.channels), c.d_model
@@ -68,9 +69,10 @@ def test_bank_covers_every_sample(art):
 
 
 def test_bank_rows_point_at_sample_keys(art):
-    assert art.rows.shape == (len(art.world.samples),)
-    for i, s in enumerate(art.world.samples):
-        assert (art.bank.room[art.rows[i]], art.bank.bucket[art.rows[i]]) == (s.room_id, s.bucket)
+    samples = art.world.samples
+    assert art.rows.shape == (len(samples),)
+    assert np.array_equal(art.bank.room[art.rows], samples.room)
+    assert np.array_equal(art.bank.bucket[art.rows], samples.bucket)
 
 
 def test_bank_entries_are_plain_arrays(art):
@@ -94,11 +96,10 @@ def test_long_streams_forecast_each_prefix_without_lookahead(long_art):
     # each bank row must be the forecast from its own prefix, never from later events
     art = long_art
     model, k_enc = art.prod_model, art.cfg.rank.k_enc
-    streams = {st.room_id: st for st in art.world.streams}
-    assert max(len(st.events) for st in streams.values()) > model.config.max_context
-    for room_id, t, dist, enc in zip(art.bank.room, art.bank.bucket, art.bank.dist,
-                                     art.bank.prod_enc):
-        st = streams[room_id]
+    streams = art.world.streams
+    assert max(len(st.events) for st in streams) > model.config.max_context
+    for r, t, dist, enc in zip(art.bank.room, art.bank.bucket, art.bank.dist, art.bank.prod_enc):
+        st = streams[r]
         cur = int(np.searchsorted(st.event_buckets, t, side="right")) - 1
         fc = prodfore.forecast_product(model, st.events[: cur + 1])
         tail = fc.encoding[-k_enc:].ravel()
@@ -137,12 +138,32 @@ def test_stat_context_must_fit_before_the_first_sample():
     assert art.bank.bucket.min() == 32
 
 
-@pytest.mark.parametrize("section", ["stat", "prod", "rank"])
-@pytest.mark.parametrize("name", ["epochs", "batch"])
-def test_training_needs_an_epoch_and_a_batch(section, name):
-    with pytest.raises(ConfigurationError, match=f"{name} must be >= 1, got 0"):
-        from_dict({section: {name: 0}})
-    assert getattr(getattr(from_dict({section: {name: 1}}), section), name) == 1
+def training_case(section, name, bad, good, message, tag=""):
+    return pytest.param(section, name, bad, good, message, id=f"{name}{tag}-{section}")
+
+
+@pytest.mark.parametrize(
+    "section,name,bad,good,message",
+    [
+        training_case(section, name, 0, 1, f"{name} must be >= 1, got 0")
+        for section in ("prod", "rank", "stat")
+        for name in ("batch", "epochs")
+    ]
+    + [
+        training_case(section, "lr", bad, 1e-3, f"lr must be > 0, got {bad}", f"={bad}")
+        for section in ("prod", "rank", "stat")
+        for bad in (0, -1)
+    ]
+    + [
+        training_case("rank", "eval_fraction", bad, 0.5,
+                      f"eval_fraction must be in \\(0, 1\\), got {bad}", f"={bad}")
+        for bad in (0, 1, -0.2, 1.5)
+    ],
+)
+def test_training_needs_an_epoch_and_a_batch(section, name, bad, good, message):
+    with pytest.raises(ConfigurationError, match=message):
+        from_dict({section: {name: bad}})
+    assert getattr(getattr(from_dict({section: {name: good}}), section), name) == good
 
 
 def test_checkpoint_reuse_restores_same_models(art, tmp_path):
@@ -213,9 +234,8 @@ def test_group_masked_bank_keeps_forecasts_and_encodings(art):
 def test_substituted_stat_bank_matches_baseline(art):
     c = art.stat_model.config
     bank = pipeline._stat_baseline_bank(art, "latest")
-    streams = {s.room_id: s for s in art.world.streams}
     for k in (0, len(bank) - 1):
-        st = streams[bank.room[k]]
+        st = art.world.streams[bank.room[k]]
         t = bank.bucket[k]
         window = st.panel.values[:, t - c.context + 1 : t + 1]
         expect = statfore.baseline_forecast(window, c.horizon_infer, "latest").ravel()
@@ -230,8 +250,7 @@ def test_substituted_prod_bank_onehot_drops_encodings(art):
     bank = pipeline._prod_baseline_bank(art, "latest")
     assert bank.prod_enc.shape == (len(bank), 0)
     assert np.all(bank.dist.sum(axis=1) == 1.0) and np.all((bank.dist == 1.0).sum(axis=1) == 1)
-    streams = {s.room_id: s for s in art.world.streams}
-    st = streams[bank.room[0]]
+    st = art.world.streams[bank.room[0]]
     cur = int(np.searchsorted(st.event_buckets, bank.bucket[0], side="right")) - 1
     assert bank.dist[0, st.events[cur, 3]] == 1.0
     assert pipeline._prod_baseline_bank(art, "model").dist is art.bank.dist

@@ -43,7 +43,7 @@ def test_hierarchy_parent_consistency():
     assert (h.n_c1, h.n_c2, h.n_c3, h.n_products) == (2, 4, 8, 16)
     for p in range(h.n_products):
         c1, c2, c3 = h.parents_of_product(p)
-        assert h.c1_of_c3(c3) == c1
+        assert h.c2_to_c1[h.c3_to_c2[c3]] == c1
         assert c3 in h.c3_children_of_c2(c2)
         assert c3 in h.c3_children_of_c1(c1)
 

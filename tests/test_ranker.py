@@ -20,7 +20,7 @@ from livesight.ranker import (
     rank_loss,
     train_ranker,
 )
-from livesight.simgen import RankSample
+from livesight.simgen import FIELD_NAMES, SampleTable
 from livesight.tensor import Tensor
 
 VOCAB = {
@@ -37,21 +37,12 @@ CFG = RankConfig(emb_width=16, hidden=64, epochs=8, batch=16, lr=1e-2, seed=0)
 BASE_WIDTH = 16 * 7
 
 
-def sample(seed=0, **labels):
+def sample(seed=0):
+    """One random exposure: its seven field ids and its (ctr, cvr) labels."""
     rng = np.random.default_rng(seed)
-    return RankSample(
-        room_id="room-0",
-        bucket=int(rng.integers(0, 50)),
-        user_id=int(rng.integers(0, 10)),
-        aff_bucket=int(rng.integers(0, 5)),
-        author_id=int(rng.integers(0, 6)),
-        room_category=int(rng.integers(0, 5)),
-        item_c3=int(rng.integers(0, 12)),
-        cross_match=int(rng.integers(0, 2)),
-        click_bucket=int(rng.integers(0, 4)),
-        weight=1.0,
-        labels=labels or {"ctr": int(rng.random() < 0.3), "cvr": int(rng.random() < 0.2)},
-    )
+    rng.integers(0, 50)  # the bucket, which the ranker does not read
+    ids = np.array([rng.integers(0, VOCAB[name]) for name in FIELD_NAMES])
+    return ids, [int(rng.random() < 0.3), int(rng.random() < 0.2)]
 
 
 def model_for(variant):
@@ -59,8 +50,12 @@ def model_for(variant):
                         prod_enc_width=24)
 
 
-def fields_of(s):
-    return np.asarray(s.field_values())[None]
+def fields_of(seed=0):
+    return sample(seed)[0][None]
+
+
+def fields(n):
+    return np.stack([sample(i)[0] for i in range(n)])
 
 
 def full_foresight():
@@ -71,7 +66,7 @@ def full_foresight():
 
 def bank_of(stat, dist, prod_enc):
     k = len(dist)
-    return ForesightBank(room=np.array([f"r{i}" for i in range(k)]),
+    return ForesightBank(room=np.arange(k),
                          bucket=np.zeros(k, dtype=np.int64), stat_steps=np.zeros((k, 4, 5)),
                          stat_enc=np.zeros((k, 4, 2)), stat=stat, dist=dist,
                          prod_enc=prod_enc, d_mix=8)
@@ -79,10 +74,10 @@ def bank_of(stat, dist, prod_enc):
 
 def test_input_width_additivity():
     fore = full_foresight()
-    base = model_for("base").features(fields_of(sample()), **fore)
-    stat = model_for("+stat").features(fields_of(sample()), **fore)
-    prod = model_for("+prod").features(fields_of(sample()), **fore)
-    both = model_for("+both").features(fields_of(sample()), **fore)
+    base = model_for("base").features(fields_of(), **fore)
+    stat = model_for("+stat").features(fields_of(), **fore)
+    prod = model_for("+prod").features(fields_of(), **fore)
+    both = model_for("+both").features(fields_of(), **fore)
     assert base.shape == (1, BASE_WIDTH)
     assert stat.shape == (1, BASE_WIDTH + 20)
     assert prod.shape == (1, BASE_WIDTH + 8 + 24)
@@ -91,19 +86,18 @@ def test_input_width_additivity():
 
 
 def test_base_prefix_is_shared_across_variants():
-    s = sample(1)
     zeroed = {"stat": np.zeros((1, 20)), "dist": np.zeros((1, 12)), "prod_enc": np.zeros((1, 24))}
-    base = model_for("base").features(fields_of(s))
-    stat = model_for("+stat").features(fields_of(s), **zeroed)
+    base = model_for("base").features(fields_of(1))
+    stat = model_for("+stat").features(fields_of(1), **zeroed)
     assert np.array_equal(stat.data[:, :BASE_WIDTH], base.data)
     assert not stat.data[:, BASE_WIDTH:].any()
 
 
 def test_missing_foresight_part_rejected():
     with pytest.raises(ConfigurationError):
-        model_for("+stat").features(fields_of(sample()))
+        model_for("+stat").features(fields_of())
     with pytest.raises(ConfigurationError):
-        model_for("+prod").features(fields_of(sample()), stat=np.zeros((1, 20)))
+        model_for("+prod").features(fields_of(), stat=np.zeros((1, 20)))
     with pytest.raises(ConfigurationError):
         RankingModel(CFG, VOCAB, TASKS, "+stat")  # no stat width configured
     with pytest.raises(ConfigurationError):
@@ -123,14 +117,14 @@ def test_c3_mix_is_the_only_trainable_foresight_path():
     enc = np.random.default_rng(0).normal(size=(1, 16))
     onehot = np.zeros((1, 12))
     onehot[0, 7] = 1.0
-    x = model.features(fields_of(sample()), dist=onehot, prod_enc=enc)
+    x = model.features(fields_of(), dist=onehot, prod_enc=enc)
     assert x.shape == (1, BASE_WIDTH + 6 + 16)
     assert np.allclose(x.data[0, BASE_WIDTH : BASE_WIDTH + 6], mix[7], atol=1e-12)
     # unfitted normalizer, damped by 1/width: the encodings enter as constants
     assert np.array_equal(x.data[0, BASE_WIDTH + 6 :], enc[0] / 16)
 
     uniform = np.full((1, 12), 1.0 / 12)
-    x_u = model.features(fields_of(sample()), dist=uniform, prod_enc=enc)
+    x_u = model.features(fields_of(), dist=uniform, prod_enc=enc)
     assert np.allclose(x_u.data[0, BASE_WIDTH : BASE_WIDTH + 6], mix.mean(axis=0), atol=1e-12)
 
     # the foresight columns reach the mixing table and no other parameter
@@ -141,12 +135,12 @@ def test_c3_mix_is_the_only_trainable_foresight_path():
         assert moved == (name == "c3_mix"), name
 
     with pytest.raises(DimensionError):
-        model.features(fields_of(sample()), dist=np.zeros((1, 9)), prod_enc=enc)
+        model.features(fields_of(), dist=np.zeros((1, 9)), prod_enc=enc)
 
 
 def test_forward_probabilities_in_open_interval():
     model = model_for("+both")
-    probs = model.forward(model.features(fields_of(sample(2)), **full_foresight()))
+    probs = model.forward(model.features(fields_of(2), **full_foresight()))
     assert probs.shape == (1, len(TASKS))
     assert np.all((0.0 < probs.data) & (probs.data < 1.0))
 
@@ -155,7 +149,7 @@ def test_all_zero_parameters_give_half():
     model = model_for("base")
     for _, p in model.store.items():
         p.data = np.zeros_like(p.data)
-    probs = model.forward(model.features(fields_of(sample(3))))
+    probs = model.forward(model.features(fields_of(3)))
     assert np.all(probs.data == 0.5)
 
 
@@ -170,14 +164,13 @@ def test_gradient_oracle_tiny_ranker():
     model = RankingModel(cfg, VOCAB, TASKS, "+both", stat_width=6, n_c3=12,
                          d_mix=4, prod_enc_width=8)
     rng = np.random.default_rng(4)
-    fields = np.stack([np.asarray(sample(i).field_values()) for i in range(4)])
     stat = rng.normal(size=(4, 6))
     dist = rng.dirichlet(np.ones(12), size=4)
     enc = rng.normal(size=(4, 8))
     y = (rng.random((4, 2)) < 0.5).astype(float)
 
     def loss():
-        x = model.features(fields, stat=stat, dist=dist, prod_enc=enc)
+        x = model.features(fields(4), stat=stat, dist=dist, prod_enc=enc)
         return rank_loss(model.forward(x), y)
 
     assert grad_check(loss, model.store, max_coords=128) < 1e-4
@@ -196,22 +189,22 @@ def test_rank_loss_hand_values():
 
 
 def dataset(n=400, seed=5):
-    """n samples, each on its own bank row."""
+    """A SampleTable of n samples, each on its own bank row."""
     rng = np.random.default_rng(seed)
-    samples = []
     stat = rng.normal(size=(n, 20))
+    ids, labels = map(np.array, zip(*(sample(1000 + i) for i in range(n))))
     for i in range(n):
-        s = sample(1000 + i)
         # make ctr depend on the stat part so foresight has signal to find
-        s.labels["ctr"] = int(rng.random() < 1.0 / (1.0 + np.exp(-2.0 * stat[i, :4].mean())))
-        samples.append(RankSample(**{**s.__dict__, "room_id": f"r{i}", "bucket": 0}))
+        labels[i, 0] = int(rng.random() < 1.0 / (1.0 + np.exp(-2.0 * stat[i, :4].mean())))
+    samples = SampleTable(room=np.arange(n), bucket=np.zeros(n, dtype=np.int64), fields=ids,
+                          labels=labels, weight=np.ones(n), tasks=TASKS)
     bank = bank_of(stat, rng.dirichlet(np.ones(12), size=n), rng.normal(size=(n, 24)))
     return samples, bank, np.arange(n)
 
 
 def test_training_reduces_loss_and_reports_metrics():
     samples, bank, rows = dataset()
-    model, report, history = train_ranker(samples, "+stat", CFG, TASKS, VOCAB,
+    model, report, history = train_ranker(samples, "+stat", CFG, VOCAB,
                                           bank=bank, rows=rows)
     assert model.stat_width == 20
     assert history[-1] < history[0]
@@ -222,7 +215,7 @@ def test_training_reduces_loss_and_reports_metrics():
 
 def test_base_variant_needs_no_bank():
     samples, _, _ = dataset(200)
-    model, report, _ = train_ranker(samples, "base", CFG, TASKS, VOCAB)
+    model, report, _ = train_ranker(samples, "base", CFG, VOCAB)
     assert model.input_width == BASE_WIDTH
     assert "ctr" in report
 
@@ -230,11 +223,11 @@ def test_base_variant_needs_no_bank():
 def test_variant_without_bank_rejected():
     samples, bank, rows = dataset(50)
     with pytest.raises(ConfigurationError, match="bank"):
-        train_ranker(samples, "+stat", CFG, TASKS, VOCAB)
+        train_ranker(samples, "+stat", CFG, VOCAB)
     with pytest.raises(ConfigurationError, match="rows"):
-        train_ranker(samples, "+stat", CFG, TASKS, VOCAB, bank=bank)
+        train_ranker(samples, "+stat", CFG, VOCAB, bank=bank)
     with pytest.raises(ContractError, match="ForesightBank"):
-        train_ranker(samples, "+stat", CFG, TASKS, VOCAB, bank=object(), rows=rows)
+        train_ranker(samples, "+stat", CFG, VOCAB, bank=object(), rows=rows)
 
 
 def test_live_tensor_in_bank_rejected():
@@ -255,7 +248,7 @@ def test_training_is_deterministic():
     samples, bank, rows = dataset(120)
     reports = []
     for _ in range(2):
-        _, report, _ = train_ranker(samples, "+both", CFG, TASKS, VOCAB, bank=bank, rows=rows)
+        _, report, _ = train_ranker(samples, "+both", CFG, VOCAB, bank=bank, rows=rows)
         reports.append(report)
     assert reports[0] == reports[1]
 
@@ -290,8 +283,8 @@ def test_training_holds_no_whole_sample_foresight_block():
     block_bytes = len(samples) * (wide + n_c3 + wide) * 8
     tracemalloc.start()
     try:
-        train_ranker(samples, "+both", RankConfig(epochs=1), TASKS,
-                     pipeline.vocab_sizes(world.config), bank=bank, rows=rows)
+        train_ranker(samples, "+both", RankConfig(epochs=1), pipeline.vocab_sizes(world.config),
+                     bank=bank, rows=rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -307,13 +300,13 @@ def test_batched_scoring_equals_one_whole_forward(n):
     bank = bank_of(rng.normal(size=(k, 20)), rng.dirichlet(np.ones(12), size=k),
                    rng.normal(size=(k, 24)))
     rows = rng.integers(0, k, size=n)
-    fields = np.stack([np.asarray(sample(i).field_values()) for i in range(n)])
+    ids = fields(n)
     model = RankingModel(RankConfig(batch=128), VOCAB, TASKS, "+both", stat_width=20,
                          n_c3=12, d_mix=8, prod_enc_width=24)
     model.fit_normalizers(bank, rows)
 
     def batch_input(idx):
-        return model.features(fields[idx], stat=bank.stat[rows[idx]],
+        return model.features(ids[idx], stat=bank.stat[rows[idx]],
                               dist=bank.dist[rows[idx]], prod_enc=bank.prod_enc[rows[idx]])
 
     idx = rng.permutation(n)
@@ -325,9 +318,9 @@ def test_batched_scoring_equals_one_whole_forward(n):
 
 def test_restored_best_state_stays_in_the_flat_buffer():
     samples, bank, rows = dataset(120)
-    model, _, _ = train_ranker(samples, "+both", CFG, TASKS, VOCAB, bank=bank, rows=rows)
+    model, _, _ = train_ranker(samples, "+both", CFG, VOCAB, bank=bank, rows=rows)
     assert all(np.shares_memory(p.data, model.store.values) for _, p in model.store.items())
-    x = model.features(np.stack([s.field_values() for s in samples[:5]]),
+    x = model.features(samples.fields[:5],
                        stat=bank.stat[:5], dist=bank.dist[:5], prod_enc=bank.prod_enc[:5])
     before = model.forward(x).data.copy()
     for _, p in model.store.items():

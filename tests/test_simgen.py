@@ -1,27 +1,30 @@
 """Generator checks: determinism, phase-conditional rates, category persistence,
 label base rates, dataset round trips, and the future-vs-past signal probe."""
 
+import json
+
 import numpy as np
 import pytest
 
-from livesight.config import SimConfig
+from livesight.config import SERVICES, SimConfig
 from livesight.errors import ConfigurationError, DatasetError, ParseError
 from livesight.prodfore import CategoryHierarchy
 from livesight.simgen import (
     CHANNELS,
     CHANNEL_NAMES,
+    FIELD_NAMES,
+    FILES,
     GRAB,
     HIGHLIGHT,
     STEADY,
     AuthorStyle,
+    SampleTable,
     export_dataset,
     gen_interactions,
     gen_stream,
     gen_world,
     import_dataset,
-    label_rates,
     probe_future_vs_past,
-    structurally_equal,
 )
 
 SMALL = SimConfig(streams=10, users=50, n_samples=600)
@@ -121,6 +124,10 @@ def test_events_consistent_with_hierarchy(hierarchy):
 # interaction sampling
 
 
+def label_rates(samples):
+    return dict(zip(samples.tasks, samples.labels.mean(axis=0)))
+
+
 def test_label_rates_within_band(default_world):
     rates = label_rates(default_world.samples)
     assert set(rates) == {"ctr", "cvr"}
@@ -139,12 +146,17 @@ def test_talent_service_emits_five_tasks():
 
 def test_sample_fields_are_coherent(default_world):
     w = default_world
-    for s in w.samples[:500]:
-        assert s.bucket >= 32
-        assert s.cross_match == int(s.aff_bucket == s.room_category)
-        assert s.aff_bucket == int(w.user_prefs[s.user_id].argmax())
-        assert 0 <= s.item_c3 < w.config.n_c3
-        assert s.weight == 1.0
+    s = w.samples
+    assert isinstance(s, SampleTable) and s.tasks == SERVICES["shopping"]
+    col = {name: s.fields[:500, k] for k, name in enumerate(FIELD_NAMES)}
+    assert np.all(s.bucket[:500] >= 32)
+    assert np.array_equal(col["cross_match"], col["aff_bucket"] == col["room_category"])
+    assert np.array_equal(col["aff_bucket"], w.user_prefs[col["user_id"]].argmax(axis=1))
+    assert np.all((0 <= col["item_c3"]) & (col["item_c3"] < w.config.n_c3))
+    assert np.all(s.weight[:500] == 1.0)
+    authors = [w.streams[r].author for r in s.room[:500]]
+    assert col["author_id"].tolist() == [a.author_id for a in authors]
+    assert col["room_category"].tolist() == [a.home_c1 for a in authors]
 
 
 def test_empty_streams_rejected(default_world):
@@ -152,12 +164,16 @@ def test_empty_streams_rejected(default_world):
         gen_interactions([], default_world, seed=0)
 
 
-def test_world_determinism():
-    a = gen_world(SMALL, seed=5)
-    b = gen_world(SMALL, seed=5)
-    assert structurally_equal(a, b)
-    c = gen_world(SMALL, seed=6)
-    assert not structurally_equal(a, c)
+def dataset_bytes(path):
+    return {name: (path / name).read_bytes() for name in (*FILES, "hierarchy.json", "manifest.json")}
+
+
+def test_world_determinism(tmp_path):
+    export_dataset(gen_world(SMALL, seed=5), tmp_path / "a")
+    export_dataset(gen_world(SMALL, seed=5), tmp_path / "b")
+    assert dataset_bytes(tmp_path / "a") == dataset_bytes(tmp_path / "b")
+    export_dataset(gen_world(SMALL, seed=6), tmp_path / "c")
+    assert dataset_bytes(tmp_path / "a") != dataset_bytes(tmp_path / "c")
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +186,13 @@ def test_round_trip_preserves_world(tmp_path):
     assert manifest["counts"]["streams"] == 10
     assert manifest["counts"]["samples"] == len(world.samples)
     back = import_dataset(tmp_path / "ds")
-    assert structurally_equal(world, back)
+    # export -> import -> export writes the same bytes
+    export_dataset(back, tmp_path / "again")
+    assert dataset_bytes(tmp_path / "again") == dataset_bytes(tmp_path / "ds")
     assert back.config.n_c3 == world.config.n_c3
-    assert back.samples[0].labels == world.samples[0].labels
+    for name in ("room", "bucket", "fields", "labels", "weight"):
+        assert np.array_equal(getattr(back.samples, name), getattr(world.samples, name)), name
+    assert back.samples.tasks == world.samples.tasks
 
 
 def test_same_seed_same_dataset_hash(tmp_path):
@@ -201,6 +221,21 @@ def test_truncated_file_names_the_line(tmp_path):
     with pytest.warns(UserWarning), pytest.raises(ParseError, match="panels.jsonl:10") as err:
         import_dataset(tmp_path / "ds")
     assert err.value.line == 10
+
+
+@pytest.mark.parametrize("drop,missing", [("bucket", "bucket"), ("cvr", "labels.cvr")])
+def test_sample_row_without_a_key_names_the_line(tmp_path, drop, missing):
+    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
+    path = tmp_path / "ds" / "samples.jsonl"
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[2])
+    row.pop(drop, None)
+    row["labels"].pop(drop, None)
+    lines[2] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.warns(UserWarning), pytest.raises(ParseError, match=f"samples.jsonl:3: .*{missing}") as err:
+        import_dataset(tmp_path / "ds")
+    assert err.value.line == 3
 
 
 # ---------------------------------------------------------------------------
