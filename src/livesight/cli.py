@@ -83,8 +83,7 @@ def cmd_train_rank(args):
         world, stat_model, prod_model, k_enc=cfg.rank.k_enc
     )
     _, report, history = ranker.train_ranker(
-        world.samples, cfg.variant, cfg.rank, pipeline.vocab_sizes(world.config),
-        bank=bank, rows=bank_rows,
+        world.samples, cfg.variant, cfg.rank, bank=bank, rows=bank_rows
     )
     path = pipeline.write_rank_report(cfg.out_dir, cfg, {cfg.variant: report})
     print(f"loss {history[0]:.3f} -> {history[-1]:.3f}")

@@ -35,6 +35,14 @@ def _check_training(cfg):
         raise ConfigurationError(f"{type(cfg).__name__}.lr must be > 0, got {cfg.lr}")
 
 
+def _check_heads(cfg):
+    if cfg.heads < 1 or cfg.d_model % cfg.heads:
+        raise ConfigurationError(
+            f"{type(cfg).__name__}.heads must be >= 1 and divide d_model {cfg.d_model}, "
+            f"got {cfg.heads}"
+        )
+
+
 @dataclass
 class SimConfig:
     streams: int = 60
@@ -104,6 +112,7 @@ class StatConfig:
             )
         if self.context < 2:
             raise ConfigurationError(f"context must be >= 2, got {self.context}")
+        _check_heads(self)
         _check_training(self)
 
 
@@ -120,6 +129,7 @@ class ProdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_heads(self)
         _check_training(self)
 
 
@@ -160,6 +170,11 @@ class ExperimentConfig:
                 f"stat.context {self.stat.context} is longer than the {SAMPLE_BUCKET_FLOOR + 1} "
                 f"buckets before the first exposure sample (bucket {SAMPLE_BUCKET_FLOOR})"
             )
+        if self.stat.context + self.stat.horizon_train > self.sim.buckets:
+            raise ConfigurationError(
+                f"stat.context + stat.horizon_train = {self.stat.context} + "
+                f"{self.stat.horizon_train} exceeds sim.buckets {self.sim.buckets}"
+            )
 
     @property
     def tasks(self):
@@ -170,31 +185,45 @@ def to_dict(cfg):
     return dataclasses.asdict(cfg)
 
 
-def _build(cls, data):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - fields
+def _conforms(value, default):
+    """Whether a JSON value can stand for `default`: the same type (an int may
+    stand for a float), and for a tuple as many items, each conforming."""
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(map(_conforms, value, default)))
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, type(default)) or (type(default) is float and type(value) is int)
+
+
+def _build(cls, data, section=""):
+    """`cls` from a JSON object; an unknown key or a value of the wrong type
+    raises ConfigurationError naming `section.key`."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config {section or 'file'} must be a JSON object, got {data!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown {cls.__name__} keys {sorted(unknown)}")
-    kwargs = {}
     for name, value in data.items():
-        if name == "phase_matrix":
-            value = tuple(tuple(row) for row in value)
-        kwargs[name] = value
-    return cls(**kwargs)
+        default = fields[name].default
+        if default is not dataclasses.MISSING and not _conforms(value, default):
+            key = f"{section}.{name}" if section else name
+            raise ConfigurationError(
+                f"{key} must be of type {type(default).__name__}, got {value!r}"
+            )
+    if "phase_matrix" in data:
+        data = {**data, "phase_matrix": tuple(tuple(row) for row in data["phase_matrix"])}
+    return cls(**data)
+
+
+SECTIONS = {"sim": SimConfig, "stat": StatConfig, "prod": ProdConfig, "rank": RankConfig}
 
 
 def from_dict(data):
-    data = dict(data)
-    out = {}
-    for sub, cls in (("sim", SimConfig), ("stat", StatConfig), ("prod", ProdConfig), ("rank", RankConfig)):
-        if sub in data:
-            out[sub] = _build(cls, data.pop(sub))
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(data) - fields
-    if unknown:
-        raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
-    out.update(data)
-    return ExperimentConfig(**out)
+    if isinstance(data, dict):
+        data = {k: _build(SECTIONS[k], v, k) if k in SECTIONS else v for k, v in data.items()}
+    return _build(ExperimentConfig, data)
 
 
 def load_config(path):

@@ -24,6 +24,10 @@ class DatasetError(ValueError):
 class VocabularyError(IndexError):
     """A categorical index falls outside its vocabulary."""
 
+    def __init__(self, message, row=None):
+        self.row = row
+        super().__init__(message)
+
 
 class LabelError(ValueError):
     """A supervision label is outside its admissible set."""

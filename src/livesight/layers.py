@@ -42,14 +42,27 @@ def dense_forward(x, w, b):
     return T.dense(x, w, b)
 
 
-def lookup(table, indices, vocab_name="vocabulary"):
-    """Embedding rows for integer indices, rejecting out-of-range ids."""
-    indices = np.asarray(indices)
-    rows = table.shape[0]
-    if indices.size and (indices.min() < 0 or indices.max() >= rows):
-        bad = indices.min() if indices.min() < 0 else indices.max()
-        raise VocabularyError(f"index {bad} outside {vocab_name} of size {rows}")
-    return T.embedding(table, indices.astype(np.int64))
+def check_ids(ids, sizes, names):
+    """Raise VocabularyError, naming the column and carrying the flat row, at
+    the first id of `ids` (..., F) outside [0, sizes[k]) in its column k."""
+    ids = np.asarray(ids).reshape(-1, len(sizes))
+    bad = np.argwhere((ids < 0) | (ids >= np.asarray(sizes)))
+    if len(bad):
+        row, k = bad[0]
+        msg = f"{names[k]} {ids[row, k]} outside its vocabulary of size {sizes[k]}"
+        raise VocabularyError(msg, row=int(row))
+
+
+def lookup(table, ids, sizes, names):
+    """Embeddings (..., F*E) of ids (..., F) in one gather: column k reads the
+    k-th block of sizes[k] rows of `table`. Each id is checked against its own
+    column's size, since a bad one would read another column's rows."""
+    ids = np.asarray(ids)
+    if ids.shape[-1] != len(sizes) or table.shape[0] != sum(sizes):
+        raise DimensionError(f"ids {ids.shape} and table {table.shape} do not fit sizes {sizes}")
+    check_ids(ids, sizes, names)
+    rows = T.embedding(table, ids.astype(np.int64) + np.cumsum((0, *sizes[:-1])))
+    return T.reshape(rows, ids.shape[:-1] + (len(sizes) * table.shape[1],))
 
 
 def init_dense(store, prefix, fan_in, fan_out, rng):

@@ -49,7 +49,6 @@ class Artifacts:
     prod_model: ProductModel
     bank: ranker.ForesightBank
     rows: np.ndarray  # (S,) bank row of each world sample
-    vocab: dict
     timings: dict = field(default_factory=dict)
 
 
@@ -114,19 +113,6 @@ def build_foresight_bank(world, stat_model, prod_model, k_enc=8):
         d_mix=prod_model.config.d_model,
     )
     return bank, rows
-
-
-def vocab_sizes(sim):
-    """Embedding-table sizes of the ranker's id fields in a world built from `sim`."""
-    return {
-        "user_id": sim.users,
-        "aff_bucket": sim.n_c1,
-        "author_id": sim.streams,
-        "room_category": sim.n_c1,
-        "item_c3": sim.n_c3,
-        "cross_match": 2,
-        "click_bucket": 4,
-    }
 
 
 def training_digest(world, train_rooms):
@@ -252,7 +238,6 @@ def prepare(cfg, out_dir=None, reuse=True):
         prod_model=prod_model,
         bank=bank,
         rows=rows,
-        vocab=vocab_sizes(cfg.sim),
         timings=timings,
     )
 
@@ -263,7 +248,6 @@ def train_variant(art, variant, bank=None):
         art.world.samples,
         variant,
         art.cfg.rank,
-        art.vocab,
         bank=bank if bank is not None else art.bank,
         rows=art.rows,
     )

@@ -1,8 +1,8 @@
 """Next-category forecasting over a room's sold-product sequence.
 
-Each sold product is embedded through four tables (item id plus its three
-hierarchy levels), projected to the model width, and run through a causal
-transformer. Every position is trained to predict the FOLLOWING event's
+Each sold product is embedded by its item id and its three hierarchy levels
+(four row blocks of one table), projected to the model width, and run through
+a causal transformer. Every position is trained to predict the FOLLOWING event's
 finest category, so one forward pass supervises all prefixes at once and, at
 inference, yields the forecast for every prefix of a room's history.
 """
@@ -140,13 +140,9 @@ class ProductModel:
         c = config
         rng = np.random.default_rng([c.seed, 0xBEEF])
         h = hierarchy
-        for name, rows in (
-            ("emb.item", h.n_products),
-            ("emb.c1", h.n_c1),
-            ("emb.c2", h.n_c2),
-            ("emb.c3", h.n_c3),
-        ):
-            self.store.add(name, layers.embedding_init(rng, rows, c.d_model))
+        # one table for the four event columns, a block of rows each
+        self.event_vocab = (h.n_products, h.n_c1, h.n_c2, h.n_c3)
+        self.store.add("emb.events", layers.embedding_init(rng, sum(self.event_vocab), c.d_model))
         self.store.add("pos", layers.embedding_init(rng, c.max_context, c.d_model))
         layers.init_dense(self.store, "inproj", 4 * c.d_model, c.d_model, rng)
         layers.init_encoder(self.store, "enc", c.n_blocks, c.d_model, c.d_ff, rng)
@@ -156,13 +152,11 @@ class ProductModel:
         return config_hash(to_dict(self.config))
 
     def embed_sequence(self, events):
-        """Events (..., L, 4) -> tokens (..., L, 4D): the four lookups concatenated."""
-        names = ("emb.item", "emb.c1", "emb.c2", "emb.c3")
-        parts = [
-            layers.lookup(self.store[name], events[..., k], name)
-            for k, name in enumerate(names)
-        ]
-        return T.concat(parts, axis=-1)
+        """Events (..., L, 4) -> tokens (..., L, 4D): the item, c1, c2 and c3
+        embeddings side by side."""
+        return layers.lookup(
+            self.store["emb.events"], events, self.event_vocab, ("item", "c1", "c2", "c3")
+        )
 
     def forward_positions(self, events):
         """Events (B, L, 4) -> (per-position next-c3 logits (B, L, |C3|), encodings (B, L, D))."""

@@ -64,8 +64,9 @@ def _uses(variant):
 
 
 class RankingModel:
-    def __init__(self, config: RankConfig, vocab_sizes, tasks, variant, stat_width=0, n_c3=0, d_mix=32, prod_enc_width=0):
+    def __init__(self, config: RankConfig, vocab, tasks, variant, stat_width=0, n_c3=0, d_mix=32, prod_enc_width=0):
         self.config = config
+        self.vocab = tuple(vocab)  # each id field's vocabulary size, in FIELD_NAMES order
         self.tasks = tuple(tasks)
         self.variant = variant
         self.use_stat, self.use_prod = _uses(variant)
@@ -78,11 +79,8 @@ class RankingModel:
         self.d_mix = d_mix if self.use_prod else 0
         self.store = ParamStore()
         rng = np.random.default_rng([config.seed, 0xF0])
-        for name in FIELD_NAMES:
-            self.store.add(
-                f"emb.{name}",
-                layers.embedding_init(rng, vocab_sizes[name], config.emb_width),
-            )
+        # one table for all fields: field k owns the k-th block of vocab[k] rows
+        self.store.add("emb.fields", layers.embedding_init(rng, sum(self.vocab), config.emb_width))
         if self.use_prod:
             # unit-ish row scale: a 0.02-scale init would leave the mixture
             # feature ~50x quieter than the standardized blocks next to it
@@ -112,11 +110,7 @@ class RankingModel:
 
     def features(self, fields, stat=None, dist=None, prod_enc=None):
         """Assemble the trunk input for a batch: (B, input_width) tensor."""
-        fields = np.asarray(fields, dtype=np.int64)
-        parts = [
-            layers.lookup(self.store[f"emb.{name}"], fields[:, k], name)
-            for k, name in enumerate(FIELD_NAMES)
-        ]
+        parts = [layers.lookup(self.store["emb.fields"], fields, self.vocab, FIELD_NAMES)]
         if self.use_stat:
             if stat is None:
                 raise ConfigurationError(f"variant {self.variant} requires the statistic part")
@@ -214,9 +208,9 @@ def predict(model, batch_input, idx, batch):
     return np.concatenate([model.forward(batch_input(chunk)).data for chunk in chunks])
 
 
-def train_ranker(samples, variant, config, vocab_sizes, bank=None, rows=None):
+def train_ranker(samples, variant, config, bank=None, rows=None):
     """Train one variant on a SampleTable and report held-out AUC/UAUC/GAUC
-    per task of the table.
+    per task of the table, with the table's id vocabulary.
 
     `bank` is a ForesightBank and `rows[i]` the bank row of sample i; block
     widths come from the bank's column shapes. The only trainable path
@@ -232,7 +226,7 @@ def train_ranker(samples, variant, config, vocab_sizes, bank=None, rows=None):
         shapes = dict(stat_width=bank.stat.shape[1], n_c3=bank.dist.shape[1],
                       d_mix=bank.d_mix, prod_enc_width=bank.prod_enc.shape[1])
     tasks = samples.tasks
-    model = RankingModel(config, vocab_sizes, tasks, variant, **shapes)
+    model = RankingModel(config, samples.vocab, tasks, variant, **shapes)
 
     fields, weights = samples.fields, samples.weight
     labels = samples.labels.astype(np.float64)

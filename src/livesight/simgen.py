@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import SAMPLE_BUCKET_FLOOR, SERVICES, SimConfig, from_dict, to_dict
-from .errors import ConfigurationError, DatasetError, DimensionError, ParseError
+from .errors import ConfigurationError, DatasetError, DimensionError, ParseError, VocabularyError
+from .layers import check_ids
 from .metrics import auc
 from .prodfore import CategoryHierarchy
 from .statfore import StatPanel
@@ -86,6 +87,14 @@ FIELD_NAMES = (
     "click_bucket",
 )
 
+# users fall into this many click-propensity buckets
+CLICK_BUCKETS = 4
+
+
+def field_sizes(sim):
+    """Each id field's vocabulary size in a world built from `sim`, in FIELD_NAMES order."""
+    return (sim.users, sim.n_c1, sim.streams, sim.n_c1, sim.n_c3, 2, CLICK_BUCKETS)
+
 
 @dataclass(frozen=True)
 class SampleTable:
@@ -97,6 +106,7 @@ class SampleTable:
     labels: np.ndarray  # (S, len(tasks)) 0/1 labels
     weight: np.ndarray  # (S,) sample weights
     tasks: tuple  # the label columns' task names, in the service's order
+    vocab: tuple  # each field's vocabulary size, in FIELD_NAMES order
 
     def __post_init__(self):
         n = len(self.room)
@@ -107,6 +117,7 @@ class SampleTable:
                 raise DimensionError(
                     f"sample column {name!r} has shape {getattr(self, name).shape}, not {shape}"
                 )
+        check_ids(self.fields, self.vocab, FIELD_NAMES)
 
     def __len__(self):
         return len(self.room)
@@ -282,7 +293,8 @@ def gen_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookah
         axis=1,
     )
     return SampleTable(room=room, bucket=bucket, fields=fields, labels=cols[:, 4:],
-                       weight=np.ones(len(cols)), tasks=("ctr", *coeffs))
+                       weight=np.ones(len(cols)), tasks=("ctr", *coeffs),
+                       vocab=field_sizes(cfg))
 
 
 def gen_world(config, seed):
@@ -310,7 +322,7 @@ def gen_world(config, seed):
         streams=streams,
         user_prefs=prefs,
         user_aff_bucket=prefs.argmax(axis=1).astype(np.int64),
-        user_click_bucket=user_rng.integers(4, size=config.users),
+        user_click_bucket=user_rng.integers(CLICK_BUCKETS, size=config.users),
     )
     world.samples = gen_interactions(streams, world, seed=[seed, 0xC2])
     return world
@@ -327,20 +339,44 @@ def _dump_jsonl(path, rows):
             fh.write("\n")
 
 
-def _read_jsonl(path):
-    """(line number, record) for each non-blank line of a JSON Lines file."""
+def _has(record, path):
+    """Whether a JSON record holds the (nested) key whose parts are `path`."""
+    for part in path:
+        if not isinstance(record, dict) or part not in record:
+            return False
+        record = record[part]
+    return True
+
+
+def _read_jsonl(path, keys):
+    """(line number, record) for each non-blank line of a JSON Lines file; a
+    line that is not JSON, or whose record lacks one of `keys`, raises
+    ParseError naming the line. A dotted key ("labels.cvr") is nested."""
+    paths = [(key, key.split(".")) for key in keys]
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
+            missing = [key for key, parts in paths if not _has(record, parts)]
+            if missing:
+                raise ParseError(f"row has no {', '.join(missing)}", path=str(path), line=lineno)
+            yield lineno, record
 
 
 FILES = ("panels.jsonl", "products.jsonl", "samples.jsonl", "users.jsonl", "latent.jsonl")
+
+# the keys each row of a per-room or per-user file must hold
+ROW_KEYS = {
+    "panels.jsonl": ("room_id", "t0_bucket", *(f"channels.{n}" for n in CHANNEL_NAMES)),
+    "products.jsonl": ("room_id", "events", "event_buckets"),
+    "users.jsonl": ("prefs", "aff_bucket", "click_bucket"),
+    "latent.jsonl": ("room_id", "phases", "home_c1", "base_rates"),
+}
 
 
 def _data_digest(dir_path):
@@ -455,14 +491,21 @@ def import_dataset(dir_path):
         )
     cfg = from_dict({"sim": manifest["config"]}).sim
     hierarchy = CategoryHierarchy.from_json(dir_path / "hierarchy.json")
-    panels = {r["room_id"]: r for _, r in _read_jsonl(dir_path / "panels.jsonl")}
-    products = {r["room_id"]: r for _, r in _read_jsonl(dir_path / "products.jsonl")}
-    latents = {r["room_id"]: r for _, r in _read_jsonl(dir_path / "latent.jsonl")}
-    users = [r for _, r in _read_jsonl(dir_path / "users.jsonl")]
+    rows = {name: list(_read_jsonl(dir_path / name, keys)) for name, keys in ROW_KEYS.items()}
+    panels = {r["room_id"]: (line, r) for line, r in rows["panels.jsonl"]}
+    products = {r["room_id"]: r for _, r in rows["products.jsonl"]}
+    latents = {r["room_id"]: r for _, r in rows["latent.jsonl"]}
+    users = [r for _, r in rows["users.jsonl"]]
 
     streams = []
     for i, room_id in enumerate(sorted(panels)):
-        pan, prod, lat = panels[room_id], products[room_id], latents[room_id]
+        line, pan = panels[room_id]
+        absent = [name for name, by_room in (("products.jsonl", products), ("latent.jsonl", latents))
+                  if room_id not in by_room]
+        if absent:
+            raise ParseError(f"room {room_id!r} has no row in {' or '.join(absent)}",
+                             path=str(dir_path / "panels.jsonl"), line=line)
+        prod, lat = products[room_id], latents[room_id]
         author = AuthorStyle(
             author_id=i,
             home_c1=lat["home_c1"],
@@ -498,31 +541,34 @@ def import_dataset(dir_path):
         user_click_bucket=np.asarray([u["click_bucket"] for u in users], dtype=np.int64),
     )
     room_index = {st.room_id: i for i, st in enumerate(streams)}
-    world.samples = _read_samples(dir_path / "samples.jsonl", room_index, SERVICES[cfg.service])
+    world.samples = _read_samples(
+        dir_path / "samples.jsonl", room_index, SERVICES[cfg.service], field_sizes(cfg)
+    )
     return world
 
 
-SAMPLE_KEYS = ("room_id", "bucket", *FIELD_NAMES, "weight", "labels")
-
-
-def _read_samples(path, room_index, tasks):
+def _read_samples(path, room_index, tasks, vocab):
     """The SampleTable of a samples.jsonl file; a row without one of its keys
-    or labels, or on an unknown room, raises ParseError naming its line."""
-    ids, weight = [], []
-    for line, r in _read_jsonl(path):
-        missing = [k for k in SAMPLE_KEYS if k not in r]
-        missing = missing or [f"labels.{t}" for t in tasks if t not in r["labels"]]
-        if missing:
-            raise ParseError(f"sample has no {', '.join(missing)}", path=str(path), line=line)
+    or labels, on an unknown room, or with an id outside `vocab` raises
+    ParseError naming its line."""
+    keys = ("room_id", "bucket", *FIELD_NAMES, "weight", *(f"labels.{t}" for t in tasks))
+    lines, ids, weight = [], [], []
+    for line, r in _read_jsonl(path, keys):
         if r["room_id"] not in room_index:
             raise ParseError(f"sample room {r['room_id']!r} has no panel", path=str(path), line=line)
+        lines.append(line)
         ids.append([room_index[r["room_id"]], r["bucket"], *(r[k] for k in FIELD_NAMES),
                     *(r["labels"][t] for t in tasks)])
         weight.append(r["weight"])
     cols = np.asarray(ids, dtype=np.int64).reshape(len(ids), 2 + len(FIELD_NAMES) + len(tasks))
-    return SampleTable(room=cols[:, 0], bucket=cols[:, 1], fields=cols[:, 2 : 2 + len(FIELD_NAMES)],
-                       labels=cols[:, 2 + len(FIELD_NAMES) :],
-                       weight=np.asarray(weight, dtype=np.float64), tasks=tuple(tasks))
+    try:
+        return SampleTable(
+            room=cols[:, 0], bucket=cols[:, 1], fields=cols[:, 2 : 2 + len(FIELD_NAMES)],
+            labels=cols[:, 2 + len(FIELD_NAMES) :], weight=np.asarray(weight, dtype=np.float64),
+            tasks=tuple(tasks), vocab=vocab,
+        )
+    except VocabularyError as exc:
+        raise ParseError(f"sample {exc}", path=str(path), line=lines[exc.row]) from exc
 
 
 # ---------------------------------------------------------------------------

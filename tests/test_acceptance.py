@@ -174,15 +174,8 @@ def test_criterion_2_gradients_match_central_differences():
 
     errs["product"] = grad_check(prod_loss, prod_model.store, eps=1e-5, max_coords=96)
 
-    vocab = {
-        "user_id": 10,
-        "aff_bucket": 5,
-        "author_id": 6,
-        "room_category": 5,
-        "item_c3": 12,
-        "cross_match": 2,
-        "click_bucket": 4,
-    }
+    # user_id, aff_bucket, author_id, room_category, item_c3, cross_match, click_bucket
+    vocab = (10, 5, 6, 5, 12, 2, 4)
     rank_model = RankingModel(
         RankConfig(emb_width=4, hidden=8, seed=1),
         vocab,
@@ -288,7 +281,6 @@ def test_criterion_8_foresight_models_frozen_during_ranking(tmp_path):
         art.world.samples,
         "+both",
         cfg,
-        art.vocab,
         bank=art.bank,
         rows=art.rows,
     )
@@ -304,7 +296,7 @@ def test_criterion_8_foresight_models_frozen_during_ranking(tmp_path):
 
     fresh = RankingModel(
         cfg,
-        art.vocab,
+        art.world.samples.vocab,
         SERVICES["shopping"],
         "+both",
         stat_width=art.bank.stat.shape[1],

@@ -160,6 +160,16 @@ def test_train_stat_rejects_zero_epochs(tiny_config, dataset_dir, tmp_path, caps
     assert not list(dataset_dir.glob("*.ckpt"))
 
 
+@pytest.mark.parametrize("section,key,value", [("rank", "epochs", "3"), ("sim", "streams", 10.5)])
+def test_gen_rejects_a_wrongly_typed_config_value(tmp_path, capsys, section, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    assert main(["gen", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section}.{key} must be of type int")
+    assert "Traceback" not in err and not (tmp_path / "d").exists()
+
+
 def test_run_then_ablate(tiny_config, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0

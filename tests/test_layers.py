@@ -254,13 +254,40 @@ def test_encoder_shape_and_determinism():
 
 
 def test_lookup_rejects_out_of_range():
-    table = Tensor(np.zeros((5, 3)))
-    out = lookup(table, np.array([0, 4]))
-    assert out.shape == (2, 3)
-    with pytest.raises(VocabularyError, match="user ids"):
-        lookup(table, np.array([5]), vocab_name="user ids")
-    with pytest.raises(VocabularyError):
-        lookup(table, np.array([-1]))
+    table = Tensor(np.zeros((9, 3)))
+    out = lookup(table, np.array([[0, 3], [4, 0]]), (5, 4), ("user ids", "buckets"))
+    assert out.shape == (2, 6)
+    with pytest.raises(VocabularyError, match="user ids 5 outside its vocabulary of size 5"):
+        lookup(table, np.array([[5, 0]]), (5, 4), ("user ids", "buckets"))
+    # 4 would be row 9 of the table; the check is per column, not per table
+    with pytest.raises(VocabularyError, match="buckets 4 outside"):
+        lookup(table, np.array([[0, 0], [1, 4]]), (5, 4), ("user ids", "buckets"))
+    with pytest.raises(VocabularyError, match="buckets -1 outside"):
+        lookup(table, np.array([[0, -1]]), (5, 4), ("user ids", "buckets"))
+    with pytest.raises(DimensionError):
+        lookup(table, np.array([[0, 0, 0]]), (5, 4), ("user ids", "buckets"))
+    with pytest.raises(DimensionError):
+        lookup(table, np.array([[0, 0]]), (5, 3), ("user ids", "buckets"))
+
+
+@pytest.mark.parametrize("shape", [(40,), (6, 7)])
+def test_one_table_lookup_equals_per_field_tables(shape):
+    # the reference: one table and one gather per field, joined by concat
+    rng = np.random.default_rng(11)
+    sizes, width = (7, 3, 1, 5), 4
+    tables = [Tensor(rng.normal(size=(n, width)), requires_grad=True) for n in sizes]
+    ids = np.stack([rng.integers(0, n, size=shape) for n in sizes], axis=-1)
+    ids[0] = 0  # repeated rows must add in the same order
+    scale = 10.0 ** rng.integers(-8, 8, size=shape + (1,))
+    probe = rng.normal(size=shape + (len(sizes) * width,)) * scale
+    ref = T.concat([T.embedding(t, ids[..., k]) for k, t in enumerate(tables)], axis=-1)
+    T.tsum(ref * Tensor(probe)).backward()
+
+    table = Tensor(np.concatenate([t.data for t in tables]), requires_grad=True)
+    out = lookup(table, ids, sizes, ("a", "b", "c", "d"))
+    T.tsum(out * Tensor(probe)).backward()
+    assert np.array_equal(out.data, ref.data)
+    assert np.array_equal(table.grad, np.concatenate([t.grad for t in tables]))
 
 
 def test_xavier_bounds():

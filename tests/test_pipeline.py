@@ -158,6 +158,23 @@ def training_case(section, name, bad, good, message, tag=""):
         training_case("rank", "eval_fraction", bad, 0.5,
                       f"eval_fraction must be in \\(0, 1\\), got {bad}", f"={bad}")
         for bad in (0, 1, -0.2, 1.5)
+    ]
+    + [
+        training_case(section, "heads", bad, 2,
+                      f"heads must be >= 1 and divide d_model 32, got {bad}", f"={bad}")
+        for section in ("prod", "stat")
+        for bad in (0, 3)
+    ]
+    + [
+        # the statistic windows must fit in a stream
+        training_case("stat", "horizon_train", 65, 64,
+                      "stat.context \\+ stat.horizon_train = 32 \\+ 65 exceeds sim.buckets 96",
+                      "=65"),
+        # a JSON value of the wrong type; an int may stand for a float
+        training_case("rank", "epochs", "3", 3, "rank.epochs must be of type int, got '3'", "='3'"),
+        training_case("sim", "streams", 10.5, 10, "sim.streams must be of type int, got 10.5",
+                      "=10.5"),
+        training_case("rank", "lr", True, 1, "rank.lr must be of type float, got True", "=True"),
     ],
 )
 def test_training_needs_an_epoch_and_a_batch(section, name, bad, good, message):

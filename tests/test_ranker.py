@@ -6,10 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from livesight import pipeline, simgen
+from livesight import simgen
 from livesight import tensor as T
 from livesight.config import RankConfig, SimConfig
-from livesight.errors import ConfigurationError, ContractError, DimensionError, LabelError
+from livesight.errors import (
+    ConfigurationError,
+    ContractError,
+    DimensionError,
+    LabelError,
+    VocabularyError,
+)
 from livesight.gradcheck import grad_check
 from livesight.optim import adam_step
 from livesight.ranker import (
@@ -20,18 +26,12 @@ from livesight.ranker import (
     rank_loss,
     train_ranker,
 )
-from livesight.simgen import FIELD_NAMES, SampleTable
+from livesight.simgen import SampleTable
 from livesight.tensor import Tensor
 
-VOCAB = {
-    "user_id": 10,
-    "aff_bucket": 5,
-    "author_id": 6,
-    "room_category": 5,
-    "item_c3": 12,
-    "cross_match": 2,
-    "click_bucket": 4,
-}
+# vocabulary sizes of user_id, aff_bucket, author_id, room_category, item_c3,
+# cross_match and click_bucket, in FIELD_NAMES order
+VOCAB = (10, 5, 6, 5, 12, 2, 4)
 TASKS = ("ctr", "cvr")
 CFG = RankConfig(emb_width=16, hidden=64, epochs=8, batch=16, lr=1e-2, seed=0)
 BASE_WIDTH = 16 * 7
@@ -41,7 +41,7 @@ def sample(seed=0):
     """One random exposure: its seven field ids and its (ctr, cvr) labels."""
     rng = np.random.default_rng(seed)
     rng.integers(0, 50)  # the bucket, which the ranker does not read
-    ids = np.array([rng.integers(0, VOCAB[name]) for name in FIELD_NAMES])
+    ids = np.array([rng.integers(0, size) for size in VOCAB])
     return ids, [int(rng.random() < 0.3), int(rng.random() < 0.2)]
 
 
@@ -102,6 +102,22 @@ def test_missing_foresight_part_rejected():
         RankingModel(CFG, VOCAB, TASKS, "+stat")  # no stat width configured
     with pytest.raises(ConfigurationError):
         RankingModel(CFG, VOCAB, TASKS, "sideways")
+
+
+def test_id_fields_share_one_table_and_one_gather(monkeypatch):
+    model = model_for("base")
+    assert [name for name, _ in model.store.items() if name.startswith("emb.")] == ["emb.fields"]
+    assert model.store["emb.fields"].shape == (sum(VOCAB), CFG.emb_width)
+    gathers = []
+    embedding = T.embedding
+    monkeypatch.setattr(T, "embedding", lambda *a: gathers.append(a) or embedding(*a))
+    ids = fields(3)
+    assert model.features(ids).shape == (3, BASE_WIDTH)
+    assert len(gathers) == 1
+    # an id past its own field's rows would read the next field's: rejected
+    ids[1, 0] = VOCAB[0]
+    with pytest.raises(VocabularyError, match="user_id 10 outside its vocabulary of size 10"):
+        model.features(ids)
 
 
 def test_foresight_must_be_detached():
@@ -197,15 +213,14 @@ def dataset(n=400, seed=5):
         # make ctr depend on the stat part so foresight has signal to find
         labels[i, 0] = int(rng.random() < 1.0 / (1.0 + np.exp(-2.0 * stat[i, :4].mean())))
     samples = SampleTable(room=np.arange(n), bucket=np.zeros(n, dtype=np.int64), fields=ids,
-                          labels=labels, weight=np.ones(n), tasks=TASKS)
+                          labels=labels, weight=np.ones(n), tasks=TASKS, vocab=VOCAB)
     bank = bank_of(stat, rng.dirichlet(np.ones(12), size=n), rng.normal(size=(n, 24)))
     return samples, bank, np.arange(n)
 
 
 def test_training_reduces_loss_and_reports_metrics():
     samples, bank, rows = dataset()
-    model, report, history = train_ranker(samples, "+stat", CFG, VOCAB,
-                                          bank=bank, rows=rows)
+    model, report, history = train_ranker(samples, "+stat", CFG, bank=bank, rows=rows)
     assert model.stat_width == 20
     assert history[-1] < history[0]
     for task in TASKS:
@@ -215,7 +230,7 @@ def test_training_reduces_loss_and_reports_metrics():
 
 def test_base_variant_needs_no_bank():
     samples, _, _ = dataset(200)
-    model, report, _ = train_ranker(samples, "base", CFG, VOCAB)
+    model, report, _ = train_ranker(samples, "base", CFG)
     assert model.input_width == BASE_WIDTH
     assert "ctr" in report
 
@@ -223,11 +238,11 @@ def test_base_variant_needs_no_bank():
 def test_variant_without_bank_rejected():
     samples, bank, rows = dataset(50)
     with pytest.raises(ConfigurationError, match="bank"):
-        train_ranker(samples, "+stat", CFG, VOCAB)
+        train_ranker(samples, "+stat", CFG)
     with pytest.raises(ConfigurationError, match="rows"):
-        train_ranker(samples, "+stat", CFG, VOCAB, bank=bank)
+        train_ranker(samples, "+stat", CFG, bank=bank)
     with pytest.raises(ContractError, match="ForesightBank"):
-        train_ranker(samples, "+stat", CFG, VOCAB, bank=object(), rows=rows)
+        train_ranker(samples, "+stat", CFG, bank=object(), rows=rows)
 
 
 def test_live_tensor_in_bank_rejected():
@@ -248,7 +263,7 @@ def test_training_is_deterministic():
     samples, bank, rows = dataset(120)
     reports = []
     for _ in range(2):
-        _, report, _ = train_ranker(samples, "+both", CFG, VOCAB, bank=bank, rows=rows)
+        _, report, _ = train_ranker(samples, "+both", CFG, bank=bank, rows=rows)
         reports.append(report)
     assert reports[0] == reports[1]
 
@@ -283,8 +298,7 @@ def test_training_holds_no_whole_sample_foresight_block():
     block_bytes = len(samples) * (wide + n_c3 + wide) * 8
     tracemalloc.start()
     try:
-        train_ranker(samples, "+both", RankConfig(epochs=1), pipeline.vocab_sizes(world.config),
-                     bank=bank, rows=rows)
+        train_ranker(samples, "+both", RankConfig(epochs=1), bank=bank, rows=rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -318,7 +332,7 @@ def test_batched_scoring_equals_one_whole_forward(n):
 
 def test_restored_best_state_stays_in_the_flat_buffer():
     samples, bank, rows = dataset(120)
-    model, _, _ = train_ranker(samples, "+both", CFG, VOCAB, bank=bank, rows=rows)
+    model, _, _ = train_ranker(samples, "+both", CFG, bank=bank, rows=rows)
     assert all(np.shares_memory(p.data, model.store.values) for _, p in model.store.items())
     x = model.features(samples.fields[:5],
                        stat=bank.stat[:5], dist=bank.dist[:5], prod_enc=bank.prod_enc[:5])

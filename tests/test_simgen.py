@@ -1,17 +1,19 @@
 """Generator checks: determinism, phase-conditional rates, category persistence,
 label base rates, dataset round trips, and the future-vs-past signal probe."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from livesight.config import SERVICES, SimConfig
-from livesight.errors import ConfigurationError, DatasetError, ParseError
+from livesight.errors import ConfigurationError, DatasetError, ParseError, VocabularyError
 from livesight.prodfore import CategoryHierarchy
 from livesight.simgen import (
     CHANNELS,
     CHANNEL_NAMES,
+    CLICK_BUCKETS,
     FIELD_NAMES,
     FILES,
     GRAB,
@@ -20,6 +22,7 @@ from livesight.simgen import (
     AuthorStyle,
     SampleTable,
     export_dataset,
+    field_sizes,
     gen_interactions,
     gen_stream,
     gen_world,
@@ -223,19 +226,71 @@ def test_truncated_file_names_the_line(tmp_path):
     assert err.value.line == 10
 
 
-@pytest.mark.parametrize("drop,missing", [("bucket", "bucket"), ("cvr", "labels.cvr")])
-def test_sample_row_without_a_key_names_the_line(tmp_path, drop, missing):
-    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
-    path = tmp_path / "ds" / "samples.jsonl"
+def rewrite_row(path, index, edit):
     lines = path.read_text().splitlines()
-    row = json.loads(lines[2])
-    row.pop(drop, None)
-    row["labels"].pop(drop, None)
-    lines[2] = json.dumps(row)
+    row = json.loads(lines[index])
+    edit(row)
+    lines[index] = json.dumps(row)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.warns(UserWarning), pytest.raises(ParseError, match=f"samples.jsonl:3: .*{missing}") as err:
+
+
+@pytest.mark.parametrize(
+    "name,drop,missing",
+    [
+        pytest.param("samples.jsonl", "bucket", "bucket", id="bucket-bucket"),
+        pytest.param("samples.jsonl", "cvr", "labels.cvr", id="cvr-labels.cvr"),
+        pytest.param("panels.jsonl", "t0_bucket", "t0_bucket", id="panels-t0_bucket"),
+        pytest.param("panels.jsonl", "likes", "channels.likes", id="panels-channels.likes"),
+        pytest.param("products.jsonl", "events", "events", id="products-events"),
+        pytest.param("users.jsonl", "click_bucket", "click_bucket", id="users-click_bucket"),
+        pytest.param("latent.jsonl", "home_c1", "home_c1", id="latent-home_c1"),
+    ],
+)
+def test_sample_row_without_a_key_names_the_line(tmp_path, name, drop, missing):
+    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
+
+    def edit(row):
+        for record in (row, row.get("labels", {}), row.get("channels", {})):
+            record.pop(drop, None)
+
+    rewrite_row(tmp_path / "ds" / name, 2, edit)
+    with pytest.warns(UserWarning), pytest.raises(ParseError, match=f"{name}:3: .*{missing}") as err:
         import_dataset(tmp_path / "ds")
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("name", ["products.jsonl", "latent.jsonl"])
+def test_room_without_a_row_names_its_panel_line(tmp_path, name):
+    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
+    path = tmp_path / "ds" / name
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
+    with pytest.warns(UserWarning), pytest.raises(
+        ParseError, match=f"panels.jsonl:4: room 'room0003' has no row in {name}"
+    ):
+        import_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("field,bad", [("user_id", SMALL.users), ("click_bucket", -1),
+                                       ("item_c3", SMALL.n_c3)])
+def test_sample_id_outside_its_vocabulary_names_the_line(tmp_path, field, bad):
+    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
+    rewrite_row(tmp_path / "ds" / "samples.jsonl", 4, lambda row: row.update({field: bad}))
+    with pytest.warns(UserWarning), pytest.raises(
+        ParseError, match=f"samples.jsonl:5: sample {field} {bad} outside its vocabulary"
+    ) as err:
+        import_dataset(tmp_path / "ds")
+    assert err.value.line == 5
+
+
+def test_sample_table_owns_its_vocabulary():
+    samples = gen_world(SMALL, seed=9).samples
+    assert samples.vocab == field_sizes(SMALL)
+    assert dict(zip(FIELD_NAMES, samples.vocab))["click_bucket"] == CLICK_BUCKETS
+    fields = samples.fields.copy()
+    fields[7, FIELD_NAMES.index("author_id")] = SMALL.streams
+    with pytest.raises(VocabularyError, match="author_id 10 outside its vocabulary of size 10"):
+        dataclasses.replace(samples, fields=fields)
 
 
 # ---------------------------------------------------------------------------
