@@ -250,39 +250,57 @@ def gen_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookah
         raise DatasetError("no streams to sample exposures from")
     cfg = world.config
     rng = np.random.default_rng(seed)
-    prefs = world.user_prefs
     coeffs = _task_coeffs(cfg)
-    drawn = []  # (room, bucket, user, item_c3, *labels) per kept exposure
+    # the last bucket a stream can be sampled at: future labels need 3
+    # upcoming events and `lookahead` more buckets
+    last = [min(st.phases.shape[0] - lookahead - 1, int(st.event_buckets[-3]) - 1)
+            if len(st.event_buckets) >= 3 else bucket_lo - 1 for st in streams]
+    # only the RNG draws are made per exposure; everything else follows from
+    # them as array ops, in the order the draws were made
+    room = np.empty(cfg.n_samples, dtype=np.int64)
+    user = np.empty(cfg.n_samples, dtype=np.int64)
+    bucket = np.empty(cfg.n_samples, dtype=np.int64)
+    draws = np.empty((cfg.n_samples, 1 + len(coeffs)))  # one uniform per label
+    kept = 0
     for _ in range(cfg.n_samples):
         r = int(rng.integers(len(streams)))
         u = int(rng.integers(cfg.users))
-        st = streams[r]
-        t_total = st.phases.shape[0]
-        # future labels need 3 upcoming events and `lookahead` more buckets
-        hi = min(t_total - lookahead - 1, int(st.event_buckets[-3]) - 1)
-        if hi < bucket_lo:
+        if last[r] < bucket_lo:
             continue
-        t = int(rng.integers(bucket_lo, hi + 1))
-        cur = int(np.searchsorted(st.event_buckets, t, side="right")) - 1
-        nxt = st.events[cur + 1 : cur + 4]
-        uniform = 1.0 / cfg.n_c1
-        aff_next = prefs[u, nxt[0, 1]] - uniform
-        aff_future = float(prefs[u, nxt[:, 1]].mean()) - uniform
-        grab_soon = bool((st.phases[t + 1 : t + 1 + lookahead] == GRAB).any())
-        click_logit = (
-            cfg.click_affinity_coeff * aff_next
-            + cfg.click_highlight_coeff * float(st.phases[t] == HIGHLIGHT)
-            + cfg.click_bias
-        )
-        labels = [int(rng.random() < _sigmoid(click_logit))]
-        for a2, b2, c2 in coeffs.values():
-            logit = a2 * aff_future + b2 * float(grab_soon) + c2
-            labels.append(int(rng.random() < _sigmoid(logit)))
-        drawn.append((r, t, u, int(st.events[cur, 3]), *labels))
-    if not drawn:
+        room[kept], user[kept] = r, u
+        bucket[kept] = rng.integers(bucket_lo, last[r] + 1)
+        draws[kept] = rng.random(draws.shape[1])
+        kept += 1
+    if not kept:
         raise DatasetError("no valid exposure buckets; streams too short")
-    cols = np.asarray(drawn, dtype=np.int64)
-    room, bucket, user, item = cols[:, :4].T
+    room, user, bucket, draws = room[:kept], user[:kept], bucket[:kept], draws[:kept]
+
+    item = np.empty(kept, dtype=np.int64)  # the product category on show
+    nxt_c1 = np.empty((kept, 3), dtype=np.int64)  # level-1 categories of the next 3 events
+    highlight = np.empty(kept, dtype=bool)
+    grab_soon = np.empty(kept, dtype=bool)  # a grab phase within `lookahead` buckets
+    for r, st in enumerate(streams):
+        sel = room == r
+        t = bucket[sel]
+        cur = np.searchsorted(st.event_buckets, t, side="right") - 1
+        item[sel] = st.events[cur, 3]
+        nxt_c1[sel] = st.events[cur[:, None] + np.arange(1, 4), 1]
+        highlight[sel] = st.phases[t] == HIGHLIGHT
+        grab_soon[sel] = (st.phases[t[:, None] + np.arange(1, lookahead + 1)] == GRAB).any(axis=1)
+    uniform = 1.0 / cfg.n_c1
+    prefs = world.user_prefs
+    aff_next = prefs[user, nxt_c1[:, 0]] - uniform
+    # np.add.reduce / 3 is the float that a three-value .mean() gives
+    aff_future = np.add.reduce(prefs[user[:, None], nxt_c1], axis=1) / 3 - uniform
+    click_logit = (
+        cfg.click_affinity_coeff * aff_next
+        + cfg.click_highlight_coeff * highlight.astype(np.float64)
+        + cfg.click_bias
+    )
+    labels = [draws[:, 0] < _sigmoid(click_logit)]
+    for j, (a2, b2, c2) in enumerate(coeffs.values(), start=1):
+        logit = a2 * aff_future + b2 * grab_soon.astype(np.float64) + c2
+        labels.append(draws[:, j] < _sigmoid(logit))
     # the user- and room-derived ids are gathers, filled after the draws
     author = np.asarray([st.author.author_id for st in streams], dtype=np.int64)[room]
     home = np.asarray([st.author.home_c1 for st in streams], dtype=np.int64)[room]
@@ -292,8 +310,9 @@ def gen_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookah
          world.user_click_bucket[user]],
         axis=1,
     )
-    return SampleTable(room=room, bucket=bucket, fields=fields, labels=cols[:, 4:],
-                       weight=np.ones(len(cols)), tasks=("ctr", *coeffs),
+    return SampleTable(room=room, bucket=bucket, fields=fields,
+                       labels=np.stack(labels, axis=1).astype(np.int64),
+                       weight=np.ones(kept), tasks=("ctr", *coeffs),
                        vocab=field_sizes(cfg))
 
 
@@ -374,7 +393,7 @@ FILES = ("panels.jsonl", "products.jsonl", "samples.jsonl", "users.jsonl", "late
 ROW_KEYS = {
     "panels.jsonl": ("room_id", "t0_bucket", *(f"channels.{n}" for n in CHANNEL_NAMES)),
     "products.jsonl": ("room_id", "events", "event_buckets"),
-    "users.jsonl": ("prefs", "aff_bucket", "click_bucket"),
+    "users.jsonl": ("user_id", "prefs", "aff_bucket", "click_bucket"),
     "latent.jsonl": ("room_id", "phases", "home_c1", "base_rates"),
 }
 
@@ -496,6 +515,13 @@ def import_dataset(dir_path):
     products = {r["room_id"]: r for _, r in rows["products.jsonl"]}
     latents = {r["room_id"]: r for _, r in rows["latent.jsonl"]}
     users = [r for _, r in rows["users.jsonl"]]
+    for k, (line, r) in enumerate(rows["users.jsonl"]):
+        if r["user_id"] != k:
+            raise ParseError(f"user_id {r['user_id']!r} out of order: expected {k}",
+                             path=str(dir_path / "users.jsonl"), line=line)
+    if len(users) != cfg.users:
+        raise ParseError(f"{len(users)} user rows, but the config has {cfg.users} users",
+                         path=str(dir_path / "users.jsonl"))
 
     streams = []
     for i, room_id in enumerate(sorted(panels)):
@@ -542,15 +568,17 @@ def import_dataset(dir_path):
     )
     room_index = {st.room_id: i for i, st in enumerate(streams)}
     world.samples = _read_samples(
-        dir_path / "samples.jsonl", room_index, SERVICES[cfg.service], field_sizes(cfg)
+        dir_path / "samples.jsonl", room_index, [st.panel.values.shape[1] for st in streams],
+        SERVICES[cfg.service], field_sizes(cfg),
     )
     return world
 
 
-def _read_samples(path, room_index, tasks, vocab):
+def _read_samples(path, room_index, room_buckets, tasks, vocab):
     """The SampleTable of a samples.jsonl file; a row without one of its keys
-    or labels, on an unknown room, or with an id outside `vocab` raises
-    ParseError naming its line."""
+    or labels, on an unknown room, with a bucket outside
+    [SAMPLE_BUCKET_FLOOR, its room's bucket count in `room_buckets`), or with
+    an id outside `vocab` raises ParseError naming its line."""
     keys = ("room_id", "bucket", *FIELD_NAMES, "weight", *(f"labels.{t}" for t in tasks))
     lines, ids, weight = [], [], []
     for line, r in _read_jsonl(path, keys):
@@ -561,9 +589,19 @@ def _read_samples(path, room_index, tasks, vocab):
                     *(r["labels"][t] for t in tasks)])
         weight.append(r["weight"])
     cols = np.asarray(ids, dtype=np.int64).reshape(len(ids), 2 + len(FIELD_NAMES) + len(tasks))
+    # the foresight bank keys a row by room * buckets + bucket, so a bucket
+    # past its stream would read another room's foresight
+    room, bucket = cols[:, 0], cols[:, 1]
+    outside = np.flatnonzero((bucket < SAMPLE_BUCKET_FLOOR)
+                             | (bucket >= np.asarray(room_buckets, dtype=np.int64)[room]))
+    if outside.size:
+        row = outside[0]
+        raise ParseError(
+            f"sample bucket {bucket[row]} outside [{SAMPLE_BUCKET_FLOOR}, "
+            f"{room_buckets[room[row]]}) of its room", path=str(path), line=lines[row])
     try:
         return SampleTable(
-            room=cols[:, 0], bucket=cols[:, 1], fields=cols[:, 2 : 2 + len(FIELD_NAMES)],
+            room=room, bucket=bucket, fields=cols[:, 2 : 2 + len(FIELD_NAMES)],
             labels=cols[:, 2 + len(FIELD_NAMES) :], weight=np.asarray(weight, dtype=np.float64),
             tasks=tuple(tasks), vocab=vocab,
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from livesight.errors import DimensionError, LabelError, UndefinedMetricError
-from livesight.metrics import auc, gauc, hit_rate, mse, uauc
+from livesight.metrics import _per_user, auc, gauc, hit_rate, mse, uauc
 
 
 def brute_force_auc(scores, labels):
@@ -19,6 +19,77 @@ def brute_force_auc(scores, labels):
             elif sp == sn:
                 ties += 1
     return (wins + 0.5 * ties) / total
+
+
+def tie_walk_auc(scores, labels):
+    """The tie-group walk `auc` ran before it became sort-and-cumsum code."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = scores.size
+    pos = int(labels.sum())
+    neg = n - pos
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    y = labels[order]
+    units = 0
+    neg_below = 0
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and s[j] == s[i]:
+            j += 1
+        p_here = int(y[i:j].sum())
+        n_here = (j - i) - p_here
+        units += p_here * (2 * neg_below + n_here)
+        neg_below += n_here
+        i = j
+    return units / (2.0 * pos * neg)
+
+
+def user_loop(user_ids, scores, labels, weights):
+    """The per-user loop `_per_user` ran before: (AUC, weight sum) per eligible user."""
+    user_ids, scores, labels = np.asarray(user_ids), np.asarray(scores), np.asarray(labels)
+    eligible = []
+    for uid in np.unique(user_ids):
+        m = user_ids == uid
+        ly = labels[m]
+        if ly.min() == ly.max():
+            continue
+        eligible.append((tie_walk_auc(scores[m], ly), float(weights[m].sum())))
+    return eligible
+
+
+def random_ranking_data(seed):
+    """Scores on a coarse grid (plentiful ties) or continuous, 1 to 12 users
+    (some single-class), and non-integer weights."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 600))
+    grid = int(rng.integers(2, 12))
+    scores = rng.integers(0, grid, size=n) / (grid - 1) if seed % 3 else rng.normal(size=n)
+    users = rng.integers(0, int(rng.integers(1, 13)), size=n)
+    labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.int64)
+    labels[users == users[0]] = 1  # one single-class user in every draw
+    if labels.min() == labels.max():
+        labels[-1] = 1 - labels[-1]
+    return users, scores, labels, rng.uniform(0.1, 3.0, size=n)
+
+
+def test_sort_and_cumsum_auc_equals_the_tie_walk():
+    for seed in range(200):
+        users, scores, labels, weights = random_ranking_data(seed)
+        assert auc(scores, labels) == tie_walk_auc(scores, labels), seed
+        for ids in (users, np.zeros_like(users)):  # as drawn, then every row on one user
+            old = user_loop(ids, scores, labels, weights)
+            if not old:
+                with pytest.raises(UndefinedMetricError):
+                    _per_user(ids, scores, labels, weights)
+                continue
+            aucs, sums = _per_user(ids, scores, labels, weights)
+            assert aucs.tolist() == [a for a, _ in old], seed
+            assert sums == [w for _, w in old], seed
+            assert uauc(ids, scores, labels) == float(np.mean([a for a, _ in old])), seed
+            assert gauc(ids, scores, labels, weights) == (
+                sum(a * w for a, w in old) / sum(w for _, w in old)), seed
 
 
 def test_auc_hand_values():

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from livesight.config import SERVICES, SimConfig
+from livesight.config import SAMPLE_BUCKET_FLOOR, SERVICES, SimConfig
 from livesight.errors import ConfigurationError, DatasetError, ParseError, VocabularyError
 from livesight.prodfore import CategoryHierarchy
 from livesight.simgen import (
@@ -21,6 +21,8 @@ from livesight.simgen import (
     STEADY,
     AuthorStyle,
     SampleTable,
+    _sigmoid,
+    _task_coeffs,
     export_dataset,
     field_sizes,
     gen_interactions,
@@ -167,6 +169,89 @@ def test_empty_streams_rejected(default_world):
         gen_interactions([], default_world, seed=0)
 
 
+def looped_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookahead=5):
+    """The per-sample loop `gen_interactions` ran before its labels became array code."""
+    cfg = world.config
+    rng = np.random.default_rng(seed)
+    prefs = world.user_prefs
+    coeffs = _task_coeffs(cfg)
+    drawn = []
+    for _ in range(cfg.n_samples):
+        r = int(rng.integers(len(streams)))
+        u = int(rng.integers(cfg.users))
+        st = streams[r]
+        t_total = st.phases.shape[0]
+        hi = min(t_total - lookahead - 1, int(st.event_buckets[-3]) - 1)
+        if hi < bucket_lo:
+            continue
+        t = int(rng.integers(bucket_lo, hi + 1))
+        cur = int(np.searchsorted(st.event_buckets, t, side="right")) - 1
+        nxt = st.events[cur + 1 : cur + 4]
+        uniform = 1.0 / cfg.n_c1
+        aff_next = prefs[u, nxt[0, 1]] - uniform
+        aff_future = float(prefs[u, nxt[:, 1]].mean()) - uniform
+        grab_soon = bool((st.phases[t + 1 : t + 1 + lookahead] == GRAB).any())
+        click_logit = (
+            cfg.click_affinity_coeff * aff_next
+            + cfg.click_highlight_coeff * float(st.phases[t] == HIGHLIGHT)
+            + cfg.click_bias
+        )
+        labels = [int(rng.random() < _sigmoid(click_logit))]
+        for a2, b2, c2 in coeffs.values():
+            logit = a2 * aff_future + b2 * float(grab_soon) + c2
+            labels.append(int(rng.random() < _sigmoid(logit)))
+        drawn.append((r, t, u, int(st.events[cur, 3]), *labels))
+    cols = np.asarray(drawn, dtype=np.int64)
+    room, bucket, user, item = cols[:, :4].T
+    author = np.asarray([st.author.author_id for st in streams], dtype=np.int64)[room]
+    home = np.asarray([st.author.home_c1 for st in streams], dtype=np.int64)[room]
+    aff = world.user_aff_bucket[user]
+    fields = np.stack(
+        [user, aff, author, home, item, (aff == home).astype(np.int64),
+         world.user_click_bucket[user]],
+        axis=1,
+    )
+    return SampleTable(room=room, bucket=bucket, fields=fields, labels=cols[:, 4:],
+                       weight=np.ones(len(cols)), tasks=("ctr", *coeffs),
+                       vocab=field_sizes(cfg))
+
+
+def short_streams(world):
+    """The world's streams with every other one cut to four events, too few to sample."""
+    return [dataclasses.replace(st, events=st.events[:4], event_buckets=st.event_buckets[:4])
+            if i % 2 else st for i, st in enumerate(world.streams)]
+
+
+@pytest.mark.parametrize(
+    "cfg,seed,cut",
+    [
+        pytest.param(SimConfig(), 7, False, id="shopping"),
+        pytest.param(SimConfig(service="talent"), 7, False, id="talent"),
+        pytest.param(dataclasses.replace(SMALL, buckets=600), 5, False, id="buckets-600"),
+        pytest.param(SMALL, 4, True, id="short-streams"),
+    ],
+)
+def test_array_labels_equal_the_per_sample_loop(cfg, seed, cut):
+    world = gen_world(cfg, seed)
+    streams = short_streams(world) if cut else world.streams
+    got = gen_interactions(streams, world, seed=[seed, 0xC2])
+    want = looped_interactions(streams, world, seed=[seed, 0xC2])
+    for name in ("room", "bucket", "fields", "labels", "weight"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.tasks, got.vocab) == (want.tasks, want.vocab)
+    if cut:  # the cut streams were drawn, and skipped
+        assert 0 < len(got) < cfg.n_samples
+        assert not np.any(got.room % 2)
+
+
+def test_streams_with_under_three_events_are_never_sampled():
+    # 24-bucket gaps leave two product events in a 48-bucket stream
+    cfg = SimConfig(streams=4, users=50, n_samples=50, buckets=48, event_gap_min=24,
+                    event_gap_max=24)
+    with pytest.raises(DatasetError, match="streams too short"):
+        gen_world(cfg, seed=0)
+
+
 def dataset_bytes(path):
     return {name: (path / name).read_bytes() for name in (*FILES, "hierarchy.json", "manifest.json")}
 
@@ -243,6 +328,7 @@ def rewrite_row(path, index, edit):
         pytest.param("panels.jsonl", "likes", "channels.likes", id="panels-channels.likes"),
         pytest.param("products.jsonl", "events", "events", id="products-events"),
         pytest.param("users.jsonl", "click_bucket", "click_bucket", id="users-click_bucket"),
+        pytest.param("users.jsonl", "user_id", "user_id", id="users-user_id"),
         pytest.param("latent.jsonl", "home_c1", "home_c1", id="latent-home_c1"),
     ],
 )
@@ -281,6 +367,46 @@ def test_sample_id_outside_its_vocabulary_names_the_line(tmp_path, field, bad):
     ) as err:
         import_dataset(tmp_path / "ds")
     assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "bad,expect",
+    [
+        pytest.param(SMALL.buckets + 40, "outside \\[32, 96\\)", id="past-the-stream"),
+        pytest.param(500, "outside", id="past-every-stream"),
+        pytest.param(SAMPLE_BUCKET_FLOOR - 1, "outside", id="below-the-floor"),
+    ],
+)
+def test_sample_bucket_outside_its_stream_names_the_line(tmp_path, bad, expect):
+    # a bucket past its stream would alias another room's foresight-bank key
+    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
+    rewrite_row(tmp_path / "ds" / "samples.jsonl", 4, lambda row: row.update({"bucket": bad}))
+    with pytest.warns(UserWarning), pytest.raises(
+        ParseError, match=f"samples.jsonl:5: sample bucket {bad} {expect}"
+    ) as err:
+        import_dataset(tmp_path / "ds")
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(lambda rows: rows[::-1],
+                     f"users.jsonl:1: user_id {SMALL.users - 1} out of order: expected 0",
+                     id="reversed"),
+        pytest.param(lambda rows: rows[:-1],
+                     f"users.jsonl: {SMALL.users - 1} user rows, but the config has "
+                     f"{SMALL.users} users", id="last-row-missing"),
+    ],
+)
+def test_user_rows_must_be_every_user_in_id_order(tmp_path, edit, message):
+    # rows are matched to users by user_id: reordered or missing rows would
+    # put preferences on the wrong user, or on none
+    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
+    path = tmp_path / "ds" / "users.jsonl"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.warns(UserWarning), pytest.raises(ParseError, match=message):
+        import_dataset(tmp_path / "ds")
 
 
 def test_sample_table_owns_its_vocabulary():
