@@ -82,6 +82,11 @@ class SimConfig:
             raise ConfigurationError(f"users must be >= 50, got {self.users}")
         if self.service not in SERVICES:
             raise ConfigurationError(f"unknown service {self.service!r}")
+        if self.event_gap_min < 1 or self.event_gap_max < self.event_gap_min:
+            raise ConfigurationError(
+                "event_gap_min must be >= 1 and event_gap_max >= event_gap_min, got "
+                f"event_gap_min={self.event_gap_min}, event_gap_max={self.event_gap_max}"
+            )
         total = self.stay_level2 + self.move_level1 + self.jump
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"category kernel probabilities sum to {total}, not 1")

@@ -124,7 +124,8 @@ def init_transformer_block(store, prefix, d_model, d_ff, rng):
 
 
 def transformer_block(x, store, prefix, heads, causal):
-    """Pre-layer-norm block with residual connections."""
+    """Pre-layer-norm block with residual connections; the feed-forward
+    sublayer and its residual are one node."""
     attn_params = {
         key: store[f"{prefix}.attn.{key}"]
         for key in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
@@ -136,12 +137,14 @@ def transformer_block(x, store, prefix, heads, causal):
         attn_params,
     )
     ff_in = T.layer_norm(h, store[f"{prefix}.ln2.gain"], store[f"{prefix}.ln2.bias"])
-    ff = dense_forward(
-        T.relu(dense_forward(ff_in, store[f"{prefix}.ff1.w"], store[f"{prefix}.ff1.b"])),
+    return T.feed_forward(
+        h,
+        ff_in,
+        store[f"{prefix}.ff1.w"],
+        store[f"{prefix}.ff1.b"],
         store[f"{prefix}.ff2.w"],
         store[f"{prefix}.ff2.b"],
     )
-    return h + ff
 
 
 def init_encoder(store, prefix, n_blocks, d_model, d_ff, rng):

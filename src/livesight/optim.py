@@ -15,7 +15,9 @@ class ParamStore:
     optimizer state travels with its parameters. Every parameter's data is a
     view into one flat float64 buffer, `values`, and the moments are views
     into two more (`moments_m`, `moments_v`: name -> array, empty until the
-    first step), so `adam_step` updates them all with a few vector ops. Code
+    first step), so `adam_step` updates them all with a few vector ops. A
+    fourth flat buffer, reused across steps, receives a copy of every
+    parameter's gradient. Code
     that restores state writes into the views (`load_arrays`, `load_moments`,
     `values[:] = ...`): rebinding a `p.data` would leave it out of the update.
     """
@@ -24,6 +26,7 @@ class ParamStore:
         self._params = {}
         self.values = np.empty(0)
         self._m = self._v = None
+        self._g = self._g_views = None
         self.moments_m = {}
         self.moments_v = {}
         self.step = 0
@@ -38,6 +41,7 @@ class ParamStore:
         self._params[name] = t
         # one copy of the buffer per parameter: stores hold a few dozen
         self.values = np.concatenate([self.values, arr.ravel()])
+        self._g = None
         for p, view in zip(self._params.values(), self._views(self.values).values()):
             p.data = view
         return t
@@ -56,6 +60,22 @@ class ParamStore:
             self._m, self._v = np.zeros_like(self.values), np.zeros_like(self.values)
             self.moments_m, self.moments_v = self._views(self._m), self._views(self._v)
         return self._m, self._v
+
+    def _gradients(self):
+        """Copy every parameter's `grad` into the flat gradient buffer, in
+        `values` order, and return the buffer."""
+        if self._g is None:
+            self._g = np.empty_like(self.values)
+            self._g_views = list(self._views(self._g).values())
+        for (name, p), view in zip(self._params.items(), self._g_views):
+            if p.grad is None:
+                raise StateError(f"parameter {name!r} has no gradient")
+            if p.grad.shape != view.shape:
+                raise StateError(
+                    f"parameter {name!r} gradient shape {p.grad.shape} != {view.shape}"
+                )
+            view[...] = p.grad
+        return self._g
 
     def __getitem__(self, name):
         try:
@@ -114,26 +134,25 @@ def adam_step(store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     Requires every parameter to have a populated gradient; a missing gradient
     means the graph was wired wrong, and silently skipping it would mask that.
     The update runs over the flat buffers, element by element the same
-    arithmetic as a per-parameter loop.
+    arithmetic as a per-parameter loop. The gradient buffer is overwritten on
+    the way, and one array the size of `values` is allocated per step.
     """
-    for name, p in store.items():
-        if p.grad is None:
-            raise StateError(f"parameter {name!r} has no gradient")
+    g = store._gradients()
     store.step += 1
     t = store.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     m, v = store._moments()
-    g = np.concatenate([p.grad.ravel() for _, p in store.items()])
+    tmp = g * (1.0 - beta1)
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += tmp
     g *= g
     g *= 1.0 - beta2
     v *= beta2
     v += g
-    update = m / bc1
+    update = np.divide(m, bc1, out=tmp)
     update *= lr
-    denom = v / bc2
+    denom = np.divide(v, bc2, out=g)
     np.sqrt(denom, out=denom)
     denom += eps
     update /= denom

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, LabelError
+from .errors import ConfigurationError, DimensionError, LabelError, VocabularyError
 
 # When True, every op asserts its output is finite. Cheap at desk scale;
 # flipped on by the test suite.
@@ -58,8 +58,15 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g):
+        # Backward closures hand over arrays they never write to again, so a
+        # float64 array is kept as it is. Several tensors may then hold the
+        # same array (`add` gives one `g` to both parents), which is why a
+        # second gradient rebinds `grad` instead of adding in place.
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            if type(g) is np.ndarray and g.dtype == np.float64:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad = self.grad + g
 
@@ -210,6 +217,42 @@ def dense(x, w, b):
     return _node(out.reshape(x.data.shape[:-1] + out.shape[-1:]), (x, w, b), backward)
 
 
+def feed_forward(h, x, w1, b1, w2, b2):
+    """h + relu(x @ w1 + b1) @ w2 + b2 as one node: the feed-forward sublayer
+    of a transformer block with its residual. `h` and `x` are (..., D), `w1`
+    (D, F), `w2` (F, D)."""
+    h, x, w1, b1, w2, b2 = (as_tensor(t) for t in (h, x, w1, b1, w2, b2))
+    if h.data.shape != x.data.shape:
+        raise DimensionError(f"feed_forward residual {h.data.shape} != input {x.data.shape}")
+    x2 = x.data.reshape(-1, w1.data.shape[0])
+    r = x2 @ w1.data
+    r += b1.data
+    np.maximum(r, 0.0, out=r)
+    out = r @ w2.data
+    out += b2.data
+    out = out.reshape(h.data.shape)
+    out += h.data
+
+    def backward(g):
+        if h.requires_grad or h._parents:
+            h._accumulate(g)
+        g2 = g.reshape(-1, g.shape[-1])
+        if w2.requires_grad or w2._parents:
+            w2._accumulate(r.T @ g2)
+        if b2.requires_grad or b2._parents:
+            b2._accumulate(g2.sum(axis=0))
+        gr = g2 @ w2.data.T
+        gr *= r > 0.0
+        if w1.requires_grad or w1._parents:
+            w1._accumulate(x2.T @ gr)
+        if b1.requires_grad or b1._parents:
+            b1._accumulate(gr.sum(axis=0))
+        if x.requires_grad or x._parents:
+            x._accumulate((gr @ w1.data.T).reshape(x.data.shape))
+
+    return _node(out, (h, x, w1, b1, w2, b2), backward)
+
+
 # -- shape manipulation ----------------------------------------------------
 
 
@@ -308,50 +351,61 @@ def sigmoid(a):
 def softmax(a, axis=-1):
     """Numerically stable softmax along `axis` (fused backward)."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        a._accumulate(data * (g - dot))
+        ga = g * data
+        dot = ga.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=ga)
+        ga *= data
+        a._accumulate(ga)
 
     return _node(data, (a,), backward)
 
 
 def layer_norm(a, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit population variance, then affine."""
+    """Normalize the last axis to zero mean / unit population variance, then affine.
+
+    The variance is numpy's `var`: the squared deviations from the mean,
+    summed and divided by d, so the deviations are computed once.
+    """
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     d = a.data.shape[-1] if a.data.ndim else 0
     if d == 0:
         raise DimensionError("layer_norm requires a non-empty last axis")
     if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
+        raise ConfigurationError(f"layer_norm eps must be positive, got {eps}")
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({d},), got "
             f"{gain.data.shape} / {bias.data.shape}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
-    data = xhat * gain.data + bias.data
+    xhat = a.data - a.data.mean(axis=-1, keepdims=True)
+    data = xhat * xhat
+    var = data.sum(axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def backward(g):
+        lead = tuple(range(g.ndim - 1))
         if gain.requires_grad or gain._parents:
-            gain._accumulate(
-                (g * xhat).sum(axis=tuple(range(g.ndim - 1))) if g.ndim > 1 else g * xhat
-            )
+            gain._accumulate((g * xhat).sum(axis=lead))
         if bias.requires_grad or bias._parents:
-            bias._accumulate(
-                g.sum(axis=tuple(range(g.ndim - 1))) if g.ndim > 1 else np.array(g)
-            )
+            bias._accumulate(g.sum(axis=lead))
         if a.requires_grad or a._parents:
             gx = g * gain.data
             term1 = gx.mean(axis=-1, keepdims=True)
             term2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            a._accumulate(inv * (gx - term1 - xhat * term2))
+            gx -= term1
+            gx -= xhat * term2
+            gx *= inv
+            a._accumulate(gx)
 
     return _node(data, (a, gain, bias), backward)
 
@@ -467,10 +521,9 @@ def softmax_cross_entropy(logits, labels, mask=None):
             f"labels shape {labels.shape} does not match logits {logits.data.shape}"
         )
     if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise IndexError(f"label outside [0, {k}): {labels.min()}..{labels.max()}")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
+        raise VocabularyError(f"label outside [0, {k}): {labels.min()}..{labels.max()}")
+    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
     picked = np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
     if mask is None:
         denom = max(labels.size, 1)
@@ -483,13 +536,14 @@ def softmax_cross_entropy(logits, labels, mask=None):
         loss = -(picked * mask).sum() / denom
 
     def backward(g):
-        probs = np.exp(logp)
-        onehot = np.zeros_like(probs)
-        np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
-        grad = (probs - onehot) / denom
+        grad = np.exp(logp, order="C")  # C order: `rows` below must be a view
+        rows = grad.reshape(-1, k)
+        rows[np.arange(len(rows)), labels.reshape(-1)] -= 1.0
+        grad /= denom
         if mask is not None:
-            grad = grad * mask[..., None]
-        logits._accumulate(g * grad)
+            grad *= mask[..., None]
+        grad *= g
+        logits._accumulate(grad)
 
     return _node(np.float64(loss), (logits,), backward)
 

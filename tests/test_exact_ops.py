@@ -1,0 +1,250 @@
+"""The allocation-lean ops give exactly the floats of their composed formulas.
+
+Each rewritten op is compared with `np.array_equal`, forward and backward,
+against the straightforward formula it replaced, which stays here as the
+reference.
+"""
+
+import numpy as np
+import pytest
+
+from livesight import tensor as T
+from livesight.gradcheck import grad_check
+from livesight.layers import dense_forward
+from livesight.optim import ParamStore, adam_step
+from livesight.tensor import Tensor
+
+SHAPES = [(7,), (5, 10), (3, 4, 12)]
+
+
+def leaves(rng, *shapes):
+    return [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+
+def backprop(out, g):
+    """Run backward with `g` as the output's gradient (tsum of out * g hands
+    exactly g to `out`)."""
+    T.tsum(out * Tensor(g)).backward()
+
+
+def assert_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+
+
+# -- reference formulas ------------------------------------------------------
+
+
+def ref_layer_norm(x, gain, bias, g, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    out = xhat * gain + bias
+    lead = tuple(range(g.ndim - 1))
+    g_gain = (g * xhat).sum(axis=lead) if g.ndim > 1 else g * xhat
+    g_bias = g.sum(axis=lead) if g.ndim > 1 else np.array(g)
+    gx = g * gain
+    term1 = gx.mean(axis=-1, keepdims=True)
+    term2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return out, inv * (gx - term1 - xhat * term2), g_gain, g_bias
+
+
+def ref_softmax(x, g, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+    dot = (g * out).sum(axis=axis, keepdims=True)
+    return out, out * (g - dot)
+
+
+def ref_cross_entropy_grad(logits, labels, mask, g):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    probs = np.exp(shifted - logz)
+    onehot = np.zeros_like(probs)
+    np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
+    denom = max(labels.size, 1) if mask is None else mask.sum()
+    grad = (probs - onehot) / denom
+    if mask is not None:
+        grad = grad * mask[..., None]
+    return g * grad
+
+
+def ref_adam(store, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The flat update as it was: one concatenation of the gradients per step."""
+    store.step += 1
+    t = store.step
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    m, v = store._moments()
+    g = np.concatenate([grads[name].ravel() for name in store.names()])
+    m *= beta1
+    m += (1.0 - beta1) * g
+    g *= g
+    g *= 1.0 - beta2
+    v *= beta2
+    v += g
+    update = m / bc1
+    update *= lr
+    denom = v / bc2
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update /= denom
+    store.values -= update
+
+
+# -- layer_norm, softmax, cross-entropy --------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_layer_norm_equals_reference(shape):
+    rng = np.random.default_rng(20)
+    x, gain, bias = leaves(rng, shape, shape[-1:], shape[-1:])
+    x.data[...] = 3.0 + 10.0 * x.data  # an offset mean, so centring matters
+    g = rng.normal(size=shape)
+    out = T.layer_norm(x, gain, bias)
+    backprop(out, g)
+    ref_out, g_x, g_gain, g_bias = ref_layer_norm(x.data, gain.data, bias.data, g)
+    assert_equal(out.data, ref_out)
+    assert_equal(x.grad, g_x)
+    assert_equal(gain.grad, g_gain)
+    assert_equal(bias.grad, g_bias)
+
+
+@pytest.mark.parametrize("axis", [-1, 0])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_softmax_equals_reference(shape, axis):
+    rng = np.random.default_rng(21)
+    (x,) = leaves(rng, shape)
+    x.data[...] *= 5.0
+    g = rng.normal(size=shape)
+    out = T.softmax(x, axis=axis)
+    backprop(out, g)
+    ref_out, ref_grad = ref_softmax(x.data, g, axis)
+    assert_equal(out.data, ref_out)
+    assert_equal(x.grad, ref_grad)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("shape", [(6, 5), (3, 4, 5)])
+def test_cross_entropy_backward_equals_one_hot_reference(shape, masked):
+    rng = np.random.default_rng(22)
+    (logits,) = leaves(rng, shape)
+    labels = rng.integers(0, shape[-1], size=shape[:-1])
+    mask = (rng.random(shape[:-1]) < 0.6).astype(float) if masked else None
+    if masked:
+        mask.reshape(-1)[0] = 1.0
+    loss = T.softmax_cross_entropy(logits, labels, mask)
+    loss.backward()
+    assert_equal(logits.grad, ref_cross_entropy_grad(logits.data, labels, mask, np.ones(())))
+    # a non-unit upstream gradient scales the same floats
+    (again,) = leaves(np.random.default_rng(22), shape)
+    T.mul(T.softmax_cross_entropy(again, labels, mask), 0.3).backward()
+    assert_equal(again.grad, ref_cross_entropy_grad(again.data, labels, mask, np.float64(0.3)))
+
+
+def test_cross_entropy_backward_on_transposed_logits():
+    # Fortran-ordered logits: the label positions must still be found in place
+    rng = np.random.default_rng(23)
+    data = rng.normal(size=(4, 3, 2)).transpose(2, 1, 0)
+    logits = Tensor(data, requires_grad=True)
+    labels = rng.integers(0, 4, size=(2, 3))
+    T.softmax_cross_entropy(logits, labels).backward()
+    assert_equal(logits.grad, ref_cross_entropy_grad(data, labels, None, np.ones(())))
+
+
+# -- the feed-forward node ---------------------------------------------------
+
+
+def composed_feed_forward(h, x, w1, b1, w2, b2):
+    return h + dense_forward(T.relu(dense_forward(x, w1, b1)), w2, b2)
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (3, 4, 6)])
+def test_feed_forward_equals_dense_relu_dense_add(shape):
+    rng = np.random.default_rng(24)
+    shapes = (shape, shape, (6, 9), (9,), (9, 6), (6,))
+    fused, composed = leaves(rng, *shapes), leaves(np.random.default_rng(24), *shapes)
+    g = rng.normal(size=shape)
+    out_f = T.feed_forward(*fused)
+    out_c = composed_feed_forward(*composed)
+    backprop(out_f, g)
+    backprop(out_c, g)
+    assert_equal(out_f.data, out_c.data)
+    for a, b in zip(fused, composed):
+        assert_equal(a.grad, b.grad)
+
+
+def test_feed_forward_gradient_oracle():
+    store = ParamStore()
+    rng = np.random.default_rng(25)
+    for name, shape in (("h", (2, 3, 4)), ("x", (2, 3, 4)), ("w1", (4, 6)), ("b1", (6,)),
+                        ("w2", (6, 4)), ("b2", (4,))):
+        store.add(name, rng.normal(size=shape))
+    probe = rng.normal(size=(2, 3, 4))
+    args = [store[n] for n in ("h", "x", "w1", "b1", "w2", "b2")]
+
+    def loss():
+        return T.tsum(T.feed_forward(*args) * Tensor(probe))
+
+    assert grad_check(loss, store) < 1e-5
+
+
+# -- gradients shared between tensors ----------------------------------------
+
+
+def test_self_sum_leaves_the_output_gradient_alone():
+    rng = np.random.default_rng(26)
+    (a,) = leaves(rng, (3, 4))
+    x = T.mul(a, 1.0)  # an inner node: its grad comes from the add below
+    y = x + x
+    g = rng.normal(size=(3, 4))
+    backprop(y, g)
+    assert_equal(y.grad, g)
+    assert_equal(x.grad, g + g)
+    assert_equal(a.grad, g + g)
+
+
+@pytest.mark.parametrize("add_first", [True, False])
+def test_shared_add_gradient_survives_a_later_accumulation(add_first):
+    rng = np.random.default_rng(27)
+    a, b = leaves(rng, (3, 4), (3, 4))
+    g, probe = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    s = a + b  # hands one gradient array to both a and b
+    terms = [T.tsum(s * Tensor(g)), T.tsum(a * Tensor(probe))]
+    if not add_first:
+        terms.reverse()
+    (terms[0] + terms[1]).backward()
+    assert_equal(s.grad, g)
+    assert_equal(b.grad, g)
+    assert_equal(a.grad, g + probe)
+
+
+# -- Adam over the flat gradient buffer --------------------------------------
+
+
+def test_adam_equals_the_concatenating_update():
+    rng = np.random.default_rng(28)
+    shapes = {"emb": (7, 3), "w": (3, 5), "b": (5,), "scalar": ()}
+    store, ref = ParamStore(), ParamStore()
+    for name, shape in shapes.items():
+        init = rng.normal(size=shape)
+        store.add(name, init)
+        ref.add(name, init)
+    for step in range(6):
+        if step in (2, 4):  # zero gradients, so only the moments move the values
+            grads = {name: np.zeros(shape) for name, shape in shapes.items()}
+        else:
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6)
+                     for name, shape in shapes.items()}
+        for name, grad in grads.items():
+            # a non-contiguous gradient is copied like a contiguous one
+            store[name].grad = np.asfortranarray(grad) if grad.ndim == 2 else grad.copy()
+        adam_step(store, lr=1e-2)
+        ref_adam(ref, grads, lr=1e-2)
+        assert_equal(store.values, ref.values)
+        assert_equal(store._m, ref._m)
+        assert_equal(store._v, ref._v)
+        for name, grad in grads.items():  # the step reads the gradients, never writes them
+            assert_equal(store[name].grad, grad)

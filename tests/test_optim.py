@@ -68,6 +68,26 @@ def test_missing_gradient_is_an_error():
         adam_step(store)
 
 
+def test_gradient_of_another_shape_is_an_error():
+    # a (3,) gradient would broadcast into the (2, 3) slot of the flat buffer
+    store = ParamStore()
+    store.add("w", np.zeros((2, 3)))
+    store["w"].grad = np.ones(3)
+    with pytest.raises(StateError, match="'w' gradient shape"):
+        adam_step(store)
+    assert store.step == 0
+
+
+def test_gradients_are_copied_into_one_reused_buffer():
+    store = make_store(0.0)
+    store["w"].grad = np.ones(1)
+    adam_step(store)
+    buffer = store._g
+    store["w"].grad = np.ones(1)
+    adam_step(store)
+    assert store._g is buffer and buffer.size == store.values.size
+
+
 def test_adam_matches_reference_implementation():
     """Three steps on a 2-vector against a literal transcription of the update."""
     rng = np.random.default_rng(0)

@@ -117,6 +117,14 @@ def test_event_gaps_within_configured_range(hierarchy):
     assert s.event_buckets[0] == 0
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 0), (8, 4)], ids=["zero-gap", "min-above-max"])
+def test_event_gap_settings_are_checked(lo, hi):
+    # a zero gap never advances the stream; min above max is an empty range
+    with pytest.raises(ConfigurationError, match=f"event_gap_min={lo}, event_gap_max={hi}"):
+        SimConfig(event_gap_min=lo, event_gap_max=hi)
+    assert SimConfig(event_gap_min=1, event_gap_max=1).event_gap_max == 1
+
+
 def test_events_consistent_with_hierarchy(hierarchy):
     s = gen_stream(make_author(home_c1=3), hierarchy, 200, seed=6)
     p, c1, c2, c3 = s.events.T

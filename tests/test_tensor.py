@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from livesight import tensor as T
-from livesight.errors import DimensionError, LabelError
+from livesight.errors import ConfigurationError, DimensionError, LabelError, VocabularyError
 from livesight.tensor import Tensor
 
 
@@ -243,6 +243,18 @@ def test_layer_norm_values():
         T.layer_norm(Tensor([1.0, 2.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
     with pytest.raises(DimensionError):
         T.layer_norm(Tensor([1.0, 2.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_out_of_range_label_is_a_vocabulary_error(label):
+    with pytest.raises(VocabularyError, match=r"label outside \[0, 3\)"):
+        T.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, label]))
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5])
+def test_non_positive_layer_norm_eps_is_a_configuration_error(eps):
+    with pytest.raises(ConfigurationError, match="eps must be positive"):
+        T.layer_norm(Tensor([1.0, 2.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=eps)
 
 
 def test_gradient_accumulates_across_uses():
