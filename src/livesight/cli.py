@@ -75,6 +75,7 @@ def cmd_train_forecaster(args):
 def cmd_train_rank(args):
     cfg = _load_base_config(args)
     world = simgen.import_dataset(args.data)
+    ranker.check_held_out(world.samples, cfg.rank)
     train_rooms, _ = pipeline.split_rooms(len(world.streams))
     data = pipeline.training_digest(world, train_rooms)
     stat_model = pipeline.load_forecaster(args.stat_ckpt, "stat", world.hierarchy, data)

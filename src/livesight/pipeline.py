@@ -207,6 +207,7 @@ def prepare(cfg, out_dir=None, reuse=True):
     t0 = time.monotonic()
     world = simgen.gen_world(cfg.sim, cfg.seed)
     timings["gen"] = time.monotonic() - t0
+    ranker.check_held_out(world.samples, cfg.rank)
     train_rooms, eval_rooms = split_rooms(len(world.streams))
 
     data = training_digest(world, train_rooms)

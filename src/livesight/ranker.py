@@ -17,7 +17,7 @@ from . import layers
 from . import metrics
 from . import tensor as T
 from .config import RankConfig
-from .errors import ConfigurationError, ContractError, DimensionError
+from .errors import ConfigurationError, ContractError, DatasetError, DimensionError
 from .optim import ParamStore, adam_step
 from .simgen import FIELD_NAMES
 from .tensor import Tensor
@@ -208,6 +208,43 @@ def predict(model, batch_input, idx, batch):
     return np.concatenate([model.forward(batch_input(chunk)).data for chunk in chunks])
 
 
+def split_samples(n, config):
+    """The ranker's split of `n` samples: (held_out, train, val, fit) index
+    arrays. `config.eval_fraction` of a seeded permutation is held out; a
+    tenth of the rest (`val`) picks the stopping epoch and `fit` trains, or
+    both are the whole train split when it has a single sample."""
+    order = np.random.default_rng([config.seed, 0xE5]).permutation(n)
+    n_eval = max(1, int(n * config.eval_fraction))
+    ev, tr = order[:n_eval], order[n_eval:]
+    n_val = max(1, int(len(tr) * 0.1))
+    va, fit = tr[:n_val], tr[n_val:]
+    if not len(fit):
+        va, fit = tr, tr
+    return ev, tr, va, fit
+
+
+def check_held_out(samples, config):
+    """Raise DatasetError unless `train_ranker` can score every task of the
+    SampleTable on its held-out split: the split holds both labels of the
+    task, and at least one user with both (UAUC and GAUC average over such
+    users). Cheap, so it runs before any model trains."""
+    ev = split_samples(len(samples), config)[0]
+    _, user = np.unique(samples.fields[ev, 0], return_inverse=True)
+    seen = np.bincount(user)
+    for j, task in enumerate(samples.tasks):
+        labels = samples.labels[ev, j]
+        where = f"task {task!r}: the held-out split ({len(ev)} of {len(samples)} samples)"
+        if not labels.any() or labels.all():
+            kind = "positive" if labels.any() else "negative"
+            raise DatasetError(f"{where} has only {kind} labels, so its AUC is undefined")
+        pos = np.bincount(user, weights=labels)
+        if not ((pos > 0) & (pos < seen)).any():
+            raise DatasetError(
+                f"{where} has no user with both a positive and a negative label, "
+                "so its UAUC and GAUC are undefined"
+            )
+
+
 def train_ranker(samples, variant, config, bank=None, rows=None):
     """Train one variant on a SampleTable and report held-out AUC/UAUC/GAUC
     per task of the table, with the table's id vocabulary.
@@ -232,15 +269,8 @@ def train_ranker(samples, variant, config, bank=None, rows=None):
     labels = samples.labels.astype(np.float64)
     users = fields[:, 0]
 
-    split_rng = np.random.default_rng([config.seed, 0xE5])
-    order = split_rng.permutation(len(samples))
-    n_eval = max(1, int(len(samples) * config.eval_fraction))
-    ev, tr = order[:n_eval], order[n_eval:]
     # a slice of train picks the stopping epoch; the held-out slice stays unseen
-    n_val = max(1, int(len(tr) * 0.1))
-    va, fit = tr[:n_val], tr[n_val:]
-    if not len(fit):
-        va, fit = tr, tr
+    ev, tr, va, fit = split_samples(len(samples), config)
     if use_stat or use_prod:
         model.fit_normalizers(bank, rows[tr])
 

@@ -216,3 +216,15 @@ def test_parser_rejects_unknown_variant():
 def test_parser_rejects_unknown_ablation():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["ablate", "--which", "nonsense"])
+
+
+def test_train_rank_rejects_an_unscorable_dataset_before_loading(tmp_path, capsys):
+    data = tmp_path / "data"
+    config = tmp_path / "small.json"
+    cfg = ExperimentConfig(seed=3, sim=SimConfig(streams=4, users=50, n_samples=200))
+    config.write_text(json.dumps(to_dict(cfg)))
+    assert main(["gen", "--config", str(config), "--seed", "3", "--out", str(data)]) == 0
+    missing = str(tmp_path / "none.ckpt")
+    args = ["train-rank", "--data", str(data), "--stat-ckpt", missing, "--prod-ckpt", missing]
+    assert main(args + ["--out", str(tmp_path / "reports")]) == 1
+    assert "no user with both" in capsys.readouterr().err

@@ -10,7 +10,7 @@ import pytest
 
 from livesight import tensor as T
 from livesight.gradcheck import grad_check
-from livesight.layers import dense_forward
+from livesight.layers import MASK_VALUE, dense_forward
 from livesight.optim import ParamStore, adam_step
 from livesight.tensor import Tensor
 
@@ -30,6 +30,13 @@ def backprop(out, g):
 def assert_equal(actual, expected):
     assert actual.shape == expected.shape
     assert np.array_equal(actual, expected)
+
+
+def assert_same_floats(actual, expected):
+    """Equal values, NaN where the other has NaN, and the same sign of zero."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
 # -- reference formulas ------------------------------------------------------
@@ -152,6 +159,89 @@ def test_cross_entropy_backward_on_transposed_logits():
     labels = rng.integers(0, 4, size=(2, 3))
     T.softmax_cross_entropy(logits, labels).backward()
     assert_equal(logits.grad, ref_cross_entropy_grad(data, labels, None, np.ones(())))
+
+
+# -- short rows reduced by columns -------------------------------------------
+
+
+def short_rows(n):
+    """(7, 5, n) rows spanning twelve decades, plus rows of MASK_VALUE, of
+    signed zeros and of infinities."""
+    rng = np.random.default_rng(29 + n)
+    a = rng.normal(size=(7, 5, n)) * 10.0 ** rng.integers(-6, 6, size=(7, 5, n))
+    a[0] = MASK_VALUE  # fully masked rows
+    a[1, :, 1:] = MASK_VALUE  # causal-mask rows that keep their first column
+    a[2] = -0.0
+    a[3, :, ::2] = 0.0
+    a[3, :, 1::2] = -0.0
+    a[4, 0, -1] = np.inf
+    a[4, 1, 0] = -np.inf
+    a[4, 2] = -np.inf
+    a[4, 3, :: max(1, n - 1)] = (np.inf, -np.inf)[: min(n, 2)]  # NaN sums for n > 1
+    return a
+
+
+def noncontiguous(a):
+    """Views of `a` whose last axis is not one C-contiguous block."""
+    return [a[..., ::-1], a[:, ::2], np.swapaxes(a, 0, 1), np.asfortranarray(a)]
+
+
+@pytest.mark.parametrize("n", range(1, T.SHORT_ROW + 3))
+def test_row_max_and_sum_equal_numpy(n):
+    a = short_rows(n)
+    for x in [a, a[3], a[4, 3]] + noncontiguous(a):
+        with np.errstate(invalid="ignore"):  # inf - inf in the sums
+            assert_same_floats(T._row_max(x), x.max(axis=-1, keepdims=True))
+            assert_same_floats(T._row_sum(x), x.sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("length", [1, 2, 5, 8, 11, 17, T.SHORT_ROW, T.SHORT_ROW + 1])
+@pytest.mark.parametrize("masked", [False, True])
+def test_softmax_of_attention_scores_equals_reference(length, masked):
+    rng = np.random.default_rng(30)
+    (x,) = leaves(rng, (3, 4, length, length))
+    x.data[...] *= 4.0
+    if masked:  # the causal mask of `multi_head_attention`
+        x.data[...] += np.triu(np.full((length, length), MASK_VALUE), k=1)
+    g = rng.normal(size=x.shape)
+    out = T.softmax(x, axis=-1)
+    backprop(out, g)
+    ref_out, ref_grad = ref_softmax(x.data, g, -1)
+    assert_same_floats(out.data, ref_out)
+    assert_same_floats(x.grad, ref_grad)
+
+
+# -- the attention-score backward --------------------------------------------
+
+
+def ref_attention_scores_grads(x, heads, wq, bq, wk, bk, g):
+    """Gradients of x, wq, bq, wk, bk by the `np.stack` formula: the Q and K
+    gradients stacked, then transposed and reshaped into token rows."""
+    b, length, d = x.shape
+    dh = d // heads
+    x2 = x.reshape(b * length, d)
+    w_qk = np.concatenate([wq, wk], axis=1)
+    qk = x2 @ w_qk
+    qk += np.concatenate([bq, bk])
+    q, k = qk.reshape(b, length, 2, heads, dh).transpose(2, 0, 3, 1, 4)
+    g = g * (1.0 / np.sqrt(dh))
+    g_qk = np.stack([g @ k, np.swapaxes(g, -1, -2) @ q])
+    g_qk = g_qk.transpose(1, 3, 0, 2, 4).reshape(b * length, 2 * d)
+    g_w, g_b = x2.T @ g_qk, g_qk.sum(axis=0)
+    return (g_qk @ w_qk.T).reshape(x.shape), g_w[:, :d], g_b[:d], g_w[:, d:], g_b[d:]
+
+
+@pytest.mark.parametrize("b, length, d, heads", [(1, 1, 8, 4), (3, 5, 8, 2), (16, 11, 32, 4)])
+def test_attention_scores_backward_equals_the_stacked_formula(b, length, d, heads):
+    rng = np.random.default_rng(31)
+    params = leaves(rng, (b, length, d), (d, d), (d,), (d, d), (d,))
+    mask = np.triu(np.full((length, length), MASK_VALUE), k=1)
+    g = rng.normal(size=(b, heads, length, length))
+    x, wq, bq, wk, bk = params
+    backprop(T.attention_scores(x, heads, mask, wq, bq, wk, bk), g)
+    refs = ref_attention_scores_grads(x.data, heads, wq.data, bq.data, wk.data, bk.data, g)
+    for p, ref in zip(params, refs):
+        assert_equal(p.grad, ref)
 
 
 # -- the feed-forward node ---------------------------------------------------

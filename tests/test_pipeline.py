@@ -15,7 +15,7 @@ from livesight.config import (
     StatConfig,
     from_dict,
 )
-from livesight.errors import ConfigurationError
+from livesight.errors import ConfigurationError, DatasetError
 from livesight.pipeline import split_rooms, write_csv
 
 TINY = ExperimentConfig(
@@ -291,3 +291,18 @@ def test_pipeline_reruns_byte_identical(tmp_path):
     paths2 = pipeline.run_pipeline(cfg)
     for name, p in paths2.items():
         assert p.read_bytes() == blobs[name]
+
+
+def test_unscorable_held_out_split_fails_before_any_training(tmp_path, monkeypatch):
+    # at this size no held-out user of seed 3 has both cvr labels; the run
+    # used to fail only in the first ranker's UAUC, after both forecasters
+    def no_training(*args, **kwargs):
+        raise AssertionError("a forecaster started training")
+
+    monkeypatch.setattr(pipeline, "train_forecaster", no_training)
+    cfg = dataclasses.replace(
+        TINY, seed=3, sim=SimConfig(streams=4, users=50, n_samples=200), out_dir=str(tmp_path)
+    )
+    with pytest.raises(DatasetError, match="'cvr'.*no user with both"):
+        pipeline.run_pipeline(cfg)
+    assert not list(tmp_path.glob("*.ckpt"))

@@ -12,6 +12,7 @@ from livesight.config import RankConfig, SimConfig
 from livesight.errors import (
     ConfigurationError,
     ContractError,
+    DatasetError,
     DimensionError,
     LabelError,
     VocabularyError,
@@ -22,8 +23,10 @@ from livesight.ranker import (
     NORM_CHUNK,
     ForesightBank,
     RankingModel,
+    check_held_out,
     predict,
     rank_loss,
+    split_samples,
     train_ranker,
 )
 from livesight.simgen import SampleTable
@@ -341,3 +344,35 @@ def test_restored_best_state_stays_in_the_flat_buffer():
         p.grad = np.ones_like(p.data)
     adam_step(model.store, lr=1e-2)
     assert not np.array_equal(model.forward(x).data, before)
+
+
+def test_split_samples_partitions_every_sample():
+    ev, tr, va, fit = split_samples(101, CFG)
+    assert len(ev) == int(101 * CFG.eval_fraction)
+    assert sorted(np.concatenate([ev, tr]).tolist()) == list(range(101))
+    assert np.array_equal(np.concatenate([va, fit]), tr)
+    assert len(va) == int(len(tr) * 0.1)
+
+
+def relabelled(samples, labels):
+    return dataclasses.replace(samples, labels=labels)
+
+
+def test_check_held_out_names_a_task_with_one_held_out_class():
+    samples, _, _ = dataset(200)
+    labels = samples.labels.copy()
+    ev = split_samples(len(samples), CFG)[0]
+    labels[ev, 1] = 0
+    with pytest.raises(DatasetError, match="'cvr'.*only negative"):
+        check_held_out(relabelled(samples, labels), CFG)
+
+
+def test_check_held_out_names_a_task_without_a_user_of_both_classes():
+    samples, _, _ = dataset(200)
+    labels = samples.labels.copy()
+    ev = split_samples(len(samples), CFG)[0]
+    users = samples.fields[ev, 0]
+    # each held-out user keeps one class: positive for even user ids only
+    labels[ev, 0] = users % 2 == 0
+    with pytest.raises(DatasetError, match="'ctr'.*no user with both"):
+        check_held_out(relabelled(samples, labels), CFG)

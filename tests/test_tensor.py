@@ -1,5 +1,8 @@
 """Autodiff core: forward values and analytic-vs-numeric gradients."""
 
+import ctypes
+import platform
+
 import numpy as np
 import pytest
 
@@ -267,3 +270,28 @@ def test_gradient_accumulates_across_uses():
 def test_finite_check_trips_on_overflow():
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
         Tensor([1e308]) * Tensor([1e308])
+
+
+class NoMallopt:
+    """A C library without `mallopt`, as on macOS or Windows."""
+
+    def __init__(self, name):
+        pass
+
+
+class Unloadable:
+    """A CDLL that fails to open, as `CDLL(None)` does on Windows."""
+
+    def __init__(self, name):
+        raise TypeError("no default library")
+
+
+@pytest.mark.parametrize("library", [NoMallopt, Unloadable])
+def test_heap_policy_is_a_no_op_without_mallopt(monkeypatch, library):
+    monkeypatch.setattr(ctypes, "CDLL", library)
+    assert T._keep_freed_heap() is False
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy applies on glibc only")
+def test_heap_policy_takes_on_glibc():
+    assert T._keep_freed_heap() is True
