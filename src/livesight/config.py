@@ -90,7 +90,13 @@ class SimConfig:
         total = self.stay_level2 + self.move_level1 + self.jump
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"category kernel probabilities sum to {total}, not 1")
-        for row in self.phase_matrix:
+        # the phase sampler bisects each row's cumulative sum and checks nothing itself
+        rows = self.phase_matrix
+        if len(rows) != 3 or any(len(row) != 3 or not all(v >= 0 for v in row) for row in rows):
+            raise ConfigurationError(
+                f"phase_matrix must be 3 rows of 3 non-negative probabilities, got {rows}"
+            )
+        for row in rows:
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ConfigurationError(f"phase matrix row {row} does not sum to 1")
 

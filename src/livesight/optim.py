@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import StateError
@@ -98,6 +100,25 @@ class ParamStore:
     def zero_grad(self):
         for p in self._params.values():
             p.grad = None
+
+    @contextmanager
+    def frozen(self):
+        """Run the block forward-only: no op records a backward closure.
+
+        Clears every parameter's `requires_grad` and restores the saved flags
+        on exit, also after an exception, so blocks nest. An op with no live
+        parent keeps no graph (`tensor._node`), so its intermediates are freed
+        as soon as it returns; the forward floats are the same.
+        """
+        params = list(self._params.values())
+        saved = [p.requires_grad for p in params]
+        for p in params:
+            p.requires_grad = False
+        try:
+            yield self
+        finally:
+            for p, flag in zip(params, saved):
+                p.requires_grad = flag
 
     def load_arrays(self, arrays):
         _write(self._views(self.values), arrays, "parameter")

@@ -185,16 +185,18 @@ def truncate_context(events, max_context):
 def forecast_product(model, events):
     """Forecast the next finest category after `events`, plus per-position encodings."""
     events = truncate_context(as_events(events), model.config.max_context)
-    logits, enc = model.forward_positions(events[None])
-    probs = T.softmax(logits, axis=-1).data[0, -1]
+    with model.store.frozen():
+        logits, enc = model.forward_positions(events[None])
+        probs = T.softmax(logits, axis=-1).data[0, -1]
     return ProdForecast(distribution=probs.copy(), encoding=enc.data[0, 1:].copy())
 
 
 def forecast_all_prefixes(model, events):
     """Distributions (L, |C3|) and encodings (L, D) for every prefix, one pass."""
     events = truncate_context(as_events(events), model.config.max_context)
-    logits, enc = model.forward_positions(events[None])
-    return T.softmax(logits, axis=-1).data[0].copy(), enc.data[0].copy()
+    with model.store.frozen():
+        logits, enc = model.forward_positions(events[None])
+        return T.softmax(logits, axis=-1).data[0].copy(), enc.data[0].copy()
 
 
 def forecast_prefixes(model, events, ends, k_enc):
@@ -223,8 +225,9 @@ def forecast_prefixes(model, events, ends, k_enc):
     late = np.flatnonzero(ends >= m)
     if len(late):
         windows = np.stack([events[end - m + 1 : end + 1] for end in ends[late]])
-        logits, enc = model.forward_positions(windows)
-        dist[late] = T.softmax(logits, axis=-1).data[:, -1]
+        with model.store.frozen():
+            logits, enc = model.forward_positions(windows)
+            dist[late] = T.softmax(logits, axis=-1).data[:, -1]
         tail = enc.data[:, max(1, m - k_enc) :].reshape(len(late), -1)
         enc_out[late, : tail.shape[1]] = tail
     return dist, enc_out

@@ -205,7 +205,8 @@ def predict(model, batch_input, idx, batch):
     if cuts and len(idx) - cuts[-1] == 1:
         cuts.pop()
     chunks = np.split(idx, cuts)
-    return np.concatenate([model.forward(batch_input(chunk)).data for chunk in chunks])
+    with model.store.frozen():
+        return np.concatenate([model.forward(batch_input(chunk)).data for chunk in chunks])
 
 
 def split_samples(n, config):

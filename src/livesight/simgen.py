@@ -10,6 +10,7 @@ signal that past-only features cannot.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import warnings
@@ -136,13 +137,21 @@ class World:
 
 
 def _sample_phases(rng, matrix, t_total):
-    phases = np.zeros(t_total, dtype=np.int64)
-    state = STEADY
-    rows = [np.asarray(r) for r in matrix]
-    for t in range(t_total):
-        phases[t] = state
-        state = int(rng.choice(3, p=rows[state]))
-    return phases
+    """The hidden phase path, a Markov chain from STEADY over `matrix`'s rows.
+
+    Each step takes one double, as `rng.choice(3, p=row)` does, and bisects
+    the row's normalized cumulative sum the same way, so the path and the RNG
+    state after it are choice's; the doubles are drawn in one call.
+    """
+    cdfs = []
+    for row in matrix:
+        cdf = np.cumsum(row, dtype=np.float64)
+        cdfs.append((cdf / cdf[-1]).tolist())
+    path, state = [], STEADY
+    for u in rng.random(t_total).tolist():
+        path.append(state)
+        state = bisect.bisect_right(cdfs[state], u)
+    return np.asarray(path, dtype=np.int64)
 
 
 def _next_category(rng, c3, style, hierarchy):
@@ -512,7 +521,7 @@ def import_dataset(dir_path):
     hierarchy = CategoryHierarchy.from_json(dir_path / "hierarchy.json")
     rows = {name: list(_read_jsonl(dir_path / name, keys)) for name, keys in ROW_KEYS.items()}
     panels = {r["room_id"]: (line, r) for line, r in rows["panels.jsonl"]}
-    products = {r["room_id"]: r for _, r in rows["products.jsonl"]}
+    products = {r["room_id"]: (line, r) for line, r in rows["products.jsonl"]}
     latents = {r["room_id"]: r for _, r in rows["latent.jsonl"]}
     users = [r for _, r in rows["users.jsonl"]]
     for k, (line, r) in enumerate(rows["users.jsonl"]):
@@ -531,7 +540,10 @@ def import_dataset(dir_path):
         if absent:
             raise ParseError(f"room {room_id!r} has no row in {' or '.join(absent)}",
                              path=str(dir_path / "panels.jsonl"), line=line)
-        prod, lat = products[room_id], latents[room_id]
+        lat = latents[room_id]
+        values, events, event_buckets = _room_arrays(
+            dir_path, (line, pan), products[room_id], cfg.buckets, hierarchy
+        )
         author = AuthorStyle(
             author_id=i,
             home_c1=lat["home_c1"],
@@ -540,7 +552,6 @@ def import_dataset(dir_path):
             jump=cfg.jump,
             base_rates=np.asarray(lat["base_rates"]),
         )
-        values = np.asarray([pan["channels"][n] for n in CHANNEL_NAMES], dtype=np.int64)
         streams.append(
             Stream(
                 room_id=room_id,
@@ -552,8 +563,8 @@ def import_dataset(dir_path):
                     values=values,
                     groups=list(CHANNEL_GROUPS),
                 ),
-                events=np.asarray(prod["events"], dtype=np.int64),
-                event_buckets=np.asarray(prod["event_buckets"], dtype=np.int64),
+                events=events,
+                event_buckets=event_buckets,
                 phases=np.asarray(lat["phases"], dtype=np.int64),
             )
         )
@@ -572,6 +583,52 @@ def import_dataset(dir_path):
         SERVICES[cfg.service], field_sizes(cfg),
     )
     return world
+
+
+def _room_arrays(dir_path, panel, product, buckets, hierarchy):
+    """(values, events, event_buckets) of one room from its `(line, row)` in
+    panels.jsonl and products.jsonl. Raises ParseError naming the file and line
+    unless each channel holds `buckets` non-negative counts, the events are
+    (L, 4) rows that agree with `hierarchy`, and `event_buckets` holds one
+    strictly increasing bucket of the stream per event."""
+    (pan_line, pan), (prod_line, prod) = panel, product
+
+    def error(name, message):
+        line = pan_line if name == "panels.jsonl" else prod_line
+        return ParseError(message, path=str(dir_path / name), line=line)
+
+    def parsed(name, value, what):
+        try:
+            return np.asarray(value, dtype=np.int64)
+        except (ValueError, TypeError, OverflowError):
+            raise error(name, f"{what} is not a rectangular integer array") from None
+
+    channels = [parsed("panels.jsonl", pan["channels"][n], f"channel {n}") for n in CHANNEL_NAMES]
+    for name, channel in zip(CHANNEL_NAMES, channels):
+        if channel.shape != (buckets,) or (channel < 0).any():
+            raise error("panels.jsonl", f"channel {name} must hold {buckets} non-negative counts")
+    events = parsed("products.jsonl", prod["events"], "events")
+    if events.ndim != 2 or events.shape[1] != 4:
+        raise error("products.jsonl", f"events must be (L, 4) rows, got shape {events.shape}")
+    h, item = hierarchy, events[:, 0]
+    bad = np.flatnonzero((item < 0) | (item >= h.n_products))
+    if bad.size:
+        raise error("products.jsonl",
+                    f"event {bad[0]}: product {item[bad[0]]} outside [0, {h.n_products})")
+    c3 = h.p_to_c3[item]
+    c2 = h.c3_to_c2[c3]
+    bad = np.flatnonzero((events != np.stack([item, h.c2_to_c1[c2], c2, c3], axis=1)).any(axis=1))
+    if bad.size:
+        k = bad[0]
+        raise error("products.jsonl", f"event {k} {events[k].tolist()} disagrees with the "
+                    f"hierarchy: product {item[k]} is in c3 {c3[k]}, c2 {c2[k]}")
+    event_buckets = parsed("products.jsonl", prod["event_buckets"], "event_buckets")
+    # _latest_event bisects event_buckets: unsorted, it could pick a later event
+    if (event_buckets.shape != (len(events),) or (np.diff(event_buckets) <= 0).any()
+            or event_buckets[0] < 0 or event_buckets[-1] >= buckets):
+        raise error("products.jsonl", f"event_buckets must be {len(events)} strictly "
+                    f"increasing buckets in [0, {buckets})")
+    return np.stack(channels), events, event_buckets
 
 
 def _read_samples(path, room_index, room_buckets, tasks, vocab):

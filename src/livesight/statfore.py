@@ -163,7 +163,8 @@ def baseline_forecast(window, horizon, method):
 def forecast_batch(model, windows, horizon):
     """Denormalized forecasts for stacked windows (B, N, W), first `horizon` steps."""
     normed, mu, delta = revin_normalize(windows)
-    pred_norm, enc = model.forward(Tensor(normed))
+    with model.store.frozen():
+        pred_norm, enc = model.forward(Tensor(normed))
     pred = pred_norm.data[:, :, :horizon] * delta + mu
     return pred, enc.data
 

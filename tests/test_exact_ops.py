@@ -5,13 +5,20 @@ against the straightforward formula it replaced, which stays here as the
 reference.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from livesight import prodfore, statfore
 from livesight import tensor as T
+from livesight.config import ProdConfig, RankConfig, StatConfig
 from livesight.gradcheck import grad_check
 from livesight.layers import MASK_VALUE, dense_forward
 from livesight.optim import ParamStore, adam_step
+from livesight.prodfore import CategoryHierarchy, ProductModel
+from livesight.ranker import RankingModel, predict, rank_loss
+from livesight.statfore import StatisticModel
 from livesight.tensor import Tensor
 
 SHAPES = [(7,), (5, 10), (3, 4, 12)]
@@ -338,3 +345,142 @@ def test_adam_equals_the_concatenating_update():
         assert_equal(store._v, ref._v)
         for name, grad in grads.items():  # the step reads the gradients, never writes them
             assert_equal(store[name].grad, grad)
+
+
+# -- forward-only passes -----------------------------------------------------
+
+HIERARCHY = CategoryHierarchy.balanced(2, 4, 8, 16)
+
+
+def tiny_stat():
+    return StatisticModel(StatConfig(context=8, horizon_train=3, horizon_infer=2, d_model=8,
+                                     heads=2, d_ff=16))
+
+
+def tiny_prod():
+    return ProductModel(ProdConfig(d_model=8, heads=2, d_ff=16, max_context=6), HIERARCHY)
+
+
+def tiny_rank():
+    return RankingModel(RankConfig(emb_width=4, hidden=8), (10, 5, 6, 5, 12, 2, 4),
+                        ("ctr", "cvr"), "+both", stat_width=6, n_c3=8, d_mix=4,
+                        prod_enc_width=8)
+
+
+def events_of(rng, *shape):
+    item = rng.integers(0, HIERARCHY.n_products, size=shape)
+    c3 = HIERARCHY.p_to_c3[item]
+    c2 = HIERARCHY.c3_to_c2[c3]
+    return np.stack([item, HIERARCHY.c2_to_c1[c2], c2, c3], axis=-1)
+
+
+def rank_inputs(model, rng, n=12):
+    """`batch_input(idx)`: the ranker input of samples `idx` among `n` with
+    fixed random ids and foresight."""
+    ids = np.stack([rng.integers(0, size, n) for size in (10, 5, 6, 5, 12, 2, 4)], axis=1)
+    fore = dict(stat=rng.normal(size=(n, 6)), dist=rng.dirichlet(np.ones(8), size=n),
+                prod_enc=rng.normal(size=(n, 8)))
+    return lambda idx: model.features(ids[idx], **{k: v[idx] for k, v in fore.items()})
+
+
+def rank_forward(model, rng, n=12):
+    batch_input = rank_inputs(model, rng, n)
+    return lambda: model.forward(batch_input(np.arange(n)))
+
+
+def stat_pass(rng):
+    model, x = tiny_stat(), Tensor(rng.normal(size=(5, 8, 8)))
+    return model, lambda: model.forward(x)
+
+
+def prod_pass(rng):
+    model, events = tiny_prod(), events_of(rng, 3, 6)
+
+    def forward():
+        logits, enc = model.forward_positions(events)
+        return T.softmax(logits, axis=-1), enc
+
+    return model, forward
+
+
+def rank_pass(rng):
+    model = tiny_rank()
+    forward = rank_forward(model, rng)
+    return model, lambda: (forward(),)
+
+
+@pytest.mark.parametrize("build", [stat_pass, prod_pass, rank_pass], ids=["stat", "prod", "rank"])
+def test_frozen_forward_gives_the_recording_floats_and_no_graph(build):
+    model, forward = build(np.random.default_rng(30))
+    recorded = forward()
+    with model.store.frozen():
+        frozen = forward()
+    for rec, out in zip(recorded, frozen):
+        assert rec._parents and rec._backward is not None
+        assert out._parents == () and out._backward is None and not out.requires_grad
+        assert_equal(out.data, rec.data)
+    assert all(p.requires_grad for _, p in model.store.items())
+
+
+def spy_frozen(monkeypatch, model, name):
+    """Record, at each call of `model.<name>`, whether any parameter could
+    record a graph."""
+    calls, inner = [], getattr(model, name)
+
+    def spied(*args):
+        calls.append(any(p.requires_grad for _, p in model.store.items()))
+        return inner(*args)
+
+    monkeypatch.setattr(model, name, spied)
+    return calls
+
+
+def test_inference_passes_run_frozen_with_the_same_floats(monkeypatch):
+    rng = np.random.default_rng(31)
+    stat, prod, rank = tiny_stat(), tiny_prod(), tiny_rank()
+    windows = rng.poisson(4.0, size=(5, 8, 8)).astype(float)
+    normed, mu, delta = statfore.revin_normalize(windows)
+    pred, enc = stat.forward(Tensor(normed))
+    events = events_of(rng, 10)
+    logits, prod_enc = prod.forward_positions(events[None, :6])
+    late = np.stack([events[end - 5 : end + 1] for end in (7, 9)])
+    late_logits, _ = prod.forward_positions(late)
+    batch_input = rank_inputs(rank, rng)
+    probs = rank.forward(batch_input(np.arange(12)))
+
+    stat_calls = spy_frozen(monkeypatch, stat, "forward")
+    prod_calls = spy_frozen(monkeypatch, prod, "forward_positions")
+    rank_calls = spy_frozen(monkeypatch, rank, "forward")
+    got_pred, got_enc = statfore.forecast_batch(stat, windows, 2)
+    assert_equal(got_pred, pred.data[:, :, :2] * delta + mu)
+    assert_equal(got_enc, enc.data)
+    dist, _ = prodfore.forecast_prefixes(prod, events, np.array([2, 5, 7, 9]), k_enc=2)
+    assert_equal(dist[:2], T.softmax(logits, axis=-1).data[0, [2, 5]])
+    assert_equal(dist[2:], T.softmax(late_logits, axis=-1).data[:, -1])
+    one = prodfore.forecast_product(prod, events[:6])
+    assert_equal(one.distribution, T.softmax(logits, axis=-1).data[0, -1])
+    assert_equal(one.encoding, prod_enc.data[0, 1:])
+    assert_equal(predict(rank, batch_input, np.arange(12), 12), probs.data)
+    assert stat_calls == [False] and prod_calls == [False] * 3 and rank_calls == [False]
+    assert all(p.requires_grad for _, p in prod.store.items())
+
+
+def test_grad_check_worst_error_is_unchanged_by_frozen_evaluations():
+    rng = np.random.default_rng(32)
+    model = tiny_rank()
+    forward = rank_forward(model, rng, n=4)
+    y = (rng.random((4, 2)) < 0.5).astype(float)
+    recorded = []
+
+    def loss():
+        out = rank_loss(forward(), y)
+        recorded.append(bool(out._parents))
+        return out
+
+    worst = grad_check(loss, model.store, max_coords=64)
+    # only the analytic pass recorded a graph
+    assert recorded.count(True) == 1 and len(recorded) == 2 + 1 + 2 * 64
+    model.store.frozen = contextlib.nullcontext  # every evaluation records, as before
+    assert np.float64(grad_check(loss, model.store, max_coords=64)).tobytes() == \
+        np.float64(worst).tobytes()
+    assert all(recorded[2 + 1 + 2 * 64 :])

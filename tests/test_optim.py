@@ -179,3 +179,23 @@ def test_load_arrays_writes_into_the_buffer():
     adam_step(store, lr=1e-3)
     # the update reaches the tensor the model reads
     assert abs(store["w"].data[0] - (5.0 - 1e-3)) < 1e-9
+
+
+def test_frozen_clears_the_flags_and_restores_them_when_nested():
+    store = make_store()
+    store.add("b", np.zeros(2))
+    store["b"].requires_grad = False  # a flag already off stays off
+    with store.frozen() as inner:
+        assert inner is store
+        with store.frozen():
+            assert not any(p.requires_grad for _, p in store.items())
+        assert not any(p.requires_grad for _, p in store.items())
+    assert [p.requires_grad for _, p in store.items()] == [True, False]
+
+
+def test_frozen_restores_the_flags_after_an_exception():
+    store = make_store()
+    with pytest.raises(KeyError), store.frozen():
+        assert not store["w"].requires_grad
+        raise KeyError("boom")
+    assert store["w"].requires_grad

@@ -21,6 +21,7 @@ from livesight.simgen import (
     STEADY,
     AuthorStyle,
     SampleTable,
+    _sample_phases,
     _sigmoid,
     _task_coeffs,
     export_dataset,
@@ -115,6 +116,41 @@ def test_event_gaps_within_configured_range(hierarchy):
     gaps = np.diff(s.event_buckets)
     assert gaps.min() >= 4 and gaps.max() <= 8
     assert s.event_buckets[0] == 0
+
+
+def looped_phases(rng, matrix, t_total):
+    """The reference phase path: one `rng.choice` per bucket."""
+    phases = np.zeros(t_total, dtype=np.int64)
+    state = STEADY
+    for t in range(t_total):
+        phases[t] = state
+        state = int(rng.choice(3, p=np.asarray(matrix[state])))
+    return phases
+
+
+@pytest.mark.parametrize("matrix", [
+    SimConfig().phase_matrix,
+    ((1 / 3, 1 / 3, 1 / 3),) * 3,
+    ((0.1, 0.2, 0.7), (0.0, 1.0, 0.0), (0.3, 0.0, 0.7)),
+    ((0.7, 0.2, 0.1), (0.2, 0.7, 0.1), (0.999, 0.0005, 0.0005)),
+], ids=["default", "uniform", "zeros", "skewed"])
+def test_phase_path_equals_the_choice_loop(matrix):
+    # the same path and the same RNG state after it, so every later draw of
+    # the stream is unchanged too
+    for t_total in (48, 96, 101):
+        for seed in range(25):
+            ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = looped_phases(ref, matrix, t_total)
+            got = _sample_phases(rng, matrix, t_total)
+            assert np.array_equal(got, expected) and got.dtype == expected.dtype
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("row", [(-0.1, 1.05, 0.05), (float("nan"), 0.5, 0.5), (0.5, 0.5)])
+def test_phase_matrix_rows_are_checked(row):
+    matrix = (row,) + SimConfig().phase_matrix[1:]
+    with pytest.raises(ConfigurationError, match="phase_matrix"):
+        SimConfig(phase_matrix=matrix)
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 0), (8, 4)], ids=["zero-gap", "min-above-max"])
@@ -394,6 +430,61 @@ def test_sample_bucket_outside_its_stream_names_the_line(tmp_path, bad, expect):
     ) as err:
         import_dataset(tmp_path / "ds")
     assert err.value.line == 5
+
+
+def shorten_likes(row):
+    row["channels"]["likes"].pop()
+
+
+def short_event(row):
+    row["events"][3].pop()
+
+
+def swap_event_buckets(row):
+    b = row["event_buckets"]
+    b[2], b[3] = b[3], b[2]
+
+
+def unknown_product(row):
+    row["events"][1][0] = 99999
+
+
+def wrong_category(row):
+    row["events"][1][3] = (row["events"][1][3] + 1) % SMALL.n_c3
+
+
+def negative_count(row):
+    row["channels"]["orders"][5] = -1
+
+
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        pytest.param("panels.jsonl", shorten_likes,
+                     f"channel likes must hold {SMALL.buckets} non-negative counts",
+                     id="short-channel"),
+        pytest.param("products.jsonl", short_event, "events is not a rectangular integer array",
+                     id="three-value-event"),
+        pytest.param("products.jsonl", swap_event_buckets,
+                     f"event_buckets must be .* strictly increasing buckets in \\[0, {SMALL.buckets}\\)",
+                     id="swapped-event-buckets"),
+        pytest.param("products.jsonl", unknown_product,
+                     f"event 1: product 99999 outside \\[0, {SMALL.n_products}\\)",
+                     id="unknown-product"),
+        pytest.param("products.jsonl", wrong_category, "event 1 .* disagrees with the hierarchy",
+                     id="wrong-category"),
+        pytest.param("panels.jsonl", negative_count,
+                     f"channel orders must hold {SMALL.buckets} non-negative counts",
+                     id="negative-count"),
+    ],
+)
+def test_malformed_room_row_names_the_line(tmp_path, name, edit, message):
+    # each of these once imported silently or ended in a bare numpy error
+    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
+    rewrite_row(tmp_path / "ds" / name, 2, edit)
+    with pytest.warns(UserWarning), pytest.raises(ParseError, match=f"{name}:3: {message}") as err:
+        import_dataset(tmp_path / "ds")
+    assert err.value.line == 3
 
 
 @pytest.mark.parametrize(
