@@ -178,3 +178,17 @@ def adam_step(store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     denom += eps
     update /= denom
     store.values -= update
+
+
+def train_step(store, loss_fn, lr):
+    """One training step: build the loss with `loss_fn()`, backpropagate it
+    into freshly zeroed gradients, take an Adam step; returns the loss value.
+
+    The step's graph lives only in this frame, so it is freed before the
+    caller builds the next one.
+    """
+    loss = loss_fn()
+    store.zero_grad()
+    loss.backward()
+    adam_step(store, lr=lr)
+    return float(loss.data)

@@ -24,7 +24,7 @@ from .errors import (
     VocabularyError,
 )
 from .metrics import hit_rate
-from .optim import ParamStore, adam_step
+from .optim import ParamStore, train_step
 
 
 @dataclass
@@ -284,13 +284,13 @@ def train_product(model, sequences, epochs=None):
         total, weight = 0.0, 0.0
         for k in order_rng.permutation(len(batches)):
             batch, labels, mask = batches[k]
-            logits, _ = model.forward_positions(batch)
-            flat = T.reshape(logits, (-1, n_c3))
-            loss = T.softmax_cross_entropy(flat, labels.ravel(), mask=mask.ravel())
-            model.store.zero_grad()
-            loss.backward()
-            adam_step(model.store, lr=c.lr)
-            total += float(loss.data) * mask.sum()
+
+            def loss_fn():
+                logits, _ = model.forward_positions(batch)
+                flat = T.reshape(logits, (-1, n_c3))
+                return T.softmax_cross_entropy(flat, labels.ravel(), mask=mask.ravel())
+
+            total += train_step(model.store, loss_fn, c.lr) * mask.sum()
             weight += mask.sum()
         history.append(total / weight)
     return history

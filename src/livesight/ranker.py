@@ -18,7 +18,7 @@ from . import metrics
 from . import tensor as T
 from .config import RankConfig
 from .errors import ConfigurationError, ContractError, DatasetError, DimensionError
-from .optim import ParamStore, adam_step
+from .optim import ParamStore, train_step
 from .simgen import FIELD_NAMES
 from .tensor import Tensor
 
@@ -290,12 +290,11 @@ def train_ranker(samples, variant, config, bank=None, rows=None):
         losses = []
         for lo in range(0, len(perm), config.batch):
             idx = perm[lo : lo + config.batch]
-            probs = model.forward(batch_input(idx))
-            loss = rank_loss(probs, labels[idx])
-            model.store.zero_grad()
-            loss.backward()
-            adam_step(model.store, lr=config.lr)
-            losses.append(float(loss.data))
+
+            def loss_fn():
+                return rank_loss(model.forward(batch_input(idx)), labels[idx])
+
+            losses.append(train_step(model.store, loss_fn, config.lr))
         history.append(float(np.mean(losses)))
         val = float(rank_loss(predict(model, batch_input, va, config.batch), labels[va]).data)
         if val < best_val:

@@ -522,7 +522,7 @@ def import_dataset(dir_path):
     rows = {name: list(_read_jsonl(dir_path / name, keys)) for name, keys in ROW_KEYS.items()}
     panels = {r["room_id"]: (line, r) for line, r in rows["panels.jsonl"]}
     products = {r["room_id"]: (line, r) for line, r in rows["products.jsonl"]}
-    latents = {r["room_id"]: r for _, r in rows["latent.jsonl"]}
+    latents = {r["room_id"]: (line, r) for line, r in rows["latent.jsonl"]}
     users = [r for _, r in rows["users.jsonl"]]
     for k, (line, r) in enumerate(rows["users.jsonl"]):
         if r["user_id"] != k:
@@ -540,17 +540,18 @@ def import_dataset(dir_path):
         if absent:
             raise ParseError(f"room {room_id!r} has no row in {' or '.join(absent)}",
                              path=str(dir_path / "panels.jsonl"), line=line)
-        lat = latents[room_id]
-        values, events, event_buckets = _room_arrays(
-            dir_path, (line, pan), products[room_id], cfg.buckets, hierarchy
+        room_rows = {"panels.jsonl": (line, pan), "products.jsonl": products[room_id],
+                     "latent.jsonl": latents[room_id]}
+        values, events, event_buckets, phases, home_c1, base_rates = _room_arrays(
+            dir_path, room_rows, cfg, hierarchy
         )
         author = AuthorStyle(
             author_id=i,
-            home_c1=lat["home_c1"],
+            home_c1=home_c1,
             stay_level2=cfg.stay_level2,
             move_level1=cfg.move_level1,
             jump=cfg.jump,
-            base_rates=np.asarray(lat["base_rates"]),
+            base_rates=base_rates,
         )
         streams.append(
             Stream(
@@ -565,7 +566,7 @@ def import_dataset(dir_path):
                 ),
                 events=events,
                 event_buckets=event_buckets,
-                phases=np.asarray(lat["phases"], dtype=np.int64),
+                phases=phases,
             )
         )
     world = World(
@@ -585,23 +586,27 @@ def import_dataset(dir_path):
     return world
 
 
-def _room_arrays(dir_path, panel, product, buckets, hierarchy):
-    """(values, events, event_buckets) of one room from its `(line, row)` in
-    panels.jsonl and products.jsonl. Raises ParseError naming the file and line
-    unless each channel holds `buckets` non-negative counts, the events are
-    (L, 4) rows that agree with `hierarchy`, and `event_buckets` holds one
-    strictly increasing bucket of the stream per event."""
-    (pan_line, pan), (prod_line, prod) = panel, product
+def _room_arrays(dir_path, rows, cfg, hierarchy):
+    """(values, events, event_buckets, phases, home_c1, base_rates) of one room
+    from its file name -> `(line, row)` in panels.jsonl, products.jsonl and
+    latent.jsonl. Raises ParseError naming the file and line unless each
+    channel holds `buckets` non-negative counts, the events are (L, 4) rows
+    that agree with `hierarchy`, `event_buckets` holds one strictly increasing
+    bucket of the stream per event, `phases` holds `buckets` phases in
+    {0, 1, 2}, `base_rates` one finite, non-negative rate per channel, and
+    `home_c1` is a level-1 category."""
+    buckets = cfg.buckets
+    pan, prod, lat = (rows[name][1] for name in ("panels.jsonl", "products.jsonl", "latent.jsonl"))
 
     def error(name, message):
-        line = pan_line if name == "panels.jsonl" else prod_line
-        return ParseError(message, path=str(dir_path / name), line=line)
+        return ParseError(message, path=str(dir_path / name), line=rows[name][0])
 
-    def parsed(name, value, what):
+    def parsed(name, value, what, dtype=np.int64):
         try:
-            return np.asarray(value, dtype=np.int64)
+            return np.asarray(value, dtype=dtype)
         except (ValueError, TypeError, OverflowError):
-            raise error(name, f"{what} is not a rectangular integer array") from None
+            kind = "integer" if dtype is np.int64 else "number"
+            raise error(name, f"{what} is not a rectangular {kind} array") from None
 
     channels = [parsed("panels.jsonl", pan["channels"][n], f"channel {n}") for n in CHANNEL_NAMES]
     for name, channel in zip(CHANNEL_NAMES, channels):
@@ -628,7 +633,18 @@ def _room_arrays(dir_path, panel, product, buckets, hierarchy):
             or event_buckets[0] < 0 or event_buckets[-1] >= buckets):
         raise error("products.jsonl", f"event_buckets must be {len(events)} strictly "
                     f"increasing buckets in [0, {buckets})")
-    return np.stack(channels), events, event_buckets
+    phases = parsed("latent.jsonl", lat["phases"], "phases")
+    if phases.shape != (buckets,) or ((phases < 0) | (phases > 2)).any():
+        raise error("latent.jsonl", f"phases must hold {buckets} values in {{0, 1, 2}}")
+    base_rates = parsed("latent.jsonl", lat["base_rates"], "base_rates", np.float64)
+    rates_ok = np.isfinite(base_rates) & (base_rates >= 0)
+    if base_rates.shape != (len(CHANNEL_NAMES),) or not rates_ok.all():
+        raise error("latent.jsonl", f"base_rates must hold {len(CHANNEL_NAMES)} finite, "
+                    "non-negative rates")
+    home_c1 = lat["home_c1"]
+    if type(home_c1) is not int or not 0 <= home_c1 < cfg.n_c1:
+        raise error("latent.jsonl", f"home_c1 {home_c1!r} outside [0, {cfg.n_c1})")
+    return np.stack(channels), events, event_buckets, phases, home_c1, base_rates
 
 
 def _read_samples(path, room_index, room_buckets, tasks, vocab):

@@ -18,7 +18,7 @@ from . import layers
 from . import tensor as T
 from .config import StatConfig, config_hash, to_dict
 from .errors import DimensionError, WindowError
-from .optim import ParamStore, adam_step
+from .optim import ParamStore, train_step
 from .tensor import Tensor
 
 GROUPS = ("out-room", "convert", "interaction", "in-room")
@@ -132,15 +132,15 @@ def train_statistic(model, panels, epochs=None):
         losses = []
         for lo in range(0, len(order), c.batch):
             idx = order[lo : lo + c.batch]
-            normed, mu, delta = revin_normalize(x[idx])
-            pred_norm, _ = model.forward(Tensor(normed))
-            pred = pred_norm * Tensor(delta) + Tensor(mu)
-            diff = pred + T.mul(Tensor(y[idx]), -1.0)
-            loss = T.tmean(T.mul(diff, diff))
-            model.store.zero_grad()
-            loss.backward()
-            adam_step(model.store, lr=c.lr)
-            losses.append(float(loss.data))
+
+            def loss_fn():
+                normed, mu, delta = revin_normalize(x[idx])
+                pred_norm, _ = model.forward(Tensor(normed))
+                pred = pred_norm * Tensor(delta) + Tensor(mu)
+                diff = pred + T.mul(Tensor(y[idx]), -1.0)
+                return T.tmean(T.mul(diff, diff))
+
+            losses.append(train_step(model.store, loss_fn, c.lr))
         history.append(float(np.mean(losses)))
     return history
 

@@ -12,7 +12,7 @@ import ctypes
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, LabelError, VocabularyError
+from .errors import ConfigurationError, DimensionError, LabelError, StateError, VocabularyError
 
 # When True, every op asserts its output is finite. Cheap at desk scale;
 # flipped on by the test suite.
@@ -106,7 +106,13 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar through the recorded graph.
+
+        Each node's closure is dropped as soon as it has run, which frees the
+        temporaries it holds while the rest of the pass is still running; the
+        graph's `_parents` and every `grad` stay. So a graph backpropagates
+        once: a second call through any of its nodes raises `StateError`.
+        """
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
         topo = []
@@ -119,6 +125,8 @@ class Tensor:
             if expanded:
                 seen.add(id(node))
                 topo.append(node)
+            elif node._parents and node._backward is None:
+                raise StateError("backward() already ran through this graph")
             else:
                 stack.append((node, True))
                 for p in node._parents:
@@ -128,6 +136,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node._backward = None
 
     # -- operator sugar -------------------------------------------------
 

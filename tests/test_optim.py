@@ -1,10 +1,16 @@
-"""ParamStore bookkeeping and the Adam update rule."""
+"""ParamStore bookkeeping, the Adam update rule and the training step."""
+
+import weakref
 
 import numpy as np
 import pytest
 
+from livesight import prodfore, ranker, statfore
+from livesight import tensor as T
+from livesight.config import ProdConfig, RankConfig, SimConfig, StatConfig
 from livesight.errors import StateError
 from livesight.optim import ParamStore, adam_step
+from livesight.simgen import gen_world
 
 
 def make_store(value=1.0):
@@ -199,3 +205,150 @@ def test_frozen_restores_the_flags_after_an_exception():
         assert not store["w"].requires_grad
         raise KeyError("boom")
     assert store["w"].requires_grad
+
+
+# -- step-scoped graphs --------------------------------------------------------
+
+TINY_WORLD = SimConfig(streams=10, users=50, n_samples=300)
+
+
+@pytest.fixture(scope="module")
+def world():
+    return gen_world(TINY_WORLD, seed=4)
+
+
+def train_stat(world):
+    model = statfore.StatisticModel(StatConfig(context=8, horizon_train=3, horizon_infer=2,
+                                               d_model=8, heads=2, d_ff=16, batch=16))
+    statfore.train_statistic(model, [st.panel for st in world.streams[:2]], epochs=1)
+    return model
+
+
+def train_prod(world):
+    model = prodfore.ProductModel(ProdConfig(d_model=8, heads=2, d_ff=16, max_context=8,
+                                             batch=16), world.hierarchy)
+    prodfore.train_product(model, [st.events for st in world.streams], epochs=1)
+    return model
+
+
+def train_rank(world):
+    config = RankConfig(emb_width=4, hidden=8, epochs=1, batch=32)
+    return ranker.train_ranker(world.samples, "base", config)[0]
+
+
+TRAINERS = [train_stat, train_prod, train_rank]
+TRAINER_IDS = ["stat", "prod", "rank"]
+
+
+@pytest.mark.parametrize("train", TRAINERS, ids=TRAINER_IDS)
+def test_a_step_graph_is_gone_before_the_next_forward(monkeypatch, world, train):
+    # every array an op made in step k is dead when the next op runs after
+    # step k's backward: step k+1's first op, so before its adam_step too
+    made, ended, leaks, checked = [], [], [], []
+    node, backward = T._node, T.Tensor.backward
+
+    def spy_node(data, parents, closure):
+        if ended:
+            leaks.extend(ref for ref in ended.pop() if ref() is not None)
+            checked.append(True)
+        out = node(data, parents, closure)
+        made.append(weakref.ref(out.data))
+        return out
+
+    def spy_backward(loss):
+        backward(loss)
+        ended.append(list(made))
+        made.clear()
+
+    monkeypatch.setattr(T, "_node", spy_node)
+    monkeypatch.setattr(T.Tensor, "backward", spy_backward)
+    model = train(world)
+    assert len(checked) >= model.store.step - 1 > 1
+    assert leaks == []
+
+
+def backward_keeping_closures(root):
+    """`Tensor.backward` as it ran before closures were dropped: every node's
+    closure in reverse topological order, none released."""
+    topo, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for p in node._parents:
+                visit(p)
+            topo.append(node)
+
+    visit(root)
+    root._accumulate(np.ones_like(root.data))
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def graph_nodes(root):
+    """Every node reachable from `root`, in a fixed order."""
+    order, seen, stack = [], {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return order
+
+
+def prod_loss(model, events):
+    logits, _ = model.forward_positions(events[None, :-1])
+    return T.softmax_cross_entropy(T.reshape(logits, (-1, model.hierarchy.n_c3)),
+                                   events[1:, 3])
+
+
+def test_backward_drops_each_closure_and_keeps_every_gradient(world):
+    model = prodfore.ProductModel(ProdConfig(d_model=8, heads=2, d_ff=16, max_context=8),
+                                  world.hierarchy)
+    events = world.streams[0].events[:8]
+    loss = prod_loss(model, events)
+    loss.backward()
+    nodes = graph_nodes(loss)
+    inner = [n for n in nodes if n._parents]
+    assert len(inner) > 20 and all(n._backward is None for n in inner)
+
+    model.store.zero_grad()
+    ref = prod_loss(model, events)
+    backward_keeping_closures(ref)
+    ref_nodes = graph_nodes(ref)
+    assert len(ref_nodes) == len(nodes)
+    for a, b in zip(nodes, ref_nodes):
+        assert a.data.shape == b.data.shape
+        assert (a.grad is None) == (b.grad is None)
+        if a.grad is not None:
+            assert np.array_equal(a.grad, b.grad)
+
+
+def reference_step(kept):
+    """The step loop of the trainers before `train_step`: the loss (and so its
+    graph) stays referenced, and backward keeps every closure."""
+
+    def step(store, loss_fn, lr):
+        loss = loss_fn()
+        store.zero_grad()
+        backward_keeping_closures(loss)
+        adam_step(store, lr=lr)
+        kept.append(loss)
+        return float(loss.data)
+
+    return step
+
+
+@pytest.mark.parametrize(
+    "train,module", zip(TRAINERS, (statfore, prodfore, ranker)), ids=TRAINER_IDS
+)
+def test_train_step_gives_the_floats_of_the_graph_keeping_loop(monkeypatch, world, train, module):
+    values = train(world).store.values
+    kept = []
+    monkeypatch.setattr(module, "train_step", reference_step(kept))
+    ref = train(world).store.values
+    assert len(kept) > 2
+    assert np.array_equal(values, ref)

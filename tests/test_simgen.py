@@ -3,6 +3,7 @@ label base rates, dataset round trips, and the future-vs-past signal probe."""
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -457,6 +458,34 @@ def negative_count(row):
     row["channels"]["orders"][5] = -1
 
 
+def cut_phases(row):
+    row["phases"] = row["phases"][:11]
+
+
+def unknown_phase(row):
+    row["phases"][5] = 7
+
+
+def short_base_rates(row):
+    row["base_rates"].pop()
+
+
+def negative_base_rate(row):
+    row["base_rates"][1] = -0.5
+
+
+def nan_base_rate(row):
+    row["base_rates"][0] = float("nan")
+
+
+def home_past_the_vocabulary(row):
+    row["home_c1"] = SMALL.n_c1
+
+
+PHASES = re.escape(f"phases must hold {SMALL.buckets} values in {{0, 1, 2}}")
+RATES = f"base_rates must hold {len(CHANNEL_NAMES)} finite, non-negative rates"
+
+
 @pytest.mark.parametrize(
     "name,edit,message",
     [
@@ -476,6 +505,13 @@ def negative_count(row):
         pytest.param("panels.jsonl", negative_count,
                      f"channel orders must hold {SMALL.buckets} non-negative counts",
                      id="negative-count"),
+        pytest.param("latent.jsonl", cut_phases, PHASES, id="short-phases"),
+        pytest.param("latent.jsonl", unknown_phase, PHASES, id="unknown-phase"),
+        pytest.param("latent.jsonl", short_base_rates, RATES, id="short-base-rates"),
+        pytest.param("latent.jsonl", negative_base_rate, RATES, id="negative-base-rate"),
+        pytest.param("latent.jsonl", nan_base_rate, RATES, id="nan-base-rate"),
+        pytest.param("latent.jsonl", home_past_the_vocabulary,
+                     f"home_c1 {SMALL.n_c1} outside \\[0, {SMALL.n_c1}\\)", id="home-c1-outside"),
     ],
 )
 def test_malformed_room_row_names_the_line(tmp_path, name, edit, message):

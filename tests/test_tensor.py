@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from livesight import tensor as T
-from livesight.errors import ConfigurationError, DimensionError, LabelError, VocabularyError
+from livesight.errors import (
+    ConfigurationError,
+    DimensionError,
+    LabelError,
+    StateError,
+    VocabularyError,
+)
 from livesight.tensor import Tensor
 
 
@@ -186,6 +192,26 @@ def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(DimensionError):
         (x * 2.0).backward()
+
+
+def test_a_spent_graph_cannot_backpropagate_again():
+    # a second pass once compounded silently (w.grad 3.0, then 18.0); with
+    # the closures dropped it would silently do nothing
+    x, w, b = Tensor(np.ones((3, 1))), Tensor([[1.0]], requires_grad=True), Tensor([0.0])
+    hidden = T.relu(T.dense(x, w, b))
+    loss = T.tsum(hidden * 1.0)
+    loss.backward()
+    assert np.array_equal(w.grad, [[3.0]])
+    with pytest.raises(StateError, match="already ran"):
+        loss.backward()
+    # a new loss over a spent part of the graph is refused as well
+    with pytest.raises(StateError, match="already ran"):
+        T.tsum(hidden * 2.0).backward()
+    assert np.array_equal(w.grad, [[3.0]])
+    leaf = Tensor(2.0, requires_grad=True)
+    leaf.backward()
+    leaf.backward()  # a leaf has no graph to spend
+    assert leaf.grad == 2.0
 
 
 def test_softmax_cross_entropy_examples():
