@@ -1,8 +1,9 @@
-"""Deterministic checkpoint files.
+"""Deterministic array archives: checkpoints and datasets.
 
-A checkpoint is a zip archive (stored, not compressed, with a fixed
-timestamp) holding one little-endian float64 blob per parameter plus a JSON
-manifest. Writing the same state twice produces byte-identical files, so
+An archive is a zip file (stored, not compressed, with a fixed timestamp)
+holding a JSON manifest and one little-endian blob per array. A checkpoint
+holds a float64 blob per parameter and moment; `simgen` writes a dataset the
+same way. Writing the same state twice produces byte-identical files, so
 "did training touch this model?" reduces to comparing two files.
 """
 
@@ -12,6 +13,7 @@ import hashlib
 import io
 import json
 import zipfile
+import zlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -26,6 +28,24 @@ def _manifest_bytes(manifest):
     return json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
 
 
+def write_archive(path, manifest, members):
+    """Write `manifest.json` and then each `(name, bytes)` of `members` to the
+    zip file `path`, stored with a fixed timestamp so that equal input gives
+    equal bytes."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
+        for name, payload in [("manifest.json", _manifest_bytes(manifest)), *members]:
+            info = zipfile.ZipInfo(name, date_time=_EPOCH)
+            info.external_attr = 0o600 << 16
+            zf.writestr(info, payload)
+    with open(path, "wb") as fh:
+        fh.write(buf.getvalue())
+
+
+def _blob(array):
+    return np.ascontiguousarray(array, dtype="<f8").tobytes()
+
+
 def save_checkpoint(path, store, config_hash="", extra=None):
     """Write the store's parameters, moments, and step counter to `path`."""
     manifest = {
@@ -36,45 +56,39 @@ def save_checkpoint(path, store, config_hash="", extra=None):
         "params": {name: list(p.data.shape) for name, p in store.items()},
         "moments": sorted(store.moments_m),
     }
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
-
-        def put(name, payload):
-            info = zipfile.ZipInfo(name, date_time=_EPOCH)
-            info.external_attr = 0o600 << 16
-            zf.writestr(info, payload)
-
-        put("manifest.json", _manifest_bytes(manifest))
-        for name, p in sorted(store.items()):
-            put(f"param/{name}", np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-        for name in sorted(store.moments_m):
-            put(f"m/{name}", np.ascontiguousarray(store.moments_m[name], dtype="<f8").tobytes())
-            put(f"v/{name}", np.ascontiguousarray(store.moments_v[name], dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    members = [(f"param/{name}", _blob(p.data)) for name, p in sorted(store.items())]
+    for name in sorted(store.moments_m):
+        members += [(f"m/{name}", _blob(store.moments_m[name])),
+                    (f"v/{name}", _blob(store.moments_v[name]))]
+    write_archive(path, manifest, members)
 
 
 @contextmanager
-def _archive(path):
-    """The checkpoint's zip archive, open for reading. A file that is not a
-    zip, is truncated, fails a member's CRC-32, lacks a member or holds a blob
-    of the wrong size raises StateError naming the path."""
+def open_archive(path, error=StateError, what="checkpoint"):
+    """The zip archive `path`, open for reading. A file that is missing, not a
+    zip, cut short, fails a CRC-32, lacks a member, holds a blob of the wrong
+    size or has a damaged header (an unknown compression method or flag, or an
+    offset outside the file) raises `error` naming the path; an `error` raised
+    inside passes through."""
     try:
         with zipfile.ZipFile(path, "r") as zf:
             yield zf
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
-        raise StateError(f"{path} is not a readable checkpoint: {exc}") from exc
+    except error:
+        raise
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, RuntimeError, OSError,
+            zlib.error) as exc:
+        raise error(f"{path} is not a readable {what}: {exc}") from exc
 
 
 def read_manifest(path):
     """The JSON manifest of a checkpoint file, without reading its arrays."""
-    with _archive(path) as zf:
+    with open_archive(path) as zf:
         return json.loads(zf.read("manifest.json"))
 
 
 def read_checkpoint(path):
     """Return (arrays, moments_m, moments_v, manifest) from a checkpoint file."""
-    with _archive(path) as zf:
+    with open_archive(path) as zf:
         manifest = json.loads(zf.read("manifest.json"))
         if manifest.get("format") != _FORMAT:
             raise StateError(f"unsupported checkpoint format {manifest.get('format')!r}")

@@ -9,7 +9,6 @@ inference, yields the forecast for every prefix of a room's history.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +16,7 @@ import numpy as np
 from . import layers
 from . import tensor as T
 from .config import ProdConfig, config_hash, to_dict
-from .errors import (
-    ConfigurationError,
-    ParseError,
-    SequenceError,
-    VocabularyError,
-)
+from .errors import ConfigurationError, SequenceError, VocabularyError
 from .metrics import hit_rate
 from .optim import ParamStore, train_step
 
@@ -84,35 +78,6 @@ class CategoryHierarchy:
 
     def c3_children_of_c1(self, c1):
         return np.flatnonzero(self.c2_to_c1[self.c3_to_c2] == c1)
-
-    def to_json(self, path):
-        doc = {
-            "levels": {
-                "c1": self.n_c1,
-                "c2": self.n_c2,
-                "c3": self.n_c3,
-                "products": self.n_products,
-            },
-            "c2_to_c1": self.c2_to_c1.tolist(),
-            "c3_to_c2": self.c3_to_c2.tolist(),
-            "p_to_c3": self.p_to_c3.tolist(),
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            return cls(
-                c2_to_c1=doc["c2_to_c1"],
-                c3_to_c2=doc["c3_to_c2"],
-                p_to_c3=doc["p_to_c3"],
-            )
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise ParseError(f"bad hierarchy file: {exc}", path=str(path)) from exc
 
 
 @dataclass

@@ -13,12 +13,14 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
 from .config import SAMPLE_BUCKET_FLOOR, SERVICES, SimConfig, from_dict, to_dict
 from .errors import ConfigurationError, DatasetError, DimensionError, ParseError, VocabularyError
 from .layers import check_ids
@@ -199,7 +201,6 @@ def gen_stream(author, hierarchy, t_total, seed, config=None):
 
     panel = StatPanel(
         room_id=f"room{author.author_id:04d}",
-        t0_bucket=0,
         channels=list(CHANNEL_NAMES),
         values=counts,
         groups=list(CHANNEL_GROUPS),
@@ -360,326 +361,183 @@ def gen_world(config, seed):
 # serialization
 
 
-def _dump_jsonl(path, rows):
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+def _layout(cfg, counts):
+    """{name: [dtype, shape]} of each array of a dataset, in member order; the
+    shapes follow from the config and the manifest's event and sample counts."""
+    rooms, users, samples, events = cfg.streams, cfg.users, counts["samples"], counts["events"]
+    i8, f8 = "<i8", "<f8"
+    return {
+        "c2_to_c1": [i8, [cfg.n_c2]],
+        "c3_to_c2": [i8, [cfg.n_c3]],
+        "p_to_c3": [i8, [cfg.n_products]],
+        "panels": [i8, [rooms, len(CHANNELS), cfg.buckets]],
+        "phases": [i8, [rooms, cfg.buckets]],
+        "home_c1": [i8, [rooms]],
+        "base_rates": [f8, [rooms, len(CHANNELS)]],
+        "events": [i8, [events, 4]],
+        "event_buckets": [i8, [events]],
+        "event_offsets": [i8, [rooms + 1]],  # room r's events are events[offsets[r]:offsets[r + 1]]
+        "user_prefs": [f8, [users, cfg.n_c1]],
+        "user_aff_bucket": [i8, [users]],
+        "user_click_bucket": [i8, [users]],
+        "sample_room": [i8, [samples]],
+        "sample_bucket": [i8, [samples]],
+        "sample_fields": [i8, [samples, len(FIELD_NAMES)]],
+        "sample_labels": [i8, [samples, len(SERVICES[cfg.service])]],
+        "sample_weight": [f8, [samples]],
+    }
 
 
-def _has(record, path):
-    """Whether a JSON record holds the (nested) key whose parts are `path`."""
-    for part in path:
-        if not isinstance(record, dict) or part not in record:
-            return False
-        record = record[part]
-    return True
-
-
-def _read_jsonl(path, keys):
-    """(line number, record) for each non-blank line of a JSON Lines file; a
-    line that is not JSON, or whose record lacks one of `keys`, raises
-    ParseError naming the line. A dotted key ("labels.cvr") is nested."""
-    paths = [(key, key.split(".")) for key in keys]
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
-            missing = [key for key, parts in paths if not _has(record, parts)]
-            if missing:
-                raise ParseError(f"row has no {', '.join(missing)}", path=str(path), line=lineno)
-            yield lineno, record
-
-
-FILES = ("panels.jsonl", "products.jsonl", "samples.jsonl", "users.jsonl", "latent.jsonl")
-
-# the keys each row of a per-room or per-user file must hold
-ROW_KEYS = {
-    "panels.jsonl": ("room_id", "t0_bucket", *(f"channels.{n}" for n in CHANNEL_NAMES)),
-    "products.jsonl": ("room_id", "events", "event_buckets"),
-    "users.jsonl": ("user_id", "prefs", "aff_bucket", "click_bucket"),
-    "latent.jsonl": ("room_id", "phases", "home_c1", "base_rates"),
-}
-
-
-def _data_digest(dir_path):
+def _data_digest(blobs):
     h = hashlib.sha256()
-    for name in FILES + ("hierarchy.json",):
-        with open(dir_path / name, "rb") as fh:
-            h.update(fh.read())
+    for blob in blobs:
+        h.update(blob)
     return h.hexdigest()
 
 
 def export_dataset(world, dir_path):
-    """Write the world as JSON Lines plus a manifest with a content hash."""
+    """Write the world to `dir_path/world.zip`: one little-endian blob per
+    array of `_layout` plus a manifest with the config and a content hash."""
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
-    _dump_jsonl(
-        dir_path / "panels.jsonl",
-        (
-            {
-                "room_id": st.room_id,
-                "t0_bucket": st.panel.t0_bucket,
-                "channels": {
-                    name: st.panel.values[i].astype(np.int64).tolist()
-                    for i, name in enumerate(st.panel.channels)
-                },
-            }
-            for st in world.streams
-        ),
-    )
-    _dump_jsonl(
-        dir_path / "products.jsonl",
-        (
-            {
-                "room_id": st.room_id,
-                "events": st.events.tolist(),
-                "event_buckets": st.event_buckets.tolist(),
-            }
-            for st in world.streams
-        ),
-    )
-    samples = world.samples
-    room_ids = [st.room_id for st in world.streams]
-    _dump_jsonl(
-        dir_path / "samples.jsonl",
-        (
-            {
-                "room_id": room_ids[r],
-                "bucket": t,
-                **dict(zip(FIELD_NAMES, ids)),
-                "weight": w,
-                "labels": dict(zip(samples.tasks, y)),
-            }
-            for r, t, ids, w, y in zip(
-                samples.room.tolist(),
-                samples.bucket.tolist(),
-                samples.fields.tolist(),
-                samples.weight.tolist(),
-                samples.labels.tolist(),
-            )
-        ),
-    )
-    _dump_jsonl(
-        dir_path / "users.jsonl",
-        (
-            {
-                "user_id": u,
-                "prefs": world.user_prefs[u].tolist(),
-                "aff_bucket": int(world.user_aff_bucket[u]),
-                "click_bucket": int(world.user_click_bucket[u]),
-            }
-            for u in range(len(world.user_prefs))
-        ),
-    )
-    _dump_jsonl(
-        dir_path / "latent.jsonl",
-        (
-            {
-                "room_id": st.room_id,
-                "phases": st.phases.tolist(),
-                "home_c1": st.author.home_c1,
-                "base_rates": st.author.base_rates.tolist(),
-            }
-            for st in world.streams
-        ),
-    )
-    world.hierarchy.to_json(dir_path / "hierarchy.json")
+    streams, samples, h = world.streams, world.samples, world.hierarchy
+    arrays = {
+        "c2_to_c1": h.c2_to_c1, "c3_to_c2": h.c3_to_c2, "p_to_c3": h.p_to_c3,
+        "panels": np.stack([st.panel.values for st in streams]),
+        "phases": np.stack([st.phases for st in streams]),
+        "home_c1": [st.author.home_c1 for st in streams],
+        "base_rates": np.stack([st.author.base_rates for st in streams]),
+        "events": np.concatenate([st.events for st in streams]),
+        "event_buckets": np.concatenate([st.event_buckets for st in streams]),
+        "event_offsets": np.cumsum([0] + [len(st.events) for st in streams]),
+        "user_prefs": world.user_prefs,
+        "user_aff_bucket": world.user_aff_bucket,
+        "user_click_bucket": world.user_click_bucket,
+        "sample_room": samples.room, "sample_bucket": samples.bucket,
+        "sample_fields": samples.fields, "sample_labels": samples.labels,
+        "sample_weight": samples.weight,
+    }
+    counts = {"streams": len(streams), "users": len(world.user_prefs),
+              "samples": len(samples), "events": len(arrays["events"])}
+    layout = _layout(world.config, counts)
+    arrays = {name: np.ascontiguousarray(arrays[name], dtype=dtype)
+              for name, (dtype, _) in layout.items()}
+    members = [(name, a.tobytes()) for name, a in arrays.items()]
     manifest = {
         "seed": world.seed,
         "config": to_dict(world.config),
-        "counts": {
-            "streams": len(world.streams),
-            "users": int(len(world.user_prefs)),
-            "samples": len(world.samples),
-        },
-        "data_sha256": _data_digest(dir_path),
+        "counts": counts,
+        "arrays": {name: [a.dtype.str, list(a.shape)] for name, a in arrays.items()},
+        "data_sha256": _data_digest(blob for _, blob in members),
     }
-    with open(dir_path / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    checkpoint.write_archive(dir_path / "world.zip", manifest, members)
     return manifest
 
 
+def _reject(path, name, values, bad, rule):
+    """Raise ParseError naming `name` and the first index where `bad` holds."""
+    if bad.any():
+        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        index = ", ".join(str(int(i)) for i in at)
+        raise ParseError(f"{name}[{index}] = {values[at]} {rule}", path=str(path))
+
+
+def _outside(path, name, values, lo, hi):
+    _reject(path, name, values, (values < lo) | (values >= hi), f"outside [{lo}, {hi})")
+
+
 def import_dataset(dir_path):
-    """Inverse of export_dataset; warns (not fails) on a manifest hash mismatch."""
-    dir_path = Path(dir_path)
-    with open(dir_path / "manifest.json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("data_sha256") != _data_digest(dir_path):
-        warnings.warn(
-            f"dataset in {dir_path} does not match its manifest hash; "
-            "files may have been edited after generation",
-            stacklevel=2,
-        )
-    cfg = from_dict({"sim": manifest["config"]}).sim
-    hierarchy = CategoryHierarchy.from_json(dir_path / "hierarchy.json")
-    rows = {name: list(_read_jsonl(dir_path / name, keys)) for name, keys in ROW_KEYS.items()}
-    panels = {r["room_id"]: (line, r) for line, r in rows["panels.jsonl"]}
-    products = {r["room_id"]: (line, r) for line, r in rows["products.jsonl"]}
-    latents = {r["room_id"]: (line, r) for line, r in rows["latent.jsonl"]}
-    users = [r for _, r in rows["users.jsonl"]]
-    for k, (line, r) in enumerate(rows["users.jsonl"]):
-        if r["user_id"] != k:
-            raise ParseError(f"user_id {r['user_id']!r} out of order: expected {k}",
-                             path=str(dir_path / "users.jsonl"), line=line)
-    if len(users) != cfg.users:
-        raise ParseError(f"{len(users)} user rows, but the config has {cfg.users} users",
-                         path=str(dir_path / "users.jsonl"))
-
-    streams = []
-    for i, room_id in enumerate(sorted(panels)):
-        line, pan = panels[room_id]
-        absent = [name for name, by_room in (("products.jsonl", products), ("latent.jsonl", latents))
-                  if room_id not in by_room]
-        if absent:
-            raise ParseError(f"room {room_id!r} has no row in {' or '.join(absent)}",
-                             path=str(dir_path / "panels.jsonl"), line=line)
-        room_rows = {"panels.jsonl": (line, pan), "products.jsonl": products[room_id],
-                     "latent.jsonl": latents[room_id]}
-        values, events, event_buckets, phases, home_c1, base_rates = _room_arrays(
-            dir_path, room_rows, cfg, hierarchy
-        )
-        author = AuthorStyle(
-            author_id=i,
-            home_c1=home_c1,
-            stay_level2=cfg.stay_level2,
-            move_level1=cfg.move_level1,
-            jump=cfg.jump,
-            base_rates=base_rates,
-        )
-        streams.append(
-            Stream(
-                room_id=room_id,
-                author=author,
-                panel=StatPanel(
-                    room_id=room_id,
-                    t0_bucket=pan["t0_bucket"],
-                    channels=list(CHANNEL_NAMES),
-                    values=values,
-                    groups=list(CHANNEL_GROUPS),
-                ),
-                events=events,
-                event_buckets=event_buckets,
-                phases=phases,
+    """Inverse of export_dataset; warns (not fails) on a manifest hash
+    mismatch. Raises ParseError naming the file, the array and the first bad
+    index for a missing array, a wrong dtype or shape, or a value the world
+    cannot hold."""
+    path = Path(dir_path) / "world.zip"
+    with checkpoint.open_archive(path, error=ParseError, what="dataset") as zf:
+        blobs = {info.filename: zf.read(info) for info in zf.infolist()}
+        manifest = json.loads(blobs.pop("manifest.json"))
+        if manifest.get("data_sha256") != _data_digest(blobs.values()):
+            warnings.warn(
+                f"dataset {path} does not match its manifest hash; "
+                "it may have been edited after generation",
+                stacklevel=2,
             )
-        )
-    world = World(
-        config=cfg,
-        seed=manifest["seed"],
-        hierarchy=hierarchy,
-        streams=streams,
-        user_prefs=np.asarray([u["prefs"] for u in users]),
-        user_aff_bucket=np.asarray([u["aff_bucket"] for u in users], dtype=np.int64),
-        user_click_bucket=np.asarray([u["click_bucket"] for u in users], dtype=np.int64),
-    )
-    room_index = {st.room_id: i for i, st in enumerate(streams)}
-    world.samples = _read_samples(
-        dir_path / "samples.jsonl", room_index, [st.panel.values.shape[1] for st in streams],
-        SERVICES[cfg.service], field_sizes(cfg),
-    )
-    return world
+        cfg = from_dict({"sim": manifest["config"]}).sim
+        counts = manifest["counts"]
+        if not all(type(counts.get(k)) is int and counts[k] >= 0 for k in ("events", "samples")):
+            raise ParseError(f"counts {counts} lack a whole number of events or samples",
+                             path=str(path))
+        a = {}
+        for name, (dtype, shape) in _layout(cfg, counts).items():
+            declared, blob = manifest["arrays"].get(name), blobs.get(name)
+            if declared is None or blob is None:
+                raise ParseError(f"no array {name}", path=str(path))
+            size = np.dtype(dtype).itemsize * math.prod(shape)
+            if declared != [dtype, shape] or len(blob) != size:
+                raise ParseError(f"array {name} is {declared} in {len(blob)} bytes, "
+                                 f"not [{dtype!r}, {shape}] in {size}", path=str(path))
+            # a native-order copy, which the world may write to
+            a[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).astype(dtype[1:])
+        return _world(path, a, cfg, manifest["seed"])
 
 
-def _room_arrays(dir_path, rows, cfg, hierarchy):
-    """(values, events, event_buckets, phases, home_c1, base_rates) of one room
-    from its file name -> `(line, row)` in panels.jsonl, products.jsonl and
-    latent.jsonl. Raises ParseError naming the file and line unless each
-    channel holds `buckets` non-negative counts, the events are (L, 4) rows
-    that agree with `hierarchy`, `event_buckets` holds one strictly increasing
-    bucket of the stream per event, `phases` holds `buckets` phases in
-    {0, 1, 2}, `base_rates` one finite, non-negative rate per channel, and
-    `home_c1` is a level-1 category."""
-    buckets = cfg.buckets
-    pan, prod, lat = (rows[name][1] for name in ("panels.jsonl", "products.jsonl", "latent.jsonl"))
+def _world(path, a, cfg, seed):
+    """The World of a dataset's arrays `a`, after checking every value it holds."""
+    _outside(path, "c2_to_c1", a["c2_to_c1"], 0, cfg.n_c1)
+    _outside(path, "c3_to_c2", a["c3_to_c2"], 0, cfg.n_c2)
+    _outside(path, "p_to_c3", a["p_to_c3"], 0, cfg.n_c3)
+    h = CategoryHierarchy(a["c2_to_c1"], a["c3_to_c2"], a["p_to_c3"])
+    panels, phases, rates = a["panels"], a["phases"], a["base_rates"]
+    _reject(path, "panels", panels, panels < 0, "is a negative count")
+    _outside(path, "phases", phases, 0, len(PHASES))
+    _outside(path, "home_c1", a["home_c1"], 0, cfg.n_c1)
+    _reject(path, "base_rates", rates, ~(np.isfinite(rates) & (rates >= 0)),
+            "is not a finite, non-negative rate")
 
-    def error(name, message):
-        return ParseError(message, path=str(dir_path / name), line=rows[name][0])
-
-    def parsed(name, value, what, dtype=np.int64):
-        try:
-            return np.asarray(value, dtype=dtype)
-        except (ValueError, TypeError, OverflowError):
-            kind = "integer" if dtype is np.int64 else "number"
-            raise error(name, f"{what} is not a rectangular {kind} array") from None
-
-    channels = [parsed("panels.jsonl", pan["channels"][n], f"channel {n}") for n in CHANNEL_NAMES]
-    for name, channel in zip(CHANNEL_NAMES, channels):
-        if channel.shape != (buckets,) or (channel < 0).any():
-            raise error("panels.jsonl", f"channel {name} must hold {buckets} non-negative counts")
-    events = parsed("products.jsonl", prod["events"], "events")
-    if events.ndim != 2 or events.shape[1] != 4:
-        raise error("products.jsonl", f"events must be (L, 4) rows, got shape {events.shape}")
-    h, item = hierarchy, events[:, 0]
-    bad = np.flatnonzero((item < 0) | (item >= h.n_products))
-    if bad.size:
-        raise error("products.jsonl",
-                    f"event {bad[0]}: product {item[bad[0]]} outside [0, {h.n_products})")
-    c3 = h.p_to_c3[item]
+    events, event_buckets, offsets = a["events"], a["event_buckets"], a["event_offsets"]
+    if offsets[0] != 0 or offsets[-1] != len(events):
+        raise ParseError(f"event_offsets run from {offsets[0]} to {offsets[-1]}, so they do "
+                         f"not tile the {len(events)} events", path=str(path))
+    _reject(path, "event_offsets", offsets, np.diff(offsets, prepend=-1) <= 0,
+            "does not increase: each room needs an event")
+    _outside(path, "events", events[:, :1], 0, cfg.n_products)
+    c3 = h.p_to_c3[events[:, 0]]
     c2 = h.c3_to_c2[c3]
-    bad = np.flatnonzero((events != np.stack([item, h.c2_to_c1[c2], c2, c3], axis=1)).any(axis=1))
-    if bad.size:
-        k = bad[0]
-        raise error("products.jsonl", f"event {k} {events[k].tolist()} disagrees with the "
-                    f"hierarchy: product {item[k]} is in c3 {c3[k]}, c2 {c2[k]}")
-    event_buckets = parsed("products.jsonl", prod["event_buckets"], "event_buckets")
-    # _latest_event bisects event_buckets: unsorted, it could pick a later event
-    if (event_buckets.shape != (len(events),) or (np.diff(event_buckets) <= 0).any()
-            or event_buckets[0] < 0 or event_buckets[-1] >= buckets):
-        raise error("products.jsonl", f"event_buckets must be {len(events)} strictly "
-                    f"increasing buckets in [0, {buckets})")
-    phases = parsed("latent.jsonl", lat["phases"], "phases")
-    if phases.shape != (buckets,) or ((phases < 0) | (phases > 2)).any():
-        raise error("latent.jsonl", f"phases must hold {buckets} values in {{0, 1, 2}}")
-    base_rates = parsed("latent.jsonl", lat["base_rates"], "base_rates", np.float64)
-    rates_ok = np.isfinite(base_rates) & (base_rates >= 0)
-    if base_rates.shape != (len(CHANNEL_NAMES),) or not rates_ok.all():
-        raise error("latent.jsonl", f"base_rates must hold {len(CHANNEL_NAMES)} finite, "
-                    "non-negative rates")
-    home_c1 = lat["home_c1"]
-    if type(home_c1) is not int or not 0 <= home_c1 < cfg.n_c1:
-        raise error("latent.jsonl", f"home_c1 {home_c1!r} outside [0, {cfg.n_c1})")
-    return np.stack(channels), events, event_buckets, phases, home_c1, base_rates
+    _reject(path, "events", events, events != np.stack([events[:, 0], h.c2_to_c1[c2], c2, c3], 1),
+            "disagrees with its product's place in the hierarchy")
+    # _latest_event bisects a room's event_buckets: unsorted, it could pick a later event
+    _outside(path, "event_buckets", event_buckets, 0, cfg.buckets)
+    falls = np.diff(event_buckets, prepend=-1) <= 0
+    falls[offsets[:-1]] = False
+    _reject(path, "event_buckets", event_buckets, falls, "does not increase within its room")
 
-
-def _read_samples(path, room_index, room_buckets, tasks, vocab):
-    """The SampleTable of a samples.jsonl file; a row without one of its keys
-    or labels, on an unknown room, with a bucket outside
-    [SAMPLE_BUCKET_FLOOR, its room's bucket count in `room_buckets`), or with
-    an id outside `vocab` raises ParseError naming its line."""
-    keys = ("room_id", "bucket", *FIELD_NAMES, "weight", *(f"labels.{t}" for t in tasks))
-    lines, ids, weight = [], [], []
-    for line, r in _read_jsonl(path, keys):
-        if r["room_id"] not in room_index:
-            raise ParseError(f"sample room {r['room_id']!r} has no panel", path=str(path), line=line)
-        lines.append(line)
-        ids.append([room_index[r["room_id"]], r["bucket"], *(r[k] for k in FIELD_NAMES),
-                    *(r["labels"][t] for t in tasks)])
-        weight.append(r["weight"])
-    cols = np.asarray(ids, dtype=np.int64).reshape(len(ids), 2 + len(FIELD_NAMES) + len(tasks))
-    # the foresight bank keys a row by room * buckets + bucket, so a bucket
+    # the foresight bank keys a sample by room * buckets + bucket, so a bucket
     # past its stream would read another room's foresight
-    room, bucket = cols[:, 0], cols[:, 1]
-    outside = np.flatnonzero((bucket < SAMPLE_BUCKET_FLOOR)
-                             | (bucket >= np.asarray(room_buckets, dtype=np.int64)[room]))
-    if outside.size:
-        row = outside[0]
-        raise ParseError(
-            f"sample bucket {bucket[row]} outside [{SAMPLE_BUCKET_FLOOR}, "
-            f"{room_buckets[room[row]]}) of its room", path=str(path), line=lines[row])
+    _outside(path, "sample_room", a["sample_room"], 0, cfg.streams)
+    _outside(path, "sample_bucket", a["sample_bucket"], SAMPLE_BUCKET_FLOOR, cfg.buckets)
     try:
-        return SampleTable(
-            room=room, bucket=bucket, fields=cols[:, 2 : 2 + len(FIELD_NAMES)],
-            labels=cols[:, 2 + len(FIELD_NAMES) :], weight=np.asarray(weight, dtype=np.float64),
-            tasks=tuple(tasks), vocab=vocab,
+        samples = SampleTable(
+            room=a["sample_room"], bucket=a["sample_bucket"], fields=a["sample_fields"],
+            labels=a["sample_labels"], weight=a["sample_weight"],
+            tasks=SERVICES[cfg.service], vocab=field_sizes(cfg),
         )
     except VocabularyError as exc:
-        raise ParseError(f"sample {exc}", path=str(path), line=lines[exc.row]) from exc
+        raise ParseError(f"sample_fields[{exc.row}]: {exc}", path=str(path)) from exc
+
+    streams = []
+    for i, (lo, hi) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+        author = AuthorStyle(
+            author_id=i, home_c1=int(a["home_c1"][i]), stay_level2=cfg.stay_level2,
+            move_level1=cfg.move_level1, jump=cfg.jump, base_rates=rates[i],
+            repeat_within_stay=cfg.repeat_within_stay,
+        )
+        room_id = f"room{i:04d}"
+        panel = StatPanel(room_id=room_id, channels=list(CHANNEL_NAMES), values=panels[i],
+                          groups=list(CHANNEL_GROUPS))
+        streams.append(Stream(room_id=room_id, author=author, panel=panel, events=events[lo:hi],
+                              event_buckets=event_buckets[lo:hi], phases=phases[i]))
+    return World(config=cfg, seed=seed, hierarchy=h, streams=streams,
+                 user_prefs=a["user_prefs"], user_aff_bucket=a["user_aff_bucket"],
+                 user_click_bucket=a["user_click_bucket"], samples=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ class StatPanel:
     """One live room's full statistic history."""
 
     room_id: str
-    t0_bucket: int
     channels: list
     values: np.ndarray  # (N, T) non-negative counts
     groups: list = field(default_factory=list)

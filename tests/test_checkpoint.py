@@ -153,6 +153,16 @@ def test_never_stepped_store_saves_no_moments(tmp_path):
     assert sorted(stepped.moments_m) == ["enc.b", "enc.w"]
 
 
+# damage: (field, bit mask). The method and flags are those of the first
+# central-directory entry, the manifest's; the offset is the end record's.
+HEADER_FLIPS = {
+    "unsupported method": ("method", 0x02),  # stored -> 2, which zipfile cannot read
+    "deflate method": ("method", 0x08),  # stored -> deflated: stored bytes do not inflate
+    "encrypted flag": ("flags", 0x01),
+    "directory offset": ("directory offset", 0x80),  # entries start before the file
+}
+
+
 def damaged_checkpoint(tmp_path, damage):
     """A checkpoint file damaged one way, and whether its manifest still reads."""
     store = trained_store(8)
@@ -170,6 +180,12 @@ def damaged_checkpoint(tmp_path, damage):
     if damage == "not a zip":
         path.write_text('{"seed": 7}\n')
         return path, False
+    if damage in HEADER_FLIPS:  # one bit of a header, which no CRC-32 covers
+        field, mask = HEADER_FLIPS[damage]
+        at = data.find(b"PK\x05\x06" if field == "directory offset" else b"PK\x01\x02")
+        at += {"method": 10, "flags": 8, "directory offset": 17}[field]
+        path.write_bytes(data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :])
+        return path, False
     manifest = {"format": 1, "config_hash": "h", "step": 0, "extra": {},
                 "params": {"enc.w": [4, 3]}, "moments": []}
     with zipfile.ZipFile(path, "w") as zf:
@@ -181,7 +197,7 @@ def damaged_checkpoint(tmp_path, damage):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "flipped", "not a zip", "missing member",
-                                    "wrong shape"])
+                                    "wrong shape", *HEADER_FLIPS])
 def test_unreadable_checkpoint_raises_state_error(tmp_path, damage):
     path, manifest_reads = damaged_checkpoint(tmp_path, damage)
     named = re.escape(f"{path} is not a readable checkpoint")
@@ -194,3 +210,29 @@ def test_unreadable_checkpoint_raises_state_error(tmp_path, damage):
     else:
         with pytest.raises(StateError, match=named):
             read_manifest(path)
+
+
+def test_flipped_or_truncated_bytes_fail_named_or_read_the_same(tmp_path):
+    # seeded single-bit flips and truncations: each raises StateError naming
+    # the file, or (a flip in a field the reader ignores) reads the same state
+    path, damaged = tmp_path / "model.ckpt", tmp_path / "damaged.ckpt"
+    save_checkpoint(path, trained_store(9), config_hash="h")
+    data = path.read_bytes()
+    *want, want_manifest = read_checkpoint(path)
+    rng = np.random.default_rng(0)
+    for case in range(300):
+        bad = bytearray(data)
+        if case % 3 == 2:
+            del bad[int(rng.integers(len(data))) :]
+        else:
+            bad[int(rng.integers(len(data)))] ^= 1 << int(rng.integers(8))
+        damaged.write_bytes(bytes(bad))
+        try:
+            *got, manifest = read_checkpoint(damaged)
+        except StateError as exc:
+            assert str(damaged) in str(exc), exc
+            continue
+        assert manifest == want_manifest
+        for arrays, expected in zip(got, want):
+            assert arrays.keys() == expected.keys()
+            assert all(arrays[name].tobytes() == expected[name].tobytes() for name in arrays)

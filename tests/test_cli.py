@@ -38,7 +38,7 @@ def dataset_dir(tiny_config, tmp_path_factory):
 
 def test_gen_writes_dataset(dataset_dir):
     names = {p.name for p in dataset_dir.iterdir()}
-    assert "manifest.json" in names and "samples.jsonl" in names
+    assert "world.zip" in names
 
 
 def test_gen_requires_seed(capsys):
@@ -142,10 +142,11 @@ def test_train_rank_reproduces_the_run_rows(tiny_config, tmp_path):
 
 def test_train_rank_rejects_a_file_that_is_not_a_checkpoint(tiny_config, dataset_dir, checkpoints,
                                                             tmp_path, capsys):
-    manifest = dataset_dir / "manifest.json"
-    assert train_rank(tiny_config, dataset_dir, manifest, checkpoints["prod"], tmp_path / "rank") == 1
+    config_file = tiny_config  # a JSON file, not a zip
+    assert train_rank(tiny_config, dataset_dir, config_file, checkpoints["prod"],
+                      tmp_path / "rank") == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {manifest} is not a readable checkpoint")
+    assert err.startswith(f"error: {config_file} is not a readable checkpoint")
     assert "Traceback" not in err
     assert not (tmp_path / "rank").exists()
 

@@ -48,15 +48,6 @@ def test_hierarchy_parent_consistency():
         assert c3 in h.c3_children_of_c1(c1)
 
 
-def test_hierarchy_json_round_trip(tmp_path):
-    h = small_hierarchy()
-    path = tmp_path / "hierarchy.json"
-    h.to_json(path)
-    again = CategoryHierarchy.from_json(path)
-    for p in range(h.n_products):
-        assert again.parents_of_product(p) == h.parents_of_product(p)
-
-
 def test_as_events_validation():
     with pytest.raises(SequenceError):
         as_events(np.zeros((0, 4), dtype=np.int64))

@@ -4,10 +4,13 @@ label base rates, dataset round trips, and the future-vs-past signal probe."""
 import dataclasses
 import json
 import re
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
+from livesight.checkpoint import write_archive
 from livesight.config import SAMPLE_BUCKET_FLOOR, SERVICES, SimConfig
 from livesight.errors import ConfigurationError, DatasetError, ParseError, VocabularyError
 from livesight.prodfore import CategoryHierarchy
@@ -16,7 +19,6 @@ from livesight.simgen import (
     CHANNEL_NAMES,
     CLICK_BUCKETS,
     FIELD_NAMES,
-    FILES,
     GRAB,
     HIGHLIGHT,
     STEADY,
@@ -298,7 +300,7 @@ def test_streams_with_under_three_events_are_never_sampled():
 
 
 def dataset_bytes(path):
-    return {name: (path / name).read_bytes() for name in (*FILES, "hierarchy.json", "manifest.json")}
+    return (path / "world.zip").read_bytes()
 
 
 def test_world_determinism(tmp_path):
@@ -313,19 +315,47 @@ def test_world_determinism(tmp_path):
 # export / import
 
 
-def test_round_trip_preserves_world(tmp_path):
-    world = gen_world(SMALL, seed=8)
-    manifest = export_dataset(world, tmp_path / "ds")
-    assert manifest["counts"]["streams"] == 10
-    assert manifest["counts"]["samples"] == len(world.samples)
-    back = import_dataset(tmp_path / "ds")
-    # export -> import -> export writes the same bytes
-    export_dataset(back, tmp_path / "again")
-    assert dataset_bytes(tmp_path / "again") == dataset_bytes(tmp_path / "ds")
-    assert back.config.n_c3 == world.config.n_c3
+def same(a, b):
+    return np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+
+
+def assert_same_world(back, world):
+    """Every array, author and setting of `world` is in `back`, with its dtype."""
+    assert (back.config, back.seed) == (world.config, world.seed)
+    for name in ("c2_to_c1", "c3_to_c2", "p_to_c3"):
+        assert same(getattr(back.hierarchy, name), getattr(world.hierarchy, name)), name
+    assert len(back.streams) == len(world.streams)
+    for got, want in zip(back.streams, world.streams):
+        assert got.room_id == got.panel.room_id == want.room_id
+        for name in ("events", "event_buckets", "phases"):
+            assert same(getattr(got, name), getattr(want, name)), (want.room_id, name)
+        assert same(got.panel.values, want.panel.values), want.room_id
+        assert (got.panel.channels, got.panel.groups) == (want.panel.channels, want.panel.groups)
+        for field in dataclasses.fields(AuthorStyle):
+            name = field.name
+            assert same(getattr(got.author, name), getattr(want.author, name)), (want.room_id, name)
+    for name in ("user_prefs", "user_aff_bucket", "user_click_bucket"):
+        assert same(getattr(back, name), getattr(world, name)), name
     for name in ("room", "bucket", "fields", "labels", "weight"):
-        assert np.array_equal(getattr(back.samples, name), getattr(world.samples, name)), name
-    assert back.samples.tasks == world.samples.tasks
+        assert same(getattr(back.samples, name), getattr(world.samples, name)), name
+    assert (back.samples.tasks, back.samples.vocab) == (world.samples.tasks, world.samples.vocab)
+
+
+def test_round_trip_preserves_world(tmp_path):
+    # a non-default repeat_within_stay, which each imported author must carry
+    worlds = [(dataclasses.replace(SMALL, repeat_within_stay=0.35), 8),
+              (dataclasses.replace(SMALL, service="talent", buckets=600), 5)]
+    for k, (cfg, seed) in enumerate(worlds):
+        world = gen_world(cfg, seed=seed)
+        manifest = export_dataset(world, tmp_path / f"ds{k}")
+        assert manifest["counts"]["streams"] == 10
+        assert manifest["counts"]["samples"] == len(world.samples)
+        back = import_dataset(tmp_path / f"ds{k}")
+        assert_same_world(back, world)
+        assert {st.author.repeat_within_stay for st in back.streams} == {cfg.repeat_within_stay}
+        # export -> import -> export writes the same bytes
+        export_dataset(back, tmp_path / f"again{k}")
+        assert dataset_bytes(tmp_path / f"again{k}") == dataset_bytes(tmp_path / f"ds{k}")
 
 
 def test_same_seed_same_dataset_hash(tmp_path):
@@ -336,82 +366,146 @@ def test_same_seed_same_dataset_hash(tmp_path):
     assert m3["data_sha256"] != m1["data_sha256"]
 
 
+def rewrite(ds, edit):
+    """Write ds/world.zip back with `edit` applied to its {name: array} dict, in
+    member order. The manifest declares each array's new dtype and shape, and
+    keeps the old hash."""
+    with zipfile.ZipFile(ds / "world.zip") as zf:
+        manifest = json.loads(zf.read("manifest.json"))
+        arrays = {}
+        for name in zf.namelist()[1:]:
+            dtype, shape = manifest["arrays"][name]
+            arrays[name] = np.frombuffer(zf.read(name), dtype=dtype).reshape(shape).copy()
+    edit(arrays)
+    manifest["arrays"] = {name: [a.dtype.str, list(a.shape)] for name, a in arrays.items()}
+    write_archive(ds / "world.zip", manifest, [(name, a.tobytes()) for name, a in arrays.items()])
+
+
+def damaged_dataset(tmp_path, edit):
+    """The directory of a SMALL seed-9 dataset with `edit` applied to its
+    arrays, and the pattern its ParseError starts with."""
+    ds = tmp_path / "ds"
+    export_dataset(gen_world(SMALL, seed=9), ds)
+    rewrite(ds, edit)
+    return ds, re.escape(f"{ds / 'world.zip'}: ")
+
+
 def test_edited_files_trigger_integrity_warning(tmp_path):
-    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
-    with open(tmp_path / "ds" / "users.jsonl", "a") as fh:
-        fh.write("\n")  # blank line still parses but changes the digest
+    ds, _ = damaged_dataset(tmp_path, lambda a: a["sample_weight"].__setitem__(0, 2.0))
     with pytest.warns(UserWarning, match="manifest hash"):
-        world = import_dataset(tmp_path / "ds")
-    assert len(world.streams) == 10
+        world = import_dataset(ds)
+    assert len(world.streams) == 10 and world.samples.weight[0] == 2.0
 
 
 def test_truncated_file_names_the_line(tmp_path):
+    # a dataset has no lines any more: a cut archive names the file
     export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
-    path = tmp_path / "ds" / "panels.jsonl"
-    text = path.read_text().rstrip("\n")
-    path.write_text(text[:-40])  # chop the tail of the last record
-    # truncation also breaks the digest, so the integrity warning fires first
-    with pytest.warns(UserWarning), pytest.raises(ParseError, match="panels.jsonl:10") as err:
+    path = tmp_path / "ds" / "world.zip"
+    path.write_bytes(path.read_bytes()[:-40])  # into the central directory
+    with pytest.raises(ParseError, match=re.escape(f"{path} is not a readable dataset")):
         import_dataset(tmp_path / "ds")
-    assert err.value.line == 10
 
 
-def rewrite_row(path, index, edit):
-    lines = path.read_text().splitlines()
-    row = json.loads(lines[index])
-    edit(row)
-    lines[index] = json.dumps(row)
-    path.write_text("\n".join(lines) + "\n")
+def test_damaged_zip_header_raises_parse_error(tmp_path):
+    # stored -> method 2 in the manifest's central-directory entry: zipfile
+    # raises NotImplementedError, which no CRC-32 check precedes
+    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
+    path = tmp_path / "ds" / "world.zip"
+    data = bytearray(path.read_bytes())
+    data[data.find(b"PK\x01\x02") + 10] ^= 0x02
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match=re.escape(f"{path} is not a readable dataset: That "
+                                                   "compression method is not supported")):
+        import_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("samples", [600.0, "600", -1, None])
+def test_manifest_counts_must_be_whole_numbers(tmp_path, samples):
+    # a float count once reached numpy's reshape as a bare TypeError
+    ds = tmp_path / "ds"
+    manifest = export_dataset(gen_world(SMALL, seed=9), ds)
+    with zipfile.ZipFile(ds / "world.zip") as zf:
+        members = [(name, zf.read(name)) for name in zf.namelist()[1:]]
+    manifest["counts"]["samples"] = samples
+    write_archive(ds / "world.zip", manifest, members)
+    with pytest.raises(ParseError, match="lack a whole number of events or samples"):
+        import_dataset(ds)
+
+
+def without(name):
+    return lambda arrays: arrays.pop(name)
+
+
+def without_likes(arrays):
+    arrays["panels"] = np.delete(arrays["panels"], CHANNEL_NAMES.index("likes"), axis=1)
+
+
+def without_cvr(arrays):
+    arrays["sample_labels"] = arrays["sample_labels"][:, :1]
+
+
+def declared(name, dtype, shape):
+    """The pattern of a wrong-dtype-or-shape error, ending in the expected layout."""
+    return re.escape(f"array {name} is [") + ".*" + re.escape(f", not ['{dtype}', {shape}]")
 
 
 @pytest.mark.parametrize(
-    "name,drop,missing",
+    "edit,message",
     [
-        pytest.param("samples.jsonl", "bucket", "bucket", id="bucket-bucket"),
-        pytest.param("samples.jsonl", "cvr", "labels.cvr", id="cvr-labels.cvr"),
-        pytest.param("panels.jsonl", "t0_bucket", "t0_bucket", id="panels-t0_bucket"),
-        pytest.param("panels.jsonl", "likes", "channels.likes", id="panels-channels.likes"),
-        pytest.param("products.jsonl", "events", "events", id="products-events"),
-        pytest.param("users.jsonl", "click_bucket", "click_bucket", id="users-click_bucket"),
-        pytest.param("users.jsonl", "user_id", "user_id", id="users-user_id"),
-        pytest.param("latent.jsonl", "home_c1", "home_c1", id="latent-home_c1"),
+        pytest.param(without("sample_bucket"), "no array sample_bucket", id="bucket-bucket"),
+        pytest.param(without_cvr, declared("sample_labels", "<i8", "[600, 2]"),
+                     id="cvr-labels.cvr"),
+        pytest.param(without("panels"), "no array panels", id="panels-t0_bucket"),
+        pytest.param(without_likes, declared("panels", "<i8", "[10, 8, 96]"),
+                     id="panels-channels.likes"),
+        pytest.param(without("events"), "no array events", id="products-events"),
+        pytest.param(without("user_click_bucket"), "no array user_click_bucket",
+                     id="users-click_bucket"),
+        pytest.param(without("user_aff_bucket"), "no array user_aff_bucket", id="users-user_id"),
+        pytest.param(without("home_c1"), "no array home_c1", id="latent-home_c1"),
     ],
 )
-def test_sample_row_without_a_key_names_the_line(tmp_path, name, drop, missing):
-    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
+def test_sample_row_without_a_key_names_the_line(tmp_path, edit, message):
+    # a missing array, or a sample label column or panel channel too few
+    ds, at = damaged_dataset(tmp_path, edit)
+    with pytest.warns(UserWarning), pytest.raises(ParseError, match=at + message):
+        import_dataset(ds)
 
-    def edit(row):
-        for record in (row, row.get("labels", {}), row.get("channels", {})):
-            record.pop(drop, None)
 
-    rewrite_row(tmp_path / "ds" / name, 2, edit)
-    with pytest.warns(UserWarning), pytest.raises(ParseError, match=f"{name}:3: .*{missing}") as err:
-        import_dataset(tmp_path / "ds")
-    assert err.value.line == 3
+def room_3_without_events(arrays):
+    offsets = arrays["event_offsets"]
+    offsets[3] = offsets[4]  # room 2 takes room 3's events
+
+
+def room_3_without_latents(arrays):
+    for name in ("phases", "home_c1", "base_rates"):
+        arrays[name] = np.delete(arrays[name], 3, axis=0)
 
 
 @pytest.mark.parametrize("name", ["products.jsonl", "latent.jsonl"])
 def test_room_without_a_row_names_its_panel_line(tmp_path, name):
-    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
-    path = tmp_path / "ds" / name
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
-    with pytest.warns(UserWarning), pytest.raises(
-        ParseError, match=f"panels.jsonl:4: room 'room0003' has no row in {name}"
-    ):
-        import_dataset(tmp_path / "ds")
+    # a room without events, or without its latent row
+    edit, message = {
+        "products.jsonl": (room_3_without_events,
+                           re.escape("event_offsets[4] = ") + r"\d+ does not increase"),
+        "latent.jsonl": (room_3_without_latents, declared("phases", "<i8", "[10, 96]")),
+    }[name]
+    ds, at = damaged_dataset(tmp_path, edit)
+    with pytest.warns(UserWarning), pytest.raises(ParseError, match=at + message):
+        import_dataset(ds)
 
 
 @pytest.mark.parametrize("field,bad", [("user_id", SMALL.users), ("click_bucket", -1),
                                        ("item_c3", SMALL.n_c3)])
 def test_sample_id_outside_its_vocabulary_names_the_line(tmp_path, field, bad):
-    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
-    rewrite_row(tmp_path / "ds" / "samples.jsonl", 4, lambda row: row.update({field: bad}))
+    def edit(arrays):
+        arrays["sample_fields"][4, FIELD_NAMES.index(field)] = bad
+
+    ds, at = damaged_dataset(tmp_path, edit)
     with pytest.warns(UserWarning), pytest.raises(
-        ParseError, match=f"samples.jsonl:5: sample {field} {bad} outside its vocabulary"
-    ) as err:
-        import_dataset(tmp_path / "ds")
-    assert err.value.line == 5
+        ParseError, match=at + re.escape(f"sample_fields[4]: {field} {bad} outside its vocabulary")
+    ):
+        import_dataset(ds)
 
 
 @pytest.mark.parametrize(
@@ -424,124 +518,155 @@ def test_sample_id_outside_its_vocabulary_names_the_line(tmp_path, field, bad):
 )
 def test_sample_bucket_outside_its_stream_names_the_line(tmp_path, bad, expect):
     # a bucket past its stream would alias another room's foresight-bank key
-    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
-    rewrite_row(tmp_path / "ds" / "samples.jsonl", 4, lambda row: row.update({"bucket": bad}))
+    ds, at = damaged_dataset(tmp_path, lambda arrays: arrays["sample_bucket"].__setitem__(4, bad))
     with pytest.warns(UserWarning), pytest.raises(
-        ParseError, match=f"samples.jsonl:5: sample bucket {bad} {expect}"
-    ) as err:
-        import_dataset(tmp_path / "ds")
-    assert err.value.line == 5
+        ParseError, match=at + re.escape(f"sample_bucket[4] = {bad} ") + expect
+    ):
+        import_dataset(ds)
 
 
-def shorten_likes(row):
-    row["channels"]["likes"].pop()
+# room 2 of the SMALL seed-9 dataset: its first event is events[ROOM_2], and the
+# defects below sit at that row plus one
+ROOM_2 = 32
 
 
-def short_event(row):
-    row["events"][3].pop()
+def set_value(name, index, value):
+    return lambda arrays: arrays[name].__setitem__(index, value)
 
 
-def swap_event_buckets(row):
-    b = row["event_buckets"]
-    b[2], b[3] = b[3], b[2]
+def cut(name, index):
+    def edit(arrays):
+        arrays[name] = arrays[name][index]
+    return edit
 
 
-def unknown_product(row):
-    row["events"][1][0] = 99999
+def swap_event_buckets(arrays):
+    b = arrays["event_buckets"]
+    b[ROOM_2 + 2], b[ROOM_2 + 3] = b[ROOM_2 + 3], b[ROOM_2 + 2]
 
 
-def wrong_category(row):
-    row["events"][1][3] = (row["events"][1][3] + 1) % SMALL.n_c3
+def wrong_category(arrays):
+    arrays["events"][ROOM_2 + 1, 3] = (arrays["events"][ROOM_2 + 1, 3] + 1) % SMALL.n_c3
 
 
-def negative_count(row):
-    row["channels"]["orders"][5] = -1
+def float_panels(arrays):
+    # JSON Lines once truncated 2.7 to the count 2; a typed array cannot hold it as a count
+    arrays["panels"] = arrays["panels"].astype("<f8")
+    arrays["panels"][2, CHANNEL_NAMES.index("likes"), 0] = 2.7
 
 
-def cut_phases(row):
-    row["phases"] = row["phases"][:11]
+def offsets_short_of_the_events(arrays):
+    arrays["event_offsets"][-1] -= 1
 
 
-def unknown_phase(row):
-    row["phases"][5] = 7
-
-
-def short_base_rates(row):
-    row["base_rates"].pop()
-
-
-def negative_base_rate(row):
-    row["base_rates"][1] = -0.5
-
-
-def nan_base_rate(row):
-    row["base_rates"][0] = float("nan")
-
-
-def home_past_the_vocabulary(row):
-    row["home_c1"] = SMALL.n_c1
-
-
-PHASES = re.escape(f"phases must hold {SMALL.buckets} values in {{0, 1, 2}}")
-RATES = f"base_rates must hold {len(CHANNEL_NAMES)} finite, non-negative rates"
-
-
-@pytest.mark.parametrize(
-    "name,edit,message",
-    [
-        pytest.param("panels.jsonl", shorten_likes,
-                     f"channel likes must hold {SMALL.buckets} non-negative counts",
-                     id="short-channel"),
-        pytest.param("products.jsonl", short_event, "events is not a rectangular integer array",
-                     id="three-value-event"),
-        pytest.param("products.jsonl", swap_event_buckets,
-                     f"event_buckets must be .* strictly increasing buckets in \\[0, {SMALL.buckets}\\)",
-                     id="swapped-event-buckets"),
-        pytest.param("products.jsonl", unknown_product,
-                     f"event 1: product 99999 outside \\[0, {SMALL.n_products}\\)",
-                     id="unknown-product"),
-        pytest.param("products.jsonl", wrong_category, "event 1 .* disagrees with the hierarchy",
-                     id="wrong-category"),
-        pytest.param("panels.jsonl", negative_count,
-                     f"channel orders must hold {SMALL.buckets} non-negative counts",
-                     id="negative-count"),
-        pytest.param("latent.jsonl", cut_phases, PHASES, id="short-phases"),
-        pytest.param("latent.jsonl", unknown_phase, PHASES, id="unknown-phase"),
-        pytest.param("latent.jsonl", short_base_rates, RATES, id="short-base-rates"),
-        pytest.param("latent.jsonl", negative_base_rate, RATES, id="negative-base-rate"),
-        pytest.param("latent.jsonl", nan_base_rate, RATES, id="nan-base-rate"),
-        pytest.param("latent.jsonl", home_past_the_vocabulary,
-                     f"home_c1 {SMALL.n_c1} outside \\[0, {SMALL.n_c1}\\)", id="home-c1-outside"),
-    ],
-)
-def test_malformed_room_row_names_the_line(tmp_path, name, edit, message):
-    # each of these once imported silently or ended in a bare numpy error
-    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
-    rewrite_row(tmp_path / "ds" / name, 2, edit)
-    with pytest.warns(UserWarning), pytest.raises(ParseError, match=f"{name}:3: {message}") as err:
-        import_dataset(tmp_path / "ds")
-    assert err.value.line == 3
+RATES = "is not a finite, non-negative rate"
 
 
 @pytest.mark.parametrize(
     "edit,message",
     [
-        pytest.param(lambda rows: rows[::-1],
-                     f"users.jsonl:1: user_id {SMALL.users - 1} out of order: expected 0",
+        pytest.param(cut("panels", np.s_[:, :, :-1]), declared("panels", "<i8", "[10, 8, 96]"),
+                     id="short-channel"),
+        pytest.param(cut("events", np.s_[:, :3]), declared("events", "<i8", "[163, 4]"),
+                     id="three-value-event"),
+        pytest.param(swap_event_buckets, re.escape(f"event_buckets[{ROOM_2 + 3}] = ")
+                     + r"\d+ does not increase within its room", id="swapped-event-buckets"),
+        pytest.param(set_value("events", (ROOM_2 + 1, 0), 99999),
+                     re.escape(f"events[{ROOM_2 + 1}, 0] = 99999 outside [0, {SMALL.n_products})"),
+                     id="unknown-product"),
+        pytest.param(wrong_category, re.escape(f"events[{ROOM_2 + 1}, 3] = ") + r"\d+ disagrees "
+                     "with its product's place in the hierarchy", id="wrong-category"),
+        pytest.param(set_value("panels", (2, CHANNEL_NAMES.index("orders"), 5), -1),
+                     re.escape("panels[2, 3, 5] = -1 is a negative count"), id="negative-count"),
+        pytest.param(cut("phases", np.s_[:, :11]), declared("phases", "<i8", "[10, 96]"),
+                     id="short-phases"),
+        pytest.param(set_value("phases", (2, 5), 7), re.escape("phases[2, 5] = 7 outside [0, 3)"),
+                     id="unknown-phase"),
+        pytest.param(cut("base_rates", np.s_[:, :-1]), declared("base_rates", "<f8", "[10, 8]"),
+                     id="short-base-rates"),
+        pytest.param(set_value("base_rates", (2, 1), -0.5),
+                     re.escape(f"base_rates[2, 1] = -0.5 {RATES}"), id="negative-base-rate"),
+        pytest.param(set_value("base_rates", (2, 0), np.nan),
+                     re.escape(f"base_rates[2, 0] = nan {RATES}"), id="nan-base-rate"),
+        pytest.param(set_value("home_c1", 2, SMALL.n_c1),
+                     re.escape(f"home_c1[2] = {SMALL.n_c1} outside [0, {SMALL.n_c1})"),
+                     id="home-c1-outside"),
+        pytest.param(float_panels, re.escape("array panels is ['<f8', [10, 8, 96]]"),
+                     id="float-panels"),
+        pytest.param(offsets_short_of_the_events,
+                     "event_offsets run from 0 to 162, so they do not tile the 163 events",
+                     id="offsets-short-of-the-events"),
+        pytest.param(set_value("event_buckets", ROOM_2 + 1, SMALL.buckets),
+                     re.escape(f"event_buckets[{ROOM_2 + 1}] = 96 outside [0, 96)"),
+                     id="event-bucket-past-the-stream"),
+        pytest.param(cut("c3_to_c2", np.s_[:-1]), declared("c3_to_c2", "<i8", "[100]"),
+                     id="short-hierarchy"),
+        pytest.param(set_value("p_to_c3", 7, SMALL.n_c3),
+                     re.escape(f"p_to_c3[7] = {SMALL.n_c3} outside [0, {SMALL.n_c3})"),
+                     id="product-parent-outside"),
+        pytest.param(set_value("sample_room", 4, SMALL.streams),
+                     re.escape(f"sample_room[4] = 10 outside [0, {SMALL.streams})"),
+                     id="sample-room-outside"),
+    ],
+)
+def test_malformed_room_row_names_the_line(tmp_path, edit, message):
+    # each of these, in its JSON Lines form, once imported silently or ended
+    # in a bare numpy error
+    ds, at = damaged_dataset(tmp_path, edit)
+    with pytest.warns(UserWarning), pytest.raises(ParseError, match=at + message):
+        import_dataset(ds)
+
+
+def users_cut(arrays):
+    for name in ("user_prefs", "user_aff_bucket", "user_click_bucket"):
+        arrays[name] = arrays[name][:-1]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(lambda arrays: arrays.update(user_prefs=arrays["user_prefs"].T.copy()),
+                     re.escape(f"array user_prefs is ['<f8', [{SMALL.n_c1}, {SMALL.users}]]"),
                      id="reversed"),
-        pytest.param(lambda rows: rows[:-1],
-                     f"users.jsonl: {SMALL.users - 1} user rows, but the config has "
-                     f"{SMALL.users} users", id="last-row-missing"),
+        pytest.param(users_cut, declared("user_prefs", "<f8", f"[{SMALL.users}, {SMALL.n_c1}]"),
+                     id="last-row-missing"),
     ],
 )
 def test_user_rows_must_be_every_user_in_id_order(tmp_path, edit, message):
-    # rows are matched to users by user_id: reordered or missing rows would
-    # put preferences on the wrong user, or on none
-    export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
-    path = tmp_path / "ds" / "users.jsonl"
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    with pytest.warns(UserWarning), pytest.raises(ParseError, match=message):
-        import_dataset(tmp_path / "ds")
+    # a user's row index is its id, so the arrays must hold every user: one
+    # short, or with its axes reversed, would put preferences on no user or
+    # on the wrong one
+    ds, at = damaged_dataset(tmp_path, edit)
+    with pytest.warns(UserWarning), pytest.raises(ParseError, match=at + message):
+        import_dataset(ds)
+
+
+def test_flipped_or_truncated_dataset_fails_named_or_loads_the_same(tmp_path):
+    # seeded single-bit flips and truncations of world.zip: each raises
+    # ParseError naming the file, warns that the hash does not match, or (a
+    # flip in a field the reader ignores) loads the same world
+    world = gen_world(SMALL, seed=9)
+    export_dataset(world, tmp_path / "ds")
+    data = dataset_bytes(tmp_path / "ds")
+    path = tmp_path / "damaged" / "world.zip"
+    path.parent.mkdir()
+    rng = np.random.default_rng(0)
+    for case in range(400):
+        bad = bytearray(data)
+        if case % 4 == 3:
+            del bad[int(rng.integers(len(data))) :]
+        else:
+            bad[int(rng.integers(len(data)))] ^= 1 << int(rng.integers(8))
+        path.write_bytes(bytes(bad))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                back = import_dataset(path.parent)
+            except ParseError as exc:
+                assert str(path) in str(exc), exc
+                continue
+        if not any("manifest hash" in str(w.message) for w in caught):
+            assert_same_world(back, world)
 
 
 def test_sample_table_owns_its_vocabulary():

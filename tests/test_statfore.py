@@ -27,7 +27,6 @@ def random_panel(seed, n=4, t=40):
     rng = np.random.default_rng(seed)
     return StatPanel(
         room_id=f"room-{seed}",
-        t0_bucket=0,
         channels=[f"ch{i}" for i in range(n)],
         values=rng.poisson(10.0, size=(n, t)).astype(float),
     )
@@ -79,11 +78,11 @@ def test_revin_rejects_short_windows():
 
 def test_panel_validation():
     with pytest.raises(DimensionError):
-        StatPanel("r", 0, ["a"], np.zeros((2, 5)))
+        StatPanel("r", ["a"], np.zeros((2, 5)))
     with pytest.raises(ValueError, match="negative"):
-        StatPanel("r", 0, ["a"], -np.ones((1, 5)))
+        StatPanel("r", ["a"], -np.ones((1, 5)))
     with pytest.raises(ValueError, match="group"):
-        StatPanel("r", 0, ["a"], np.ones((1, 5)), groups=["sideways"])
+        StatPanel("r", ["a"], np.ones((1, 5)), groups=["sideways"])
 
 
 def test_forward_shapes_and_window_check():
@@ -111,7 +110,7 @@ def test_channel_permutation_equivariance():
 def test_memorizes_constant_panels():
     # constant channels survive the scale floor end to end: loss ~ 0 at once
     values = np.tile(np.array([[5.0], [9.0], [2.0]]), (1, 30))
-    panel = StatPanel("const", 0, ["a", "b", "c"], values)
+    panel = StatPanel("const", ["a", "b", "c"], values)
     model = StatisticModel(TINY)
     history = train_statistic(model, [panel], epochs=50)
     assert history[-1] < 1e-4
@@ -120,7 +119,7 @@ def test_memorizes_constant_panels():
 def test_training_reduces_loss_on_periodic_panels():
     t = np.arange(40)
     values = np.stack([10 + 5 * np.sin(2 * np.pi * t / 8), 20 + 10 * np.cos(2 * np.pi * t / 4)])
-    panel = StatPanel("waves", 0, ["a", "b"], values - values.min() + 1)
+    panel = StatPanel("waves", ["a", "b"], values - values.min() + 1)
     model = StatisticModel(TINY)
     history = train_statistic(model, [panel], epochs=30)
     assert history[-1] < 0.5 * history[0]
@@ -187,7 +186,7 @@ def test_training_is_deterministic():
     runs = []
     for _ in range(2):
         model = StatisticModel(TINY)
-        train_statistic(model, [StatPanel("r", 0, [f"c{i}" for i in range(4)], values)],
+        train_statistic(model, [StatPanel("r", [f"c{i}" for i in range(4)], values)],
                         epochs=2)
         runs.append(np.concatenate([p.data.ravel() for _, p in sorted(model.store.items())]))
     assert runs[0].tobytes() == runs[1].tobytes()
