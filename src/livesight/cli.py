@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import pipeline, ranker, simgen
 from .config import VARIANTS, ExperimentConfig, load_config
+from .errors import LivesightError
 from .pipeline import ABLATIONS
 
 
@@ -62,7 +63,7 @@ def cmd_train_forecaster(args):
     rooms and save it, by default under the name `run` gives it."""
     cfg = _load_base_config(args)
     world = simgen.import_dataset(args.data)
-    train_rooms, _ = pipeline.split_rooms(len(world.streams))
+    train_rooms, _ = pipeline.split_rooms(len(world.panels))
     model_cfg = pipeline.model_configs(cfg)[args.section]
     model, history = pipeline.train_forecaster(model_cfg, world, train_rooms)
     key = pipeline.forecaster_key(model_cfg, pipeline.training_digest(world, train_rooms))
@@ -76,7 +77,7 @@ def cmd_train_rank(args):
     cfg = _load_base_config(args)
     world = simgen.import_dataset(args.data)
     ranker.check_held_out(world.samples, cfg.rank)
-    train_rooms, _ = pipeline.split_rooms(len(world.streams))
+    train_rooms, _ = pipeline.split_rooms(len(world.panels))
     data = pipeline.training_digest(world, train_rooms)
     stat_model = pipeline.load_forecaster(args.stat_ckpt, "stat", world.hierarchy, data)
     prod_model = pipeline.load_forecaster(args.prod_ckpt, "prod", world.hierarchy, data)
@@ -188,7 +189,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError, KeyError, IndexError) as exc:
+    except (LivesightError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -239,7 +239,11 @@ def from_dict(data):
 
 def load_config(path):
     with open(path) as fh:
-        return from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"{path} is not a JSON config: {exc}") from exc
+    return from_dict(data)
 
 
 def config_hash(cfg):

@@ -1,27 +1,32 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: each is a LivesightError and
+keeps its builtin parent, so `except ValueError` callers still catch it."""
 
 
-class DimensionError(ValueError):
+class LivesightError(Exception):
+    """The base of every named livesight error."""
+
+
+class DimensionError(LivesightError, ValueError):
     """Operand shapes do not conform."""
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(LivesightError, ValueError):
     """A model or run configuration is internally inconsistent."""
 
 
-class WindowError(ValueError):
+class WindowError(LivesightError, ValueError):
     """A time window is too short or empty."""
 
 
-class SequenceError(ValueError):
+class SequenceError(LivesightError, ValueError):
     """An event sequence is empty or too short."""
 
 
-class DatasetError(ValueError):
+class DatasetError(LivesightError, ValueError):
     """A dataset is empty or unusable after filtering."""
 
 
-class VocabularyError(IndexError):
+class VocabularyError(LivesightError, IndexError):
     """A categorical index falls outside its vocabulary."""
 
     def __init__(self, message, row=None):
@@ -29,27 +34,27 @@ class VocabularyError(IndexError):
         super().__init__(message)
 
 
-class LabelError(ValueError):
+class LabelError(LivesightError, ValueError):
     """A supervision label is outside its admissible set."""
 
 
-class StateError(RuntimeError):
+class StateError(LivesightError, RuntimeError):
     """Mutable training state is missing or inconsistent."""
 
 
-class OracleError(RuntimeError):
+class OracleError(LivesightError, RuntimeError):
     """The independent gradient oracle cannot run (e.g. non-deterministic closure)."""
 
 
-class ContractError(RuntimeError):
+class ContractError(LivesightError, RuntimeError):
     """A cross-module usage contract was violated (e.g. unfrozen upstream model)."""
 
 
-class UndefinedMetricError(ValueError):
+class UndefinedMetricError(LivesightError, ValueError):
     """A metric is undefined on the given inputs (e.g. single-class AUC)."""
 
 
-class ParseError(ValueError):
+class ParseError(LivesightError, ValueError):
     """A serialized file is malformed."""
 
     def __init__(self, message, path=None, line=None):

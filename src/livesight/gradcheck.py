@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OracleError
+from .errors import ConfigurationError, OracleError
 
 
 def grad_check(loss_fn, store, eps=1e-5, max_coords=256, seed=0):
@@ -21,7 +21,7 @@ def grad_check(loss_fn, store, eps=1e-5, max_coords=256, seed=0):
     least 64 coordinates.
     """
     if not (1e-6 <= eps <= 1e-4):
-        raise ValueError(f"eps {eps} outside [1e-6, 1e-4]")
+        raise ConfigurationError(f"eps {eps} outside [1e-6, 1e-4]")
 
     def evaluate():
         loss = loss_fn()

@@ -23,6 +23,7 @@ from .config import (
     ExperimentConfig,
     ProdConfig,
     StatConfig,
+    _build,
     config_hash,
     to_dict,
 )
@@ -52,17 +53,16 @@ class Artifacts:
     timings: dict = field(default_factory=dict)
 
 
-def _windows(streams, buckets, context):
-    """Statistic windows (len(buckets), N, context), each ending at its bucket
-    of the aligned stream."""
-    return np.stack(
-        [st.panel.values[:, t - context + 1 : t + 1] for st, t in zip(streams, buckets)]
-    )
+def _windows(panels, rooms, buckets, context):
+    """Statistic windows (len(buckets), N, context) of the (R, N, T) `panels`,
+    each ending at its bucket of the aligned room."""
+    return np.stack([panels[r, :, t - context + 1 : t + 1] for r, t in zip(rooms, buckets)])
 
 
-def _latest_event(stream, buckets):
-    """Index of the stream's latest product event at or before each bucket."""
-    return np.searchsorted(stream.event_buckets, buckets, side="right") - 1
+def _latest_event(event_buckets, buckets):
+    """Index of a room's latest product event at or before each bucket, given
+    the room's `event_buckets`."""
+    return np.searchsorted(event_buckets, buckets, side="right") - 1
 
 
 def _stat_block(steps, enc, horizon, channels=slice(None)):
@@ -85,7 +85,7 @@ def build_foresight_bank(world, stat_model, prod_model, k_enc=8):
     samples = world.samples
     codes, rows = np.unique(samples.room * span + samples.bucket, return_inverse=True)
     keys = np.stack(np.divmod(codes, span), axis=1)  # (room index, bucket) per row
-    n, h = len(world.streams[0].panel.channels), c.horizon_infer
+    n, h = world.panels.shape[1], c.horizon_infer
     steps = np.empty((len(keys), n, c.horizon_train))
     stat = np.empty((len(keys), n * h + n * c.d_model))
     # the ranker's stat block already holds every channel encoding: the
@@ -95,12 +95,14 @@ def build_foresight_bank(world, stat_model, prod_model, k_enc=8):
     prod_enc = np.empty((len(keys), k_enc * prod_model.config.d_model))
     # filled room by room: each room's windows form one batch
     for r in np.unique(keys[:, 0]):
-        st, sel = world.streams[r], keys[:, 0] == r
+        sel = keys[:, 0] == r
         ts = keys[sel, 1]
-        windows = _windows([st] * len(ts), ts, c.context)
+        windows = _windows(world.panels, keys[sel, 0], ts, c.context)
         steps[sel], enc[sel] = statfore.forecast_batch(stat_model, windows, c.horizon_train)
-        ends = _latest_event(st, ts)
-        dist[sel], prod_enc[sel] = prodfore.forecast_prefixes(prod_model, st.events, ends, k_enc)
+        ends = _latest_event(world.event_buckets[r], ts)
+        dist[sel], prod_enc[sel] = prodfore.forecast_prefixes(
+            prod_model, world.events[r], ends, k_enc
+        )
     stat[:, : n * h] = _stat_block(steps, None, h)
     bank = ranker.ForesightBank(
         room=keys[:, 0],
@@ -122,7 +124,7 @@ def training_digest(world, train_rooms):
     hier = world.hierarchy
     arrays = [hier.c2_to_c1, hier.c3_to_c2, hier.p_to_c3]
     for i in train_rooms:
-        arrays += [world.streams[i].panel.values, world.streams[i].events]
+        arrays += [world.panels[i], world.events[i]]
     for arr in arrays:
         arr = np.asarray(arr)
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
@@ -153,10 +155,9 @@ def train_forecaster(model_cfg, world, train_rooms):
     """Train the forecaster that `model_cfg` configures (a StatConfig or a
     ProdConfig) on the train rooms. Returns (model, per-epoch losses)."""
     model = _new_forecaster(model_cfg, world.hierarchy)
-    streams = [world.streams[i] for i in train_rooms]
     if isinstance(model, StatisticModel):
-        return model, statfore.train_statistic(model, [st.panel for st in streams])
-    return model, prodfore.train_product(model, [st.events for st in streams])
+        return model, statfore.train_statistic(model, world.panels[train_rooms])
+    return model, prodfore.train_product(model, [world.events[i] for i in train_rooms])
 
 
 def forecaster_key(model_cfg, data):
@@ -187,7 +188,8 @@ def load_forecaster(path, kind, hierarchy, data, key=None):
     if held != [kind]:
         found = f"a {FORECASTERS[held[0]][1]} forecaster" if held else "no forecaster"
         raise StateError(f"{path} holds {found}, not a {FORECASTERS[kind][1]} forecaster")
-    model = _new_forecaster(FORECASTERS[kind][0](**config), hierarchy)
+    # with the config file's type checks, so a wrongly typed value is named
+    model = _new_forecaster(_build(FORECASTERS[kind][0], config, kind), hierarchy)
     checkpoint.load_checkpoint(
         path, model.store, config_hash=key or forecaster_key(model.config, data)
     )
@@ -208,7 +210,10 @@ def prepare(cfg, out_dir=None, reuse=True):
     world = simgen.gen_world(cfg.sim, cfg.seed)
     timings["gen"] = time.monotonic() - t0
     ranker.check_held_out(world.samples, cfg.rank)
-    train_rooms, eval_rooms = split_rooms(len(world.streams))
+    train_rooms, eval_rooms = split_rooms(len(world.panels))
+    if not len(eval_rooms):
+        raise ConfigurationError(f"sim.streams = {cfg.sim.streams} holds out no eval room; "
+                                 "the forecast reports need sim.streams >= 5")
 
     data = training_digest(world, train_rooms)
     out = Path(out_dir) if out_dir else None
@@ -257,10 +262,9 @@ def train_variant(art, variant, bank=None):
 
 def forecast_reports(art):
     """Original-scale MSE and next-category hit rates on held-out rooms."""
-    eval_panels = [art.world.streams[i].panel for i in art.eval_rooms]
-    eval_seqs = [art.world.streams[i].events for i in art.eval_rooms]
-    stat_eval = statfore.evaluate_statistic(art.stat_model, eval_panels)
-    prod_eval = prodfore.evaluate_hitrate(art.prod_model, eval_seqs)
+    world = art.world
+    stat_eval = statfore.evaluate_statistic(art.stat_model, world.panels[art.eval_rooms])
+    prod_eval = prodfore.evaluate_hitrate(art.prod_model, [world.events[i] for i in art.eval_rooms])
     return stat_eval, prod_eval
 
 
@@ -332,7 +336,7 @@ def _stat_baseline_bank(art, method):
     if method == "model":
         stat = _stat_block(bank.stat_steps, None, c.horizon_infer)
     else:
-        windows = _windows([art.world.streams[r] for r in bank.room], bank.bucket, c.context)
+        windows = _windows(art.world.panels, bank.room, bank.bucket, c.context)
         stat = statfore.baseline_forecast(windows, c.horizon_infer, method)
     return dataclasses.replace(bank, stat=stat.reshape(len(bank), -1))
 
@@ -343,10 +347,10 @@ def _prod_baseline_bank(art, method):
     bank = art.bank
     dist = bank.dist
     if method != "model":
-        streams = art.world.streams
+        world = art.world
         cats = []
         for r, t in zip(bank.room, bank.bucket):
-            events = streams[r].events[: _latest_event(streams[r], t) + 1]
+            events = world.events[r][: _latest_event(world.event_buckets[r], t) + 1]
             cats.append(prodfore.baseline_category(events, method))
         dist = np.eye(dist.shape[1])[cats]
     return dataclasses.replace(bank, dist=dist, prod_enc=np.zeros((len(bank), 0)))
@@ -381,15 +385,12 @@ def run_ablation(cfg, which, art=None):
         columns = ["method", "hitrate", "auc_ctr", "auc_cvr"]
     elif which == "channels":
         base_report, _ = train_variant(art, "base")
-        groups = {}
-        panel = art.world.streams[0].panel
-        for i, g in enumerate(panel.groups):
+        groups = {}  # in order of first appearance
+        for i, g in enumerate(simgen.CHANNEL_GROUPS):
             groups.setdefault(g, []).append(i)
         c = art.stat_model.config
-        for group in statfore.GROUPS:
-            stat = _stat_block(
-                art.bank.stat_steps, art.bank.stat_enc, c.horizon_infer, groups[group]
-            )
+        for group, channels in groups.items():
+            stat = _stat_block(art.bank.stat_steps, art.bank.stat_enc, c.horizon_infer, channels)
             report, _ = train_variant(art, "+stat", dataclasses.replace(art.bank, stat=stat))
             rows.append(
                 [
@@ -402,8 +403,7 @@ def run_ablation(cfg, which, art=None):
             )
         columns = ["group", "auc_ctr", "delta_ctr", "auc_cvr", "delta_cvr"]
     else:  # steps
-        eval_panels = [art.world.streams[i].panel for i in art.eval_rooms]
-        per_step = statfore.mse_per_step(art.stat_model, eval_panels)
+        per_step = statfore.mse_per_step(art.stat_model, art.world.panels[art.eval_rooms])
         base_report, _ = train_variant(art, "base")
         for h in range(1, art.stat_model.config.horizon_train + 1):
             stat = _stat_block(art.bank.stat_steps, None, h)

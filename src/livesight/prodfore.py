@@ -15,7 +15,7 @@ import numpy as np
 
 from . import layers
 from . import tensor as T
-from .config import ProdConfig, config_hash, to_dict
+from .config import ProdConfig
 from .errors import ConfigurationError, SequenceError, VocabularyError
 from .metrics import hit_rate
 from .optim import ParamStore, train_step
@@ -112,9 +112,6 @@ class ProductModel:
         layers.init_dense(self.store, "inproj", 4 * c.d_model, c.d_model, rng)
         layers.init_encoder(self.store, "enc", c.n_blocks, c.d_model, c.d_ff, rng)
         layers.init_dense(self.store, "head", c.d_model, h.n_c3, rng)
-
-    def config_hash(self):
-        return config_hash(to_dict(self.config))
 
     def embed_sequence(self, events):
         """Events (..., L, 4) -> tokens (..., L, 4D): the item, c1, c2 and c3
@@ -268,7 +265,7 @@ def baseline_category(events, method):
         return int(events[-1, 3])
     if method == "most-frequent":
         return int(np.bincount(events[:, 3]).argmax())
-    raise ValueError(f"unknown baseline {method!r}")
+    raise ConfigurationError(f"unknown baseline {method!r}")
 
 
 def evaluate_hitrate(model, sequences):

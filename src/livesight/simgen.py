@@ -2,6 +2,7 @@
 
 Each stream is an author with a home category neighborhood and a hidden
 per-bucket phase (steady / highlight / grab) driving Poisson behavior counts.
+A world holds room r, whose author is author r, as row r of each room array.
 Product switches walk the category tree with configurable persistence, and
 interaction labels deliberately depend on what happens NEXT (upcoming
 categories, an imminent grab phase), so features that see the future carry
@@ -22,11 +23,10 @@ import numpy as np
 
 from . import checkpoint
 from .config import SAMPLE_BUCKET_FLOOR, SERVICES, SimConfig, from_dict, to_dict
-from .errors import ConfigurationError, DatasetError, DimensionError, ParseError, VocabularyError
+from .errors import DatasetError, DimensionError, ParseError, VocabularyError
 from .layers import check_ids
 from .metrics import auc
 from .prodfore import CategoryHierarchy
-from .statfore import StatPanel
 
 PHASES = ("steady", "highlight", "grab")
 STEADY, HIGHLIGHT, GRAB = 0, 1, 2
@@ -50,33 +50,6 @@ CHANNEL_GROUPS = tuple(c[1] for c in CHANNELS)
 PHASE_MULTIPLIERS = np.array(
     [[1.0] * len(CHANNELS), [c[3] for c in CHANNELS], [c[4] for c in CHANNELS]]
 )
-
-
-@dataclass
-class AuthorStyle:
-    author_id: int
-    home_c1: int
-    stay_level2: float
-    move_level1: float
-    jump: float
-    base_rates: np.ndarray  # per-channel Poisson base rates
-    repeat_within_stay: float = 0.2  # else: ring-step to the next sibling c3
-
-    def __post_init__(self):
-        total = self.stay_level2 + self.move_level1 + self.jump
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigurationError(f"style probabilities sum to {total}, not 1")
-        self.base_rates = np.asarray(self.base_rates, dtype=np.float64)
-
-
-@dataclass
-class Stream:
-    room_id: str
-    author: AuthorStyle
-    panel: StatPanel
-    events: np.ndarray  # (L, 4) int: product, c1, c2, c3
-    event_buckets: np.ndarray  # (L,) int, strictly increasing
-    phases: np.ndarray  # (T,) int in {0, 1, 2}
 
 
 # the ranker's id fields, in the column order of SampleTable.fields
@@ -103,7 +76,7 @@ def field_sizes(sim):
 class SampleTable:
     """Labeled exposures as aligned columns, one row per sample."""
 
-    room: np.ndarray  # (S,) index into the world's streams
+    room: np.ndarray  # (S,) index into the world's rooms
     bucket: np.ndarray  # (S,) time bucket of the exposure
     fields: np.ndarray  # (S, len(FIELD_NAMES)) int64 ids, in FIELD_NAMES order
     labels: np.ndarray  # (S, len(tasks)) 0/1 labels
@@ -131,7 +104,12 @@ class World:
     config: SimConfig
     seed: int
     hierarchy: CategoryHierarchy
-    streams: list
+    panels: np.ndarray  # (R, N, T) float64 behavior counts
+    phases: np.ndarray  # (R, T) int in {0, 1, 2}
+    home_c1: np.ndarray  # (R,) each author's home level-1 category
+    base_rates: np.ndarray  # (R, N) each author's per-channel Poisson base rates
+    events: list  # per room, (L, 4) int: product, c1, c2, c3
+    event_buckets: list  # per room, (L,) int, strictly increasing
     user_prefs: np.ndarray  # (U, n_c1) Dirichlet rows
     user_aff_bucket: np.ndarray
     user_click_bucket: np.ndarray
@@ -156,75 +134,54 @@ def _sample_phases(rng, matrix, t_total):
     return np.asarray(path, dtype=np.int64)
 
 
-def _next_category(rng, c3, style, hierarchy):
+def _next_category(rng, c3, home_c1, hierarchy, cfg):
     u = rng.random()
-    if u < style.stay_level2:
+    if u < cfg.stay_level2:
         # stay in the level-2 neighborhood: mostly step to the next sibling
         # (a learnable rule), sometimes re-feature the same product category
-        if rng.random() < style.repeat_within_stay:
+        if rng.random() < cfg.repeat_within_stay:
             return c3
         sibs = hierarchy.c3_children_of_c2(int(hierarchy.c3_to_c2[c3]))
         pos = int(np.searchsorted(sibs, c3))
         return int(sibs[(pos + 1) % len(sibs)])
-    if u < style.stay_level2 + style.move_level1:
+    if u < cfg.stay_level2 + cfg.move_level1:
         # moving within the home level-1 must leave the current level-2,
         # or measured persistence would overshoot the configured 0.6
-        home = hierarchy.c3_children_of_c1(style.home_c1)
+        home = hierarchy.c3_children_of_c1(home_c1)
         away = home[hierarchy.c3_to_c2[home] != hierarchy.c3_to_c2[c3]]
         pool = away if len(away) else home
         return int(pool[rng.integers(len(pool))])
     return int(rng.integers(hierarchy.n_c3))
 
 
-def gen_stream(author, hierarchy, t_total, seed, config=None):
-    """One room: phase path, Poisson count panel, and its product-switch walk."""
-    if t_total < 48:
-        raise ConfigurationError(f"stream length {t_total} < 48 buckets")
-    cfg = config or SimConfig(buckets=t_total)
+def gen_stream(home_c1, base_rates, hierarchy, cfg, seed):
+    """One room of `cfg.buckets` buckets, as (phases (T,), counts (N, T),
+    events (L, 4), event_buckets (L,)): its phase path, Poisson count panel
+    and product-switch walk."""
     rng = np.random.default_rng(seed)
-    phases = _sample_phases(rng, cfg.phase_matrix, t_total)
-    rates = author.base_rates[None, :] * PHASE_MULTIPLIERS[phases]  # (T, N)
+    phases = _sample_phases(rng, cfg.phase_matrix, cfg.buckets)
+    rates = base_rates[None, :] * PHASE_MULTIPLIERS[phases]  # (T, N)
     counts = rng.poisson(rates).T.astype(np.int64)  # (N, T)
 
-    home = hierarchy.c3_children_of_c1(author.home_c1)
+    home = hierarchy.c3_children_of_c1(home_c1)
     c3 = int(home[rng.integers(len(home))])
     events, buckets = [], []
     bucket = 0
-    while bucket < t_total:
+    while bucket < cfg.buckets:
         prods = np.flatnonzero(hierarchy.p_to_c3 == c3)
         p = int(prods[rng.integers(len(prods))])
         c2 = int(hierarchy.c3_to_c2[c3])
         events.append((p, int(hierarchy.c2_to_c1[c2]), c2, c3))
         buckets.append(bucket)
         bucket += int(rng.integers(cfg.event_gap_min, cfg.event_gap_max + 1))
-        c3 = _next_category(rng, c3, author, hierarchy)
-
-    panel = StatPanel(
-        room_id=f"room{author.author_id:04d}",
-        channels=list(CHANNEL_NAMES),
-        values=counts,
-        groups=list(CHANNEL_GROUPS),
-    )
-    return Stream(
-        room_id=panel.room_id,
-        author=author,
-        panel=panel,
-        events=np.asarray(events, dtype=np.int64),
-        event_buckets=np.asarray(buckets, dtype=np.int64),
-        phases=phases,
-    )
+        c3 = _next_category(rng, c3, home_c1, hierarchy, cfg)
+    return phases, counts, np.asarray(events, dtype=np.int64), np.asarray(buckets, dtype=np.int64)
 
 
-def _make_author(rng, i, cfg):
-    return AuthorStyle(
-        author_id=i,
-        home_c1=int(rng.integers(cfg.n_c1)),
-        stay_level2=cfg.stay_level2,
-        move_level1=cfg.move_level1,
-        jump=cfg.jump,
-        base_rates=np.array([c[2] for c in CHANNELS]) * rng.uniform(0.7, 1.3, len(CHANNELS)),
-        repeat_within_stay=cfg.repeat_within_stay,
-    )
+def _make_author(rng, cfg):
+    """An author's (home level-1 category, per-channel base rates)."""
+    home_c1 = int(rng.integers(cfg.n_c1))
+    return home_c1, np.array([c[2] for c in CHANNELS]) * rng.uniform(0.7, 1.3, len(CHANNELS))
 
 
 def _sigmoid(x):
@@ -243,7 +200,7 @@ def _task_coeffs(cfg):
     return {t: per_task[t] for t in SERVICES[cfg.service] if t != "ctr"}
 
 
-def gen_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookahead=5):
+def gen_interactions(world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookahead=5):
     """Exposure events with labels whose ground truth peeks at the future.
 
     Click follows sigmoid(a*affinity + b*[highlight] + c0) where affinity is
@@ -254,17 +211,19 @@ def gen_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookah
     labels read the NEXT 3 product events and whether a grab phase lands
     within the next `lookahead` buckets.
 
-    Returns a SampleTable whose `room` column indexes `streams`.
+    Returns a SampleTable whose `room` column indexes the world's rooms; a
+    sample's author is its room.
     """
-    if not streams:
+    rooms = len(world.panels)
+    if not rooms:
         raise DatasetError("no streams to sample exposures from")
     cfg = world.config
     rng = np.random.default_rng(seed)
     coeffs = _task_coeffs(cfg)
     # the last bucket a stream can be sampled at: future labels need 3
     # upcoming events and `lookahead` more buckets
-    last = [min(st.phases.shape[0] - lookahead - 1, int(st.event_buckets[-3]) - 1)
-            if len(st.event_buckets) >= 3 else bucket_lo - 1 for st in streams]
+    last = [min(world.phases.shape[1] - lookahead - 1, int(b[-3]) - 1)
+            if len(b) >= 3 else bucket_lo - 1 for b in world.event_buckets]
     # only the RNG draws are made per exposure; everything else follows from
     # them as array ops, in the order the draws were made
     room = np.empty(cfg.n_samples, dtype=np.int64)
@@ -273,7 +232,7 @@ def gen_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookah
     draws = np.empty((cfg.n_samples, 1 + len(coeffs)))  # one uniform per label
     kept = 0
     for _ in range(cfg.n_samples):
-        r = int(rng.integers(len(streams)))
+        r = int(rng.integers(rooms))
         u = int(rng.integers(cfg.users))
         if last[r] < bucket_lo:
             continue
@@ -289,14 +248,14 @@ def gen_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookah
     nxt_c1 = np.empty((kept, 3), dtype=np.int64)  # level-1 categories of the next 3 events
     highlight = np.empty(kept, dtype=bool)
     grab_soon = np.empty(kept, dtype=bool)  # a grab phase within `lookahead` buckets
-    for r, st in enumerate(streams):
+    for r, (events, phases) in enumerate(zip(world.events, world.phases)):
         sel = room == r
         t = bucket[sel]
-        cur = np.searchsorted(st.event_buckets, t, side="right") - 1
-        item[sel] = st.events[cur, 3]
-        nxt_c1[sel] = st.events[cur[:, None] + np.arange(1, 4), 1]
-        highlight[sel] = st.phases[t] == HIGHLIGHT
-        grab_soon[sel] = (st.phases[t[:, None] + np.arange(1, lookahead + 1)] == GRAB).any(axis=1)
+        cur = np.searchsorted(world.event_buckets[r], t, side="right") - 1
+        item[sel] = events[cur, 3]
+        nxt_c1[sel] = events[cur[:, None] + np.arange(1, 4), 1]
+        highlight[sel] = phases[t] == HIGHLIGHT
+        grab_soon[sel] = (phases[t[:, None] + np.arange(1, lookahead + 1)] == GRAB).any(axis=1)
     uniform = 1.0 / cfg.n_c1
     prefs = world.user_prefs
     aff_next = prefs[user, nxt_c1[:, 0]] - uniform
@@ -312,11 +271,10 @@ def gen_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookah
         logit = a2 * aff_future + b2 * grab_soon.astype(np.float64) + c2
         labels.append(draws[:, j] < _sigmoid(logit))
     # the user- and room-derived ids are gathers, filled after the draws
-    author = np.asarray([st.author.author_id for st in streams], dtype=np.int64)[room]
-    home = np.asarray([st.author.home_c1 for st in streams], dtype=np.int64)[room]
+    home = world.home_c1[room]
     aff = world.user_aff_bucket[user]
     fields = np.stack(
-        [user, aff, author, home, item, (aff == home).astype(np.int64),
+        [user, aff, room, home, item, (aff == home).astype(np.int64),
          world.user_click_bucket[user]],
         axis=1,
     )
@@ -331,29 +289,25 @@ def gen_world(config, seed):
     hierarchy = CategoryHierarchy.balanced(
         config.n_c1, config.n_c2, config.n_c3, config.n_products
     )
+    r, n, t = config.streams, len(CHANNELS), config.buckets
+    home_c1, base_rates = np.empty(r, dtype=np.int64), np.empty((r, n))
+    panels, phases = np.empty((r, n, t)), np.empty((r, t), dtype=np.int64)
+    events, event_buckets = [None] * r, [None] * r
     author_rng = np.random.default_rng([seed, 0xA0])
-    streams = [
-        gen_stream(
-            _make_author(author_rng, i, config),
-            hierarchy,
-            config.buckets,
-            seed=[seed, 0x57, i],
-            config=config,
+    for i in range(r):
+        home_c1[i], base_rates[i] = _make_author(author_rng, config)
+        phases[i], panels[i], events[i], event_buckets[i] = gen_stream(
+            int(home_c1[i]), base_rates[i], hierarchy, config, seed=[seed, 0x57, i]
         )
-        for i in range(config.streams)
-    ]
     user_rng = np.random.default_rng([seed, 0xB1])
     prefs = user_rng.dirichlet(np.full(config.n_c1, config.dirichlet_alpha), size=config.users)
     world = World(
-        config=config,
-        seed=seed,
-        hierarchy=hierarchy,
-        streams=streams,
-        user_prefs=prefs,
-        user_aff_bucket=prefs.argmax(axis=1).astype(np.int64),
+        config=config, seed=seed, hierarchy=hierarchy, panels=panels, phases=phases,
+        home_c1=home_c1, base_rates=base_rates, events=events, event_buckets=event_buckets,
+        user_prefs=prefs, user_aff_bucket=prefs.argmax(axis=1).astype(np.int64),
         user_click_bucket=user_rng.integers(CLICK_BUCKETS, size=config.users),
     )
-    world.samples = gen_interactions(streams, world, seed=[seed, 0xC2])
+    world.samples = gen_interactions(world, seed=[seed, 0xC2])
     return world
 
 
@@ -400,24 +354,20 @@ def export_dataset(world, dir_path):
     array of `_layout` plus a manifest with the config and a content hash."""
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
-    streams, samples, h = world.streams, world.samples, world.hierarchy
+    samples, h = world.samples, world.hierarchy
     arrays = {
         "c2_to_c1": h.c2_to_c1, "c3_to_c2": h.c3_to_c2, "p_to_c3": h.p_to_c3,
-        "panels": np.stack([st.panel.values for st in streams]),
-        "phases": np.stack([st.phases for st in streams]),
-        "home_c1": [st.author.home_c1 for st in streams],
-        "base_rates": np.stack([st.author.base_rates for st in streams]),
-        "events": np.concatenate([st.events for st in streams]),
-        "event_buckets": np.concatenate([st.event_buckets for st in streams]),
-        "event_offsets": np.cumsum([0] + [len(st.events) for st in streams]),
-        "user_prefs": world.user_prefs,
-        "user_aff_bucket": world.user_aff_bucket,
-        "user_click_bucket": world.user_click_bucket,
+        **{name: getattr(world, name) for name in (
+            "panels", "phases", "home_c1", "base_rates",
+            "user_prefs", "user_aff_bucket", "user_click_bucket")},
+        "events": np.concatenate(world.events),
+        "event_buckets": np.concatenate(world.event_buckets),
+        "event_offsets": np.cumsum([0] + [len(e) for e in world.events]),
         "sample_room": samples.room, "sample_bucket": samples.bucket,
         "sample_fields": samples.fields, "sample_labels": samples.labels,
         "sample_weight": samples.weight,
     }
-    counts = {"streams": len(streams), "users": len(world.user_prefs),
+    counts = {"streams": len(world.panels), "users": len(world.user_prefs),
               "samples": len(samples), "events": len(arrays["events"])}
     layout = _layout(world.config, counts)
     arrays = {name: np.ascontiguousarray(arrays[name], dtype=dtype)
@@ -522,20 +472,10 @@ def _world(path, a, cfg, seed):
         )
     except VocabularyError as exc:
         raise ParseError(f"sample_fields[{exc.row}]: {exc}", path=str(path)) from exc
-
-    streams = []
-    for i, (lo, hi) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
-        author = AuthorStyle(
-            author_id=i, home_c1=int(a["home_c1"][i]), stay_level2=cfg.stay_level2,
-            move_level1=cfg.move_level1, jump=cfg.jump, base_rates=rates[i],
-            repeat_within_stay=cfg.repeat_within_stay,
-        )
-        room_id = f"room{i:04d}"
-        panel = StatPanel(room_id=room_id, channels=list(CHANNEL_NAMES), values=panels[i],
-                          groups=list(CHANNEL_GROUPS))
-        streams.append(Stream(room_id=room_id, author=author, panel=panel, events=events[lo:hi],
-                              event_buckets=event_buckets[lo:hi], phases=phases[i]))
-    return World(config=cfg, seed=seed, hierarchy=h, streams=streams,
+    rooms = offsets[1:-1]  # where each room's events start, after the first's
+    return World(config=cfg, seed=seed, hierarchy=h, panels=panels.astype(np.float64),
+                 phases=phases, home_c1=a["home_c1"], base_rates=rates,
+                 events=np.split(events, rooms), event_buckets=np.split(event_buckets, rooms),
                  user_prefs=a["user_prefs"], user_aff_bucket=a["user_aff_bucket"],
                  user_click_bucket=a["user_click_bucket"], samples=samples)
 
@@ -550,20 +490,20 @@ def _probe_features(world, future):
     rows = []
     for r, t, u in zip(samples.room.tolist(), samples.bucket.tolist(),
                        samples.fields[:, 0].tolist()):
-        st = world.streams[r]
-        cur = int(np.searchsorted(st.event_buckets, t, side="right")) - 1
+        events, phases = world.events[r], world.phases[r]
+        cur = int(np.searchsorted(world.event_buckets[r], t, side="right")) - 1
         past = [
-            world.user_prefs[u, st.events[cur, 1]],
-            float(st.phases[t] == HIGHLIGHT),
-            float(st.phases[t] == GRAB),
-            float(st.panel.values[1, max(0, t - 7) : t + 1].mean()),
+            world.user_prefs[u, events[cur, 1]],
+            float(phases[t] == HIGHLIGHT),
+            float(phases[t] == GRAB),
+            float(world.panels[r, 1, max(0, t - 7) : t + 1].mean()),
         ]
         if future:
-            nxt = st.events[cur + 1 : cur + 4]
+            nxt = events[cur + 1 : cur + 4]
             past = past + [
                 float(world.user_prefs[u, nxt[:, 1]].mean()),
-                float((st.phases[t + 1 : t + 6] == GRAB).any()),
-                float((st.phases[t + 1 : t + 6] == HIGHLIGHT).any()),
+                float((phases[t + 1 : t + 6] == GRAB).any()),
+                float((phases[t + 1 : t + 6] == HIGHLIGHT).any()),
             ]
         rows.append(past)
     return np.asarray(rows), samples.labels[:, task]

@@ -10,45 +10,16 @@ training optimizes error in the original count scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import layers
 from . import tensor as T
-from .config import StatConfig, config_hash, to_dict
-from .errors import DimensionError, WindowError
+from .config import StatConfig
+from .errors import ConfigurationError, DimensionError, WindowError
 from .optim import ParamStore, train_step
 from .tensor import Tensor
 
-GROUPS = ("out-room", "convert", "interaction", "in-room")
-
 SCALE_FLOOR = 1e-6
-
-
-@dataclass
-class StatPanel:
-    """One live room's full statistic history."""
-
-    room_id: str
-    channels: list
-    values: np.ndarray  # (N, T) non-negative counts
-    groups: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] != len(self.channels):
-            raise DimensionError(
-                f"values shape {self.values.shape} does not match "
-                f"{len(self.channels)} channels"
-            )
-        if (self.values < 0).any():
-            raise ValueError(f"panel {self.room_id} has negative counts")
-        if self.groups and len(self.groups) != len(self.channels):
-            raise DimensionError("groups must align with channels")
-        for g in self.groups:
-            if g not in GROUPS:
-                raise ValueError(f"unknown channel group {g!r}")
 
 
 def revin_normalize(window):
@@ -85,9 +56,6 @@ class StatisticModel:
         layers.init_encoder(self.store, "enc", c.n_blocks, c.d_model, c.d_ff, rng)
         layers.init_dense(self.store, "head", c.d_model, c.horizon_train, rng)
 
-    def config_hash(self):
-        return config_hash(to_dict(self.config))
-
     def forward(self, windows):
         """Normalized windows (B, N, W) -> (normalized predictions (B, N, h), encodings (B, N, D))."""
         windows = T.as_tensor(windows)
@@ -104,18 +72,18 @@ class StatisticModel:
 
 
 def collect_windows(panels, context, horizon, stride=1):
-    """Sliding (window, future) pairs from every panel, stacked for batching."""
+    """Sliding (window, future) pairs from every (N, T) count panel of `panels`
+    (an (R, N, T) array or a sequence of (N, T) arrays), stacked for batching."""
     xs, ys = [], []
-    for panel in panels:
-        t_total = panel.values.shape[1]
+    for i, panel in enumerate(panels):
+        t_total = panel.shape[1]
         if t_total < context + horizon:
             raise WindowError(
-                f"panel {panel.room_id} has {t_total} buckets; needs at least "
-                f"{context + horizon}"
+                f"panel {i} has {t_total} buckets; needs at least {context + horizon}"
             )
         for start in range(0, t_total - context - horizon + 1, stride):
-            xs.append(panel.values[:, start : start + context])
-            ys.append(panel.values[:, start + context : start + context + horizon])
+            xs.append(panel[:, start : start + context])
+            ys.append(panel[:, start + context : start + context + horizon])
     return np.stack(xs), np.stack(ys)
 
 
@@ -155,7 +123,7 @@ def baseline_forecast(window, horizon, method):
     elif method == "latest":
         col = window[..., -1:]
     else:
-        raise ValueError(f"unknown baseline {method!r}")
+        raise ConfigurationError(f"unknown baseline {method!r}")
     return np.repeat(col, horizon, axis=-1)
 
 

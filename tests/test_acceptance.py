@@ -74,8 +74,8 @@ def forecasting_runs():
     for seed in SEEDS:
         cfg = ExperimentConfig(seed=seed, sim=SimConfig(streams=150, n_samples=20000))
         art = pipeline.prepare(cfg)
-        eval_panels = [art.world.streams[i].panel for i in art.eval_rooms]
-        eval_seqs = [art.world.streams[i].events for i in art.eval_rooms]
+        eval_panels = art.world.panels[art.eval_rooms]
+        eval_seqs = [art.world.events[i] for i in art.eval_rooms]
         t0 = time.monotonic()
         stat_eval = statfore.evaluate_statistic(art.stat_model, eval_panels)
         stat_wall = art.timings["train_stat"] + (time.monotonic() - t0)
@@ -319,14 +319,16 @@ def test_criterion_9_generator_soundness():
     hi, st = [], []
     from livesight.simgen import _make_author
 
+    cfg = SimConfig(buckets=96)
     for i in range(10):
-        s = gen_stream(_make_author(author_rng, i, SimConfig()), hierarchy, 96, seed=[31, i])
-        hi.extend(s.panel.values[enter, s.phases == HIGHLIGHT])
-        st.extend(s.panel.values[enter, s.phases == STEADY])
+        phases, counts, _, _ = gen_stream(*_make_author(author_rng, cfg), hierarchy, cfg, [31, i])
+        hi.extend(counts[enter, phases == HIGHLIGHT])
+        st.extend(counts[enter, phases == STEADY])
     lift_ok = np.mean(hi) > np.mean(st)
 
-    long_stream = gen_stream(_make_author(author_rng, 99, SimConfig()), hierarchy, 7000, seed=32)
-    c2 = long_stream.events[:, 2]
+    cfg = SimConfig(buckets=7000)
+    _, _, long_events, _ = gen_stream(*_make_author(author_rng, cfg), hierarchy, cfg, seed=32)
+    c2 = long_events[:, 2]
     share = float(np.mean(c2[1:] == c2[:-1]))
 
     world = gen_world(SimConfig(), seed=11)

@@ -1,9 +1,11 @@
 """Subcommand smoke tests driven through main(argv), on a miniature config."""
 
+import inspect
 import json
 
 import pytest
 
+from livesight import cli, errors
 from livesight.cli import build_parser, main
 from livesight.config import (
     ExperimentConfig,
@@ -189,6 +191,36 @@ def test_errors_exit_nonzero(capsys):
     assert main(["report", "--out", "/tmp/missing-report-dir"]) == 1
     assert main(["gen", "--seed", "1", "--buckets", "20", "--out", "/tmp/never"]) == 1
     assert "48" in capsys.readouterr().err
+
+
+def test_every_named_error_is_a_livesight_error():
+    named = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+             if cls.__module__ == errors.__name__]
+    assert len(named) > 10
+    for cls in named:
+        assert issubclass(cls, errors.LivesightError), cls
+
+
+@pytest.mark.parametrize("exc", [ValueError, RuntimeError, KeyError, IndexError])
+def test_a_builtin_exception_is_not_turned_into_a_message(monkeypatch, tmp_path, capsys, exc):
+    # only a named error becomes a one-line message; a bare one is a bug to see
+    def broken(args):
+        raise exc("bare")
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    with pytest.raises(exc, match="bare"):
+        main(["report", "--out", str(tmp_path)])
+    assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"{\"sim\": {", b"\xff\xfe not text"], ids=["cut", "binary"])
+def test_a_config_file_that_is_not_json_names_the_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["gen", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not a JSON config")
+    assert not (tmp_path / "d").exists()
 
 
 def test_stat_context_past_the_first_sample_rejected(tiny_config, dataset_dir, tmp_path, capsys):

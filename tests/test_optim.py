@@ -220,14 +220,14 @@ def world():
 def train_stat(world):
     model = statfore.StatisticModel(StatConfig(context=8, horizon_train=3, horizon_infer=2,
                                                d_model=8, heads=2, d_ff=16, batch=16))
-    statfore.train_statistic(model, [st.panel for st in world.streams[:2]], epochs=1)
+    statfore.train_statistic(model, world.panels[:2], epochs=1)
     return model
 
 
 def train_prod(world):
     model = prodfore.ProductModel(ProdConfig(d_model=8, heads=2, d_ff=16, max_context=8,
                                              batch=16), world.hierarchy)
-    prodfore.train_product(model, [st.events for st in world.streams], epochs=1)
+    prodfore.train_product(model, world.events, epochs=1)
     return model
 
 
@@ -308,7 +308,7 @@ def prod_loss(model, events):
 def test_backward_drops_each_closure_and_keeps_every_gradient(world):
     model = prodfore.ProductModel(ProdConfig(d_model=8, heads=2, d_ff=16, max_context=8),
                                   world.hierarchy)
-    events = world.streams[0].events[:8]
+    events = world.events[0][:8]
     loss = prod_loss(model, events)
     loss.backward()
     nodes = graph_nodes(loss)

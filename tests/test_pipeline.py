@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from livesight import metrics, pipeline, prodfore, statfore
+from livesight import checkpoint, metrics, pipeline, prodfore, statfore
 from livesight.config import (
     ExperimentConfig,
     ProdConfig,
@@ -14,6 +14,7 @@ from livesight.config import (
     SimConfig,
     StatConfig,
     from_dict,
+    to_dict,
 )
 from livesight.errors import ConfigurationError, DatasetError
 from livesight.pipeline import split_rooms, write_csv
@@ -59,7 +60,7 @@ def test_bank_covers_every_sample(art):
     keys = set(zip(samples.room.tolist(), samples.bucket.tolist()))
     assert set(zip(bank.room.tolist(), bank.bucket.tolist())) == keys
     assert len(bank) == len(keys)
-    n, d = len(art.world.streams[0].panel.channels), c.d_model
+    n, d = art.world.panels.shape[1], c.d_model
     assert bank.stat_steps.shape == (len(bank), n, c.horizon_train)
     assert bank.stat_enc.shape == (len(bank), n, d)
     assert bank.stat.shape == (len(bank), n * c.horizon_infer + n * d)
@@ -96,21 +97,56 @@ def test_long_streams_forecast_each_prefix_without_lookahead(long_art):
     # each bank row must be the forecast from its own prefix, never from later events
     art = long_art
     model, k_enc = art.prod_model, art.cfg.rank.k_enc
-    streams = art.world.streams
-    assert max(len(st.events) for st in streams) > model.config.max_context
+    world = art.world
+    assert max(len(events) for events in world.events) > model.config.max_context
     for r, t, dist, enc in zip(art.bank.room, art.bank.bucket, art.bank.dist, art.bank.prod_enc):
-        st = streams[r]
-        cur = int(np.searchsorted(st.event_buckets, t, side="right")) - 1
-        fc = prodfore.forecast_product(model, st.events[: cur + 1])
+        cur = int(np.searchsorted(world.event_buckets[r], t, side="right")) - 1
+        fc = prodfore.forecast_product(model, world.events[r][: cur + 1])
         tail = fc.encoding[-k_enc:].ravel()
         assert np.allclose(dist, fc.distribution, rtol=0, atol=1e-12)
         assert np.allclose(enc[: len(tail)], tail, rtol=0, atol=1e-12)
         assert not enc[len(tail) :].any()
 
 
+def future_rewritten(world, r, t, rng):
+    """`world` with room r's data after bucket t replaced by other valid data of
+    the same shapes: every later count raised, and every event at a later
+    bucket swapped for another product."""
+    panels = world.panels.copy()
+    panels[r, :, t + 1 :] += rng.integers(1, 5, size=panels[r, :, t + 1 :].shape)
+    h, events = world.hierarchy, list(world.events)
+    later = world.event_buckets[r] > t
+    p = (events[r][later, 0] + rng.integers(1, h.n_products, size=later.sum())) % h.n_products
+    c3 = h.p_to_c3[p]
+    c2 = h.c3_to_c2[c3]
+    events[r] = events[r].copy()
+    events[r][later] = np.stack([p, h.c2_to_c1[c2], c2, c3], axis=1)
+    return dataclasses.replace(world, panels=panels, events=events)
+
+
+@pytest.mark.parametrize("which", ["art", "long_art"])
+def test_no_bank_row_reads_past_its_bucket(which, request):
+    # exact: the causal mask gives later positions a weight of exactly 0.0,
+    # and with the shapes unchanged every float is computed the same way
+    art = request.getfixturevalue(which)
+    bank, world = art.bank, art.world
+    cur = np.asarray([np.searchsorted(world.event_buckets[r], t, side="right") - 1
+                      for r, t in zip(bank.room, bank.bucket)])
+    rng = np.random.default_rng(0)
+    rows = [*rng.choice(len(bank), size=11, replace=False), int(cur.argmax())]
+    if which == "long_art":  # one prefix longer than the product context
+        assert cur[rows[-1]] + 1 > art.prod_model.config.max_context
+    for k in rows:
+        rewritten = future_rewritten(world, bank.room[k], bank.bucket[k], rng)
+        again, _ = pipeline.build_foresight_bank(rewritten, art.stat_model, art.prod_model,
+                                                 k_enc=art.cfg.rank.k_enc)
+        for name in ("stat_steps", "stat", "dist", "prod_enc"):
+            assert np.array_equal(getattr(again, name)[k], getattr(bank, name)[k]), (k, name)
+
+
 def test_hitrate_scores_every_position_of_long_streams(long_art):
     model = long_art.prod_model
-    seqs = [long_art.world.streams[i].events for i in long_art.eval_rooms]
+    seqs = [long_art.world.events[i] for i in long_art.eval_rooms]
     assert max(len(seq) for seq in seqs) > model.config.max_context + 1
     # brute force: one forecast per prefix, at every position with a successor
     preds = {"model": [], "latest": [], "most-frequent": []}
@@ -219,6 +255,15 @@ def test_only_a_missing_checkpoint_is_retrained(tmp_path):
     assert prod_ckpt.read_bytes() == blob
 
 
+def test_a_wrongly_typed_checkpoint_config_is_named(art, tmp_path):
+    # it used to reach StatConfig's checks as a bare TypeError
+    path = tmp_path / "stat.ckpt"
+    config = {**to_dict(art.stat_model.config), "heads": "4"}
+    checkpoint.save_checkpoint(path, art.stat_model.store, extra={"config": config})
+    with pytest.raises(ConfigurationError, match="stat.heads must be of type int, got '4'"):
+        pipeline.load_forecaster(path, "stat", art.world.hierarchy, data="")
+
+
 def test_forecast_reports_have_three_methods_each(art):
     stat_eval, prod_eval = pipeline.forecast_reports(art)
     assert set(stat_eval) == {"model", "mean", "latest"}
@@ -236,7 +281,7 @@ def test_masked_stat_bank_slices_forecast_steps(art):
 
 def test_group_masked_bank_keeps_forecasts_and_encodings(art):
     c = art.stat_model.config
-    n = len(art.world.streams[0].panel.channels)
+    n = art.world.panels.shape[1]
     stat = pipeline._stat_block(art.bank.stat_steps, art.bank.stat_enc, c.horizon_infer, [1])
     assert stat.shape == (len(art.bank), c.horizon_infer + c.d_model)
     src = art.bank.stat
@@ -252,13 +297,12 @@ def test_substituted_stat_bank_matches_baseline(art):
     c = art.stat_model.config
     bank = pipeline._stat_baseline_bank(art, "latest")
     for k in (0, len(bank) - 1):
-        st = art.world.streams[bank.room[k]]
         t = bank.bucket[k]
-        window = st.panel.values[:, t - c.context + 1 : t + 1]
+        window = art.world.panels[bank.room[k], :, t - c.context + 1 : t + 1]
         expect = statfore.baseline_forecast(window, c.horizon_infer, "latest").ravel()
         assert np.array_equal(bank.stat[k], expect)
     model = pipeline._stat_baseline_bank(art, "model")
-    n = len(art.world.streams[0].panel.channels)
+    n = art.world.panels.shape[1]
     idx = [ch * c.horizon_train + k for ch in range(n) for k in range(c.horizon_infer)]
     assert np.array_equal(model.stat, art.bank.stat_steps.reshape(len(bank), -1)[:, idx])
 
@@ -267,9 +311,9 @@ def test_substituted_prod_bank_onehot_drops_encodings(art):
     bank = pipeline._prod_baseline_bank(art, "latest")
     assert bank.prod_enc.shape == (len(bank), 0)
     assert np.all(bank.dist.sum(axis=1) == 1.0) and np.all((bank.dist == 1.0).sum(axis=1) == 1)
-    st = art.world.streams[bank.room[0]]
-    cur = int(np.searchsorted(st.event_buckets, bank.bucket[0], side="right")) - 1
-    assert bank.dist[0, st.events[cur, 3]] == 1.0
+    r = bank.room[0]
+    cur = int(np.searchsorted(art.world.event_buckets[r], bank.bucket[0], side="right")) - 1
+    assert bank.dist[0, art.world.events[r][cur, 3]] == 1.0
     assert pipeline._prod_baseline_bank(art, "model").dist is art.bank.dist
 
 
@@ -291,6 +335,16 @@ def test_pipeline_reruns_byte_identical(tmp_path):
     paths2 = pipeline.run_pipeline(cfg)
     for name, p in paths2.items():
         assert p.read_bytes() == blobs[name]
+
+
+def test_a_world_without_an_eval_room_fails_before_any_training(tmp_path):
+    # split_rooms holds out every fifth room: four rooms hold out none, and
+    # the run used to die in the forecast reports after training everything
+    cfg = dataclasses.replace(TINY, seed=3, sim=dataclasses.replace(TINY.sim, streams=4),
+                              out_dir=str(tmp_path))
+    with pytest.raises(ConfigurationError, match="sim.streams = 4 .* sim.streams >= 5"):
+        pipeline.run_pipeline(cfg)
+    assert not list(tmp_path.glob("*.ckpt"))
 
 
 def test_unscorable_held_out_split_fails_before_any_training(tmp_path, monkeypatch):

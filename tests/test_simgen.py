@@ -22,7 +22,6 @@ from livesight.simgen import (
     GRAB,
     HIGHLIGHT,
     STEADY,
-    AuthorStyle,
     SampleTable,
     _sample_phases,
     _sigmoid,
@@ -37,17 +36,12 @@ from livesight.simgen import (
 )
 
 SMALL = SimConfig(streams=10, users=50, n_samples=600)
+BASE_RATES = np.array([c[2] for c in CHANNELS])
 
 
-def make_author(author_id=0, home_c1=1, **kw):
-    base = dict(
-        stay_level2=0.6,
-        move_level1=0.3,
-        jump=0.1,
-        base_rates=np.array([c[2] for c in CHANNELS]),
-    )
-    base.update(kw)
-    return AuthorStyle(author_id=author_id, home_c1=home_c1, **base)
+def stream(hierarchy, buckets, seed, home_c1=1):
+    """One room at the channels' base rates: (phases, counts, events, event_buckets)."""
+    return gen_stream(home_c1, BASE_RATES, hierarchy, SimConfig(buckets=buckets), seed)
 
 
 @pytest.fixture(scope="module")
@@ -66,22 +60,21 @@ def default_world():
 
 
 def test_stream_determinism(hierarchy):
-    a = gen_stream(make_author(), hierarchy, 96, seed=4)
-    b = gen_stream(make_author(), hierarchy, 96, seed=4)
-    assert a.panel.values.tobytes() == b.panel.values.tobytes()
-    assert a.events.tobytes() == b.events.tobytes()
-    assert a.event_buckets.tobytes() == b.event_buckets.tobytes()
-    assert a.phases.tobytes() == b.phases.tobytes()
+    a = stream(hierarchy, 96, seed=4)
+    b = stream(hierarchy, 96, seed=4)
+    for x, y in zip(a, b):
+        assert x.tobytes() == y.tobytes()
 
 
-def test_stream_too_short(hierarchy):
-    with pytest.raises(ConfigurationError):
-        gen_stream(make_author(), hierarchy, 47, seed=0)
+def test_stream_too_short():
+    # a stream is cfg.buckets long, so the config is where a short one stops
+    with pytest.raises(ConfigurationError, match="buckets must be >= 48, got 47"):
+        SimConfig(buckets=47)
 
 
 def test_style_probabilities_must_sum_to_one():
-    with pytest.raises(ConfigurationError):
-        make_author(stay_level2=0.6, move_level1=0.3, jump=0.2)
+    with pytest.raises(ConfigurationError, match="sum to"):
+        SimConfig(stay_level2=0.6, move_level1=0.3, jump=0.2)
 
 
 def test_highlight_lifts_audience_enter(hierarchy):
@@ -89,9 +82,9 @@ def test_highlight_lifts_audience_enter(hierarchy):
     enter = CHANNEL_NAMES.index("audience_enter")
     hi, st = [], []
     for i in range(10):
-        s = gen_stream(make_author(author_id=i), hierarchy, 96, seed=[9, i])
-        hi.extend(s.panel.values[enter, s.phases == HIGHLIGHT])
-        st.extend(s.panel.values[enter, s.phases == STEADY])
+        phases, counts, _, _ = stream(hierarchy, 96, seed=[9, i])
+        hi.extend(counts[enter, phases == HIGHLIGHT])
+        st.extend(counts[enter, phases == STEADY])
     assert np.mean(hi) > np.mean(st)
 
 
@@ -99,26 +92,26 @@ def test_grab_lifts_product_clicks(hierarchy):
     clicks = CHANNEL_NAMES.index("product_clicks")
     hi, st = [], []
     for i in range(10):
-        s = gen_stream(make_author(author_id=i), hierarchy, 96, seed=[10, i])
-        hi.extend(s.panel.values[clicks, s.phases == GRAB])
-        st.extend(s.panel.values[clicks, s.phases == STEADY])
+        phases, counts, _, _ = stream(hierarchy, 96, seed=[10, i])
+        hi.extend(counts[clicks, phases == GRAB])
+        st.extend(counts[clicks, phases == STEADY])
     assert np.mean(hi) > np.mean(st)
 
 
 def test_level2_persistence_near_configured(hierarchy):
     # one long stream gives >1000 consecutive pairs
-    s = gen_stream(make_author(), hierarchy, 7000, seed=21)
-    c2 = s.events[:, 2]
+    _, _, events, _ = stream(hierarchy, 7000, seed=21)
+    c2 = events[:, 2]
     assert len(c2) > 1000
     share = np.mean(c2[1:] == c2[:-1])
     assert abs(share - 0.6) < 0.05
 
 
 def test_event_gaps_within_configured_range(hierarchy):
-    s = gen_stream(make_author(), hierarchy, 400, seed=3)
-    gaps = np.diff(s.event_buckets)
+    _, _, _, event_buckets = stream(hierarchy, 400, seed=3)
+    gaps = np.diff(event_buckets)
     assert gaps.min() >= 4 and gaps.max() <= 8
-    assert s.event_buckets[0] == 0
+    assert event_buckets[0] == 0
 
 
 def looped_phases(rng, matrix, t_total):
@@ -165,8 +158,8 @@ def test_event_gap_settings_are_checked(lo, hi):
 
 
 def test_events_consistent_with_hierarchy(hierarchy):
-    s = gen_stream(make_author(home_c1=3), hierarchy, 200, seed=6)
-    p, c1, c2, c3 = s.events.T
+    _, _, events, _ = stream(hierarchy, 200, seed=6, home_c1=3)
+    p, c1, c2, c3 = events.T
     assert np.array_equal(hierarchy.p_to_c3[p], c3)
     assert np.array_equal(hierarchy.c3_to_c2[c3], c2)
     assert np.array_equal(hierarchy.c2_to_c1[c2], c1)
@@ -206,17 +199,21 @@ def test_sample_fields_are_coherent(default_world):
     assert np.array_equal(col["aff_bucket"], w.user_prefs[col["user_id"]].argmax(axis=1))
     assert np.all((0 <= col["item_c3"]) & (col["item_c3"] < w.config.n_c3))
     assert np.all(s.weight[:500] == 1.0)
-    authors = [w.streams[r].author for r in s.room[:500]]
-    assert col["author_id"].tolist() == [a.author_id for a in authors]
-    assert col["room_category"].tolist() == [a.home_c1 for a in authors]
+    # room r's author is author r
+    assert np.array_equal(col["author_id"], s.room[:500])
+    assert np.array_equal(col["room_category"], w.home_c1[s.room[:500]])
 
 
 def test_empty_streams_rejected(default_world):
+    w = default_world
+    empty = dataclasses.replace(w, panels=w.panels[:0], phases=w.phases[:0],
+                                home_c1=w.home_c1[:0], base_rates=w.base_rates[:0],
+                                events=[], event_buckets=[])
     with pytest.raises(DatasetError):
-        gen_interactions([], default_world, seed=0)
+        gen_interactions(empty, seed=0)
 
 
-def looped_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookahead=5):
+def looped_interactions(world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookahead=5):
     """The per-sample loop `gen_interactions` ran before its labels became array code."""
     cfg = world.config
     rng = np.random.default_rng(seed)
@@ -224,37 +221,36 @@ def looped_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, loo
     coeffs = _task_coeffs(cfg)
     drawn = []
     for _ in range(cfg.n_samples):
-        r = int(rng.integers(len(streams)))
+        r = int(rng.integers(len(world.panels)))
         u = int(rng.integers(cfg.users))
-        st = streams[r]
-        t_total = st.phases.shape[0]
-        hi = min(t_total - lookahead - 1, int(st.event_buckets[-3]) - 1)
+        events, event_buckets, phases = world.events[r], world.event_buckets[r], world.phases[r]
+        t_total = phases.shape[0]
+        hi = min(t_total - lookahead - 1, int(event_buckets[-3]) - 1)
         if hi < bucket_lo:
             continue
         t = int(rng.integers(bucket_lo, hi + 1))
-        cur = int(np.searchsorted(st.event_buckets, t, side="right")) - 1
-        nxt = st.events[cur + 1 : cur + 4]
+        cur = int(np.searchsorted(event_buckets, t, side="right")) - 1
+        nxt = events[cur + 1 : cur + 4]
         uniform = 1.0 / cfg.n_c1
         aff_next = prefs[u, nxt[0, 1]] - uniform
         aff_future = float(prefs[u, nxt[:, 1]].mean()) - uniform
-        grab_soon = bool((st.phases[t + 1 : t + 1 + lookahead] == GRAB).any())
+        grab_soon = bool((phases[t + 1 : t + 1 + lookahead] == GRAB).any())
         click_logit = (
             cfg.click_affinity_coeff * aff_next
-            + cfg.click_highlight_coeff * float(st.phases[t] == HIGHLIGHT)
+            + cfg.click_highlight_coeff * float(phases[t] == HIGHLIGHT)
             + cfg.click_bias
         )
         labels = [int(rng.random() < _sigmoid(click_logit))]
         for a2, b2, c2 in coeffs.values():
             logit = a2 * aff_future + b2 * float(grab_soon) + c2
             labels.append(int(rng.random() < _sigmoid(logit)))
-        drawn.append((r, t, u, int(st.events[cur, 3]), *labels))
+        drawn.append((r, t, u, int(events[cur, 3]), *labels))
     cols = np.asarray(drawn, dtype=np.int64)
     room, bucket, user, item = cols[:, :4].T
-    author = np.asarray([st.author.author_id for st in streams], dtype=np.int64)[room]
-    home = np.asarray([st.author.home_c1 for st in streams], dtype=np.int64)[room]
+    home = world.home_c1[room]
     aff = world.user_aff_bucket[user]
     fields = np.stack(
-        [user, aff, author, home, item, (aff == home).astype(np.int64),
+        [user, aff, room, home, item, (aff == home).astype(np.int64),
          world.user_click_bucket[user]],
         axis=1,
     )
@@ -264,9 +260,12 @@ def looped_interactions(streams, world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, loo
 
 
 def short_streams(world):
-    """The world's streams with every other one cut to four events, too few to sample."""
-    return [dataclasses.replace(st, events=st.events[:4], event_buckets=st.event_buckets[:4])
-            if i % 2 else st for i, st in enumerate(world.streams)]
+    """The world with every other room's events cut to four, too few to sample."""
+    return dataclasses.replace(
+        world,
+        events=[e[:4] if r % 2 else e for r, e in enumerate(world.events)],
+        event_buckets=[b[:4] if r % 2 else b for r, b in enumerate(world.event_buckets)],
+    )
 
 
 @pytest.mark.parametrize(
@@ -280,9 +279,10 @@ def short_streams(world):
 )
 def test_array_labels_equal_the_per_sample_loop(cfg, seed, cut):
     world = gen_world(cfg, seed)
-    streams = short_streams(world) if cut else world.streams
-    got = gen_interactions(streams, world, seed=[seed, 0xC2])
-    want = looped_interactions(streams, world, seed=[seed, 0xC2])
+    if cut:
+        world = short_streams(world)
+    got = gen_interactions(world, seed=[seed, 0xC2])
+    want = looped_interactions(world, seed=[seed, 0xC2])
     for name in ("room", "bucket", "fields", "labels", "weight"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert (got.tasks, got.vocab) == (want.tasks, want.vocab)
@@ -320,21 +320,17 @@ def same(a, b):
 
 
 def assert_same_world(back, world):
-    """Every array, author and setting of `world` is in `back`, with its dtype."""
+    """Every array and setting of `world` is in `back`, with its dtype."""
     assert (back.config, back.seed) == (world.config, world.seed)
     for name in ("c2_to_c1", "c3_to_c2", "p_to_c3"):
         assert same(getattr(back.hierarchy, name), getattr(world.hierarchy, name)), name
-    assert len(back.streams) == len(world.streams)
-    for got, want in zip(back.streams, world.streams):
-        assert got.room_id == got.panel.room_id == want.room_id
-        for name in ("events", "event_buckets", "phases"):
-            assert same(getattr(got, name), getattr(want, name)), (want.room_id, name)
-        assert same(got.panel.values, want.panel.values), want.room_id
-        assert (got.panel.channels, got.panel.groups) == (want.panel.channels, want.panel.groups)
-        for field in dataclasses.fields(AuthorStyle):
-            name = field.name
-            assert same(getattr(got.author, name), getattr(want.author, name)), (want.room_id, name)
-    for name in ("user_prefs", "user_aff_bucket", "user_click_bucket"):
+    for name in ("events", "event_buckets"):
+        got, want = getattr(back, name), getattr(world, name)
+        assert len(got) == len(want) == len(world.panels), name
+        for r, (a, b) in enumerate(zip(got, want)):
+            assert same(a, b), (r, name)
+    for name in ("panels", "phases", "home_c1", "base_rates",
+                 "user_prefs", "user_aff_bucket", "user_click_bucket"):
         assert same(getattr(back, name), getattr(world, name)), name
     for name in ("room", "bucket", "fields", "labels", "weight"):
         assert same(getattr(back.samples, name), getattr(world.samples, name)), name
@@ -342,7 +338,7 @@ def assert_same_world(back, world):
 
 
 def test_round_trip_preserves_world(tmp_path):
-    # a non-default repeat_within_stay, which each imported author must carry
+    # a non-default repeat_within_stay, which the imported config must carry
     worlds = [(dataclasses.replace(SMALL, repeat_within_stay=0.35), 8),
               (dataclasses.replace(SMALL, service="talent", buckets=600), 5)]
     for k, (cfg, seed) in enumerate(worlds):
@@ -352,7 +348,7 @@ def test_round_trip_preserves_world(tmp_path):
         assert manifest["counts"]["samples"] == len(world.samples)
         back = import_dataset(tmp_path / f"ds{k}")
         assert_same_world(back, world)
-        assert {st.author.repeat_within_stay for st in back.streams} == {cfg.repeat_within_stay}
+        assert back.config.repeat_within_stay == cfg.repeat_within_stay
         # export -> import -> export writes the same bytes
         export_dataset(back, tmp_path / f"again{k}")
         assert dataset_bytes(tmp_path / f"again{k}") == dataset_bytes(tmp_path / f"ds{k}")
@@ -394,7 +390,7 @@ def test_edited_files_trigger_integrity_warning(tmp_path):
     ds, _ = damaged_dataset(tmp_path, lambda a: a["sample_weight"].__setitem__(0, 2.0))
     with pytest.warns(UserWarning, match="manifest hash"):
         world = import_dataset(ds)
-    assert len(world.streams) == 10 and world.samples.weight[0] == 2.0
+    assert len(world.panels) == 10 and world.samples.weight[0] == 2.0
 
 
 def test_truncated_file_names_the_line(tmp_path):

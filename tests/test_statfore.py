@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from livesight.config import StatConfig
-from livesight.errors import DimensionError, WindowError
+from livesight.errors import ConfigurationError, DimensionError, WindowError
 from livesight.pipeline import _stat_block
 from livesight.statfore import (
-    StatPanel,
     StatisticModel,
     baseline_forecast,
     collect_windows,
@@ -24,12 +23,8 @@ TINY = StatConfig(context=8, horizon_train=5, horizon_infer=3, d_model=8,
 
 
 def random_panel(seed, n=4, t=40):
-    rng = np.random.default_rng(seed)
-    return StatPanel(
-        room_id=f"room-{seed}",
-        channels=[f"ch{i}" for i in range(n)],
-        values=rng.poisson(10.0, size=(n, t)).astype(float),
-    )
+    """An (n, t) panel of Poisson counts."""
+    return np.random.default_rng(seed).poisson(10.0, size=(n, t)).astype(float)
 
 
 def test_revin_symmetric_triple():
@@ -76,15 +71,6 @@ def test_revin_rejects_short_windows():
         revin_normalize([1.0, 2.0])
 
 
-def test_panel_validation():
-    with pytest.raises(DimensionError):
-        StatPanel("r", ["a"], np.zeros((2, 5)))
-    with pytest.raises(ValueError, match="negative"):
-        StatPanel("r", ["a"], -np.ones((1, 5)))
-    with pytest.raises(ValueError, match="group"):
-        StatPanel("r", ["a"], np.ones((1, 5)), groups=["sideways"])
-
-
 def test_forward_shapes_and_window_check():
     model = StatisticModel(TINY)
     windows = np.zeros((3, 4, 8))
@@ -110,16 +96,15 @@ def test_channel_permutation_equivariance():
 def test_memorizes_constant_panels():
     # constant channels survive the scale floor end to end: loss ~ 0 at once
     values = np.tile(np.array([[5.0], [9.0], [2.0]]), (1, 30))
-    panel = StatPanel("const", ["a", "b", "c"], values)
     model = StatisticModel(TINY)
-    history = train_statistic(model, [panel], epochs=50)
+    history = train_statistic(model, [values], epochs=50)
     assert history[-1] < 1e-4
 
 
 def test_training_reduces_loss_on_periodic_panels():
     t = np.arange(40)
     values = np.stack([10 + 5 * np.sin(2 * np.pi * t / 8), 20 + 10 * np.cos(2 * np.pi * t / 4)])
-    panel = StatPanel("waves", ["a", "b"], values - values.min() + 1)
+    panel = values - values.min() + 1
     model = StatisticModel(TINY)
     history = train_statistic(model, [panel], epochs=30)
     assert history[-1] < 0.5 * history[0]
@@ -143,7 +128,7 @@ def test_baseline_forecasts():
     window = np.array([[1.0, 2.0, 3.0]])
     assert np.array_equal(baseline_forecast(window, 2, "mean"), [[2.0, 2.0]])
     assert np.array_equal(baseline_forecast(window, 2, "latest"), [[3.0, 3.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="unknown baseline 'oracle'"):
         baseline_forecast(window, 2, "oracle")
     # stacked windows: each one forecast as if alone
     stacked = np.stack([window, 2 * window])
@@ -163,8 +148,12 @@ def test_collect_windows_stride_and_short_panel():
     panel = random_panel(3, n=2, t=20)
     x, y = collect_windows([panel], context=8, horizon=5, stride=1)
     assert x.shape == (8, 2, 8) and y.shape == (8, 2, 5)
-    with pytest.raises(WindowError):
-        collect_windows([random_panel(4, n=2, t=10)], context=8, horizon=5)
+    # an (R, N, T) array of panels gives the same pairs as a list of them
+    both = np.stack([panel, random_panel(5, n=2, t=20)])
+    xs, ys = collect_windows(both, context=8, horizon=5)
+    assert np.array_equal(xs[:8], x) and np.array_equal(ys[:8], y) and len(xs) == 16
+    with pytest.raises(WindowError, match="panel 1 has 10 buckets; needs at least 13"):
+        collect_windows([panel, random_panel(4, n=2, t=10)], context=8, horizon=5)
 
 
 def test_evaluate_reports_model_and_baselines():
@@ -182,11 +171,10 @@ def test_mse_per_step_shape():
 
 
 def test_training_is_deterministic():
-    values = random_panel(7).values
+    values = random_panel(7)
     runs = []
     for _ in range(2):
         model = StatisticModel(TINY)
-        train_statistic(model, [StatPanel("r", [f"c{i}" for i in range(4)], values)],
-                        epochs=2)
+        train_statistic(model, [values], epochs=2)
         runs.append(np.concatenate([p.data.ravel() for _, p in sorted(model.store.items())]))
     assert runs[0].tobytes() == runs[1].tobytes()
