@@ -25,23 +25,6 @@ def embedding_init(rng, rows, dim, scale=0.02):
     return rng.normal(0.0, scale, size=(rows, dim))
 
 
-def dense_forward(x, w, b):
-    """y = x @ w + b with full backward support.
-
-    `x` is (..., F_in), `w` is (F_in, F_out), `b` is (F_out,).
-    """
-    x, w, b = T.as_tensor(x), T.as_tensor(w), T.as_tensor(b)
-    if w.ndim != 2:
-        raise DimensionError(f"W must be 2-D, got shape {w.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise DimensionError(
-            f"x last dimension {x.shape[-1]} does not match W rows {w.shape[0]}"
-        )
-    if b.shape != (w.shape[1],):
-        raise DimensionError(f"b shape {b.shape} does not match W columns {w.shape[1]}")
-    return T.dense(x, w, b)
-
-
 def check_ids(ids, sizes, names):
     """Raise VocabularyError, naming the column and carrying the flat row, at
     the first id of `ids` (..., F) outside [0, sizes[k]) in its column k."""

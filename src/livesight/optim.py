@@ -192,3 +192,14 @@ def train_step(store, loss_fn, lr):
     loss.backward()
     adam_step(store, lr=lr)
     return float(loss.data)
+
+
+def train_epochs(store, loss_fn, batches, lr, epochs):
+    """The epoch loop of every trainer: each epoch takes one `train_step` on
+    `loss_fn(batch)` per `(batch, weight)` pair of a fresh `batches()` list,
+    then yields the weighted mean of the step losses. A caller that stops
+    iterating stops training."""
+    for _ in range(epochs):
+        pairs = batches()
+        losses = [train_step(store, lambda: loss_fn(batch), lr) for batch, _ in pairs]
+        yield float(np.average(losses, weights=[weight for _, weight in pairs]))

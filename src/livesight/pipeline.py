@@ -180,7 +180,10 @@ def load_forecaster(path, kind, hierarchy, data, key=None):
     """Rebuild a `kind` ("stat" or "prod") forecaster from its checkpoint. A
     checkpoint of the other kind, or whose key is not `key` (by default its
     saved config's key on `data`, a `training_digest`), raises StateError."""
-    config = checkpoint.read_manifest(path)["extra"].get("config", {})
+    extra = checkpoint.read_manifest(path).get("extra")
+    if not isinstance(extra, dict):
+        raise StateError(f"{path} has no forecaster manifest: 'extra' is {extra!r}, not an object")
+    config = extra.get("config", {})
     held = [
         k for k, (cls, _) in FORECASTERS.items()
         if set(config) == {f.name for f in dataclasses.fields(cls)}
@@ -302,7 +305,6 @@ def write_rank_report(out_dir, cfg, reports):
 def run_pipeline(cfg):
     """gen -> train models -> train ranker variants -> reports. Returns file paths."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     art = prepare(cfg, out_dir=out, reuse=True)
     simgen.export_dataset(art.world, out / "data")
 

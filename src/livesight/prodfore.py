@@ -18,7 +18,7 @@ from . import tensor as T
 from .config import ProdConfig
 from .errors import ConfigurationError, SequenceError, VocabularyError
 from .metrics import hit_rate
-from .optim import ParamStore, train_step
+from .optim import ParamStore, train_epochs
 
 
 @dataclass
@@ -130,12 +130,12 @@ class ProductModel:
                 f"sequence length {length} exceeds max context {self.config.max_context}"
             )
         tokens = self.embed_sequence(events)
-        x = layers.dense_forward(tokens, self.store["inproj.w"], self.store["inproj.b"])
+        x = T.dense(tokens, self.store["inproj.w"], self.store["inproj.b"])
         x = x + T.take(self.store["pos"], (slice(0, length),))
         enc = layers.encoder(
             x, self.store, "enc", self.config.n_blocks, self.config.heads, causal=True
         )
-        logits = layers.dense_forward(enc, self.store["head.w"], self.store["head.b"])
+        logits = T.dense(enc, self.store["head.w"], self.store["head.b"])
         return logits, enc
 
 
@@ -222,40 +222,33 @@ def _suffix_crops(sequences, max_context):
     return crops
 
 
-def train_product(model, sequences, epochs=None):
+def train_product(model, sequences):
     """Dense teacher forcing: every prefix position of every suffix crop is
     supervised; minibatches are grouped by length so padding stays cheap."""
     if not sequences:
         raise SequenceError("no training sequences")
     c = model.config
-    epochs = c.epochs if epochs is None else epochs
     crops = _suffix_crops(sequences, c.max_context)
     if not crops:
         raise SequenceError("no position has a successor event to supervise")
     # sort once by length; shuffling batch ORDER keeps epochs stochastic while
     # each batch stays near-uniform in length
     crops.sort(key=len)
-    batches = []
-    for lo in range(0, len(crops), c.batch):
-        batch, labels, mask = _pad_batch(crops[lo : lo + c.batch], c.max_context)
-        batches.append((batch, labels, mask))
+    padded = [_pad_batch(crops[lo : lo + c.batch], c.max_context)
+              for lo in range(0, len(crops), c.batch)]
     n_c3 = model.hierarchy.n_c3
     order_rng = np.random.default_rng([c.seed, 0x5E])
-    history = []
-    for _ in range(epochs):
-        total, weight = 0.0, 0.0
-        for k in order_rng.permutation(len(batches)):
-            batch, labels, mask = batches[k]
 
-            def loss_fn():
-                logits, _ = model.forward_positions(batch)
-                flat = T.reshape(logits, (-1, n_c3))
-                return T.softmax_cross_entropy(flat, labels.ravel(), mask=mask.ravel())
+    def batches():  # weighted by supervised positions: the epoch loss is their mean
+        return [(padded[k], padded[k][2].sum()) for k in order_rng.permutation(len(padded))]
 
-            total += train_step(model.store, loss_fn, c.lr) * mask.sum()
-            weight += mask.sum()
-        history.append(total / weight)
-    return history
+    def loss_fn(batch):
+        events, labels, mask = batch
+        logits, _ = model.forward_positions(events)
+        flat = T.reshape(logits, (-1, n_c3))
+        return T.softmax_cross_entropy(flat, labels.ravel(), mask=mask.ravel())
+
+    return list(train_epochs(model.store, loss_fn, batches, c.lr, c.epochs))
 
 
 def baseline_category(events, method):

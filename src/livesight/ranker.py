@@ -18,7 +18,7 @@ from . import metrics
 from . import tensor as T
 from .config import RankConfig
 from .errors import ConfigurationError, ContractError, DatasetError, DimensionError
-from .optim import ParamStore, train_step
+from .optim import ParamStore, train_epochs
 from .simgen import FIELD_NAMES
 from .tensor import Tensor
 
@@ -137,11 +137,10 @@ class RankingModel:
             raise DimensionError(
                 f"input width {x.shape[-1]} != trained width {self.input_width}"
             )
-        h = T.relu(layers.dense_forward(x, self.store["trunk.l1.w"], self.store["trunk.l1.b"]))
-        h = T.relu(layers.dense_forward(h, self.store["trunk.l2.w"], self.store["trunk.l2.b"]))
+        h = T.relu(T.dense(x, self.store["trunk.l1.w"], self.store["trunk.l1.b"]))
+        h = T.relu(T.dense(h, self.store["trunk.l2.w"], self.store["trunk.l2.b"]))
         heads = [
-            layers.dense_forward(h, self.store[f"head.{t}.w"], self.store[f"head.{t}.b"])
-            for t in self.tasks
+            T.dense(h, self.store[f"head.{t}.w"], self.store[f"head.{t}.b"]) for t in self.tasks
         ]
         return T.sigmoid(T.concat(heads, axis=1))
 
@@ -283,19 +282,19 @@ def train_ranker(samples, variant, config, bank=None, rows=None):
         return model.features(fields[idx], stat=stat, dist=dist, prod_enc=enc)
 
     epoch_rng = np.random.default_rng([config.seed, 0xE6])
+
+    def batches():
+        perm = fit[epoch_rng.permutation(len(fit))]
+        return [(perm[lo : lo + config.batch], 1.0) for lo in range(0, len(perm), config.batch)]
+
+    def loss_fn(idx):
+        return rank_loss(model.forward(batch_input(idx)), labels[idx])
+
+    epochs = train_epochs(model.store, loss_fn, batches, config.lr, config.epochs)
     history = []
     best_val, best_state, best_epoch = np.inf, None, -1
-    for epoch in range(config.epochs):
-        perm = fit[epoch_rng.permutation(len(fit))]
-        losses = []
-        for lo in range(0, len(perm), config.batch):
-            idx = perm[lo : lo + config.batch]
-
-            def loss_fn():
-                return rank_loss(model.forward(batch_input(idx)), labels[idx])
-
-            losses.append(train_step(model.store, loss_fn, config.lr))
-        history.append(float(np.mean(losses)))
+    for epoch, loss in enumerate(epochs):
+        history.append(loss)
         val = float(rank_loss(predict(model, batch_input, va, config.batch), labels[va]).data)
         if val < best_val:
             best_val = val

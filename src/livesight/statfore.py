@@ -16,7 +16,7 @@ from . import layers
 from . import tensor as T
 from .config import StatConfig
 from .errors import ConfigurationError, DimensionError, WindowError
-from .optim import ParamStore, train_step
+from .optim import ParamStore, train_epochs
 from .tensor import Tensor
 
 SCALE_FLOOR = 1e-6
@@ -63,11 +63,11 @@ class StatisticModel:
             raise DimensionError(
                 f"window length {windows.shape[-1]} != context {self.config.context}"
             )
-        tokens = layers.dense_forward(windows, self.store["proj.w"], self.store["proj.b"])
+        tokens = T.dense(windows, self.store["proj.w"], self.store["proj.b"])
         enc = layers.encoder(
             tokens, self.store, "enc", self.config.n_blocks, self.config.heads, causal=False
         )
-        pred = layers.dense_forward(enc, self.store["head.w"], self.store["head.b"])
+        pred = T.dense(enc, self.store["head.w"], self.store["head.b"])
         return pred, enc
 
 
@@ -84,32 +84,29 @@ def collect_windows(panels, context, horizon, stride=1):
         for start in range(0, t_total - context - horizon + 1, stride):
             xs.append(panel[:, start : start + context])
             ys.append(panel[:, start + context : start + context + horizon])
+    if not xs:
+        raise WindowError("no panels to cut windows from")
     return np.stack(xs), np.stack(ys)
 
 
-def train_statistic(model, panels, epochs=None):
+def train_statistic(model, panels):
     """Minimize original-scale MSE over sliding windows; returns per-epoch loss."""
     c = model.config
-    epochs = c.epochs if epochs is None else epochs
     x, y = collect_windows(panels, c.context, c.horizon_train)
     rng = np.random.default_rng([c.seed, 0xDA])
-    history = []
-    for _ in range(epochs):
+
+    def batches():
         order = rng.permutation(len(x))
-        losses = []
-        for lo in range(0, len(order), c.batch):
-            idx = order[lo : lo + c.batch]
+        return [(order[lo : lo + c.batch], 1.0) for lo in range(0, len(order), c.batch)]
 
-            def loss_fn():
-                normed, mu, delta = revin_normalize(x[idx])
-                pred_norm, _ = model.forward(Tensor(normed))
-                pred = pred_norm * Tensor(delta) + Tensor(mu)
-                diff = pred + T.mul(Tensor(y[idx]), -1.0)
-                return T.tmean(T.mul(diff, diff))
+    def loss_fn(idx):
+        normed, mu, delta = revin_normalize(x[idx])
+        pred_norm, _ = model.forward(Tensor(normed))
+        pred = pred_norm * Tensor(delta) + Tensor(mu)
+        diff = pred + T.mul(Tensor(y[idx]), -1.0)
+        return T.tmean(T.mul(diff, diff))
 
-            losses.append(train_step(model.store, loss_fn, c.lr))
-        history.append(float(np.mean(losses)))
-    return history
+    return list(train_epochs(model.store, loss_fn, batches, c.lr, c.epochs))
 
 
 def baseline_forecast(window, horizon, method):

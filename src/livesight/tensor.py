@@ -242,6 +242,12 @@ def dense(x, w, b):
     and the weight gradient one (F_in, rows) @ (rows, F_out) product.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2:
+        raise DimensionError(f"W must be 2-D, got shape {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"x last dimension {x.shape[-1]} does not match W rows {w.shape[0]}")
+    if b.shape != (w.shape[1],):
+        raise DimensionError(f"b shape {b.shape} does not match W columns {w.shape[1]}")
     x2 = x.data.reshape(-1, w.data.shape[0])
     out = x2 @ w.data
     out += b.data

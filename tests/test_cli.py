@@ -6,6 +6,7 @@ import json
 import pytest
 
 from livesight import cli, errors
+from livesight.checkpoint import write_archive
 from livesight.cli import build_parser, main
 from livesight.config import (
     ExperimentConfig,
@@ -149,6 +150,20 @@ def test_train_rank_rejects_a_file_that_is_not_a_checkpoint(tiny_config, dataset
                       tmp_path / "rank") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config_file} is not a readable checkpoint")
+    assert "Traceback" not in err
+    assert not (tmp_path / "rank").exists()
+
+
+@pytest.mark.parametrize("manifest", [{"format": 1}, {"format": 1, "extra": [1]}],
+                         ids=["no extra", "extra not an object"])
+def test_train_rank_rejects_a_checkpoint_without_a_forecaster_manifest(
+        tiny_config, dataset_dir, checkpoints, tmp_path, capsys, manifest):
+    path = tmp_path / "stat.ckpt"
+    write_archive(path, manifest, [])
+    assert train_rank(tiny_config, dataset_dir, path, checkpoints["prod"],
+                      tmp_path / "rank") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} has no forecaster manifest")
     assert "Traceback" not in err
     assert not (tmp_path / "rank").exists()
 

@@ -14,7 +14,7 @@ from livesight import prodfore, statfore
 from livesight import tensor as T
 from livesight.config import ProdConfig, RankConfig, StatConfig
 from livesight.gradcheck import grad_check
-from livesight.layers import MASK_VALUE, dense_forward
+from livesight.layers import MASK_VALUE
 from livesight.optim import ParamStore, adam_step
 from livesight.prodfore import CategoryHierarchy, ProductModel
 from livesight.ranker import RankingModel, predict, rank_loss
@@ -255,7 +255,7 @@ def test_attention_scores_backward_equals_the_stacked_formula(b, length, d, head
 
 
 def composed_feed_forward(h, x, w1, b1, w2, b2):
-    return h + dense_forward(T.relu(dense_forward(x, w1, b1)), w2, b2)
+    return h + T.dense(T.relu(T.dense(x, w1, b1)), w2, b2)
 
 
 @pytest.mark.parametrize("shape", [(5, 6), (3, 4, 6)])

@@ -8,7 +8,6 @@ from livesight.errors import ConfigurationError, DimensionError, VocabularyError
 from livesight.gradcheck import grad_check
 from livesight.layers import (
     MASK_VALUE,
-    dense_forward,
     encoder,
     init_attention,
     init_encoder,
@@ -21,22 +20,22 @@ from livesight.tensor import Tensor
 
 
 def test_dense_identity():
-    out = dense_forward([[1.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    out = T.dense([[1.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
     assert np.array_equal(out.data, [[1.0, 2.0]])
 
 
 def test_dense_hand_expansion():
-    out = dense_forward([[1.0, 1.0]], [[2.0], [3.0]], [1.0])
+    out = T.dense([[1.0, 1.0]], [[2.0], [3.0]], [1.0])
     assert np.array_equal(out.data, [[6.0]])
 
 
 def test_dense_shape_errors_name_operand():
     with pytest.raises(DimensionError, match="W rows"):
-        dense_forward(np.ones((2, 3)), np.ones((4, 2)), np.zeros(2))
+        T.dense(np.ones((2, 3)), np.ones((4, 2)), np.zeros(2))
     with pytest.raises(DimensionError, match="b shape"):
-        dense_forward(np.ones((2, 3)), np.ones((3, 2)), np.zeros(3))
+        T.dense(np.ones((2, 3)), np.ones((3, 2)), np.zeros(3))
     with pytest.raises(DimensionError, match="2-D"):
-        dense_forward(np.ones((2, 3)), np.ones(3), np.zeros(1))
+        T.dense(np.ones((2, 3)), np.ones(3), np.zeros(1))
 
 
 def test_dense_gradient_oracle():
@@ -48,7 +47,7 @@ def test_dense_gradient_oracle():
     probe = rng.normal(size=(3, 2))
 
     def loss():
-        return T.tsum(dense_forward(store["x"], store["w"], store["b"]) * Tensor(probe))
+        return T.tsum(T.dense(store["x"], store["w"], store["b"]) * Tensor(probe))
 
     assert grad_check(loss, store) < 1e-6
 
@@ -62,7 +61,7 @@ def test_dense_gradient_oracle_on_3d_inputs():
     probe = rng.normal(size=(2, 3, 5))
 
     def loss():
-        return T.tsum(dense_forward(store["x"], store["w"], store["b"]) * Tensor(probe))
+        return T.tsum(T.dense(store["x"], store["w"], store["b"]) * Tensor(probe))
 
     assert grad_check(loss, store) < 1e-6
 
@@ -116,7 +115,7 @@ def test_fused_dense_matches_composed_ops(shape):
     x, w, b = (store.add(n, rng.normal(size=s)) for n, s in (("x", shape), ("w", (6, 7)), ("b", 7)))
     probe = rng.normal(size=shape[:-1] + (7,))
     assert_fused_matches_composed(
-        lambda: dense_forward(x, w, b), lambda: composed_dense(x, w, b), store, probe
+        lambda: T.dense(x, w, b), lambda: composed_dense(x, w, b), store, probe
     )
 
 
@@ -172,8 +171,8 @@ def test_attention_single_token_is_value_projection():
     store, params, rng = _attention_setup(2)
     tokens = Tensor(rng.normal(size=(1, 8)))
     out = multi_head_attention(tokens, heads=2, causal=False, params=params)
-    expected = dense_forward(
-        dense_forward(tokens, params["wv"], params["bv"]), params["wo"], params["bo"]
+    expected = T.dense(
+        T.dense(tokens, params["wv"], params["bv"]), params["wo"], params["bo"]
     )
     assert np.allclose(out.data, expected.data, atol=1e-12)
 

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from livesight import prodfore, ranker, statfore
+from livesight import optim, prodfore, ranker, statfore
 from livesight import tensor as T
 from livesight.config import ProdConfig, RankConfig, SimConfig, StatConfig
 from livesight.errors import StateError
@@ -115,6 +115,45 @@ def test_adam_matches_reference_implementation():
         assert np.allclose(store["x"].data, ref, atol=1e-15)
 
 
+# -- the epoch loop ------------------------------------------------------------
+
+
+def square_loss(store, scale):
+    return T.tsum(T.mul(T.mul(store["w"], store["w"]), scale))
+
+
+def test_train_epochs_yields_the_weighted_mean_of_its_step_losses():
+    store = make_store(2.0)
+    drawn, losses = [], []
+
+    def batches():
+        drawn.append(store.step)  # the steps taken when an epoch draws its batches
+        return [(1.0, 1.0), (3.0, 3.0)]
+
+    def loss_fn(scale):
+        loss = square_loss(store, scale)
+        losses.append(float(loss.data))
+        return loss
+
+    history = list(optim.train_epochs(store, loss_fn, batches, lr=0.1, epochs=3))
+    assert drawn == [0, 2, 4] and store.step == 6 and len(history) == 3
+    for k, value in enumerate(history):
+        first, second = losses[2 * k : 2 * k + 2]
+        assert type(value) is float
+        assert value == pytest.approx((first + 3.0 * second) / 4.0, rel=1e-15)
+        assert value != pytest.approx((first + second) / 2.0)
+
+
+def test_breaking_out_of_train_epochs_stops_training():
+    store = make_store(2.0)
+    epochs = optim.train_epochs(store, lambda scale: square_loss(store, scale),
+                                lambda: [(1.0, 1.0)] * 3, lr=0.1, epochs=10)
+    for k, _ in enumerate(epochs, 1):
+        if k == 4:
+            break
+    assert store.step == 4 * 3
+
+
 def test_load_arrays_validates_names_and_shapes():
     store = ParamStore()
     store.add("w", np.zeros((2, 2)))
@@ -219,15 +258,15 @@ def world():
 
 def train_stat(world):
     model = statfore.StatisticModel(StatConfig(context=8, horizon_train=3, horizon_infer=2,
-                                               d_model=8, heads=2, d_ff=16, batch=16))
-    statfore.train_statistic(model, world.panels[:2], epochs=1)
+                                               d_model=8, heads=2, d_ff=16, epochs=1, batch=16))
+    statfore.train_statistic(model, world.panels[:2])
     return model
 
 
 def train_prod(world):
     model = prodfore.ProductModel(ProdConfig(d_model=8, heads=2, d_ff=16, max_context=8,
-                                             batch=16), world.hierarchy)
-    prodfore.train_product(model, world.events, epochs=1)
+                                             epochs=1, batch=16), world.hierarchy)
+    prodfore.train_product(model, world.events)
     return model
 
 
@@ -342,13 +381,11 @@ def reference_step(kept):
     return step
 
 
-@pytest.mark.parametrize(
-    "train,module", zip(TRAINERS, (statfore, prodfore, ranker)), ids=TRAINER_IDS
-)
-def test_train_step_gives_the_floats_of_the_graph_keeping_loop(monkeypatch, world, train, module):
+@pytest.mark.parametrize("train", TRAINERS, ids=TRAINER_IDS)
+def test_train_step_gives_the_floats_of_the_graph_keeping_loop(monkeypatch, world, train):
     values = train(world).store.values
     kept = []
-    monkeypatch.setattr(module, "train_step", reference_step(kept))
+    monkeypatch.setattr(optim, "train_step", reference_step(kept))
     ref = train(world).store.values
     assert len(kept) > 2
     assert np.array_equal(values, ref)

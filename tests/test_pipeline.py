@@ -340,11 +340,13 @@ def test_pipeline_reruns_byte_identical(tmp_path):
 def test_a_world_without_an_eval_room_fails_before_any_training(tmp_path):
     # split_rooms holds out every fifth room: four rooms hold out none, and
     # the run used to die in the forecast reports after training everything
+    out = tmp_path / "run"
     cfg = dataclasses.replace(TINY, seed=3, sim=dataclasses.replace(TINY.sim, streams=4),
-                              out_dir=str(tmp_path))
+                              out_dir=str(out))
     with pytest.raises(ConfigurationError, match="sim.streams = 4 .* sim.streams >= 5"):
         pipeline.run_pipeline(cfg)
-    assert not list(tmp_path.glob("*.ckpt"))
+    assert not list(tmp_path.rglob("*.ckpt"))
+    assert not out.exists()  # a rejected run leaves no empty output directory
 
 
 def test_unscorable_held_out_split_fails_before_any_training(tmp_path, monkeypatch):

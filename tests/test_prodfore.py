@@ -1,5 +1,7 @@
 """Product-event model: hierarchy, causal forecasting, baselines, prefix forecasts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,7 @@ def test_memorizes_alternating_sequence():
     a, b = 0, 11
     assert h.parents_of_product(a)[2] != h.parents_of_product(b)[2]
     seq = seq_for(h, [a, b] * 6)
-    history = train_product(model, [seq], epochs=100)
+    history = train_product(model, [seq])
     assert history[-1] < 0.05
     assert history[29] < history[0]
     # after an A the model must put its mass on B's finest category
@@ -160,11 +162,11 @@ def test_forecast_distribution_properties():
 
 def test_short_sequences_are_skipped_not_fatal():
     h = small_hierarchy()
-    model = ProductModel(TINY, h)
-    history = train_product(model, [seq_for(h, [1]), seq_for(h, [0, 11] * 4)], epochs=2)
+    two = dataclasses.replace(TINY, epochs=2)
+    history = train_product(ProductModel(two, h), [seq_for(h, [1]), seq_for(h, [0, 11] * 4)])
     assert len(history) == 2
     with pytest.raises(SequenceError):
-        train_product(ProductModel(TINY, h), [seq_for(h, [1])], epochs=1)
+        train_product(ProductModel(dataclasses.replace(TINY, epochs=1), h), [seq_for(h, [1])])
 
 
 def test_baseline_categories():
@@ -219,7 +221,7 @@ def test_training_is_deterministic():
     seqs = [seq_for(h, [0, 11, 4, 15, 0, 11]), seq_for(h, [2, 13, 2, 13])]
     outs = []
     for _ in range(2):
-        model = ProductModel(TINY, h)
-        train_product(model, seqs, epochs=3)
+        model = ProductModel(dataclasses.replace(TINY, epochs=3), h)
+        train_product(model, seqs)
         outs.append(np.concatenate([p.data.ravel() for _, p in sorted(model.store.items())]))
     assert outs[0].tobytes() == outs[1].tobytes()

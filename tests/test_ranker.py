@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from livesight import simgen
+from livesight import ranker, simgen
 from livesight import tensor as T
 from livesight.config import RankConfig, SimConfig
 from livesight.errors import (
@@ -344,6 +344,31 @@ def test_restored_best_state_stays_in_the_flat_buffer():
         p.grad = np.ones_like(p.data)
     adam_step(model.store, lr=1e-2)
     assert not np.array_equal(model.forward(x).data, before)
+
+
+def scripted_validation(monkeypatch, val_losses):
+    """Make `train_ranker`'s validation loss read `val_losses` in turn. The
+    validation loss is the only one taken of a numpy array (`predict`'s
+    output); training losses of tensors pass through."""
+    losses = iter(val_losses)
+
+    def loss(predictions, labels):
+        if isinstance(predictions, np.ndarray):
+            return Tensor(np.float64(next(losses)))
+        return rank_loss(predictions, labels)
+
+    monkeypatch.setattr(ranker, "rank_loss", loss)
+
+
+def test_training_stops_three_epochs_after_the_best_and_restores_it(monkeypatch):
+    samples, bank, rows = dataset(120)
+    scripted_validation(monkeypatch, [5.0, 4.0, 6.0, 6.0, 6.0])
+    model, _, history = train_ranker(samples, "+both", CFG, bank=bank, rows=rows)
+    assert len(history) == 5 < CFG.epochs
+    scripted_validation(monkeypatch, [5.0, 4.0])
+    at_two, _, _ = train_ranker(samples, "+both", dataclasses.replace(CFG, epochs=2),
+                                bank=bank, rows=rows)
+    assert np.array_equal(model.store.values, at_two.store.values)
 
 
 def test_split_samples_partitions_every_sample():

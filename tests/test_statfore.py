@@ -1,5 +1,7 @@
 """Count forecasting: normalization round trips, the channel-token model, baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ def test_memorizes_constant_panels():
     # constant channels survive the scale floor end to end: loss ~ 0 at once
     values = np.tile(np.array([[5.0], [9.0], [2.0]]), (1, 30))
     model = StatisticModel(TINY)
-    history = train_statistic(model, [values], epochs=50)
+    history = train_statistic(model, [values])
     assert history[-1] < 1e-4
 
 
@@ -105,8 +107,8 @@ def test_training_reduces_loss_on_periodic_panels():
     t = np.arange(40)
     values = np.stack([10 + 5 * np.sin(2 * np.pi * t / 8), 20 + 10 * np.cos(2 * np.pi * t / 4)])
     panel = values - values.min() + 1
-    model = StatisticModel(TINY)
-    history = train_statistic(model, [panel], epochs=30)
+    model = StatisticModel(dataclasses.replace(TINY, epochs=30))
+    history = train_statistic(model, [panel])
     assert history[-1] < 0.5 * history[0]
 
 
@@ -154,6 +156,11 @@ def test_collect_windows_stride_and_short_panel():
     assert np.array_equal(xs[:8], x) and np.array_equal(ys[:8], y) and len(xs) == 16
     with pytest.raises(WindowError, match="panel 1 has 10 buckets; needs at least 13"):
         collect_windows([panel, random_panel(4, n=2, t=10)], context=8, horizon=5)
+    # no panel, no window: named, not numpy's error from stacking nothing
+    with pytest.raises(WindowError, match="no panels"):
+        collect_windows(np.empty((0, 2, 20)), context=8, horizon=5)
+    with pytest.raises(WindowError, match="no panels"):
+        evaluate_statistic(StatisticModel(TINY), np.empty((0, 4, 96)))
 
 
 def test_evaluate_reports_model_and_baselines():
@@ -174,7 +181,7 @@ def test_training_is_deterministic():
     values = random_panel(7)
     runs = []
     for _ in range(2):
-        model = StatisticModel(TINY)
-        train_statistic(model, [values], epochs=2)
+        model = StatisticModel(dataclasses.replace(TINY, epochs=2))
+        train_statistic(model, [values])
         runs.append(np.concatenate([p.data.ravel() for _, p in sorted(model.store.items())]))
     assert runs[0].tobytes() == runs[1].tobytes()
