@@ -81,15 +81,18 @@ def open_archive(path, error=StateError, what="checkpoint"):
 
 
 def read_manifest(path):
-    """The JSON manifest of a checkpoint file, without reading its arrays."""
+    """The JSON manifest object of a checkpoint file, without reading its arrays."""
     with open_archive(path) as zf:
-        return json.loads(zf.read("manifest.json"))
+        manifest = json.loads(zf.read("manifest.json"))
+    if not isinstance(manifest, dict):
+        raise StateError(f"{path} has no checkpoint manifest: it holds {manifest!r}, not an object")
+    return manifest
 
 
 def read_checkpoint(path):
     """Return (arrays, moments_m, moments_v, manifest) from a checkpoint file."""
+    manifest = read_manifest(path)
     with open_archive(path) as zf:
-        manifest = json.loads(zf.read("manifest.json"))
         if manifest.get("format") != _FORMAT:
             raise StateError(f"unsupported checkpoint format {manifest.get('format')!r}")
         arrays, m, v = {}, {}, {}

@@ -34,10 +34,10 @@ from .statfore import StatisticModel
 ABLATIONS = ("accuracy-stat", "accuracy-prod", "channels", "steps")
 
 
-def split_rooms(n_streams, eval_every=5):
-    """Deterministic room split: every `eval_every`-th room is held out."""
+def split_rooms(n_streams):
+    """Deterministic room split: every fifth room is held out."""
     idx = np.arange(n_streams)
-    return idx[idx % eval_every != eval_every - 1], idx[idx % eval_every == eval_every - 1]
+    return idx[idx % 5 != 4], idx[idx % 5 == 4]
 
 
 @dataclass
@@ -59,12 +59,6 @@ def _windows(panels, rooms, buckets, context):
     return np.stack([panels[r, :, t - context + 1 : t + 1] for r, t in zip(rooms, buckets)])
 
 
-def _latest_event(event_buckets, buckets):
-    """Index of a room's latest product event at or before each bucket, given
-    the room's `event_buckets`."""
-    return np.searchsorted(event_buckets, buckets, side="right") - 1
-
-
 def _stat_block(steps, enc, horizon, channels=slice(None)):
     """Forecast steps 1..horizon of some channels, then their encodings (if
     `enc` is given), flattened per key."""
@@ -74,7 +68,7 @@ def _stat_block(steps, enc, horizon, channels=slice(None)):
     return np.concatenate(parts, axis=1)
 
 
-def build_foresight_bank(world, stat_model, prod_model, k_enc=8):
+def build_foresight_bank(world, stat_model, prod_model, k_enc):
     """Foresight constants for every (room, bucket) that appears in a sample.
 
     Returns (bank, rows): a ForesightBank with one row per distinct key, and
@@ -93,15 +87,14 @@ def build_foresight_bank(world, stat_model, prod_model, k_enc=8):
     enc = stat[:, n * h :].reshape(len(keys), n, c.d_model)
     dist = np.empty((len(keys), prod_model.hierarchy.n_c3))
     prod_enc = np.empty((len(keys), k_enc * prod_model.config.d_model))
+    ends = simgen.on_show(world, keys[:, 0], keys[:, 1])
     # filled room by room: each room's windows form one batch
     for r in np.unique(keys[:, 0]):
         sel = keys[:, 0] == r
-        ts = keys[sel, 1]
-        windows = _windows(world.panels, keys[sel, 0], ts, c.context)
+        windows = _windows(world.panels, keys[sel, 0], keys[sel, 1], c.context)
         steps[sel], enc[sel] = statfore.forecast_batch(stat_model, windows, c.horizon_train)
-        ends = _latest_event(world.event_buckets[r], ts)
         dist[sel], prod_enc[sel] = prodfore.forecast_prefixes(
-            prod_model, world.events[r], ends, k_enc
+            prod_model, world.events[r], ends[sel], k_enc
         )
     stat[:, : n * h] = _stat_block(steps, None, h)
     bank = ranker.ForesightBank(
@@ -181,9 +174,9 @@ def load_forecaster(path, kind, hierarchy, data, key=None):
     checkpoint of the other kind, or whose key is not `key` (by default its
     saved config's key on `data`, a `training_digest`), raises StateError."""
     extra = checkpoint.read_manifest(path).get("extra")
-    if not isinstance(extra, dict):
-        raise StateError(f"{path} has no forecaster manifest: 'extra' is {extra!r}, not an object")
-    config = extra.get("config", {})
+    config = extra.get("config", {}) if isinstance(extra, dict) else None
+    if not isinstance(config, dict):
+        raise StateError(f"{path} has no forecaster manifest: 'extra' is {extra!r}")
     held = [
         k for k, (cls, _) in FORECASTERS.items()
         if set(config) == {f.name for f in dataclasses.fields(cls)}
@@ -349,11 +342,9 @@ def _prod_baseline_bank(art, method):
     bank = art.bank
     dist = bank.dist
     if method != "model":
-        world = art.world
-        cats = []
-        for r, t in zip(bank.room, bank.bucket):
-            events = world.events[r][: _latest_event(world.event_buckets[r], t) + 1]
-            cats.append(prodfore.baseline_category(events, method))
+        ends = simgen.on_show(art.world, bank.room, bank.bucket)
+        cats = [prodfore.baseline_category(art.world.events[r][: e + 1], method)
+                for r, e in zip(bank.room, ends)]
         dist = np.eye(dist.shape[1])[cats]
     return dataclasses.replace(bank, dist=dist, prod_enc=np.zeros((len(bank), 0)))
 

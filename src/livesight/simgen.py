@@ -200,88 +200,98 @@ def _task_coeffs(cfg):
     return {t: per_task[t] for t in SERVICES[cfg.service] if t != "ctr"}
 
 
-def gen_interactions(world, seed, bucket_lo=SAMPLE_BUCKET_FLOOR, lookahead=5):
-    """Exposure events with labels whose ground truth peeks at the future.
+# the labels read this many buckets past a sample's own
+LOOKAHEAD = 5
 
-    Click follows sigmoid(a*affinity + b*[highlight] + c0) where affinity is
-    the user's preference for the UPCOMING product's level-1 category (the
-    product being teased as the viewer decides), measured as excess over the
-    uniform 1/|C1| baseline — raw preferences (mean 0.2) would pin the
-    positive rate above 15% for any preference spread. The conversion-style
-    labels read the NEXT 3 product events and whether a grab phase lands
-    within the next `lookahead` buckets.
 
-    Returns a SampleTable whose `room` column indexes the world's rooms; a
-    sample's author is its room.
-    """
+def on_show(world, room, bucket):
+    """Index, within `world.events[r]`, of each sample's latest product event
+    at or before its bucket (the product on show), or -1 before the first:
+    one search over the keys room * buckets + event bucket of every room."""
+    span = world.config.buckets
+    keys = [r * span + b for r, b in enumerate(world.event_buckets)]
+    first = np.cumsum([0] + [len(k) for k in keys])[room]
+    return np.searchsorted(np.concatenate(keys), room * span + bucket, side="right") - 1 - first
+
+
+def _upcoming(world, room, bucket):
+    """Every room's events concatenated, and the row in them of each sample's
+    event on show; DatasetError where a gather would leave the sample's room."""
+    cur, sizes = on_show(world, room, bucket), np.array([len(e) for e in world.events])
+    short = (cur < 0) | (cur + 3 >= sizes[room]) | (bucket + LOOKAHEAD >= world.phases.shape[1])
+    if short.any():
+        i = int(np.argmax(short))
+        raise DatasetError(f"sample {i} (room {room[i]}, bucket {bucket[i]}) needs an event on "
+                           f"show, 3 later events and {LOOKAHEAD} later buckets")
+    return np.concatenate(world.events), (np.cumsum(sizes) - sizes)[room] + cur
+
+
+def label_logits(world, room, user, bucket):
+    """The (S, n_tasks) label logits in the service's task order. Click reads
+    the highlight flag now and the user's preference for the NEXT product's
+    level-1 category, in excess of the uniform 1/|C1| (raw preferences would
+    pin the click rate above 15%); the other tasks read that excess over the
+    next 3 products and whether a grab phase starts within LOOKAHEAD buckets."""
+    cfg, prefs, phases = world.config, world.user_prefs, world.phases
+    events, rows = _upcoming(world, room, bucket)
+    nxt_c1 = events[rows[:, None] + np.arange(1, 4), 1]
+    uniform = 1.0 / cfg.n_c1
+    # np.add.reduce / 3 is the float that a three-value .mean() gives
+    aff_future = np.add.reduce(prefs[user[:, None], nxt_c1], axis=1) / 3 - uniform
+    later = phases[room[:, None], bucket[:, None] + np.arange(1, LOOKAHEAD + 1)]
+    grab_soon = (later == GRAB).any(axis=1).astype(np.float64)
+    logits = [cfg.click_affinity_coeff * (prefs[user, nxt_c1[:, 0]] - uniform)
+              + cfg.click_highlight_coeff * (phases[room, bucket] == HIGHLIGHT).astype(np.float64)
+              + cfg.click_bias]
+    logits += [a * aff_future + b * grab_soon + c for a, b, c in _task_coeffs(cfg).values()]
+    return np.stack(logits, axis=1)
+
+
+def gen_interactions(world, seed):
+    """Exposures as a SampleTable whose `room` column indexes the world's
+    rooms (a sample's author is its room), each label drawn from its
+    `label_logits`, so that its ground truth peeks at the future."""
     rooms = len(world.panels)
     if not rooms:
         raise DatasetError("no streams to sample exposures from")
     cfg = world.config
     rng = np.random.default_rng(seed)
-    coeffs = _task_coeffs(cfg)
+    tasks = SERVICES[cfg.service]
     # the last bucket a stream can be sampled at: future labels need 3
-    # upcoming events and `lookahead` more buckets
-    last = [min(world.phases.shape[1] - lookahead - 1, int(b[-3]) - 1)
-            if len(b) >= 3 else bucket_lo - 1 for b in world.event_buckets]
+    # upcoming events and LOOKAHEAD more buckets
+    last = [min(world.phases.shape[1] - LOOKAHEAD - 1, int(b[-3]) - 1)
+            if len(b) >= 3 else SAMPLE_BUCKET_FLOOR - 1 for b in world.event_buckets]
     # only the RNG draws are made per exposure; everything else follows from
     # them as array ops, in the order the draws were made
     room = np.empty(cfg.n_samples, dtype=np.int64)
     user = np.empty(cfg.n_samples, dtype=np.int64)
     bucket = np.empty(cfg.n_samples, dtype=np.int64)
-    draws = np.empty((cfg.n_samples, 1 + len(coeffs)))  # one uniform per label
+    draws = np.empty((cfg.n_samples, len(tasks)))  # one uniform per label
     kept = 0
     for _ in range(cfg.n_samples):
         r = int(rng.integers(rooms))
         u = int(rng.integers(cfg.users))
-        if last[r] < bucket_lo:
+        if last[r] < SAMPLE_BUCKET_FLOOR:
             continue
         room[kept], user[kept] = r, u
-        bucket[kept] = rng.integers(bucket_lo, last[r] + 1)
+        bucket[kept] = rng.integers(SAMPLE_BUCKET_FLOOR, last[r] + 1)
         draws[kept] = rng.random(draws.shape[1])
         kept += 1
     if not kept:
         raise DatasetError("no valid exposure buckets; streams too short")
     room, user, bucket, draws = room[:kept], user[:kept], bucket[:kept], draws[:kept]
 
-    item = np.empty(kept, dtype=np.int64)  # the product category on show
-    nxt_c1 = np.empty((kept, 3), dtype=np.int64)  # level-1 categories of the next 3 events
-    highlight = np.empty(kept, dtype=bool)
-    grab_soon = np.empty(kept, dtype=bool)  # a grab phase within `lookahead` buckets
-    for r, (events, phases) in enumerate(zip(world.events, world.phases)):
-        sel = room == r
-        t = bucket[sel]
-        cur = np.searchsorted(world.event_buckets[r], t, side="right") - 1
-        item[sel] = events[cur, 3]
-        nxt_c1[sel] = events[cur[:, None] + np.arange(1, 4), 1]
-        highlight[sel] = phases[t] == HIGHLIGHT
-        grab_soon[sel] = (phases[t[:, None] + np.arange(1, lookahead + 1)] == GRAB).any(axis=1)
-    uniform = 1.0 / cfg.n_c1
-    prefs = world.user_prefs
-    aff_next = prefs[user, nxt_c1[:, 0]] - uniform
-    # np.add.reduce / 3 is the float that a three-value .mean() gives
-    aff_future = np.add.reduce(prefs[user[:, None], nxt_c1], axis=1) / 3 - uniform
-    click_logit = (
-        cfg.click_affinity_coeff * aff_next
-        + cfg.click_highlight_coeff * highlight.astype(np.float64)
-        + cfg.click_bias
-    )
-    labels = [draws[:, 0] < _sigmoid(click_logit)]
-    for j, (a2, b2, c2) in enumerate(coeffs.values(), start=1):
-        logit = a2 * aff_future + b2 * grab_soon.astype(np.float64) + c2
-        labels.append(draws[:, j] < _sigmoid(logit))
+    labels = draws < _sigmoid(label_logits(world, room, user, bucket))
     # the user- and room-derived ids are gathers, filled after the draws
-    home = world.home_c1[room]
-    aff = world.user_aff_bucket[user]
+    events, rows = _upcoming(world, room, bucket)
+    home, aff = world.home_c1[room], world.user_aff_bucket[user]
     fields = np.stack(
-        [user, aff, room, home, item, (aff == home).astype(np.int64),
+        [user, aff, room, home, events[rows, 3], (aff == home).astype(np.int64),
          world.user_click_bucket[user]],
         axis=1,
     )
-    return SampleTable(room=room, bucket=bucket, fields=fields,
-                       labels=np.stack(labels, axis=1).astype(np.int64),
-                       weight=np.ones(kept), tasks=("ctr", *coeffs),
-                       vocab=field_sizes(cfg))
+    return SampleTable(room=room, bucket=bucket, fields=fields, labels=labels.astype(np.int64),
+                       weight=np.ones(kept), tasks=tasks, vocab=field_sizes(cfg))
 
 
 def gen_world(config, seed):
@@ -454,7 +464,7 @@ def _world(path, a, cfg, seed):
     c2 = h.c3_to_c2[c3]
     _reject(path, "events", events, events != np.stack([events[:, 0], h.c2_to_c1[c2], c2, c3], 1),
             "disagrees with its product's place in the hierarchy")
-    # _latest_event bisects a room's event_buckets: unsorted, it could pick a later event
+    # on_show bisects the rooms' event_buckets: unsorted, it could pick a later event
     _outside(path, "event_buckets", event_buckets, 0, cfg.buckets)
     falls = np.diff(event_buckets, prepend=-1) <= 0
     falls[offsets[:-1]] = False
@@ -464,6 +474,9 @@ def _world(path, a, cfg, seed):
     # past its stream would read another room's foresight
     _outside(path, "sample_room", a["sample_room"], 0, cfg.streams)
     _outside(path, "sample_bucket", a["sample_bucket"], SAMPLE_BUCKET_FLOOR, cfg.buckets)
+    first = event_buckets[offsets[a["sample_room"]]]  # no product is on show before it
+    _reject(path, "sample_bucket", a["sample_bucket"], a["sample_bucket"] < first,
+            "comes before its room's first event")
     try:
         samples = SampleTable(
             room=a["sample_room"], bucket=a["sample_bucket"], fields=a["sample_fields"],
@@ -484,29 +497,23 @@ def _world(path, a, cfg, seed):
 # oracle probe: does the future carry label signal the past cannot?
 
 
-def _probe_features(world, future):
-    samples = world.samples
+def _probe_features(world):
+    """(past-only features, past+future features, cvr or lvtr label) per sample."""
+    samples, prefs = world.samples, world.user_prefs
+    room, t, user = samples.room, samples.bucket, samples.fields[:, 0]
+    events, rows = _upcoming(world, room, t)
+    phases = world.phases[room[:, None], t[:, None] + np.arange(LOOKAHEAD + 1)]
+    # samples sit at or past SAMPLE_BUCKET_FLOOR, so each window holds 8 buckets
+    recent = world.panels[room[:, None], 1, t[:, None] + np.arange(-7, 1)]
+    past = [prefs[user, events[rows, 1]], (phases[:, 0] == HIGHLIGHT).astype(np.float64),
+            (phases[:, 0] == GRAB).astype(np.float64), np.add.reduce(recent, axis=1) / 8]
+    future = past + [
+        np.add.reduce(prefs[user[:, None], events[rows[:, None] + np.arange(1, 4), 1]], axis=1) / 3,
+        (phases[:, 1:] == GRAB).any(axis=1).astype(np.float64),
+        (phases[:, 1:] == HIGHLIGHT).any(axis=1).astype(np.float64),
+    ]
     task = samples.tasks.index("cvr" if "cvr" in samples.tasks else "lvtr")
-    rows = []
-    for r, t, u in zip(samples.room.tolist(), samples.bucket.tolist(),
-                       samples.fields[:, 0].tolist()):
-        events, phases = world.events[r], world.phases[r]
-        cur = int(np.searchsorted(world.event_buckets[r], t, side="right")) - 1
-        past = [
-            world.user_prefs[u, events[cur, 1]],
-            float(phases[t] == HIGHLIGHT),
-            float(phases[t] == GRAB),
-            float(world.panels[r, 1, max(0, t - 7) : t + 1].mean()),
-        ]
-        if future:
-            nxt = events[cur + 1 : cur + 4]
-            past = past + [
-                float(world.user_prefs[u, nxt[:, 1]].mean()),
-                float((phases[t + 1 : t + 6] == GRAB).any()),
-                float((phases[t + 1 : t + 6] == HIGHLIGHT).any()),
-            ]
-        rows.append(past)
-    return np.asarray(rows), samples.labels[:, task]
+    return np.stack(past, axis=1), np.stack(future, axis=1), samples.labels[:, task]
 
 
 def _logistic_auc(x, y, seed=0, epochs=400, lr=0.5):
@@ -528,8 +535,7 @@ def _logistic_auc(x, y, seed=0, epochs=400, lr=0.5):
 
 def probe_future_vs_past(world, seed=0):
     """AUC of a logistic probe on true past-only vs past+future features."""
-    x_past, y = _probe_features(world, future=False)
-    x_future, _ = _probe_features(world, future=True)
+    x_past, x_future, y = _probe_features(world)
     return {
         "past": _logistic_auc(x_past, y, seed=seed),
         "future": _logistic_auc(x_future, y, seed=seed),

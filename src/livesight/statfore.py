@@ -71,7 +71,7 @@ class StatisticModel:
         return pred, enc
 
 
-def collect_windows(panels, context, horizon, stride=1):
+def collect_windows(panels, context, horizon):
     """Sliding (window, future) pairs from every (N, T) count panel of `panels`
     (an (R, N, T) array or a sequence of (N, T) arrays), stacked for batching."""
     xs, ys = [], []
@@ -81,7 +81,7 @@ def collect_windows(panels, context, horizon, stride=1):
             raise WindowError(
                 f"panel {i} has {t_total} buckets; needs at least {context + horizon}"
             )
-        for start in range(0, t_total - context - horizon + 1, stride):
+        for start in range(t_total - context - horizon + 1):
             xs.append(panel[:, start : start + context])
             ys.append(panel[:, start + context : start + context + horizon])
     if not xs:
@@ -133,10 +133,9 @@ def forecast_batch(model, windows, horizon):
     return pred, enc.data
 
 
-def evaluate_statistic(model, panels, horizon=None):
+def evaluate_statistic(model, panels):
     """Original-scale MSE of the model and both baselines on held-out panels."""
-    c = model.config
-    h = c.horizon_infer if horizon is None else horizon
+    c, h = model.config, model.config.horizon_infer
     x, y = collect_windows(panels, c.context, h)
     pred, _ = forecast_batch(model, x, h)
     out = {"model": float(np.mean((pred - y) ** 2))}

@@ -14,6 +14,7 @@ from livesight.checkpoint import (
     read_checkpoint,
     read_manifest,
     save_checkpoint,
+    write_archive,
 )
 from livesight.errors import StateError
 from livesight.optim import ParamStore, adam_step
@@ -116,6 +117,14 @@ def test_unsupported_format_rejected(tmp_path):
         zf.writestr("manifest.json", json.dumps({"format": 99}))
     with pytest.raises(StateError, match="format"):
         read_checkpoint(path)
+
+
+def test_a_manifest_that_is_not_an_object_is_named(tmp_path):
+    path = tmp_path / "list.ckpt"
+    write_archive(path, [1], [])
+    for read in (read_manifest, read_checkpoint):
+        with pytest.raises(StateError, match=re.escape(f"{path} has no checkpoint manifest")):
+            read(path)
 
 
 def step_once(store):

@@ -154,16 +154,19 @@ def test_train_rank_rejects_a_file_that_is_not_a_checkpoint(tiny_config, dataset
     assert not (tmp_path / "rank").exists()
 
 
-@pytest.mark.parametrize("manifest", [{"format": 1}, {"format": 1, "extra": [1]}],
-                         ids=["no extra", "extra not an object"])
+@pytest.mark.parametrize(
+    "manifest,kind",
+    [({"format": 1}, "forecaster"), ({"format": 1, "extra": [1]}, "forecaster"),
+     ([1], "checkpoint"), ({"format": 1, "extra": {"config": [[1]]}}, "forecaster")],
+    ids=["no extra", "extra not an object", "manifest not an object", "config not an object"])
 def test_train_rank_rejects_a_checkpoint_without_a_forecaster_manifest(
-        tiny_config, dataset_dir, checkpoints, tmp_path, capsys, manifest):
+        tiny_config, dataset_dir, checkpoints, tmp_path, capsys, manifest, kind):
     path = tmp_path / "stat.ckpt"
     write_archive(path, manifest, [])
     assert train_rank(tiny_config, dataset_dir, path, checkpoints["prod"],
                       tmp_path / "rank") == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path} has no forecaster manifest")
+    assert err.startswith(f"error: {path} has no {kind} manifest")
     assert "Traceback" not in err
     assert not (tmp_path / "rank").exists()
 

@@ -21,6 +21,7 @@ from livesight.simgen import (
     FIELD_NAMES,
     GRAB,
     HIGHLIGHT,
+    LOOKAHEAD,
     STEADY,
     SampleTable,
     _sample_phases,
@@ -32,6 +33,8 @@ from livesight.simgen import (
     gen_stream,
     gen_world,
     import_dataset,
+    label_logits,
+    on_show,
     probe_future_vs_past,
 )
 
@@ -289,6 +292,73 @@ def test_array_labels_equal_the_per_sample_loop(cfg, seed, cut):
     if cut:  # the cut streams were drawn, and skipped
         assert 0 < len(got) < cfg.n_samples
         assert not np.any(got.room % 2)
+
+
+def test_on_show_is_the_latest_event_at_or_before_the_bucket():
+    world = gen_world(SMALL, seed=9)
+    last = len(world.panels) - 1
+    # room 3 loses its first event, so its first buckets show no product yet
+    world.events[3], world.event_buckets[3] = world.events[3][1:], world.event_buckets[3][1:]
+    cases = []  # (room, bucket, index of the event on show)
+    for r in (0, 3, last):
+        b = world.event_buckets[r]
+        cases += [(r, t, k) for k, t in [(1, b[1]), (0, b[1] - 1), (len(b) - 1, b[-1]),
+                                         (len(b) - 2, b[-1] - 1), (len(b) - 1, SMALL.buckets - 1),
+                                         (0, b[0]), (-1, b[0] - 1)] if t >= 0]
+    room, bucket, want = map(np.array, zip(*cases))
+    assert on_show(world, room, bucket).tolist() == want.tolist()
+    # and at every (room, bucket) of the world, a per-room search's index
+    room, bucket = np.divmod(np.arange(SMALL.streams * SMALL.buckets), SMALL.buckets)
+    looped = [int(np.searchsorted(world.event_buckets[r], t, side="right")) - 1
+              for r, t in zip(room, bucket)]
+    assert on_show(world, room, bucket).tolist() == looped
+
+
+def looped_logits(world, r, u, t):
+    """One sample's label logits in SERVICES order, from the per-sample formula."""
+    cfg = world.config
+    events, phases, prefs = world.events[r], world.phases[r], world.user_prefs
+    cur = int(np.searchsorted(world.event_buckets[r], t, side="right")) - 1
+    c1 = events[cur + 1 : cur + 4, 1]
+    uniform = 1.0 / cfg.n_c1
+    click = (cfg.click_affinity_coeff * (prefs[u, c1[0]] - uniform)
+             + cfg.click_highlight_coeff * float(phases[t] == HIGHLIGHT) + cfg.click_bias)
+    future = float(prefs[u, c1].mean()) - uniform
+    grab = float((phases[t + 1 : t + 6] == GRAB).any())
+    coeffs = _task_coeffs(cfg)
+    return [click] + [coeffs[task][0] * future + coeffs[task][1] * grab + coeffs[task][2]
+                      for task in SERVICES[cfg.service][1:]]
+
+
+@pytest.mark.parametrize("service", ["shopping", "talent"])
+def test_label_logits_have_one_column_per_task_in_service_order(service):
+    world = gen_world(dataclasses.replace(SMALL, service=service), seed=9)
+    s = world.samples
+    got = label_logits(world, s.room, s.fields[:, 0], s.bucket)
+    assert got.shape == (len(s), len(SERVICES[service]))
+    assert got.shape[1] == (2 if service == "shopping" else 5)
+    want = [looped_logits(world, r, u, t) for r, u, t in zip(s.room, s.fields[:, 0], s.bucket)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_label_logits_reject_a_sample_without_its_future():
+    # every odd room, the last one too, is cut to four events
+    world = short_streams(gen_world(SMALL, seed=4))
+
+    def logits(r, t):
+        return label_logits(world, np.array([r]), np.array([0]), np.array([t]))
+
+    for r in (1, SMALL.streams - 1):
+        b = world.event_buckets[r]
+        assert logits(r, b[0]).shape == (1, 2)  # three later events
+        # two later events: a gather over every room's events would read the next room's
+        with pytest.raises(DatasetError, match=f"sample 0 \\(room {r}, bucket {b[1]}\\) needs"):
+            logits(r, b[1])
+    # a 40-bucket phase path leaves room 0's bucket 35 four later buckets
+    world.phases = world.phases[:, :40]
+    assert logits(0, 34).shape == (1, 2)
+    with pytest.raises(DatasetError, match=f"{LOOKAHEAD} later buckets"):
+        logits(0, 35)
 
 
 def test_streams_with_under_three_events_are_never_sampled():
@@ -551,6 +621,13 @@ def float_panels(arrays):
     arrays["panels"][2, CHANNEL_NAMES.index("likes"), 0] = 2.7
 
 
+def room_0_starts_after_a_sample(arrays):
+    # room 0 holds a sample at bucket 32, sample_bucket[374]; its events move to
+    # buckets 33 on, so none is on show at that sample
+    end = arrays["event_offsets"][1]
+    arrays["event_buckets"][:end] = 33 + np.arange(end)
+
+
 def offsets_short_of_the_events(arrays):
     arrays["event_offsets"][-1] -= 1
 
@@ -603,6 +680,9 @@ RATES = "is not a finite, non-negative rate"
         pytest.param(set_value("sample_room", 4, SMALL.streams),
                      re.escape(f"sample_room[4] = 10 outside [0, {SMALL.streams})"),
                      id="sample-room-outside"),
+        pytest.param(room_0_starts_after_a_sample,
+                     re.escape("sample_bucket[374] = 32 comes before its room's first event"),
+                     id="sample-before-its-rooms-first-event"),
     ],
 )
 def test_malformed_room_row_names_the_line(tmp_path, edit, message):

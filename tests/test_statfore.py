@@ -148,7 +148,7 @@ def test_build_stat_foresight_width_and_zero():
 
 def test_collect_windows_stride_and_short_panel():
     panel = random_panel(3, n=2, t=20)
-    x, y = collect_windows([panel], context=8, horizon=5, stride=1)
+    x, y = collect_windows([panel], context=8, horizon=5)  # every start: a stride of 1
     assert x.shape == (8, 2, 8) and y.shape == (8, 2, 5)
     # an (R, N, T) array of panels gives the same pairs as a list of them
     both = np.stack([panel, random_panel(5, n=2, t=20)])
