@@ -65,14 +65,17 @@ def save_checkpoint(path, store, config_hash="", extra=None):
 
 @contextmanager
 def open_archive(path, error=StateError, what="checkpoint"):
-    """The zip archive `path`, open for reading. A file that is missing, not a
-    zip, cut short, fails a CRC-32, lacks a member, holds a blob of the wrong
-    size or has a damaged header (an unknown compression method or flag, or an
-    offset outside the file) raises `error` naming the path; an `error` raised
-    inside passes through."""
+    """Yield `(manifest, zf)`: the `manifest.json` object of the zip archive
+    `path`, and the archive, open for reading. A manifest that is not a JSON
+    object, a file that is missing, not a zip, cut short, fails a CRC-32, lacks
+    a member or has a damaged header, and a ValueError raised inside (such as
+    `field`'s) raise `error` naming the path; an `error` inside passes through."""
     try:
         with zipfile.ZipFile(path, "r") as zf:
-            yield zf
+            manifest = json.loads(zf.read("manifest.json"))
+            if not isinstance(manifest, dict):
+                raise error(f"{path} has no {what} manifest: it holds {manifest!r}, not an object")
+            yield manifest, zf
     except error:
         raise
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError, RuntimeError, OSError,
@@ -80,29 +83,33 @@ def open_archive(path, error=StateError, what="checkpoint"):
         raise error(f"{path} is not a readable {what}: {exc}") from exc
 
 
-def read_manifest(path):
-    """The JSON manifest object of a checkpoint file, without reading its arrays."""
-    with open_archive(path) as zf:
-        manifest = json.loads(zf.read("manifest.json"))
-    if not isinstance(manifest, dict):
-        raise StateError(f"{path} has no checkpoint manifest: it holds {manifest!r}, not an object")
-    return manifest
+def field(manifest, key, ok, rule):
+    """manifest[key] if `ok` holds for it, else a ValueError naming the `rule` it breaks."""
+    value = manifest.get(key)
+    if not ok(value):
+        raise ValueError(f"{key} {value!r} {rule}")
+    return value
+
+
+def decode(blob, dtype, shape):
+    """A writable native-order copy of the little-endian `dtype` array in `blob`."""
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"shape {shape!r} is not a list of sizes")
+    return np.frombuffer(blob, dtype=dtype).reshape(shape).astype(dtype[1:])
 
 
 def read_checkpoint(path):
     """Return (arrays, moments_m, moments_v, manifest) from a checkpoint file."""
-    manifest = read_manifest(path)
-    with open_archive(path) as zf:
-        if manifest.get("format") != _FORMAT:
-            raise StateError(f"unsupported checkpoint format {manifest.get('format')!r}")
-        arrays, m, v = {}, {}, {}
-        for name, shape in manifest["params"].items():
-            raw = np.frombuffer(zf.read(f"param/{name}"), dtype="<f8")
-            arrays[name] = raw.reshape([int(s) for s in shape]).astype(np.float64)
-        for name in manifest["moments"]:
-            shape = [int(s) for s in manifest["params"][name]]
-            m[name] = np.frombuffer(zf.read(f"m/{name}"), dtype="<f8").reshape(shape).copy()
-            v[name] = np.frombuffer(zf.read(f"v/{name}"), dtype="<f8").reshape(shape).copy()
+    with open_archive(path) as (manifest, zf):
+        field(manifest, "format", lambda f: f == _FORMAT, "is not a supported checkpoint format")
+        field(manifest, "config_hash", lambda h: isinstance(h, str), "is not a string")
+        field(manifest, "step", lambda s: type(s) is int and s >= 0, "is not a step count")
+        params = field(manifest, "params", lambda p: isinstance(p, dict), "is not an object")
+        moments = field(manifest, "moments", lambda ms: isinstance(ms, list) and all(
+            isinstance(n, str) and n in params for n in ms), "is not a list of parameter names")
+        arrays = {n: decode(zf.read(f"param/{n}"), "<f8", s) for n, s in params.items()}
+        m = {n: decode(zf.read(f"m/{n}"), "<f8", params[n]) for n in moments}
+        v = {n: decode(zf.read(f"v/{n}"), "<f8", params[n]) for n in moments}
     return arrays, m, v, manifest
 
 
@@ -116,7 +123,7 @@ def load_checkpoint(path, store, config_hash=None):
         )
     store.load_arrays(arrays)
     store.load_moments(m, v)
-    store.step = int(manifest["step"])
+    store.step = manifest["step"]
     return manifest
 
 

@@ -55,15 +55,4 @@ class UndefinedMetricError(LivesightError, ValueError):
 
 
 class ParseError(LivesightError, ValueError):
-    """A serialized file is malformed."""
-
-    def __init__(self, message, path=None, line=None):
-        self.path = path
-        self.line = line
-        prefix = ""
-        if path is not None:
-            prefix = f"{path}:"
-            if line is not None:
-                prefix += f"{line}:"
-            prefix += " "
-        super().__init__(prefix + message)
+    """A serialized file is malformed; the message names the file."""

@@ -173,7 +173,8 @@ def load_forecaster(path, kind, hierarchy, data, key=None):
     """Rebuild a `kind` ("stat" or "prod") forecaster from its checkpoint. A
     checkpoint of the other kind, or whose key is not `key` (by default its
     saved config's key on `data`, a `training_digest`), raises StateError."""
-    extra = checkpoint.read_manifest(path).get("extra")
+    with checkpoint.open_archive(path) as (manifest, _):
+        extra = manifest.get("extra")
     config = extra.get("config", {}) if isinstance(extra, dict) else None
     if not isinstance(config, dict):
         raise StateError(f"{path} has no forecaster manifest: 'extra' is {extra!r}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -399,7 +398,7 @@ def _reject(path, name, values, bad, rule):
     if bad.any():
         at = np.unravel_index(int(np.argmax(bad)), bad.shape)
         index = ", ".join(str(int(i)) for i in at)
-        raise ParseError(f"{name}[{index}] = {values[at]} {rule}", path=str(path))
+        raise ParseError(f"{path}: {name}[{index}] = {values[at]} {rule}")
 
 
 def _outside(path, name, values, lo, hi):
@@ -408,36 +407,36 @@ def _outside(path, name, values, lo, hi):
 
 def import_dataset(dir_path):
     """Inverse of export_dataset; warns (not fails) on a manifest hash
-    mismatch. Raises ParseError naming the file, the array and the first bad
-    index for a missing array, a wrong dtype or shape, or a value the world
-    cannot hold."""
+    mismatch. Raises ParseError naming the file for a manifest field of the
+    wrong type, and also the array and the first bad index for a missing
+    array, a wrong dtype or shape, or a value the world cannot hold."""
     path = Path(dir_path) / "world.zip"
-    with checkpoint.open_archive(path, error=ParseError, what="dataset") as zf:
-        blobs = {info.filename: zf.read(info) for info in zf.infolist()}
-        manifest = json.loads(blobs.pop("manifest.json"))
+    with checkpoint.open_archive(path, error=ParseError, what="dataset") as (manifest, zf):
+        blobs = {name: zf.read(name) for name in zf.namelist() if name != "manifest.json"}
         if manifest.get("data_sha256") != _data_digest(blobs.values()):
             warnings.warn(
                 f"dataset {path} does not match its manifest hash; "
                 "it may have been edited after generation",
                 stacklevel=2,
             )
-        cfg = from_dict({"sim": manifest["config"]}).sim
-        counts = manifest["counts"]
-        if not all(type(counts.get(k)) is int and counts[k] >= 0 for k in ("events", "samples")):
-            raise ParseError(f"counts {counts} lack a whole number of events or samples",
-                             path=str(path))
+        cfg = from_dict({"sim": manifest.get("config")}).sim
+        counts = checkpoint.field(manifest, "counts", lambda c: isinstance(c, dict) and all(
+            type(c.get(k)) is int and c[k] >= 0 for k in ("events", "samples")),
+            "lack a whole number of events or samples")
+        arrays = checkpoint.field(manifest, "arrays", lambda a: isinstance(a, dict),
+                                  "is not an object")
+        seed = checkpoint.field(manifest, "seed", lambda s: type(s) is int, "is not an integer")
         a = {}
         for name, (dtype, shape) in _layout(cfg, counts).items():
-            declared, blob = manifest["arrays"].get(name), blobs.get(name)
+            declared, blob = arrays.get(name), blobs.get(name)
             if declared is None or blob is None:
-                raise ParseError(f"no array {name}", path=str(path))
+                raise ParseError(f"{path}: no array {name}")
             size = np.dtype(dtype).itemsize * math.prod(shape)
             if declared != [dtype, shape] or len(blob) != size:
-                raise ParseError(f"array {name} is {declared} in {len(blob)} bytes, "
-                                 f"not [{dtype!r}, {shape}] in {size}", path=str(path))
-            # a native-order copy, which the world may write to
-            a[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).astype(dtype[1:])
-        return _world(path, a, cfg, manifest["seed"])
+                raise ParseError(f"{path}: array {name} is {declared} in {len(blob)} bytes, "
+                                 f"not [{dtype!r}, {shape}] in {size}")
+            a[name] = checkpoint.decode(blob, dtype, shape)
+        return _world(path, a, cfg, seed)
 
 
 def _world(path, a, cfg, seed):
@@ -455,8 +454,8 @@ def _world(path, a, cfg, seed):
 
     events, event_buckets, offsets = a["events"], a["event_buckets"], a["event_offsets"]
     if offsets[0] != 0 or offsets[-1] != len(events):
-        raise ParseError(f"event_offsets run from {offsets[0]} to {offsets[-1]}, so they do "
-                         f"not tile the {len(events)} events", path=str(path))
+        raise ParseError(f"{path}: event_offsets run from {offsets[0]} to {offsets[-1]}, so "
+                         f"they do not tile the {len(events)} events")
     _reject(path, "event_offsets", offsets, np.diff(offsets, prepend=-1) <= 0,
             "does not increase: each room needs an event")
     _outside(path, "events", events[:, :1], 0, cfg.n_products)
@@ -484,7 +483,7 @@ def _world(path, a, cfg, seed):
             tasks=SERVICES[cfg.service], vocab=field_sizes(cfg),
         )
     except VocabularyError as exc:
-        raise ParseError(f"sample_fields[{exc.row}]: {exc}", path=str(path)) from exc
+        raise ParseError(f"{path}: sample_fields[{exc.row}]: {exc}") from exc
     rooms = offsets[1:-1]  # where each room's events start, after the first's
     return World(config=cfg, seed=seed, hierarchy=h, panels=panels.astype(np.float64),
                  phases=phases, home_c1=a["home_c1"], base_rates=rates,

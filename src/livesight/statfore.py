@@ -16,6 +16,7 @@ from . import layers
 from . import tensor as T
 from .config import StatConfig
 from .errors import ConfigurationError, DimensionError, WindowError
+from .metrics import mse
 from .optim import ParamStore, train_epochs
 from .tensor import Tensor
 
@@ -138,9 +139,9 @@ def evaluate_statistic(model, panels):
     c, h = model.config, model.config.horizon_infer
     x, y = collect_windows(panels, c.context, h)
     pred, _ = forecast_batch(model, x, h)
-    out = {"model": float(np.mean((pred - y) ** 2))}
+    out = {"model": mse(pred, y)}
     for method in ("mean", "latest"):
-        out[method] = float(np.mean((baseline_forecast(x, h, method) - y) ** 2))
+        out[method] = mse(baseline_forecast(x, h, method), y)
     return out
 
 

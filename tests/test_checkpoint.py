@@ -1,23 +1,32 @@
 """Checkpoint files: bit-exact round trips and deterministic bytes."""
 
+import copy
 import json
 import re
+import warnings
 import zipfile
 
 import numpy as np
 import pytest
 
+from livesight import pipeline, simgen
 from livesight import tensor as T
 from livesight.checkpoint import (
     file_digest,
     load_checkpoint,
+    open_archive,
     read_checkpoint,
-    read_manifest,
     save_checkpoint,
     write_archive,
 )
-from livesight.errors import StateError
+from livesight.config import SimConfig, StatConfig
+from livesight.errors import LivesightError, StateError
 from livesight.optim import ParamStore, adam_step
+
+
+def read_manifest(path):
+    with open_archive(path) as (manifest, _):
+        return manifest
 
 
 def trained_store(seed=0):
@@ -245,3 +254,71 @@ def test_flipped_or_truncated_bytes_fail_named_or_read_the_same(tmp_path):
         for arrays, expected in zip(got, want):
             assert arrays.keys() == expected.keys()
             assert all(arrays[name].tobytes() == expected[name].tobytes() for name in arrays)
+
+
+# the manifest fuzz: each top-level field, and each entry of an object field,
+# deleted or swapped for each of these values
+SWAPS = [None, [], {}, "x", -1, 1.5, [1], [[1]], ["x"]]
+
+
+def mutated_manifests(manifest):
+    """(site, manifest with that site deleted or swapped) for every site."""
+    sites = [(key,) for key in manifest]
+    sites += [(key, sub) for key, value in manifest.items() if isinstance(value, dict)
+              for sub in value]
+    for site in sites:
+        for new in ["deleted", *SWAPS]:
+            mutated = copy.deepcopy(manifest)
+            *parents, last = site
+            entries = mutated[parents[0]] if parents else mutated
+            if new == "deleted":
+                del entries[last]
+            else:
+                entries[last] = new
+            yield (site, new), mutated
+
+
+def bare_exceptions(path, read):
+    """Rewrite the archive `path` with each mutated manifest and call `read`:
+    each must load or raise a LivesightError naming `path`. Returns the
+    mutations that raised anything else, and how many ran."""
+    with open_archive(path) as (manifest, zf):
+        members = [(name, zf.read(name)) for name in zf.namelist()[1:]]
+    bare, runs = [], 0
+    for mutation, mutated in mutated_manifests(manifest):
+        write_archive(path, mutated, members)
+        runs += 1
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "dataset .* manifest hash", UserWarning)
+                read()
+        except LivesightError as exc:
+            assert str(path) in str(exc), (mutation, exc)
+        except Exception as exc:  # a bare exception: what the fuzz looks for
+            bare.append((mutation, repr(exc)))
+    return bare, runs
+
+
+@pytest.fixture(scope="module")
+def tiny_world():
+    return simgen.gen_world(SimConfig(streams=10, users=50, n_samples=300), 3)
+
+
+def test_a_mutated_dataset_manifest_loads_or_is_named(tiny_world, tmp_path):
+    ds = tmp_path / "ds"
+    simgen.export_dataset(tiny_world, ds)
+    bare, runs = bare_exceptions(ds / "world.zip", lambda: simgen.import_dataset(ds))
+    assert runs > 300 and bare == []
+
+
+def test_a_mutated_checkpoint_manifest_loads_or_is_named(tiny_world, tmp_path):
+    world = tiny_world
+    train_rooms, _ = pipeline.split_rooms(len(world.panels))
+    data = pipeline.training_digest(world, train_rooms)
+    cfg = StatConfig(epochs=1)
+    model, _ = pipeline.train_forecaster(cfg, world, train_rooms)
+    path = tmp_path / "stat.ckpt"
+    pipeline.save_forecaster(path, model, pipeline.forecaster_key(cfg, data))
+    bare, runs = bare_exceptions(
+        path, lambda: pipeline.load_forecaster(path, "stat", world.hierarchy, data))
+    assert runs > 300 and bare == []

@@ -464,11 +464,15 @@ def test_edited_files_trigger_integrity_warning(tmp_path):
 
 
 def test_truncated_file_names_the_line(tmp_path):
-    # a dataset has no lines any more: a cut archive names the file
+    # a dataset has no lines any more: a cut archive names the file, and so
+    # does one whose manifest is not an object
     export_dataset(gen_world(SMALL, seed=9), tmp_path / "ds")
     path = tmp_path / "ds" / "world.zip"
     path.write_bytes(path.read_bytes()[:-40])  # into the central directory
     with pytest.raises(ParseError, match=re.escape(f"{path} is not a readable dataset")):
+        import_dataset(tmp_path / "ds")
+    write_archive(path, [1], [])
+    with pytest.raises(ParseError, match=re.escape(f"{path} has no dataset manifest")):
         import_dataset(tmp_path / "ds")
 
 
