@@ -121,8 +121,11 @@ def load_checkpoint(path, store, config_hash=None):
             f"{path} was trained on another config or dataset: its config hash "
             f"{manifest['config_hash']!r} does not match expected {config_hash!r}"
         )
-    store.load_arrays(arrays)
-    store.load_moments(m, v)
+    try:
+        store.load_arrays(arrays)
+        store.load_moments(m, v)
+    except StateError as exc:
+        raise StateError(f"{path}: {exc}") from exc
     store.step = manifest["step"]
     return manifest
 

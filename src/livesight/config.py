@@ -76,6 +76,9 @@ class SimConfig:
     future_bias: float = -3.2
 
     def __post_init__(self):
+        for name in ("streams", "n_samples", "n_c1", "n_c2", "n_c3", "n_products"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.buckets < 48:
             raise ConfigurationError(f"buckets must be >= 48, got {self.buckets}")
         if self.users < 50:

@@ -126,12 +126,18 @@ def baseline_forecast(window, horizon, method):
 
 
 def forecast_batch(model, windows, horizon):
-    """Denormalized forecasts for stacked windows (B, N, W), first `horizon` steps."""
-    normed, mu, delta = revin_normalize(windows)
+    """Denormalized forecasts (first `horizon` steps) and encodings for stacked
+    windows (B, N, W). Windows run `config.batch` at a time and give the floats
+    of one pass over all B, since attention spans one window's channels."""
+    preds, encs = [], []
     with model.store.frozen():
-        pred_norm, enc = model.forward(Tensor(normed))
-    pred = pred_norm.data[:, :, :horizon] * delta + mu
-    return pred, enc.data
+        # no windows still make one empty pass, for the (0, N, ·) shapes
+        for lo in range(0, max(len(windows), 1), model.config.batch):
+            normed, mu, delta = revin_normalize(windows[lo : lo + model.config.batch])
+            pred_norm, enc = model.forward(Tensor(normed))
+            preds.append(pred_norm.data[:, :, :horizon] * delta + mu)
+            encs.append(enc.data)
+    return np.concatenate(preds), np.concatenate(encs)
 
 
 def evaluate_statistic(model, panels):

@@ -111,6 +111,19 @@ def test_parameter_set_must_match(tmp_path):
         load_checkpoint(path, wrong_shape)
 
 
+def test_a_moment_mismatch_names_the_file(tmp_path):
+    # a manifest that lists one moment fewer than the store holds
+    store = trained_store(6)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, config_hash="h")
+    with open_archive(path) as (manifest, zf):
+        members = [(name, zf.read(name)) for name in zf.namelist()[1:]]
+    write_archive(path, {**manifest, "moments": ["enc.w"]}, members)
+    with pytest.raises(StateError) as info:
+        load_checkpoint(path, clone_shapes(store))
+    assert str(info.value) == f"{path}: checkpoint missing moment 'enc.b'"
+
+
 def test_extra_metadata_survives(tmp_path):
     store = trained_store(5)
     path = tmp_path / "model.ckpt"
@@ -322,3 +335,22 @@ def test_a_mutated_checkpoint_manifest_loads_or_is_named(tiny_world, tmp_path):
     bare, runs = bare_exceptions(
         path, lambda: pipeline.load_forecaster(path, "stat", world.hierarchy, data))
     assert runs > 300 and bare == []
+
+
+def test_a_forecaster_config_that_disagrees_with_its_parameters_is_named(tiny_world, tmp_path):
+    # as `prepare` reuses a checkpoint: the key matches, the shapes do not
+    world = tiny_world
+    train_rooms, _ = pipeline.split_rooms(len(world.panels))
+    data = pipeline.training_digest(world, train_rooms)
+    cfg = StatConfig(epochs=1)
+    model, _ = pipeline.train_forecaster(cfg, world, train_rooms)
+    path = tmp_path / "stat.ckpt"
+    key = pipeline.forecaster_key(cfg, data)
+    pipeline.save_forecaster(path, model, key)
+    with open_archive(path) as (manifest, zf):
+        members = [(name, zf.read(name)) for name in zf.namelist()[1:]]
+    manifest["extra"]["config"]["d_model"] = 16
+    write_archive(path, manifest, members)
+    with pytest.raises(StateError) as info:
+        pipeline.load_forecaster(path, "stat", world.hierarchy, data, key=key)
+    assert str(info.value) == f"{path}: parameter 'proj.w' shape (32, 32) != expected (32, 16)"

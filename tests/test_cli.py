@@ -191,6 +191,15 @@ def test_gen_rejects_a_wrongly_typed_config_value(tmp_path, capsys, section, key
     assert "Traceback" not in err and not (tmp_path / "d").exists()
 
 
+def test_gen_rejects_a_negative_sample_count(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"sim": {"streams": 10, "users": 50, "n_samples": -1}}))
+    assert main(["gen", "--config", str(path), "--seed", "3", "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: n_samples must be >= 1, got -1"]
+    assert "Traceback" not in err and not (tmp_path / "d").exists()
+
+
 def test_run_then_ablate(tiny_config, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0

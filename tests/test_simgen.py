@@ -160,6 +160,16 @@ def test_event_gap_settings_are_checked(lo, hi):
     assert SimConfig(event_gap_min=1, event_gap_max=1).event_gap_max == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("streams", -2), ("streams", 0), ("n_samples", -1), ("n_samples", 0),
+    ("n_c1", 0), ("n_c2", 0), ("n_c3", 0), ("n_products", 0),
+])
+def test_sizes_below_one_are_rejected(key, value):
+    # each would otherwise end in a bare numpy error inside gen_world
+    with pytest.raises(ConfigurationError, match=f"^{key} must be >= 1, got {value}$"):
+        SimConfig(**{key: value})
+
+
 def test_events_consistent_with_hierarchy(hierarchy):
     _, _, events, _ = stream(hierarchy, 200, seed=6, home_c1=3)
     p, c1, c2, c3 = events.T

@@ -1,6 +1,7 @@
 """Count forecasting: normalization round trips, the channel-token model, baselines."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from livesight.statfore import (
     revin_normalize,
     train_statistic,
 )
+from livesight.tensor import Tensor
 
 TINY = StatConfig(context=8, horizon_train=5, horizon_infer=3, d_model=8,
                   n_blocks=1, heads=2, d_ff=16, epochs=50, batch=16, lr=3e-3, seed=0)
@@ -119,6 +121,51 @@ def test_forecast_uses_inference_horizon():
     assert pred.shape == (1, 4, 3)  # trained on 5, serves 3
     assert enc.shape == (1, 4, 8)
     assert np.all(np.isfinite(pred))
+
+
+def test_forecast_batch_runs_a_training_batch_at_a_time_with_the_same_floats(monkeypatch):
+    # attention spans one window's channel tokens, so chunking moves no float
+    model = StatisticModel(TINY)
+    windows = np.random.default_rng(3).poisson(10.0, size=(2 * TINY.batch + 3, 4, 8)).astype(float)
+    normed, mu, delta = revin_normalize(windows)
+    with model.store.frozen():
+        pred, enc = model.forward(Tensor(normed))
+    sizes = []
+    forward = model.forward
+
+    def spied(x):
+        sizes.append(len(x.data))
+        return forward(x)
+
+    monkeypatch.setattr(model, "forward", spied)
+    got_pred, got_enc = forecast_batch(model, windows, TINY.horizon_infer)
+    assert sizes == [TINY.batch, TINY.batch, 3]
+    assert np.array_equal(got_pred, pred.data[:, :, : TINY.horizon_infer] * delta + mu)
+    assert np.array_equal(got_enc, enc.data)
+    empty_pred, empty_enc = forecast_batch(model, windows[:0], TINY.horizon_infer)
+    assert empty_pred.shape == (0, 4, 3) and empty_enc.shape == (0, 4, 8)
+
+
+def test_forecast_batch_memory_grows_by_its_output_only():
+    # at the default model shapes one window's intermediates are several times
+    # its output, so a single pass over every window would break the bound
+    cfg = dataclasses.replace(StatConfig(), batch=8)
+    model = StatisticModel(cfg)
+    rng = np.random.default_rng(4)
+    windows = rng.poisson(10.0, size=(10 * cfg.batch, 8, cfg.context)).astype(float)
+
+    def peak(n):
+        forecast_batch(model, windows[:n], cfg.horizon_infer)  # warm up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            forecast_batch(model, windows[:n], cfg.horizon_infer)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    extra_output = 9 * cfg.batch * 8 * (cfg.horizon_infer + cfg.d_model) * 8
+    assert peak(10 * cfg.batch) - peak(cfg.batch) <= 3 * extra_output
 
 
 def test_train_horizon_must_cover_inference():
