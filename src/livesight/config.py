@@ -25,17 +25,22 @@ VARIANTS = ("base", "+stat", "+prod", "+both")
 SAMPLE_BUCKET_FLOOR = 32
 
 
-def _check_training(cfg):
-    for name in ("epochs", "batch"):
-        if getattr(cfg, name) < 1:
+def _check_at_least(cfg, **floors):
+    for name, floor in floors.items():
+        if getattr(cfg, name) < floor:
             raise ConfigurationError(
-                f"{type(cfg).__name__}.{name} must be >= 1, got {getattr(cfg, name)}"
+                f"{type(cfg).__name__}.{name} must be >= {floor}, got {getattr(cfg, name)}"
             )
+
+
+def _check_training(cfg):
+    _check_at_least(cfg, epochs=1, batch=1)
     if not cfg.lr > 0:
         raise ConfigurationError(f"{type(cfg).__name__}.lr must be > 0, got {cfg.lr}")
 
 
 def _check_heads(cfg):
+    _check_at_least(cfg, d_model=1)
     if cfg.heads < 1 or cfg.d_model % cfg.heads:
         raise ConfigurationError(
             f"{type(cfg).__name__}.heads must be >= 1 and divide d_model {cfg.d_model}, "
@@ -119,13 +124,12 @@ class StatConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_at_least(self, context=2, horizon_train=1, horizon_infer=1)
         if self.horizon_infer > self.horizon_train:
             raise ConfigurationError(
                 f"inference horizon {self.horizon_infer} exceeds trained horizon "
                 f"{self.horizon_train}"
             )
-        if self.context < 2:
-            raise ConfigurationError(f"context must be >= 2, got {self.context}")
         _check_heads(self)
         _check_training(self)
 
@@ -143,6 +147,8 @@ class ProdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # events[-max_context:] must keep a real suffix with a successor
+        _check_at_least(self, max_context=2)
         _check_heads(self)
         _check_training(self)
 

@@ -1,10 +1,10 @@
 """End-to-end experiment pipeline and the four ablation studies.
 
 Stages: generate world -> train statistic forecaster -> train product
-forecaster -> precompute the foresight bank, one row per (room, bucket) ->
-train ranker variants -> write CSV reports. Foresight models are cached as
-checkpoints keyed by config and training-data hash, on every path that
-trains or loads them, so ablations don't retrain them.
+forecaster -> precompute the foresight bank -> train ranker variants ->
+write CSV reports. Foresight models are cached as checkpoints keyed by
+config and training-data hash, on every path that trains or loads them, so
+ablations don't retrain them.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ def _stat_block(steps, enc, horizon, channels=slice(None)):
 def build_foresight_bank(world, stat_model, prod_model, k_enc):
     """Foresight constants for every (room, bucket) that appears in a sample.
 
-    Returns (bank, rows): a ForesightBank with one row per distinct key, and
-    the bank row of each world sample.
+    Returns (bank, rows): a ForesightBank with a row per distinct key and a
+    product row per distinct (room, event on show), and each sample's row.
     """
     c = stat_model.config
     span = world.config.buckets  # every bucket index is below it
@@ -85,16 +85,17 @@ def build_foresight_bank(world, stat_model, prod_model, k_enc):
     # the ranker's stat block already holds every channel encoding: the
     # stat_enc column is a view into it rather than a second copy
     enc = stat[:, n * h :].reshape(len(keys), n, c.d_model)
-    dist = np.empty((len(keys), prod_model.hierarchy.n_c3))
-    prod_enc = np.empty((len(keys), k_enc * prod_model.config.d_model))
     ends = simgen.on_show(world, keys[:, 0], keys[:, 1])
-    # filled room by room: each room's windows form one batch
+    prods, prod_row = np.unique(np.stack([keys[:, 0], ends], axis=1), axis=0, return_inverse=True)
+    dist = np.empty((len(prods), prod_model.hierarchy.n_c3))
+    prod_enc = np.empty((len(prods), k_enc * prod_model.config.d_model))
+    # filled room by room: each room's windows, and its distinct prefixes, form one batch
     for r in np.unique(keys[:, 0]):
-        sel = keys[:, 0] == r
+        sel, mine = keys[:, 0] == r, prods[:, 0] == r
         windows = _windows(world.panels, keys[sel, 0], keys[sel, 1], c.context)
         steps[sel], enc[sel] = statfore.forecast_batch(stat_model, windows, c.horizon_train)
-        dist[sel], prod_enc[sel] = prodfore.forecast_prefixes(
-            prod_model, world.events[r], ends[sel], k_enc
+        dist[mine], prod_enc[mine] = prodfore.forecast_prefixes(
+            prod_model, world.events[r], prods[mine, 1], k_enc
         )
     stat[:, : n * h] = _stat_block(steps, None, h)
     bank = ranker.ForesightBank(
@@ -103,6 +104,8 @@ def build_foresight_bank(world, stat_model, prod_model, k_enc):
         stat_steps=steps,
         stat_enc=enc,
         stat=stat,
+        prod_row=prod_row,
+        prod_key=prods,
         dist=dist,
         prod_enc=prod_enc,
         d_mix=prod_model.config.d_model,
@@ -343,11 +346,10 @@ def _prod_baseline_bank(art, method):
     bank = art.bank
     dist = bank.dist
     if method != "model":
-        ends = simgen.on_show(art.world, bank.room, bank.bucket)
         cats = [prodfore.baseline_category(art.world.events[r][: e + 1], method)
-                for r, e in zip(bank.room, ends)]
+                for r, e in bank.prod_key]
         dist = np.eye(dist.shape[1])[cats]
-    return dataclasses.replace(bank, dist=dist, prod_enc=np.zeros((len(bank), 0)))
+    return dataclasses.replace(bank, dist=dist, prod_enc=np.zeros((len(dist), 0)))
 
 
 def run_ablation(cfg, which, art=None):

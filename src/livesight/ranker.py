@@ -2,7 +2,9 @@
 
 The foresight inputs arrive as plain numpy constants — forecasts, channel
 encodings, and a next-category distribution — so no gradient can reach the
-models that produced them. The single trainable bridge is the category
+models that produced them. A sample reads the statistic block of its
+(room, bucket) key, and the product block of the event on show at that key,
+which many keys of a room share. The single trainable bridge is the category
 mixing table: `distribution @ c3_mix`, where c3_mix lives in THIS model's
 parameter store and the distribution does not.
 """
@@ -25,7 +27,9 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class ForesightBank:
-    """Frozen foresight columns, one row per distinct (room, bucket) key.
+    """Frozen foresight columns in two row spaces: the statistic columns hold
+    one row per distinct (room, bucket) key, the product columns one row per
+    distinct (room, event on show), which key k reads at `prod_row[k]`.
 
     Every column is a plain numpy array, checked once when the bank is built
     (or replaced), so no gradient can reach the forecasters behind it.
@@ -36,22 +40,27 @@ class ForesightBank:
     stat_steps: np.ndarray  # (K, N, h_train) forecasts in count scale
     stat_enc: np.ndarray  # (K, N, D) channel encodings
     stat: np.ndarray  # (K, ·) the statistic block the ranker reads
-    dist: np.ndarray  # (K, |C3|) next level-3 category distribution
-    prod_enc: np.ndarray  # (K, k_enc*D) trailing product encodings, zero-filled
+    prod_row: np.ndarray  # (K,) each key's product row
+    prod_key: np.ndarray  # (P, 2) room and index in world.events[room] of the event on show
+    dist: np.ndarray  # (P, |C3|) next level-3 category distribution
+    prod_enc: np.ndarray  # (P, k_enc*D) trailing product encodings, zero-filled
     d_mix: int  # width of the ranker's category mixing table
 
     def __post_init__(self):
-        for name in ("room", "bucket", "stat_steps", "stat_enc", "stat", "dist", "prod_enc"):
+        for name in ("room", "bucket", "stat_steps", "stat_enc", "stat", "prod_row", "prod_key",
+                     "dist", "prod_enc"):
             col = getattr(self, name)
             if not isinstance(col, np.ndarray):
                 raise ContractError(
                     f"foresight column {name!r} must be a detached numpy array, "
                     f"got {type(col).__name__}; foresight models stay frozen"
                 )
-            if len(col) != len(self.room):
-                raise ContractError(
-                    f"foresight column {name!r} has {len(col)} rows, not {len(self.room)}"
-                )
+            n = len(self.prod_key if name in ("prod_key", "dist", "prod_enc") else self.room)
+            if len(col) != n:
+                raise ContractError(f"foresight column {name!r} has {len(col)} rows, not {n}")
+        row, p = self.prod_row, len(self.prod_key)
+        if row.dtype.kind not in "iu" or len(row) and not 0 <= row.min() <= row.max() < p:
+            raise ContractError(f"prod_row must hold integer rows in [0, {p}), got {row!r}")
 
     def __len__(self):
         return len(self.room)
@@ -106,7 +115,7 @@ class RankingModel:
         if self.use_stat:
             self.stat_norm = _moments(bank.stat, rows)
         if self.use_prod:
-            self.enc_norm = _moments(bank.prod_enc, rows)
+            self.enc_norm = _moments(bank.prod_enc, bank.prod_row[rows])
 
     def features(self, fields, stat=None, dist=None, prod_enc=None):
         """Assemble the trunk input for a batch: (B, input_width) tensor."""
@@ -182,10 +191,11 @@ def _moments(col, rows):
 
 
 def _banked(bank, rows, use_stat, use_prod):
-    """One batch's foresight blocks, gathered from the per-key columns through
-    the batch's bank rows; None for a part the variant does not read."""
+    """One batch's foresight blocks, gathered through the batch's bank rows
+    (and their `prod_row`); None for a part the variant does not read."""
     stat = bank.stat[rows] if use_stat else None
-    dist, enc = (bank.dist[rows], bank.prod_enc[rows]) if use_prod else (None, None)
+    prod = bank.prod_row[rows] if use_prod else None
+    dist, enc = (bank.dist[prod], bank.prod_enc[prod]) if use_prod else (None, None)
     return stat, dist, enc
 
 

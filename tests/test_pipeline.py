@@ -64,9 +64,42 @@ def test_bank_covers_every_sample(art):
     assert bank.stat_steps.shape == (len(bank), n, c.horizon_train)
     assert bank.stat_enc.shape == (len(bank), n, d)
     assert bank.stat.shape == (len(bank), n * c.horizon_infer + n * d)
-    assert bank.dist.shape == (len(bank), art.world.hierarchy.n_c3)
+    assert bank.prod_row.shape == (len(bank),)
+    p = len(bank.prod_key)
+    assert bank.dist.shape == (p, art.world.hierarchy.n_c3)
     assert np.allclose(bank.dist.sum(axis=1), 1.0, atol=1e-9)
-    assert bank.prod_enc.shape == (len(bank), TINY.rank.k_enc * bank.d_mix)
+    assert bank.prod_enc.shape == (p, TINY.rank.k_enc * bank.d_mix)
+
+
+def on_show_oracle(world, rooms, buckets):
+    """Each key's event on show, one room's bisection at a time (no `on_show`)."""
+    return np.asarray([np.searchsorted(world.event_buckets[r], t, side="right") - 1
+                       for r, t in zip(rooms, buckets)])
+
+
+def test_one_product_row_per_room_and_event_on_show(art):
+    bank = art.bank
+    pairs = np.stack([bank.room, on_show_oracle(art.world, bank.room, bank.bucket)], axis=1)
+    assert len(bank.prod_key) == len({tuple(pair) for pair in pairs.tolist()}) < len(bank)
+    assert np.array_equal(bank.prod_key[bank.prod_row], pairs)
+
+
+def assert_each_key_reads_its_own_prefix(art):
+    """Each key's product row is the forecast from its own prefix, never from
+    later events: `forecast_product` of its room's events up to the one on show."""
+    bank, model, k_enc = art.bank, art.prod_model, art.cfg.rank.k_enc
+    cur = on_show_oracle(art.world, bank.room, bank.bucket)
+    for k, (r, e) in enumerate(zip(bank.room, cur)):
+        fc = prodfore.forecast_product(model, art.world.events[r][: e + 1])
+        tail = fc.encoding[-k_enc:].ravel()
+        row = bank.prod_row[k]
+        assert np.allclose(bank.dist[row], fc.distribution, rtol=0, atol=1e-12)
+        assert np.allclose(bank.prod_enc[row, : len(tail)], tail, rtol=0, atol=1e-12)
+        assert not bank.prod_enc[row, len(tail) :].any()
+
+
+def test_each_key_reads_the_product_forecast_of_its_own_prefix(art):
+    assert_each_key_reads_its_own_prefix(art)
 
 
 def test_bank_rows_point_at_sample_keys(art):
@@ -77,7 +110,8 @@ def test_bank_rows_point_at_sample_keys(art):
 
 
 def test_bank_entries_are_plain_arrays(art):
-    for name in ("room", "bucket", "stat_steps", "stat_enc", "stat", "dist", "prod_enc"):
+    for name in ("room", "bucket", "stat_steps", "stat_enc", "stat", "prod_row", "prod_key",
+                 "dist", "prod_enc"):
         assert isinstance(getattr(art.bank, name), np.ndarray)
 
 
@@ -94,18 +128,9 @@ def long_art():
 
 
 def test_long_streams_forecast_each_prefix_without_lookahead(long_art):
-    # each bank row must be the forecast from its own prefix, never from later events
-    art = long_art
-    model, k_enc = art.prod_model, art.cfg.rank.k_enc
-    world = art.world
-    assert max(len(events) for events in world.events) > model.config.max_context
-    for r, t, dist, enc in zip(art.bank.room, art.bank.bucket, art.bank.dist, art.bank.prod_enc):
-        cur = int(np.searchsorted(world.event_buckets[r], t, side="right")) - 1
-        fc = prodfore.forecast_product(model, world.events[r][: cur + 1])
-        tail = fc.encoding[-k_enc:].ravel()
-        assert np.allclose(dist, fc.distribution, rtol=0, atol=1e-12)
-        assert np.allclose(enc[: len(tail)], tail, rtol=0, atol=1e-12)
-        assert not enc[len(tail) :].any()
+    limit = long_art.prod_model.config.max_context
+    assert max(len(events) for events in long_art.world.events) > limit
+    assert_each_key_reads_its_own_prefix(long_art)
 
 
 def future_rewritten(world, r, t, rng):
@@ -130,8 +155,7 @@ def test_no_bank_row_reads_past_its_bucket(which, request):
     # and with the shapes unchanged every float is computed the same way
     art = request.getfixturevalue(which)
     bank, world = art.bank, art.world
-    cur = np.asarray([np.searchsorted(world.event_buckets[r], t, side="right") - 1
-                      for r, t in zip(bank.room, bank.bucket)])
+    cur = on_show_oracle(world, bank.room, bank.bucket)
     rng = np.random.default_rng(0)
     rows = [*rng.choice(len(bank), size=11, replace=False), int(cur.argmax())]
     if which == "long_art":  # one prefix longer than the product context
@@ -140,8 +164,11 @@ def test_no_bank_row_reads_past_its_bucket(which, request):
         rewritten = future_rewritten(world, bank.room[k], bank.bucket[k], rng)
         again, _ = pipeline.build_foresight_bank(rewritten, art.stat_model, art.prod_model,
                                                  k_enc=art.cfg.rank.k_enc)
-        for name in ("stat_steps", "stat", "dist", "prod_enc"):
+        for name in ("stat_steps", "stat"):
             assert np.array_equal(getattr(again, name)[k], getattr(bank, name)[k]), (k, name)
+        for name in ("dist", "prod_enc"):
+            assert np.array_equal(getattr(again, name)[again.prod_row[k]],
+                                  getattr(bank, name)[bank.prod_row[k]]), (k, name)
 
 
 def test_hitrate_scores_every_position_of_long_streams(long_art):
@@ -200,6 +227,22 @@ def training_case(section, name, bad, good, message, tag=""):
                       f"heads must be >= 1 and divide d_model 32, got {bad}", f"={bad}")
         for section in ("prod", "stat")
         for bad in (0, 3)
+    ]
+    + [
+        # forecaster sizes: each used to end in a bare numpy or Python
+        # exception, or in NaN in forecast_report.csv
+        training_case("stat", "horizon_infer", bad, 1, f"horizon_infer must be >= 1, got {bad}",
+                      f"={bad}")
+        for bad in (0, -1)
+    ]
+    + [
+        training_case("stat", "horizon_train", 0, 3, "horizon_train must be >= 1, got 0", "=0"),
+        training_case("prod", "max_context", 0, 2, "max_context must be >= 2, got 0", "=0"),
+        training_case("prod", "max_context", 1, 2, "max_context must be >= 2, got 1", "=1"),
+    ]
+    + [
+        training_case(section, "d_model", 0, 8, "d_model must be >= 1, got 0", "=0")
+        for section in ("prod", "stat")
     ]
     + [
         # the statistic windows must fit in a stream
@@ -309,11 +352,11 @@ def test_substituted_stat_bank_matches_baseline(art):
 
 def test_substituted_prod_bank_onehot_drops_encodings(art):
     bank = pipeline._prod_baseline_bank(art, "latest")
-    assert bank.prod_enc.shape == (len(bank), 0)
+    assert bank.prod_enc.shape == (len(bank.prod_key), 0)
     assert np.all(bank.dist.sum(axis=1) == 1.0) and np.all((bank.dist == 1.0).sum(axis=1) == 1)
     r = bank.room[0]
     cur = int(np.searchsorted(art.world.event_buckets[r], bank.bucket[0], side="right")) - 1
-    assert bank.dist[0, art.world.events[r][cur, 3]] == 1.0
+    assert bank.dist[bank.prod_row[0], art.world.events[r][cur, 3]] == 1.0
     assert pipeline._prod_baseline_bank(art, "model").dist is art.bank.dist
 
 

@@ -67,12 +67,16 @@ def full_foresight():
             "prod_enc": rng.normal(size=(1, 24))}
 
 
-def bank_of(stat, dist, prod_enc):
-    k = len(dist)
+def bank_of(stat, dist, prod_enc, prod_row=None):
+    """A bank whose key k reads product row prod_row[k], by default row k."""
+    p = len(dist)
+    prod_row = np.arange(p) if prod_row is None else prod_row
+    k = len(prod_row)
     return ForesightBank(room=np.arange(k),
                          bucket=np.zeros(k, dtype=np.int64), stat_steps=np.zeros((k, 4, 5)),
-                         stat_enc=np.zeros((k, 4, 2)), stat=stat, dist=dist,
-                         prod_enc=prod_enc, d_mix=8)
+                         stat_enc=np.zeros((k, 4, 2)), stat=stat, prod_row=prod_row,
+                         prod_key=np.stack([np.arange(p), np.zeros(p, dtype=np.int64)], axis=1),
+                         dist=dist, prod_enc=prod_enc, d_mix=8)
 
 
 def test_input_width_additivity():
@@ -262,6 +266,54 @@ def test_bank_columns_must_share_rows():
     assert len(bank) == 50
 
 
+def shared_bank(k=40, p=7, seed=11):
+    """A bank of k keys reading p < k product rows, in no particular order."""
+    rng = np.random.default_rng(seed)
+    prod_row = rng.permutation(np.arange(k) % p)
+    return bank_of(rng.normal(size=(k, 20)), rng.dirichlet(np.ones(12), size=p),
+                   rng.normal(size=(p, 24)), prod_row)
+
+
+@pytest.mark.parametrize("name", ["stat", "stat_steps", "prod_row"])
+def test_a_key_column_must_have_a_row_per_key(name):
+    bank = shared_bank()
+    with pytest.raises(ContractError, match=f"'{name}' has 39 rows, not 40"):
+        dataclasses.replace(bank, **{name: getattr(bank, name)[:39]})
+
+
+@pytest.mark.parametrize("name", ["dist", "prod_enc"])
+def test_the_product_columns_must_share_their_rows(name):
+    bank = shared_bank()
+    with pytest.raises(ContractError, match=f"'{name}' has 6 rows, not 7"):
+        dataclasses.replace(bank, **{name: getattr(bank, name)[:6]})
+
+
+@pytest.mark.parametrize("bad", [-1, 7, 2.0])
+def test_a_product_row_must_exist(bad):
+    bank = shared_bank()
+    prod_row = bank.prod_row.astype(type(bad))
+    prod_row[3] = bad
+    with pytest.raises(ContractError, match=r"prod_row must hold integer rows in \[0, 7\)"):
+        dataclasses.replace(bank, prod_row=prod_row)
+    assert len(dataclasses.replace(bank, prod_row=np.full(40, 6))) == 40
+
+
+def test_shared_product_rows_train_like_one_product_row_per_key():
+    # the ranker reads key k's product blocks at prod_row[k]: a bank that
+    # stores them once per key gives every float the same
+    bank = shared_bank(k=120, p=13)
+    samples = dataset(120)[0]
+    copied = dataclasses.replace(bank, prod_row=np.arange(120),
+                                 prod_key=np.zeros((120, 2), dtype=np.int64),
+                                 dist=bank.dist[bank.prod_row],
+                                 prod_enc=bank.prod_enc[bank.prod_row])
+    rows = np.random.default_rng(2).integers(0, 120, size=120)
+    (m1, r1, h1), (m2, r2, h2) = (train_ranker(samples, "+both", CFG, bank=b, rows=rows)
+                                  for b in (bank, copied))
+    assert r1 == r2 and h1 == h2
+    assert np.array_equal(m1.store.values, m2.store.values)
+
+
 def test_training_is_deterministic():
     samples, bank, rows = dataset(120)
     reports = []
@@ -274,18 +326,19 @@ def test_training_is_deterministic():
 @pytest.mark.parametrize("stat_width,enc_width", [(20, 24), (1, 0)])
 def test_normalizers_equal_numpy_moments_of_the_gathered_block(stat_width, enc_width):
     # a lone column (numpy sums it pairwise) and the zero-width product
-    # encodings of a baseline-substituted bank are covered too
+    # encodings of a baseline-substituted bank are covered too; the product
+    # encodings are gathered through each key's product row
     rng = np.random.default_rng(7)
-    k = 40
-    bank = bank_of(rng.normal(size=(k, stat_width)) * 50, rng.dirichlet(np.ones(12), size=k),
-                   rng.normal(size=(k, enc_width)) + 3)
+    k, p = 40, 9
+    bank = bank_of(rng.normal(size=(k, stat_width)) * 50, rng.dirichlet(np.ones(12), size=p),
+                   rng.normal(size=(p, enc_width)) + 3, rng.integers(0, p, size=k))
     model = RankingModel(CFG, VOCAB, TASKS, "+both", stat_width=stat_width, n_c3=12, d_mix=8,
                          prod_enc_width=enc_width)
     for n in (2 * NORM_CHUNK + 7, 1):  # several gather chunks, and a one-sample split
         rows = rng.integers(0, k, size=n)
         model.fit_normalizers(bank, rows)
-        for (mean, std), col in ((model.stat_norm, bank.stat), (model.enc_norm, bank.prod_enc)):
-            block = col[rows]
+        for (mean, std), block in ((model.stat_norm, bank.stat[rows]),
+                                   (model.enc_norm, bank.prod_enc[bank.prod_row[rows]])):
             assert np.array_equal(mean, block.mean(axis=0))
             assert np.array_equal(std, np.maximum(block.std(axis=0), 1e-6))
 
@@ -323,8 +376,9 @@ def test_batched_scoring_equals_one_whole_forward(n):
     model.fit_normalizers(bank, rows)
 
     def batch_input(idx):
+        prod = bank.prod_row[rows[idx]]
         return model.features(ids[idx], stat=bank.stat[rows[idx]],
-                              dist=bank.dist[rows[idx]], prod_enc=bank.prod_enc[rows[idx]])
+                              dist=bank.dist[prod], prod_enc=bank.prod_enc[prod])
 
     idx = rng.permutation(n)
     whole = model.forward(batch_input(idx)).data
@@ -337,8 +391,9 @@ def test_restored_best_state_stays_in_the_flat_buffer():
     samples, bank, rows = dataset(120)
     model, _, _ = train_ranker(samples, "+both", CFG, bank=bank, rows=rows)
     assert all(np.shares_memory(p.data, model.store.values) for _, p in model.store.items())
+    prod = bank.prod_row[:5]
     x = model.features(samples.fields[:5],
-                       stat=bank.stat[:5], dist=bank.dist[:5], prod_enc=bank.prod_enc[:5])
+                       stat=bank.stat[:5], dist=bank.dist[prod], prod_enc=bank.prod_enc[prod])
     before = model.forward(x).data.copy()
     for _, p in model.store.items():
         p.grad = np.ones_like(p.data)
