@@ -165,6 +165,7 @@ class RankConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_at_least(self, hidden=1, emb_width=1, k_enc=0)
         _check_training(self)
         if not 0 < self.eval_fraction < 1:
             raise ConfigurationError(

@@ -7,6 +7,13 @@ models that produced them. A sample reads the statistic block of its
 which many keys of a room share. The single trainable bridge is the category
 mixing table: `distribution @ c3_mix`, where c3_mix lives in THIS model's
 parameter store and the distribution does not.
+
+A batch reaches the trunk as its column parts (the id embeddings, the
+standardized statistic block, `dist @ c3_mix` and the standardized product
+encodings), and the trunk with its task heads is one `tensor.trunk` node. Its
+backward gives an input gradient only to the parts that have a consumer (the
+embedding lookup and the mixing product), each from its own row block of the
+first-layer weights, so none is computed for the constant foresight columns.
 """
 
 from __future__ import annotations
@@ -118,40 +125,48 @@ class RankingModel:
             self.enc_norm = _moments(bank.prod_enc, bank.prod_row[rows])
 
     def features(self, fields, stat=None, dist=None, prod_enc=None):
-        """Assemble the trunk input for a batch: (B, input_width) tensor."""
+        """A batch's trunk input as its column parts, in input order: the id
+        embeddings, then the standardized statistic block, `dist @ c3_mix` and
+        the standardized product encodings, each a (B, ·) tensor the variant
+        reads."""
         parts = [layers.lookup(self.store["emb.fields"], fields, self.vocab, FIELD_NAMES)]
         if self.use_stat:
             if stat is None:
                 raise ConfigurationError(f"variant {self.variant} requires the statistic part")
-            mean, std = self.stat_norm
             # block scale 1/sqrt(width): a z-scored 280-dim block would
             # otherwise dominate the first-layer preactivations
             scale = 1.0 / np.sqrt(max(self.stat_width, 1))
-            parts.append(Tensor((np.asarray(stat) - mean) / std * scale))
+            parts.append(_standardized(stat, self.stat_norm, scale))
         if self.use_prod:
             if dist is None or prod_enc is None:
                 raise ConfigurationError(f"variant {self.variant} requires the product part")
             parts.append(Tensor(np.asarray(dist)) @ self.store["c3_mix"])
-            mean, std = self.enc_norm
             # harder damping than the stat block: these dims mostly restate
             # context the id embeddings already carry
             scale = 1.0 / max(self.prod_enc_width, 1)
-            parts.append(Tensor((np.asarray(prod_enc) - mean) / std * scale))
-        return T.concat(parts, axis=1)
+            parts.append(_standardized(prod_enc, self.enc_norm, scale))
+        return parts
 
-    def forward(self, x):
-        """Trunk input (B, input_width) -> per-task probabilities (B, n_tasks)."""
-        x = T.as_tensor(x)
-        if x.shape[-1] != self.input_width:
-            raise DimensionError(
-                f"input width {x.shape[-1]} != trained width {self.input_width}"
-            )
-        h = T.relu(T.dense(x, self.store["trunk.l1.w"], self.store["trunk.l1.b"]))
-        h = T.relu(T.dense(h, self.store["trunk.l2.w"], self.store["trunk.l2.b"]))
-        heads = [
-            T.dense(h, self.store[f"head.{t}.w"], self.store[f"head.{t}.b"]) for t in self.tasks
-        ]
-        return T.sigmoid(T.concat(heads, axis=1))
+    def forward(self, *parts):
+        """Trunk input parts, (B, ·) each and input_width columns together ->
+        per-task probabilities (B, n_tasks), as one `tensor.trunk` node."""
+        width = sum(p.shape[-1] for p in parts)
+        if width != self.input_width:
+            raise DimensionError(f"input width {width} != trained width {self.input_width}")
+        s = self.store
+        heads = [(s[f"head.{t}.w"], s[f"head.{t}.b"]) for t in self.tasks]
+        return T.trunk(parts, s["trunk.l1.w"], s["trunk.l1.b"], s["trunk.l2.w"], s["trunk.l2.b"],
+                       heads)
+
+
+def _standardized(block, norm, scale):
+    """(block - mean) / std * scale as a constant part, computed in place on
+    one copy of `block`."""
+    mean, std = norm
+    out = np.asarray(block) - mean
+    out /= std
+    out *= scale
+    return Tensor(out)
 
 
 def rank_loss(predictions, labels):
@@ -159,8 +174,8 @@ def rank_loss(predictions, labels):
     return T.binary_cross_entropy(predictions, labels)
 
 
-# rows gathered at a time when fitting the normalizers: ~8 MB at 1,000 columns
-NORM_CHUNK = 1024
+# rows gathered at a time when fitting the normalizers: ~1 MB at 1,000 columns
+NORM_CHUNK = 128
 
 
 def _column_sum(col, rows, center=None):
@@ -202,7 +217,7 @@ def _banked(bank, rows, use_stat, use_prod):
 def predict(model, batch_input, idx, batch):
     """Probabilities (len(idx), n_tasks) of samples `idx`, forwarded `batch`
     rows at a time, so no split's whole input is built at once.
-    `batch_input(idx)` assembles the trunk input of some samples.
+    `batch_input(idx)` assembles the trunk input parts of some samples.
 
     Chunks start at multiples of `batch`, and a one-row tail joins the chunk
     before it, since numpy multiplies a lone row with another BLAS routine.
@@ -215,7 +230,7 @@ def predict(model, batch_input, idx, batch):
         cuts.pop()
     chunks = np.split(idx, cuts)
     with model.store.frozen():
-        return np.concatenate([model.forward(batch_input(chunk)).data for chunk in chunks])
+        return np.concatenate([model.forward(*batch_input(chunk)).data for chunk in chunks])
 
 
 def split_samples(n, config):
@@ -276,7 +291,7 @@ def train_ranker(samples, variant, config, bank=None, rows=None):
     model = RankingModel(config, samples.vocab, tasks, variant, **shapes)
 
     fields, weights = samples.fields, samples.weight
-    labels = samples.labels.astype(np.float64)
+    labels = samples.labels  # the loss casts each batch's rows to float64
     users = fields[:, 0]
 
     # a slice of train picks the stopping epoch; the held-out slice stays unseen
@@ -298,7 +313,7 @@ def train_ranker(samples, variant, config, bank=None, rows=None):
         return [(perm[lo : lo + config.batch], 1.0) for lo in range(0, len(perm), config.batch)]
 
     def loss_fn(idx):
-        return rank_loss(model.forward(batch_input(idx)), labels[idx])
+        return rank_loss(model.forward(*batch_input(idx)), labels[idx])
 
     epochs = train_epochs(model.store, loss_fn, batches, config.lr, config.epochs)
     history = []

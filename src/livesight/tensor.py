@@ -300,6 +300,69 @@ def feed_forward(h, x, w1, b1, w2, b2):
     return _node(out, (h, x, w1, b1, w2, b2), backward)
 
 
+def trunk(parts, w1, b1, w2, b2, heads):
+    """sigmoid(relu(relu(x @ w1 + b1) @ w2 + b2) @ w + b) for each (w, b) of
+    `heads`, as one (B, n_heads) node, where x joins the (B, ·) `parts`
+    column-wise: the ranker's trunk and one-column task heads.
+
+    A part that needs a gradient gets `ga1 @ w1[lo:hi].T` from its own row
+    block of `w1`, so no input gradient is built for the constant columns.
+    Each head stays its own one-column product, and the heads' input
+    gradients add in task order, as the composed graph adds them.
+    """
+    parts = [as_tensor(t) for t in parts]
+    w1, b1, w2, b2 = (as_tensor(t) for t in (w1, b1, w2, b2))
+    heads = [(as_tensor(w), as_tensor(b)) for w, b in heads]
+    x = np.concatenate([t.data for t in parts], axis=1)
+    offsets = np.cumsum([0] + [t.data.shape[1] for t in parts])
+    # each layer is checked before its in-place ReLU, which would hide a -inf
+    a1 = x @ w1.data
+    a1 += b1.data
+    np.maximum(_check(a1), 0.0, out=a1)
+    a2 = a1 @ w2.data
+    a2 += b2.data
+    np.maximum(_check(a2), 0.0, out=a2)
+    logits = []
+    for w, b in heads:
+        z = a2 @ w.data
+        z += b.data
+        logits.append(z)
+    z = _check(np.concatenate(logits, axis=1))
+    data = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+
+    def backward(g):
+        gz = g * data * (1.0 - data)
+        for j, (w, b) in enumerate(heads):
+            gj = gz[:, j : j + 1]
+            if w.requires_grad or w._parents:
+                w._accumulate(a2.T @ gj)
+            if b.requires_grad or b._parents:
+                b._accumulate(gj.sum(axis=0))
+            gh = gj @ w.data.T
+            if j:
+                ga2 += gh
+            else:
+                ga2 = gh
+        ga2 *= a2 > 0.0
+        if w2.requires_grad or w2._parents:
+            w2._accumulate(a1.T @ ga2)
+        if b2.requires_grad or b2._parents:
+            b2._accumulate(ga2.sum(axis=0))
+        ga1 = ga2 @ w2.data.T
+        ga1 *= a1 > 0.0
+        if w1.requires_grad or w1._parents:
+            w1._accumulate(x.T @ ga1)
+        if b1.requires_grad or b1._parents:
+            b1._accumulate(ga1.sum(axis=0))
+        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if t.requires_grad or t._parents:
+                t._accumulate(ga1 @ w1.data[lo:hi].T)
+
+    params = (w1, b1, w2, b2, *(p for head in heads for p in head))
+    return _node(data, (*parts, *params), backward)
+
+
 # -- shape manipulation ----------------------------------------------------
 
 
@@ -321,22 +384,6 @@ def swapaxes(a, ax1, ax2):
         a._accumulate(np.swapaxes(g, ax1, ax2))
 
     return _node(data, (a,), backward)
-
-
-def concat(tensors, axis=-1):
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._parents:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return _node(data, tuple(tensors), backward)
 
 
 def take(a, key):
@@ -371,28 +418,6 @@ def tmean(a, axis=None, keepdims=False):
 
 
 # -- nonlinearities --------------------------------------------------------
-
-
-def relu(a):
-    a = as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        a._accumulate(g * (a.data > 0.0))
-
-    return _node(data, (a,), backward)
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(g):
-        a._accumulate(g * data * (1.0 - data))
-
-    return _node(data, (a,), backward)
 
 
 # Longest last axis that `_row_max` and `_row_sum` reduce column by column.

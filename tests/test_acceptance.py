@@ -195,7 +195,7 @@ def test_criterion_2_gradients_match_central_differences():
 
     def ranker_loss():
         feats = rank_model.features(fields, stat=stat, dist=dist, prod_enc=enc)
-        return rank_loss(rank_model.forward(feats), targets)
+        return rank_loss(rank_model.forward(*feats), targets)
 
     errs["ranker"] = grad_check(ranker_loss, rank_model.store, eps=1e-5, max_coords=128)
 

@@ -20,6 +20,7 @@ from livesight.prodfore import CategoryHierarchy, ProductModel
 from livesight.ranker import RankingModel, predict, rank_loss
 from livesight.statfore import StatisticModel
 from livesight.tensor import Tensor
+from reference_ops import composed_trunk, relu
 
 SHAPES = [(7,), (5, 10), (3, 4, 12)]
 
@@ -255,7 +256,7 @@ def test_attention_scores_backward_equals_the_stacked_formula(b, length, d, head
 
 
 def composed_feed_forward(h, x, w1, b1, w2, b2):
-    return h + T.dense(T.relu(T.dense(x, w1, b1)), w2, b2)
+    return h + T.dense(relu(T.dense(x, w1, b1)), w2, b2)
 
 
 @pytest.mark.parametrize("shape", [(5, 6), (3, 4, 6)])
@@ -286,6 +287,54 @@ def test_feed_forward_gradient_oracle():
         return T.tsum(T.feed_forward(*args) * Tensor(probe))
 
     assert grad_check(loss, store) < 1e-5
+
+
+# -- the ranker's trunk node -------------------------------------------------
+
+
+def trunk_args(rng, b, n_tasks, hidden=10):
+    """Trunk operands as the ranker builds them: an id-embedding-like leaf, a
+    constant block, a `dist @ mix` node and another constant block, then the
+    trunk and head weights. Returns (parts, weights, heads, every leaf that
+    takes a gradient)."""
+    ids, mix = leaves(rng, (b, 12), (6, 5))
+    dist = Tensor(rng.dirichlet(np.ones(6), size=b))
+    const, tail = Tensor(rng.normal(size=(b, 7)) * 3.0), Tensor(rng.normal(size=(b, 9)))
+    parts = [ids, const, dist @ mix, tail]
+    weights = leaves(rng, (33, hidden), (hidden,), (hidden, hidden), (hidden,))
+    heads = [tuple(leaves(rng, (hidden, 1), (1,))) for _ in range(n_tasks)]
+    return parts, weights, heads, [ids, mix, *weights, *(p for h in heads for p in h)]
+
+
+@pytest.mark.parametrize("n_tasks", [2, 5])
+@pytest.mark.parametrize("b", [1, 3, 128, 130])
+def test_trunk_equals_the_composed_trunk(b, n_tasks):
+    # five heads (the talent service) add their input gradients in an order
+    # that shows in the floats; two heads add commutatively
+    parts, weights, heads, fused = trunk_args(np.random.default_rng(27), b, n_tasks)
+    parts_c, weights_c, heads_c, composed = trunk_args(np.random.default_rng(27), b, n_tasks)
+    g = np.random.default_rng(28).normal(size=(b, n_tasks))
+    out_f = T.trunk(parts, *weights, heads)
+    out_c = composed_trunk(parts_c, *weights_c, heads_c)
+    backprop(out_f, g)
+    backprop(out_c, g)
+    assert_equal(out_f.data, out_c.data)
+    for a, c in zip(fused, composed):
+        assert_equal(a.grad, c.grad)
+    # the mixing node gets the same input gradient; the constant blocks none
+    assert_equal(parts[2].grad, parts_c[2].grad)
+    assert parts[1].grad is None and parts[3].grad is None
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_trunk_checks_its_first_layer(bad):
+    # with a positive weight row, -inf gives a row of -inf preactivations that
+    # the ReLU would turn into zeros: the check reads them before the ReLU
+    parts, weights, heads, _ = trunk_args(np.random.default_rng(30), 3, 2)
+    parts[1].data[1, 4] = bad
+    np.abs(weights[0].data[12 + 4], out=weights[0].data[12 + 4])
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        T.trunk(parts, *weights, heads)
 
 
 # -- gradients shared between tensors ----------------------------------------
@@ -385,7 +434,7 @@ def rank_inputs(model, rng, n=12):
 
 def rank_forward(model, rng, n=12):
     batch_input = rank_inputs(model, rng, n)
-    return lambda: model.forward(batch_input(np.arange(n)))
+    return lambda: model.forward(*batch_input(np.arange(n)))
 
 
 def stat_pass(rng):
@@ -446,7 +495,7 @@ def test_inference_passes_run_frozen_with_the_same_floats(monkeypatch):
     late = np.stack([events[end - 5 : end + 1] for end in (7, 9)])
     late_logits, _ = prod.forward_positions(late)
     batch_input = rank_inputs(rank, rng)
-    probs = rank.forward(batch_input(np.arange(12)))
+    probs = rank.forward(*batch_input(np.arange(12)))
 
     stat_calls = spy_frozen(monkeypatch, stat, "forward")
     prod_calls = spy_frozen(monkeypatch, prod, "forward_positions")

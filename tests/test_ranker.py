@@ -8,7 +8,7 @@ import pytest
 
 from livesight import ranker, simgen
 from livesight import tensor as T
-from livesight.config import RankConfig, SimConfig
+from livesight.config import SERVICES, RankConfig, SimConfig
 from livesight.errors import (
     ConfigurationError,
     ContractError,
@@ -79,25 +79,31 @@ def bank_of(stat, dist, prod_enc, prod_row=None):
                          dist=dist, prod_enc=prod_enc, d_mix=8)
 
 
+def shapes(parts):
+    return [p.shape for p in parts]
+
+
 def test_input_width_additivity():
     fore = full_foresight()
     base = model_for("base").features(fields_of(), **fore)
     stat = model_for("+stat").features(fields_of(), **fore)
     prod = model_for("+prod").features(fields_of(), **fore)
     both = model_for("+both").features(fields_of(), **fore)
-    assert base.shape == (1, BASE_WIDTH)
-    assert stat.shape == (1, BASE_WIDTH + 20)
-    assert prod.shape == (1, BASE_WIDTH + 8 + 24)
-    # +both adds exactly the widths the single variants added
-    assert both.shape[1] == base.shape[1] + 20 + 8 + 24
+    assert shapes(base) == [(1, BASE_WIDTH)]
+    assert shapes(stat) == [(1, BASE_WIDTH), (1, 20)]
+    assert shapes(prod) == [(1, BASE_WIDTH), (1, 8), (1, 24)]
+    # +both adds exactly the parts the single variants added, in input order
+    assert shapes(both) == shapes(base) + [(1, 20), (1, 8), (1, 24)]
+    assert sum(w for _, w in shapes(both)) == model_for("+both").input_width
 
 
 def test_base_prefix_is_shared_across_variants():
     zeroed = {"stat": np.zeros((1, 20)), "dist": np.zeros((1, 12)), "prod_enc": np.zeros((1, 24))}
     base = model_for("base").features(fields_of(1))
     stat = model_for("+stat").features(fields_of(1), **zeroed)
-    assert np.array_equal(stat.data[:, :BASE_WIDTH], base.data)
-    assert not stat.data[:, BASE_WIDTH:].any()
+    assert shapes(stat)[0] == shapes(base)[0] == (1, BASE_WIDTH)
+    assert np.array_equal(stat[0].data, base[0].data)
+    assert not any(p.data.any() for p in stat[1:])
 
 
 def test_missing_foresight_part_rejected():
@@ -119,7 +125,7 @@ def test_id_fields_share_one_table_and_one_gather(monkeypatch):
     embedding = T.embedding
     monkeypatch.setattr(T, "embedding", lambda *a: gathers.append(a) or embedding(*a))
     ids = fields(3)
-    assert model.features(ids).shape == (3, BASE_WIDTH)
+    assert shapes(model.features(ids)) == [(3, BASE_WIDTH)]
     assert len(gathers) == 1
     # an id past its own field's rows would read the next field's: rejected
     ids[1, 0] = VOCAB[0]
@@ -141,18 +147,18 @@ def test_c3_mix_is_the_only_trainable_foresight_path():
     onehot = np.zeros((1, 12))
     onehot[0, 7] = 1.0
     x = model.features(fields_of(), dist=onehot, prod_enc=enc)
-    assert x.shape == (1, BASE_WIDTH + 6 + 16)
-    assert np.allclose(x.data[0, BASE_WIDTH : BASE_WIDTH + 6], mix[7], atol=1e-12)
+    assert shapes(x) == [(1, BASE_WIDTH), (1, 6), (1, 16)]
+    assert np.allclose(x[1].data[0], mix[7], atol=1e-12)
     # unfitted normalizer, damped by 1/width: the encodings enter as constants
-    assert np.array_equal(x.data[0, BASE_WIDTH + 6 :], enc[0] / 16)
+    assert np.array_equal(x[2].data[0], enc[0] / 16)
 
     uniform = np.full((1, 12), 1.0 / 12)
     x_u = model.features(fields_of(), dist=uniform, prod_enc=enc)
-    assert np.allclose(x_u.data[0, BASE_WIDTH : BASE_WIDTH + 6], mix.mean(axis=0), atol=1e-12)
+    assert np.allclose(x_u[1].data[0], mix.mean(axis=0), atol=1e-12)
 
     # the foresight columns reach the mixing table and no other parameter
     model.store.zero_grad()
-    T.tsum(T.take(x_u, (slice(None), slice(BASE_WIDTH, None)))).backward()
+    (T.tsum(x_u[1]) + T.tsum(x_u[2])).backward()
     for name, p in model.store.items():
         moved = p.grad is not None and np.abs(p.grad).sum() > 0
         assert moved == (name == "c3_mix"), name
@@ -163,7 +169,7 @@ def test_c3_mix_is_the_only_trainable_foresight_path():
 
 def test_forward_probabilities_in_open_interval():
     model = model_for("+both")
-    probs = model.forward(model.features(fields_of(2), **full_foresight()))
+    probs = model.forward(*model.features(fields_of(2), **full_foresight()))
     assert probs.shape == (1, len(TASKS))
     assert np.all((0.0 < probs.data) & (probs.data < 1.0))
 
@@ -172,7 +178,7 @@ def test_all_zero_parameters_give_half():
     model = model_for("base")
     for _, p in model.store.items():
         p.data = np.zeros_like(p.data)
-    probs = model.forward(model.features(fields_of(3)))
+    probs = model.forward(*model.features(fields_of(3)))
     assert np.all(probs.data == 0.5)
 
 
@@ -194,9 +200,37 @@ def test_gradient_oracle_tiny_ranker():
 
     def loss():
         x = model.features(fields(4), stat=stat, dist=dist, prod_enc=enc)
-        return rank_loss(model.forward(x), y)
+        return rank_loss(model.forward(*x), y)
 
     assert grad_check(loss, model.store, max_coords=128) < 1e-4
+
+
+def test_gradient_oracle_five_task_ranker():
+    # the talent service's five heads add their input gradients in task order
+    cfg = RankConfig(emb_width=4, hidden=8, epochs=1, batch=4, lr=1e-3, seed=2)
+    tasks = SERVICES["talent"]
+    model = RankingModel(cfg, VOCAB, tasks, "+both", stat_width=6, n_c3=12,
+                         d_mix=4, prod_enc_width=8)
+    rng = np.random.default_rng(5)
+    stat = rng.normal(size=(4, 6))
+    dist = rng.dirichlet(np.ones(12), size=4)
+    enc = rng.normal(size=(4, 8))
+    y = (rng.random((4, len(tasks))) < 0.5).astype(float)
+
+    def loss():
+        x = model.features(fields(4), stat=stat, dist=dist, prod_enc=enc)
+        return rank_loss(model.forward(*x), y)
+
+    assert len(tasks) == 5
+    assert grad_check(loss, model.store, max_coords=128) < 1e-4
+
+
+@pytest.mark.parametrize("key, bad", [("hidden", 0), ("emb_width", 0), ("k_enc", -1)])
+def test_rank_sizes_below_their_floor_are_named(key, bad):
+    message = f"RankConfig.{key} must be >= {bad + 1}, got {bad}"
+    with pytest.raises(ConfigurationError, match=message):
+        RankConfig(**{key: bad})
+    assert getattr(RankConfig(**{key: bad + 1}), key) == bad + 1
 
 
 def test_rank_loss_hand_values():
@@ -381,7 +415,7 @@ def test_batched_scoring_equals_one_whole_forward(n):
                               dist=bank.dist[prod], prod_enc=bank.prod_enc[prod])
 
     idx = rng.permutation(n)
-    whole = model.forward(batch_input(idx)).data
+    whole = model.forward(*batch_input(idx)).data
     assert np.array_equal(predict(model, batch_input, idx, 128), whole)
     # a batch off the BLAS kernels' row blocking may move the last bits only
     assert np.allclose(predict(model, batch_input, idx, 7), whole, rtol=1e-14, atol=0)
@@ -394,11 +428,11 @@ def test_restored_best_state_stays_in_the_flat_buffer():
     prod = bank.prod_row[:5]
     x = model.features(samples.fields[:5],
                        stat=bank.stat[:5], dist=bank.dist[prod], prod_enc=bank.prod_enc[prod])
-    before = model.forward(x).data.copy()
+    before = model.forward(*x).data.copy()
     for _, p in model.store.items():
         p.grad = np.ones_like(p.data)
     adam_step(model.store, lr=1e-2)
-    assert not np.array_equal(model.forward(x).data, before)
+    assert not np.array_equal(model.forward(*x).data, before)
 
 
 def scripted_validation(monkeypatch, val_losses):
