@@ -34,13 +34,14 @@ def _check_at_least(cfg, **floors):
 
 
 def _check_training(cfg):
-    _check_at_least(cfg, epochs=1, batch=1)
+    # numpy's generators take no negative seed
+    _check_at_least(cfg, epochs=1, batch=1, seed=0)
     if not cfg.lr > 0:
         raise ConfigurationError(f"{type(cfg).__name__}.lr must be > 0, got {cfg.lr}")
 
 
-def _check_heads(cfg):
-    _check_at_least(cfg, d_model=1)
+def _check_transformer(cfg):
+    _check_at_least(cfg, d_model=1, n_blocks=0, d_ff=1)
     if cfg.heads < 1 or cfg.d_model % cfg.heads:
         raise ConfigurationError(
             f"{type(cfg).__name__}.heads must be >= 1 and divide d_model {cfg.d_model}, "
@@ -130,7 +131,7 @@ class StatConfig:
                 f"inference horizon {self.horizon_infer} exceeds trained horizon "
                 f"{self.horizon_train}"
             )
-        _check_heads(self)
+        _check_transformer(self)
         _check_training(self)
 
 
@@ -149,7 +150,7 @@ class ProdConfig:
     def __post_init__(self):
         # events[-max_context:] must keep a real suffix with a successor
         _check_at_least(self, max_context=2)
-        _check_heads(self)
+        _check_transformer(self)
         _check_training(self)
 
 
@@ -184,8 +185,15 @@ class ExperimentConfig:
     rank: RankConfig = field(default_factory=RankConfig)
 
     def __post_init__(self):
+        _check_at_least(self, seed=0)
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
+        if self.sim.n_c3 < 2:
+            # a one-class softmax: the product forecaster would fail after
+            # the statistic forecaster's checkpoint was written
+            raise ConfigurationError(
+                f"sim.n_c3 must be >= 2 for the product forecaster, got {self.sim.n_c3}"
+            )
         if self.stat.context > SAMPLE_BUCKET_FLOOR + 1:
             raise ConfigurationError(
                 f"stat.context {self.stat.context} is longer than the {SAMPLE_BUCKET_FLOOR + 1} "
@@ -257,7 +265,12 @@ def load_config(path):
 
 
 def config_hash(cfg):
-    if dataclasses.is_dataclass(cfg):
+    """12 hex digits of the SHA-256 of `cfg`'s canonical JSON. An
+    `ExperimentConfig` is hashed without `out_dir`: where a run writes is not
+    part of the experiment, so one experiment gets one hash in any directory."""
+    if isinstance(cfg, ExperimentConfig):
+        cfg = {k: v for k, v in to_dict(cfg).items() if k != "out_dir"}
+    elif dataclasses.is_dataclass(cfg):
         cfg = to_dict(cfg)
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]

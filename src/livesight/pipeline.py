@@ -274,7 +274,7 @@ def forecast_reports(art):
 
 def write_csv(path, cfg, columns, rows):
     """Deterministic CSV: hash+seed header, fixed float formatting."""
-    lines = [f"# config_hash={config_hash(to_dict(cfg))} seed={cfg.seed}"]
+    lines = [f"# config_hash={config_hash(cfg)} seed={cfg.seed}"]
     lines.append(",".join(columns))
     for row in rows:
         cells = []

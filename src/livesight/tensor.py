@@ -87,6 +87,8 @@ class Tensor:
         return self.data.ndim
 
     def __repr__(self):
+        if self.data is None:
+            return f"Tensor(spent, requires_grad={self.requires_grad})"
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g):
@@ -108,11 +110,18 @@ class Tensor:
     def backward(self):
         """Backpropagate from this scalar through the recorded graph.
 
-        Each node's closure is dropped as soon as it has run, which frees the
-        temporaries it holds while the rest of the pass is still running; the
-        graph's `_parents` and every `grad` stay. So a graph backpropagates
-        once: a second call through any of its nodes raises `StateError`.
+        Each inner node drops its closure and its forward value (`data`) as
+        soon as its closure has run: in reverse topological order every
+        consumer of the node has run by then, and a closure reads only its
+        saved arrays and its parents' `data`, never its own output's. So the
+        pass frees the graph's activations and temporaries while it runs. A
+        spent node keeps `_parents` and `grad`; the root keeps its `data` (the
+        loss value), and leaves never run a closure. A graph backpropagates
+        once: a second call through any of its nodes, or an op on a spent
+        node, raises `StateError`.
         """
+        if self.data is None:
+            raise StateError("backward() already ran through this graph")
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
         topo = []
@@ -137,6 +146,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node._backward = None
+                if node is not self:
+                    node.data = None
 
     # -- operator sugar -------------------------------------------------
 
@@ -169,7 +180,11 @@ class Tensor:
 
 
 def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+    if not isinstance(x, Tensor):
+        return Tensor(x)
+    if x.data is None:
+        raise StateError("backward() already ran through this graph")
+    return x
 
 
 def _node(data, parents, backward):

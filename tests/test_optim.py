@@ -344,15 +344,18 @@ def prod_loss(model, events):
                                    events[1:, 3])
 
 
-def test_backward_drops_each_closure_and_keeps_every_gradient(world):
+def test_backward_drops_each_closure_and_forward_value_and_keeps_every_gradient(world):
     model = prodfore.ProductModel(ProdConfig(d_model=8, heads=2, d_ff=16, max_context=8),
                                   world.hierarchy)
     events = world.events[0][:8]
     loss = prod_loss(model, events)
     loss.backward()
     nodes = graph_nodes(loss)
-    inner = [n for n in nodes if n._parents]
-    assert len(inner) > 20 and all(n._backward is None for n in inner)
+    inner = [n for n in nodes[1:] if n._parents]
+    assert len(inner) > 20 and all(n._backward is None and n.data is None for n in inner)
+    # the root keeps the loss value and every leaf its array
+    assert loss.data is not None and loss.data.shape == ()
+    assert all(n.data is not None for n in nodes if not n._parents)
 
     model.store.zero_grad()
     ref = prod_loss(model, events)
@@ -360,10 +363,25 @@ def test_backward_drops_each_closure_and_keeps_every_gradient(world):
     ref_nodes = graph_nodes(ref)
     assert len(ref_nodes) == len(nodes)
     for a, b in zip(nodes, ref_nodes):
-        assert a.data.shape == b.data.shape
+        # a spent node's gradient has the shape of the value it dropped
+        assert (a.grad if a.data is None else a.data).shape == b.data.shape
         assert (a.grad is None) == (b.grad is None)
         if a.grad is not None:
             assert np.array_equal(a.grad, b.grad)
+
+
+def test_backward_frees_every_inner_forward_value(world):
+    # the loss still holds the whole graph through `_parents`, yet no inner
+    # node's forward array outlives the pass
+    model = prodfore.ProductModel(ProdConfig(d_model=8, heads=2, d_ff=16, max_context=8),
+                                  world.hierarchy)
+    loss = prod_loss(model, world.events[0][:8])
+    inner = [n for n in graph_nodes(loss)[1:] if n._parents]
+    values = [weakref.ref(n.data) for n in inner]
+    assert len(values) > 20 and all(ref() is not None for ref in values)
+    loss.backward()
+    assert [ref for ref in values if ref() is not None] == []
+    assert len(graph_nodes(loss)) > len(inner) and loss.data is not None
 
 
 def reference_step(kept):

@@ -380,6 +380,15 @@ def test_pipeline_reruns_byte_identical(tmp_path):
         assert p.read_bytes() == blobs[name]
 
 
+def test_reports_are_byte_identical_across_output_directories(tmp_path):
+    # the header's config hash once covered out_dir: one body, two headers
+    first = pipeline.run_pipeline(dataclasses.replace(TINY, out_dir=str(tmp_path / "a" / "r")))
+    second = pipeline.run_pipeline(dataclasses.replace(TINY, out_dir=str(tmp_path / "b" / "r")))
+    for name in ("rank_report", "forecast_report"):
+        assert first[name] != second[name]
+        assert first[name].read_bytes() == second[name].read_bytes()
+
+
 def test_a_world_without_an_eval_room_fails_before_any_training(tmp_path):
     # split_rooms holds out every fifth room: four rooms hold out none, and
     # the run used to die in the forecast reports after training everything

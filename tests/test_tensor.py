@@ -215,6 +215,21 @@ def test_a_spent_graph_cannot_backpropagate_again():
     assert leaf.grad == 2.0
 
 
+def test_a_spent_node_says_so():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    hidden = x * 3.0
+    loss = T.tsum(hidden)
+    assert repr(hidden) == "Tensor(shape=(2, 3), requires_grad=True)"
+    loss.backward()
+    assert repr(hidden) == "Tensor(spent, requires_grad=True)"
+    assert hidden.data is None and np.array_equal(hidden.grad, np.ones((2, 3)))
+    assert float(loss.data) == 18.0 and np.array_equal(x.data, np.ones((2, 3)))
+    for use in (lambda: hidden.backward(), lambda: T.reshape(hidden, (6,)),
+                lambda: 1.0 + hidden, lambda: T.softmax(hidden)):
+        with pytest.raises(StateError, match="already ran"):
+            use()
+
+
 def test_softmax_cross_entropy_examples():
     loss = T.softmax_cross_entropy(Tensor([[0.0, 0.0]]), np.array([0]))
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
