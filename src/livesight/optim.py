@@ -70,13 +70,14 @@ class ParamStore:
             self._g = np.empty_like(self.values)
             self._g_views = list(self._views(self._g).values())
         for (name, p), view in zip(self._params.items(), self._g_views):
-            if p.grad is None:
+            grad = p.grad
+            if grad is None:
                 raise StateError(f"parameter {name!r} has no gradient")
-            if p.grad.shape != view.shape:
+            if grad.shape != view.shape:
                 raise StateError(
-                    f"parameter {name!r} gradient shape {p.grad.shape} != {view.shape}"
+                    f"parameter {name!r} gradient shape {grad.shape} != {view.shape}"
                 )
-            view[...] = p.grad
+            view[...] = grad
         return self._g
 
     def __getitem__(self, name):

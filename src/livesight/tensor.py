@@ -1,14 +1,18 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
 Small, deterministic op set: exactly what the forecasting and ranking
-models need, nothing more. Every op stores a closure that routes the
-output gradient back to its parents; `Tensor.backward()` runs them in
-reverse topological order.
+models need, nothing more. A `Tensor` holds a value and a graph `Node`; the
+graph links nodes only. Every op stores on its output's node a closure that
+routes the output gradient to its parents' nodes, saving the arrays that
+backward reads and never a `Tensor`, so a forward value lives only as long
+as the forward code or such a closure holds it. `Tensor.backward()` runs
+the closures in reverse topological order.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 
@@ -66,34 +70,22 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-class Tensor:
-    """A float64 array plus the bookkeeping needed for backprop."""
+class Node:
+    """A vertex of the autodiff graph: the gradient that reached a value, the
+    nodes of the op's live parents, and the closure that routes the gradient
+    to them. A node holds no forward value; its closure saves the arrays its
+    backward reads."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self):
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def __repr__(self):
-        if self.data is None:
-            return f"Tensor(spent, requires_grad={self.requires_grad})"
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     def _accumulate(self, g):
         # Backward closures hand over arrays they never write to again, so a
-        # float64 array is kept as it is. Several tensors may then hold the
+        # float64 array is kept as it is. Several nodes may then hold the
         # same array (`add` gives one `g` to both parents), which is why a
         # second gradient rebinds `grad` instead of adding in place.
         if self.grad is None:
@@ -104,29 +96,83 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
+
+def _spent(node):
+    """True once backward() has run the node's closure."""
+    return node._backward is None and bool(node._parents)
+
+
+class Tensor:
+    """A float64 array and the graph node that its gradient reaches.
+
+    `grad`, `_parents` and `_backward` read and write the node's; a Tensor
+    set as a parent is stored as its node.
+    """
+
+    __slots__ = ("data", "requires_grad", "node")
+
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.requires_grad = requires_grad
+        self.node = Node()
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def ndim(self):
+        return self.data.ndim
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.node.grad = value
+
+    @property
+    def _backward(self):
+        return self.node._backward
+
+    @_backward.setter
+    def _backward(self, closure):
+        self.node._backward = closure
+
+    @property
+    def _parents(self):
+        return self.node._parents
+
+    @_parents.setter
+    def _parents(self, parents):
+        self.node._parents = tuple(p.node if isinstance(p, Tensor) else p for p in parents)
+
+    def _accumulate(self, g):
+        self.node._accumulate(g)
+
+    def __repr__(self):
+        if _spent(self.node):
+            return f"Tensor(spent, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
     def zero_grad(self):
-        self.grad = None
+        self.node.grad = None
 
     def backward(self):
         """Backpropagate from this scalar through the recorded graph.
 
-        Each inner node drops its closure and its forward value (`data`) as
-        soon as its closure has run: in reverse topological order every
-        consumer of the node has run by then, and a closure reads only its
-        saved arrays and its parents' `data`, never its own output's. So the
-        pass frees the graph's activations and temporaries while it runs. A
-        spent node keeps `_parents` and `grad`; the root keeps its `data` (the
-        loss value), and leaves never run a closure. A graph backpropagates
-        once: a second call through any of its nodes, or an op on a spent
-        node, raises `StateError`.
+        The pass walks nodes in reverse topological order and drops each
+        closure as soon as it has run, which frees the arrays the closure
+        saved. No node holds a forward value, so a Tensor the caller still
+        holds keeps its `data`, and a spent node keeps `_parents` and `grad`.
+        A graph backpropagates once: a second call through any of its nodes,
+        or an op on a Tensor whose node is spent, raises `StateError`.
         """
-        if self.data is None:
-            raise StateError("backward() already ran through this graph")
-        if self.data.size != 1:
-            raise DimensionError("backward() requires a scalar output")
+        root = self.node
         topo = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if id(node) in seen:
@@ -134,20 +180,20 @@ class Tensor:
             if expanded:
                 seen.add(id(node))
                 topo.append(node)
-            elif node._parents and node._backward is None:
+            elif _spent(node):
                 raise StateError("backward() already ran through this graph")
             else:
                 stack.append((node, True))
                 for p in node._parents:
                     if id(p) not in seen:
                         stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        if self.data.size != 1:
+            raise DimensionError("backward() requires a scalar output")
+        root._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node._backward = None
-                if node is not self:
-                    node.data = None
 
     # -- operator sugar -------------------------------------------------
 
@@ -182,17 +228,23 @@ class Tensor:
 def as_tensor(x):
     if not isinstance(x, Tensor):
         return Tensor(x)
-    if x.data is None:
+    if _spent(x.node):
         raise StateError("backward() already ran through this graph")
     return x
 
 
+def _grad_node(t):
+    """`t`'s node if a gradient must reach it, else None."""
+    node = t.node
+    return node if t.requires_grad or node._parents else None
+
+
 def _node(data, parents, backward):
     out = Tensor(_check(data))
-    live = tuple(p for p in parents if p.requires_grad or p._parents)
+    live = tuple(n for n in map(_grad_node, parents) if n is not None)
     if live:
-        out._parents = live
-        out._backward = backward
+        out.node._parents = live
+        out.node._backward = backward
         out.requires_grad = True
     return out
 
@@ -203,12 +255,14 @@ def _node(data, parents, backward):
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
+    na, nb = _grad_node(a), _grad_node(b)
+    shape_a, shape_b = a.data.shape, b.data.shape
 
     def backward(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g, shape_a))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g, shape_b))
 
     return _node(data, (a, b), backward)
 
@@ -216,12 +270,17 @@ def add(a, b):
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
+    na, nb = _grad_node(a), _grad_node(b)
+    shape_a, shape_b = a.data.shape, b.data.shape
+    # each gradient reads the other operand
+    b_data = b.data if na is not None else None
+    a_data = a.data if nb is not None else None
 
     def backward(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g * b_data, shape_a))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g * a_data, shape_b))
 
     return _node(data, (a, b), backward)
 
@@ -238,14 +297,18 @@ def matmul(a, b):
             f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}"
         )
     data = a.data @ b.data
+    na, nb = _grad_node(a), _grad_node(b)
+    shape_a, shape_b = a.data.shape, b.data.shape
+    b_data = b.data if na is not None else None
+    a_data = a.data if nb is not None else None
 
     def backward(g):
-        if a.requires_grad or a._parents:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad or b._parents:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+        if na is not None:
+            ga = g @ np.swapaxes(b_data, -1, -2)
+            na._accumulate(_unbroadcast(ga, shape_a))
+        if nb is not None:
+            gb = np.swapaxes(a_data, -1, -2) @ g
+            nb._accumulate(_unbroadcast(gb, shape_b))
 
     return _node(data, (a, b), backward)
 
@@ -266,15 +329,17 @@ def dense(x, w, b):
     x2 = x.data.reshape(-1, w.data.shape[0])
     out = x2 @ w.data
     out += b.data
+    nx, nw, nb = map(_grad_node, (x, w, b))
+    w_data, shape_x = w.data, x.data.shape
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad or x._parents:
-            x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
-        if w.requires_grad or w._parents:
-            w._accumulate(x2.T @ g2)
-        if b.requires_grad or b._parents:
-            b._accumulate(g2.sum(axis=0))
+        if nx is not None:
+            nx._accumulate((g2 @ w_data.T).reshape(shape_x))
+        if nw is not None:
+            nw._accumulate(x2.T @ g2)
+        if nb is not None:
+            nb._accumulate(g2.sum(axis=0))
 
     return _node(out.reshape(x.data.shape[:-1] + out.shape[-1:]), (x, w, b), backward)
 
@@ -294,23 +359,25 @@ def feed_forward(h, x, w1, b1, w2, b2):
     out += b2.data
     out = out.reshape(h.data.shape)
     out += h.data
+    nh, nx, nw1, nb1, nw2, nb2 = map(_grad_node, (h, x, w1, b1, w2, b2))
+    w1_data, w2_data, shape_x = w1.data, w2.data, x.data.shape
 
     def backward(g):
-        if h.requires_grad or h._parents:
-            h._accumulate(g)
+        if nh is not None:
+            nh._accumulate(g)
         g2 = g.reshape(-1, g.shape[-1])
-        if w2.requires_grad or w2._parents:
-            w2._accumulate(r.T @ g2)
-        if b2.requires_grad or b2._parents:
-            b2._accumulate(g2.sum(axis=0))
-        gr = g2 @ w2.data.T
+        if nw2 is not None:
+            nw2._accumulate(r.T @ g2)
+        if nb2 is not None:
+            nb2._accumulate(g2.sum(axis=0))
+        gr = g2 @ w2_data.T
         gr *= r > 0.0
-        if w1.requires_grad or w1._parents:
-            w1._accumulate(x2.T @ gr)
-        if b1.requires_grad or b1._parents:
-            b1._accumulate(gr.sum(axis=0))
-        if x.requires_grad or x._parents:
-            x._accumulate((gr @ w1.data.T).reshape(x.data.shape))
+        if nw1 is not None:
+            nw1._accumulate(x2.T @ gr)
+        if nb1 is not None:
+            nb1._accumulate(gr.sum(axis=0))
+        if nx is not None:
+            nx._accumulate((gr @ w1_data.T).reshape(shape_x))
 
     return _node(out, (h, x, w1, b1, w2, b2), backward)
 
@@ -345,34 +412,38 @@ def trunk(parts, w1, b1, w2, b2, heads):
     z = _check(np.concatenate(logits, axis=1))
     data = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
                     np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    part_nodes = [_grad_node(t) for t in parts]
+    head_arrays = [(w.data, _grad_node(w), _grad_node(b)) for w, b in heads]
+    nw1, nb1, nw2, nb2 = map(_grad_node, (w1, b1, w2, b2))
+    w1_data, w2_data = w1.data, w2.data
 
     def backward(g):
         gz = g * data * (1.0 - data)
-        for j, (w, b) in enumerate(heads):
+        for j, (w_data, nw, nb) in enumerate(head_arrays):
             gj = gz[:, j : j + 1]
-            if w.requires_grad or w._parents:
-                w._accumulate(a2.T @ gj)
-            if b.requires_grad or b._parents:
-                b._accumulate(gj.sum(axis=0))
-            gh = gj @ w.data.T
+            if nw is not None:
+                nw._accumulate(a2.T @ gj)
+            if nb is not None:
+                nb._accumulate(gj.sum(axis=0))
+            gh = gj @ w_data.T
             if j:
                 ga2 += gh
             else:
                 ga2 = gh
         ga2 *= a2 > 0.0
-        if w2.requires_grad or w2._parents:
-            w2._accumulate(a1.T @ ga2)
-        if b2.requires_grad or b2._parents:
-            b2._accumulate(ga2.sum(axis=0))
-        ga1 = ga2 @ w2.data.T
+        if nw2 is not None:
+            nw2._accumulate(a1.T @ ga2)
+        if nb2 is not None:
+            nb2._accumulate(ga2.sum(axis=0))
+        ga1 = ga2 @ w2_data.T
         ga1 *= a1 > 0.0
-        if w1.requires_grad or w1._parents:
-            w1._accumulate(x.T @ ga1)
-        if b1.requires_grad or b1._parents:
-            b1._accumulate(ga1.sum(axis=0))
-        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._parents:
-                t._accumulate(ga1 @ w1.data[lo:hi].T)
+        if nw1 is not None:
+            nw1._accumulate(x.T @ ga1)
+        if nb1 is not None:
+            nb1._accumulate(ga1.sum(axis=0))
+        for node, lo, hi in zip(part_nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
+                node._accumulate(ga1 @ w1_data[lo:hi].T)
 
     params = (w1, b1, w2, b2, *(p for head in heads for p in head))
     return _node(data, (*parts, *params), backward)
@@ -384,9 +455,10 @@ def trunk(parts, w1, b1, w2, b2, heads):
 def reshape(a, shape):
     a = as_tensor(a)
     data = a.data.reshape(shape)
+    node, shape_a = a.node, a.data.shape
 
     def backward(g):
-        a._accumulate(g.reshape(a.data.shape))
+        node._accumulate(g.reshape(shape_a))
 
     return _node(data, (a,), backward)
 
@@ -394,9 +466,10 @@ def reshape(a, shape):
 def swapaxes(a, ax1, ax2):
     a = as_tensor(a)
     data = np.swapaxes(a.data, ax1, ax2)
+    node = a.node
 
     def backward(g):
-        a._accumulate(np.swapaxes(g, ax1, ax2))
+        node._accumulate(np.swapaxes(g, ax1, ax2))
 
     return _node(data, (a,), backward)
 
@@ -405,11 +478,12 @@ def take(a, key):
     """Basic (slice/int) indexing; gradient scatters back into place."""
     a = as_tensor(a)
     data = a.data[key]
+    node, shape_a = a.node, a.data.shape
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape_a)
         full[key] = g
-        a._accumulate(full)
+        node._accumulate(full)
 
     return _node(data, (a,), backward)
 
@@ -417,11 +491,12 @@ def take(a, key):
 def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    node, shape_a = a.node, a.data.shape
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        node._accumulate(np.broadcast_to(g, shape_a).copy())
 
     return _node(data, (a,), backward)
 
@@ -502,13 +577,14 @@ def softmax(a, axis=-1):
     data = a.data - row_max(a.data)
     np.exp(data, out=data)
     data /= row_sum(data)
+    node = a.node
 
     def backward(g):
         ga = g * data
         dot = row_sum(ga)
         np.subtract(g, dot, out=ga)
         ga *= data
-        a._accumulate(ga)
+        node._accumulate(ga)
 
     return _node(data, (a,), backward)
 
@@ -539,21 +615,23 @@ def layer_norm(a, gain, bias, eps=1e-5):
     xhat *= inv
     np.multiply(xhat, gain.data, out=data)
     data += bias.data
+    na, ngain, nbias = _grad_node(a), _grad_node(gain), _grad_node(bias)
+    gain_data = gain.data
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        if gain.requires_grad or gain._parents:
-            gain._accumulate((g * xhat).sum(axis=lead))
-        if bias.requires_grad or bias._parents:
-            bias._accumulate(g.sum(axis=lead))
-        if a.requires_grad or a._parents:
-            gx = g * gain.data
+        if ngain is not None:
+            ngain._accumulate((g * xhat).sum(axis=lead))
+        if nbias is not None:
+            nbias._accumulate(g.sum(axis=lead))
+        if na is not None:
+            gx = g * gain_data
             term1 = gx.mean(axis=-1, keepdims=True)
             term2 = (gx * xhat).mean(axis=-1, keepdims=True)
             gx -= term1
             gx -= xhat * term2
             gx *= inv
-            a._accumulate(gx)
+            na._accumulate(gx)
 
     return _node(data, (a, gain, bias), backward)
 
@@ -576,6 +654,8 @@ def attention_scores(x, heads, mask, wq, bq, wk, bk):
     scores = (q @ np.swapaxes(k, -1, -2)) * scale
     if mask is not None:
         scores += mask
+    nx, shape_x = _grad_node(x), x.data.shape
+    param_nodes = ((_grad_node(wq), _grad_node(bq)), (_grad_node(wk), _grad_node(bk)))
 
     def backward(g):
         g = g * scale
@@ -588,13 +668,13 @@ def attention_scores(x, heads, mask, wq, bq, wk, bk):
         np.matmul(np.swapaxes(g, -1, -2), q, out=g_k)
         g_qk = g_qk.reshape(b * length, 2 * d)
         g_w, g_b = x2.T @ g_qk, g_qk.sum(axis=0)
-        for j, (w, bias) in enumerate(((wq, bq), (wk, bk))):
-            if w.requires_grad or w._parents:
-                w._accumulate(g_w[:, j * d : (j + 1) * d])
-            if bias.requires_grad or bias._parents:
-                bias._accumulate(g_b[j * d : (j + 1) * d])
-        if x.requires_grad or x._parents:
-            x._accumulate((g_qk @ w_qk.T).reshape(x.data.shape))
+        for j, (nw, nb) in enumerate(param_nodes):
+            if nw is not None:
+                nw._accumulate(g_w[:, j * d : (j + 1) * d])
+            if nb is not None:
+                nb._accumulate(g_b[j * d : (j + 1) * d])
+        if nx is not None:
+            nx._accumulate((g_qk @ w_qk.T).reshape(shape_x))
 
     return _node(scores, (x, wq, bq, wk, bk), backward)
 
@@ -613,24 +693,26 @@ def attention_mix(weights, x, wv, bv, wo, bo):
     mixed = (weights.data @ v).transpose(0, 2, 1, 3).reshape(b * length, d)
     out = mixed @ wo.data
     out += bo.data
+    n_weights, nx, nwv, nbv, nwo, nbo = map(_grad_node, (weights, x, wv, bv, wo, bo))
+    weights_data, wv_data, wo_data, shape_x = weights.data, wv.data, wo.data, x.data.shape
 
     def backward(g):
         g2 = g.reshape(b * length, d)
-        if wo.requires_grad or wo._parents:
-            wo._accumulate(mixed.T @ g2)
-        if bo.requires_grad or bo._parents:
-            bo._accumulate(g2.sum(axis=0))
-        g_mixed = (g2 @ wo.data.T).reshape(b, length, heads, dh).transpose(0, 2, 1, 3)
-        if weights.requires_grad or weights._parents:
-            weights._accumulate(g_mixed @ np.swapaxes(v, -1, -2))
-        g_v = (np.swapaxes(weights.data, -1, -2) @ g_mixed).transpose(0, 2, 1, 3)
+        if nwo is not None:
+            nwo._accumulate(mixed.T @ g2)
+        if nbo is not None:
+            nbo._accumulate(g2.sum(axis=0))
+        g_mixed = (g2 @ wo_data.T).reshape(b, length, heads, dh).transpose(0, 2, 1, 3)
+        if n_weights is not None:
+            n_weights._accumulate(g_mixed @ np.swapaxes(v, -1, -2))
+        g_v = (np.swapaxes(weights_data, -1, -2) @ g_mixed).transpose(0, 2, 1, 3)
         g_v = g_v.reshape(b * length, d)
-        if wv.requires_grad or wv._parents:
-            wv._accumulate(x2.T @ g_v)
-        if bv.requires_grad or bv._parents:
-            bv._accumulate(g_v.sum(axis=0))
-        if x.requires_grad or x._parents:
-            x._accumulate((g_v @ wv.data.T).reshape(x.data.shape))
+        if nwv is not None:
+            nwv._accumulate(x2.T @ g_v)
+        if nbv is not None:
+            nbv._accumulate(g_v.sum(axis=0))
+        if nx is not None:
+            nx._accumulate((g_v @ wv_data.T).reshape(shape_x))
 
     return _node(out.reshape(b, length, d), (weights, x, wv, bv, wo, bo), backward)
 
@@ -645,15 +727,16 @@ def embedding(table, indices):
     if not np.issubdtype(idx.dtype, np.integer):
         raise DimensionError("embedding indices must be integers")
     data = table.data[idx]
+    node, shape = table.node, table.data.shape
 
     def backward(g):
         # one bincount over flat (row, column) bins adds the rows of g in
         # index order, as np.add.at would; `% rows` wraps negative indices
         # the way the gather above does
-        rows, width = table.data.shape[0], table.data[0].size
+        rows, width = shape[0], math.prod(shape[1:])
         bins = (idx.reshape(-1, 1) % rows) * width + np.arange(width)
-        gt = np.bincount(bins.ravel(), weights=g.reshape(-1), minlength=table.data.size)
-        table._accumulate(gt.reshape(table.data.shape))
+        gt = np.bincount(bins.ravel(), weights=g.reshape(-1), minlength=rows * width)
+        node._accumulate(gt.reshape(shape))
 
     return _node(data, (table,), backward)
 
@@ -688,6 +771,7 @@ def softmax_cross_entropy(logits, labels, mask=None):
         if denom <= 0:
             raise DimensionError("softmax_cross_entropy mask selects no positions")
         loss = -(picked * mask).sum() / denom
+    node = logits.node
 
     def backward(g):
         grad = np.exp(logp, order="C")  # C order: `rows` below must be a view
@@ -697,7 +781,7 @@ def softmax_cross_entropy(logits, labels, mask=None):
         if mask is not None:
             grad *= mask[..., None]
         grad *= g
-        logits._accumulate(grad)
+        node._accumulate(grad)
 
     return _node(np.float64(loss), (logits,), backward)
 
@@ -718,10 +802,11 @@ def binary_cross_entropy(probs, labels, clamp=1e-7):
     p = np.clip(probs.data, clamp, 1.0 - clamp)
     n_rows = int(np.prod(probs.data.shape[:-1])) if probs.data.ndim > 1 else 1
     loss = -(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / n_rows
+    node, q = probs.node, probs.data
 
     def backward(g):
-        inside = (probs.data > clamp) & (probs.data < 1.0 - clamp)
+        inside = (q > clamp) & (q < 1.0 - clamp)
         grad = np.where(inside, (p - y) / (p * (1.0 - p)), 0.0) / n_rows
-        probs._accumulate(g * grad)
+        node._accumulate(g * grad)
 
     return _node(np.float64(loss), (probs,), backward)

@@ -144,8 +144,11 @@ def test_attention_is_three_graph_nodes():
     out = multi_head_attention(x, heads=2, causal=True, params=params)
     weights = out._parents[0]
     (scores,) = weights._parents
-    assert out._parents[1:] == (x, params["wv"], params["bv"], params["wo"], params["bo"])
-    assert scores._parents == (x, params["wq"], params["bq"], params["wk"], params["bk"])
+    # the graph links the parents' nodes
+    mix_inputs = (x, params["wv"], params["bv"], params["wo"], params["bo"])
+    score_inputs = (x, params["wq"], params["bq"], params["wk"], params["bk"])
+    assert out._parents[1:] == tuple(t.node for t in mix_inputs)
+    assert scores._parents == tuple(t.node for t in score_inputs)
 
 
 def test_layer_norm_gradient_oracle():

@@ -318,16 +318,16 @@ def backward_keeping_closures(root):
                 visit(p)
             topo.append(node)
 
-    visit(root)
-    root._accumulate(np.ones_like(root.data))
+    visit(root.node)
+    root.node._accumulate(np.ones_like(root.data))
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 
 
 def graph_nodes(root):
-    """Every node reachable from `root`, in a fixed order."""
-    order, seen, stack = [], {id(root)}, [root]
+    """Every node reachable from the Tensor `root`, in a fixed order."""
+    order, seen, stack = [], {id(root.node)}, [root.node]
     while stack:
         node = stack.pop()
         order.append(node)
@@ -344,18 +344,36 @@ def prod_loss(model, events):
                                    events[1:, 3])
 
 
+def small_prod(world):
+    return prodfore.ProductModel(ProdConfig(d_model=8, heads=2, d_ff=16, max_context=8),
+                                 world.hierarchy)
+
+
+def spy_outputs(monkeypatch, module, name):
+    """Weak references to the forward value of every `module.<name>` output."""
+    refs, op = [], getattr(module, name)
+
+    def spied(*args, **kwargs):
+        out = op(*args, **kwargs)
+        refs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(module, name, spied)
+    return refs
+
+
 def test_backward_drops_each_closure_and_forward_value_and_keeps_every_gradient(world):
-    model = prodfore.ProductModel(ProdConfig(d_model=8, heads=2, d_ff=16, max_context=8),
-                                  world.hierarchy)
+    model = small_prod(world)
     events = world.events[0][:8]
     loss = prod_loss(model, events)
     loss.backward()
     nodes = graph_nodes(loss)
-    inner = [n for n in nodes[1:] if n._parents]
-    assert len(inner) > 20 and all(n._backward is None and n.data is None for n in inner)
-    # the root keeps the loss value and every leaf its array
+    inner = [n for n in nodes if n._parents]
+    # a node holds no forward value, and each closure (with the arrays it
+    # saved) is gone
+    assert len(inner) > 20 and all(n._backward is None for n in inner)
+    assert not any(hasattr(n, "data") for n in nodes)
     assert loss.data is not None and loss.data.shape == ()
-    assert all(n.data is not None for n in nodes if not n._parents)
 
     model.store.zero_grad()
     ref = prod_loss(model, events)
@@ -363,25 +381,42 @@ def test_backward_drops_each_closure_and_forward_value_and_keeps_every_gradient(
     ref_nodes = graph_nodes(ref)
     assert len(ref_nodes) == len(nodes)
     for a, b in zip(nodes, ref_nodes):
-        # a spent node's gradient has the shape of the value it dropped
-        assert (a.grad if a.data is None else a.data).shape == b.data.shape
         assert (a.grad is None) == (b.grad is None)
         if a.grad is not None:
             assert np.array_equal(a.grad, b.grad)
+    assert sum(n.grad is not None for n in nodes) > len(inner)
 
 
-def test_backward_frees_every_inner_forward_value(world):
-    # the loss still holds the whole graph through `_parents`, yet no inner
-    # node's forward array outlives the pass
-    model = prodfore.ProductModel(ProdConfig(d_model=8, heads=2, d_ff=16, max_context=8),
-                                  world.hierarchy)
-    loss = prod_loss(model, world.events[0][:8])
-    inner = [n for n in graph_nodes(loss)[1:] if n._parents]
-    values = [weakref.ref(n.data) for n in inner]
-    assert len(values) > 20 and all(ref() is not None for ref in values)
+def test_backward_frees_every_inner_forward_value(monkeypatch, world):
+    # the loss still holds the whole graph through `_parents`, yet no op
+    # output's array but the loss's own outlives the pass
+    values = spy_outputs(monkeypatch, T, "_node")
+    loss = prod_loss(small_prod(world), world.events[0][:8])
+    inner = values[:-1]
+    assert len(inner) > 20 and values[-1]() is loss.data
     loss.backward()
-    assert [ref for ref in values if ref() is not None] == []
+    assert [ref for ref in inner if ref() is not None] == []
     assert len(graph_nodes(loss)) > len(inner) and loss.data is not None
+
+
+def test_forward_values_no_closure_reads_die_before_backward(monkeypatch, world):
+    # the graph links nodes, so an op output lives only while the forward
+    # code or a closure that reads it holds it: the raw attention scores and
+    # the dense outputs (input projection, head logits) are gone once the
+    # loss is built, and the softmax weights, which two closures read, live
+    # until backward has run those closures
+    scores = spy_outputs(monkeypatch, T, "attention_scores")
+    dense = spy_outputs(monkeypatch, T, "dense")
+    weights = spy_outputs(monkeypatch, T, "softmax")
+    loss = prod_loss(small_prod(world), world.events[0][:8])
+    assert len(scores) == len(dense) == len(weights) == 2
+
+    def alive(refs):
+        return sum(ref() is not None for ref in refs)
+
+    assert (alive(scores), alive(dense), alive(weights)) == (0, 0, 2)
+    loss.backward()
+    assert (alive(scores), alive(dense), alive(weights)) == (0, 0, 0)
 
 
 def reference_step(kept):

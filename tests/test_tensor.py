@@ -1,6 +1,7 @@
 """Autodiff core: forward values and analytic-vs-numeric gradients."""
 
 import ctypes
+import inspect
 import platform
 
 import numpy as np
@@ -222,12 +223,93 @@ def test_a_spent_node_says_so():
     assert repr(hidden) == "Tensor(shape=(2, 3), requires_grad=True)"
     loss.backward()
     assert repr(hidden) == "Tensor(spent, requires_grad=True)"
-    assert hidden.data is None and np.array_equal(hidden.grad, np.ones((2, 3)))
+    # the held Tensor keeps its value; its node keeps the gradient
+    assert np.array_equal(hidden.data, np.full((2, 3), 3.0))
+    assert np.array_equal(hidden.grad, np.ones((2, 3)))
     assert float(loss.data) == 18.0 and np.array_equal(x.data, np.ones((2, 3)))
     for use in (lambda: hidden.backward(), lambda: T.reshape(hidden, (6,)),
                 lambda: 1.0 + hidden, lambda: T.softmax(hidden)):
         with pytest.raises(StateError, match="already ran"):
             use()
+
+
+def test_a_spent_tensor_keeps_its_value_shape_and_ndim():
+    # these once read a dropped value and raised a bare AttributeError
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    hidden = x * 2.0
+    T.tsum(hidden).backward()
+    assert hidden.shape == (2, 3) and hidden.ndim == 2
+    assert np.array_equal(hidden.data, 2.0 * np.arange(6.0).reshape(2, 3))
+    with pytest.raises(StateError, match="already ran"):
+        T.tsum(hidden * 2.0)
+
+
+def _ops(rng):
+    """op name -> a builder of its output from fresh live leaves."""
+
+    def leaf(*shape, low=-1.0):
+        return Tensor(rng.uniform(low, 1.0, size=shape), requires_grad=True)
+
+    return {
+        "add": lambda: T.add(leaf(2, 3), leaf(3)),
+        "mul": lambda: T.mul(leaf(2, 3), leaf(3)),
+        "matmul": lambda: T.matmul(leaf(2, 3), leaf(3, 4)),
+        "dense": lambda: T.dense(leaf(2, 3), leaf(3, 4), leaf(4)),
+        "feed_forward": lambda: T.feed_forward(leaf(2, 3), leaf(2, 3), leaf(3, 5), leaf(5),
+                                               leaf(5, 3), leaf(3)),
+        "trunk": lambda: T.trunk([leaf(2, 3), leaf(2, 2)], leaf(5, 4), leaf(4), leaf(4, 3),
+                                 leaf(3), [(leaf(3, 1), leaf(1)), (leaf(3, 1), leaf(1))]),
+        "reshape": lambda: T.reshape(leaf(2, 3), (6,)),
+        "swapaxes": lambda: T.swapaxes(leaf(2, 3), 0, 1),
+        "take": lambda: T.take(leaf(2, 3), (slice(0, 1),)),
+        "tsum": lambda: T.tsum(leaf(2, 3), axis=0),
+        "tmean": lambda: T.tmean(leaf(2, 3)),
+        "softmax": lambda: T.softmax(leaf(2, 3)),
+        "layer_norm": lambda: T.layer_norm(leaf(2, 3), leaf(3), leaf(3)),
+        "attention_scores": lambda: T.attention_scores(leaf(1, 3, 4), 2, None, leaf(4, 4),
+                                                       leaf(4), leaf(4, 4), leaf(4)),
+        "attention_mix": lambda: T.attention_mix(leaf(1, 2, 3, 3), leaf(1, 3, 4), leaf(4, 4),
+                                                 leaf(4), leaf(4, 4), leaf(4)),
+        "embedding": lambda: T.embedding(leaf(5, 3), np.array([0, 2, 2])),
+        "softmax_cross_entropy": lambda: T.softmax_cross_entropy(leaf(2, 3), np.array([0, 2])),
+        "binary_cross_entropy": lambda: T.binary_cross_entropy(
+            leaf(2, 2, low=0.1), np.array([[0.0, 1.0], [1.0, 1.0]])),
+    }
+
+
+def test_the_closure_check_covers_every_op():
+    public = {name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__
+              and not name.startswith("_")}
+    assert public - {"as_tensor"} == set(_ops(np.random.default_rng(0)))
+
+
+def _captured(fn):
+    """Every object that `fn`'s closure cells hold, through tuples, lists and
+    the closures of captured functions."""
+    found, seen = [], set()
+    stack = [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif inspect.isfunction(obj):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+    return found
+
+
+@pytest.mark.parametrize("op", sorted(_ops(np.random.default_rng(0))))
+def test_no_backward_closure_holds_a_tensor(op):
+    # a closure that captured a Tensor would keep its forward value alive
+    # for as long as the graph lives
+    out = _ops(np.random.default_rng(1))[op]()
+    assert out._backward is not None
+    held = _captured(out._backward)
+    assert held and not [obj for obj in held if isinstance(obj, Tensor)]
 
 
 def test_softmax_cross_entropy_examples():
