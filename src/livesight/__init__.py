@@ -4,4 +4,14 @@ Two forecasters look ahead from the current time bucket — one predicts the
 next few values of the room's statistic panel, the other the next product
 category — and their outputs (plus internal encodings) are frozen and fed
 as extra features into a multi-task CTR/CVR ranker.
+
+Importing the package pins BLAS to one thread, so that a run uses one CPU
+and trains the same forecaster floats on any core count. A value already in
+the environment wins. The pin acts only if numpy is not loaded yet: a caller
+that imports numpy before livesight keeps numpy's own thread count.
 """
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")

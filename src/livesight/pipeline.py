@@ -3,8 +3,8 @@
 Stages: generate world -> train statistic forecaster -> train product
 forecaster -> precompute the foresight bank -> train ranker variants ->
 write CSV reports. Foresight models are cached as checkpoints keyed by
-config and training-data hash, on every path that trains or loads them, so
-ablations don't retrain them.
+config, training-data hash and trainer source hash, on every path that trains
+or loads them, so ablations don't retrain them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checkpoint, statfore, prodfore, ranker, simgen
+from . import checkpoint, layers, optim, prodfore, ranker, simgen, statfore, tensor
 from .config import (
     VARIANTS,
     ExperimentConfig,
@@ -156,10 +156,20 @@ def train_forecaster(model_cfg, world, train_rooms):
     return model, prodfore.train_product(model, [world.events[i] for i in train_rooms])
 
 
+# The source of the modules on the forecasters' training path (no source file
+# holds a NUL byte): a checkpoint that other code trained has another key, so
+# it is retrained rather than silently reused.
+TRAINER_SHA256 = hashlib.sha256(b"\0".join(
+    Path(m.__file__).read_bytes() for m in (tensor, layers, optim, statfore, prodfore)
+)).hexdigest()
+
+
 def forecaster_key(model_cfg, data):
-    """A forecaster checkpoint's key: its model config and the
-    `training_digest` of the data it trains on."""
-    return config_hash({"config": to_dict(model_cfg), "data_sha256": data})
+    """A forecaster checkpoint's key: its model config, the `training_digest`
+    of the data it trains on, and `TRAINER_SHA256`, the code that trains it."""
+    return config_hash(
+        {"config": to_dict(model_cfg), "data_sha256": data, "code_sha256": TRAINER_SHA256}
+    )
 
 
 def checkpoint_name(kind, key):
@@ -202,8 +212,8 @@ def prepare(cfg, out_dir=None, reuse=True):
     With `reuse`, each forecaster whose checkpoint in `out_dir` has the
     matching key is loaded instead of retrained. A checkpoint's key (its file
     name and manifest `config_hash`, see `forecaster_key`) hashes the model
-    config and `training_digest`, so another world in the same directory
-    trains its own forecasters.
+    config, `training_digest` and the trainer's source, so another world in
+    the same directory, or changed training code, trains its own forecasters.
     """
     timings = {}
     t0 = time.monotonic()

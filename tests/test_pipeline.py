@@ -298,6 +298,35 @@ def test_only_a_missing_checkpoint_is_retrained(tmp_path):
     assert prod_ckpt.read_bytes() == blob
 
 
+def test_a_checkpoint_trained_by_other_code_is_retrained(tmp_path, monkeypatch):
+    def run(name):
+        out = tmp_path / name
+        pipeline.run_pipeline(dataclasses.replace(TINY, out_dir=str(out)))
+        return out
+
+    def prod_head(out):
+        return {p.name: checkpoint.read_checkpoint(p)[0]["head.w"].tobytes()
+                for p in out.glob("prodfore-*.ckpt")}
+
+    old = prod_head(run("r1"))
+
+    class Changed(prodfore.ProductModel):  # stands in for an edit to prodfore.py's init
+        def __init__(self, config, hierarchy):
+            super().__init__(config, hierarchy)
+            self.store["head.w"].data[...] *= -1
+
+    monkeypatch.setattr(pipeline, "ProductModel", Changed)
+    monkeypatch.setattr(pipeline, "TRAINER_SHA256", "0" * 64)
+    warm, cold = run("r1"), run("r2")
+    for report in ("rank_report.csv", "forecast_report.csv"):
+        assert (warm / report).read_bytes() == (cold / report).read_bytes()
+    # the old checkpoints stay; the changed code trained and saved its own
+    new = prod_head(cold)
+    assert prod_head(warm) == {**old, **new} and len(old) == len(new) == 1
+    assert len(list(warm.glob("statfore-*.ckpt"))) == 2
+    assert set(new.values()).isdisjoint(old.values())
+
+
 def test_a_wrongly_typed_checkpoint_config_is_named(art, tmp_path):
     # it used to reach StatConfig's checks as a bare TypeError
     path = tmp_path / "stat.ckpt"
