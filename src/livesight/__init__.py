@@ -13,5 +13,6 @@ that imports numpy before livesight keeps numpy's own thread count.
 
 import os
 
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in BLAS_THREAD_VARS:
     os.environ.setdefault(_name, "1")

@@ -118,8 +118,9 @@ def load_checkpoint(path, store, config_hash=None):
     arrays, m, v, manifest = read_checkpoint(path)
     if config_hash is not None and manifest["config_hash"] != config_hash:
         raise StateError(
-            f"{path} was trained on another config or dataset, or by other code: its "
-            f"config hash {manifest['config_hash']!r} does not match expected {config_hash!r}"
+            f"{path} was trained on another config or dataset, or by other code or "
+            f"numerics: its config hash {manifest['config_hash']!r} does not match "
+            f"expected {config_hash!r}"
         )
     try:
         store.load_arrays(arrays)

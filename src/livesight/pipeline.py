@@ -3,20 +3,22 @@
 Stages: generate world -> train statistic forecaster -> train product
 forecaster -> precompute the foresight bank -> train ranker variants ->
 write CSV reports. Foresight models are cached as checkpoints keyed by
-config, training-data hash and trainer source hash, on every path that trains
-or loads them, so ablations don't retrain them.
+config, training-data hash, trainer source hash and numerics, on every path
+that trains or loads them, so ablations don't retrain them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from . import checkpoint, layers, optim, prodfore, ranker, simgen, statfore, tensor
 from .config import (
     VARIANTS,
@@ -163,13 +165,17 @@ TRAINER_SHA256 = hashlib.sha256(b"\0".join(
     Path(m.__file__).read_bytes() for m in (tensor, layers, optim, statfore, prodfore)
 )).hexdigest()
 
+# What else sets the trained floats: the numpy build and the BLAS thread
+# setting numpy loaded with (two threads sum a GEMM in another order).
+NUMERICS = {"numpy": np.__version__, **{name: os.environ.get(name) for name in BLAS_THREAD_VARS}}
+
 
 def forecaster_key(model_cfg, data):
     """A forecaster checkpoint's key: its model config, the `training_digest`
-    of the data it trains on, and `TRAINER_SHA256`, the code that trains it."""
-    return config_hash(
-        {"config": to_dict(model_cfg), "data_sha256": data, "code_sha256": TRAINER_SHA256}
-    )
+    of the data it trains on, `TRAINER_SHA256`, the code that trains it, and
+    `NUMERICS`, the numpy build and BLAS threads it runs on."""
+    return config_hash({"config": to_dict(model_cfg), "data_sha256": data,
+                        "code_sha256": TRAINER_SHA256, "numerics": NUMERICS})
 
 
 def checkpoint_name(kind, key):
@@ -212,8 +218,9 @@ def prepare(cfg, out_dir=None, reuse=True):
     With `reuse`, each forecaster whose checkpoint in `out_dir` has the
     matching key is loaded instead of retrained. A checkpoint's key (its file
     name and manifest `config_hash`, see `forecaster_key`) hashes the model
-    config, `training_digest` and the trainer's source, so another world in
-    the same directory, or changed training code, trains its own forecasters.
+    config, `training_digest`, the trainer's source and `NUMERICS`, so another
+    world in the same directory, changed training code, another numpy or
+    another BLAS thread setting trains its own forecasters.
     """
     timings = {}
     t0 = time.monotonic()

@@ -2,10 +2,16 @@
 reuse, CSV formatting, and the ablations' column selections."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import livesight
 from livesight import checkpoint, metrics, pipeline, prodfore, statfore
 from livesight.config import (
     ExperimentConfig,
@@ -325,6 +331,30 @@ def test_a_checkpoint_trained_by_other_code_is_retrained(tmp_path, monkeypatch):
     assert prod_head(warm) == {**old, **new} and len(old) == len(new) == 1
     assert len(list(warm.glob("statfore-*.ckpt"))) == 2
     assert set(new.values()).isdisjoint(old.values())
+
+
+def test_a_checkpoint_trained_with_other_blas_threads_is_retrained(tmp_path):
+    # numpy is already loaded here, so each run is a fresh interpreter that
+    # imports livesight first, as the CLI does
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({k: to_dict(TINY)[k] for k in ("sim", "stat", "prod", "rank")}))
+    out = tmp_path / "out"
+    env = {k: v for k, v in os.environ.items() if k not in livesight.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(livesight.__file__).resolve().parents[1])
+
+    def run(**threads):
+        subprocess.run([sys.executable, "-m", "livesight.cli", "run", "--config", str(config),
+                        "--seed", str(TINY.seed), "--out", str(out)],
+                       env={**env, **threads}, capture_output=True, check=True)
+        return {p.name: p.read_bytes() for p in out.glob("*.ckpt")}
+
+    first = run()
+    second = run(OPENBLAS_NUM_THREADS="2")
+    # two threads may sum a GEMM in another order: both forecasters are
+    # retrained under new names, and the one-thread checkpoints stay as they were
+    assert len(first) == 2 and len(second) == 4
+    assert {name: second[name] for name in first} == first
+    assert len(list(out.glob("prodfore-*.ckpt"))) == 2
 
 
 def test_a_wrongly_typed_checkpoint_config_is_named(art, tmp_path):

@@ -1,12 +1,14 @@
 """Product-event model: hierarchy, causal forecasting, baselines, prefix forecasts."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from livesight import optim, prodfore
 from livesight import tensor as T
-from livesight.config import ProdConfig
+from livesight.config import ProdConfig, SimConfig
 from livesight.errors import SequenceError
 from livesight.gradcheck import grad_check
 from livesight.metrics import hit_rate
@@ -22,6 +24,7 @@ from livesight.prodfore import (
     train_product,
     truncate_context,
 )
+from livesight.simgen import gen_world
 
 TINY = ProdConfig(d_model=8, n_blocks=1, heads=2, d_ff=16, max_context=16,
                   epochs=100, batch=8, lr=6e-3, seed=0)
@@ -225,3 +228,29 @@ def test_training_is_deterministic():
         train_product(model, seqs)
         outs.append(np.concatenate([p.data.ravel() for _, p in sorted(model.store.items())]))
     assert outs[0].tobytes() == outs[1].tobytes()
+
+
+def test_epochs_form_a_prefix(monkeypatch):
+    # each epoch draws its batch order from one generator, so a k-epoch run is
+    # exactly the first k epochs of a longer one: stopping at the knee trains
+    # the model that a longer run holds at epoch k
+    world = gen_world(SimConfig(streams=10, users=50, n_samples=300), 5)
+    seqs = [world.events[i] for i in range(10) if i % 5 != 4]
+    k = 2
+
+    def run(epochs):  # batch 16: an epoch takes several batches in a shuffled order
+        model = ProductModel(ProdConfig(epochs=epochs, batch=16), world.hierarchy)
+        return model, train_product(model, seqs)
+
+    short, short_losses = run(k)
+    _, long_losses = run(k + 2)
+    assert long_losses[:k] == short_losses and len(long_losses) == k + 2
+
+    def stop_after_k(*args):
+        yield from itertools.islice(optim.train_epochs(*args), k)
+
+    monkeypatch.setattr(prodfore, "train_epochs", stop_after_k)
+    stopped, stopped_losses = run(k + 2)
+    assert stopped_losses == short_losses
+    assert np.array_equal(stopped.store.values, short.store.values)
+    assert stopped.store.step == short.store.step
