@@ -19,7 +19,7 @@ class ParamStore:
     into two more (`moments_m`, `moments_v`: name -> array, empty until the
     first step), so `adam_step` updates them all with a few vector ops. A
     fourth flat buffer, reused across steps, receives a copy of every
-    parameter's gradient. Code
+    parameter's gradient; `drop_optimizer_state` frees all three. Code
     that restores state writes into the views (`load_arrays`, `load_moments`,
     `values[:] = ...`): rebinding a `p.data` would leave it out of the update.
     """
@@ -124,12 +124,22 @@ class ParamStore:
     def load_arrays(self, arrays):
         _write(self._views(self.values), arrays, "parameter")
 
+    def drop_optimizer_state(self):
+        """Keep the parameters only: free the Adam moments, the gradient
+        buffer and every parameter's gradient, and reset `step` to 0. The
+        store is then exactly an optimizer that never stepped, so a later save
+        claims no step whose moments it no longer holds. A forecaster at rest
+        (frozen, read by the ranker) holds nothing else."""
+        self.zero_grad()
+        self._m = self._v = self._g = self._g_views = None
+        self.moments_m, self.moments_v = {}, {}
+        self.step = 0
+
     def load_moments(self, moments_m, moments_v):
         """Write saved Adam moments into the moment buffers. None saved means
-        the optimizer never stepped: the moments are empty again."""
+        the optimizer never stepped: the store drops its optimizer state."""
         if not moments_m and not moments_v:
-            self._m = self._v = None
-            self.moments_m, self.moments_v = {}, {}
+            self.drop_optimizer_state()
             return
         self._moments()
         _write(self.moments_m, moments_m, "moment")

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS
+from . import BLAS_THREADS, NUMPY_FIRST
 from . import checkpoint, layers, optim, prodfore, ranker, simgen, statfore, tensor
 from .config import (
     VARIANTS,
@@ -166,8 +165,9 @@ TRAINER_SHA256 = hashlib.sha256(b"\0".join(
 )).hexdigest()
 
 # What else sets the trained floats: the numpy build and the BLAS thread
-# setting numpy loaded with (two threads sum a GEMM in another order).
-NUMERICS = {"numpy": np.__version__, **{name: os.environ.get(name) for name in BLAS_THREAD_VARS}}
+# setting numpy loaded with (two threads sum a GEMM in another order), which
+# the pin set only if numpy was not loaded before livesight.
+NUMERICS = {"numpy": np.__version__, "numpy_first": NUMPY_FIRST, **BLAS_THREADS}
 
 
 def forecaster_key(model_cfg, data):
@@ -189,7 +189,8 @@ def save_forecaster(path, model, key):
 
 
 def load_forecaster(path, kind, hierarchy, data, key=None):
-    """Rebuild a `kind` ("stat" or "prod") forecaster from its checkpoint. A
+    """Rebuild a `kind` ("stat" or "prod") forecaster from its checkpoint's
+    parameters; the optimizer state it also holds is dropped. A
     checkpoint of the other kind, or whose key is not `key` (by default its
     saved config's key on `data`, a `training_digest`), raises StateError."""
     with checkpoint.open_archive(path) as (manifest, _):
@@ -209,6 +210,7 @@ def load_forecaster(path, kind, hierarchy, data, key=None):
     checkpoint.load_checkpoint(
         path, model.store, config_hash=key or forecaster_key(model.config, data)
     )
+    model.store.drop_optimizer_state()
     return model
 
 
@@ -216,11 +218,14 @@ def prepare(cfg, out_dir=None, reuse=True):
     """Generate (or regenerate) the world and produce trained foresight models.
 
     With `reuse`, each forecaster whose checkpoint in `out_dir` has the
-    matching key is loaded instead of retrained. A checkpoint's key (its file
-    name and manifest `config_hash`, see `forecaster_key`) hashes the model
-    config, `training_digest`, the trainer's source and `NUMERICS`, so another
-    world in the same directory, changed training code, another numpy or
-    another BLAS thread setting trains its own forecasters.
+    matching key is loaded instead of retrained. Either way the forecaster
+    then holds its parameters only: the ranker reads it and nothing trains it
+    again, so its optimizer state (kept in the checkpoint) is dropped. A
+    checkpoint's key (its file name and manifest `config_hash`, see
+    `forecaster_key`) hashes the model config, `training_digest`, the
+    trainer's source and `NUMERICS`, so another world in the same directory,
+    changed training code, another numpy or another BLAS thread setting
+    trains its own forecasters.
     """
     timings = {}
     t0 = time.monotonic()
@@ -247,6 +252,8 @@ def prepare(cfg, out_dir=None, reuse=True):
         if out:
             out.mkdir(parents=True, exist_ok=True)
             save_forecaster(path, models[kind], key)
+        # at rest once saved, so its Adam state is freed before the next trains
+        models[kind].store.drop_optimizer_state()
     stat_model, prod_model = models["stat"], models["prod"]
 
     t0 = time.monotonic()

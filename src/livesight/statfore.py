@@ -72,39 +72,54 @@ class StatisticModel:
         return pred, enc
 
 
-def collect_windows(panels, context, horizon):
-    """Sliding (window, future) pairs from every (N, T) count panel of `panels`
-    (an (R, N, T) array or a sequence of (N, T) arrays), stacked for batching."""
-    xs, ys = [], []
+def _pairs(panels, context, horizon):
+    """Every (window, future) pair of the (N, T) count panels of `panels` (an
+    (R, N, T) array or a sequence of equally shaped (N, T) arrays) as one
+    (R, N, T - context - horizon + 1, context + horizon) view: the pair at
+    start s of panel r is `[r, :, s]`, its window the first `context` steps."""
     for i, panel in enumerate(panels):
         t_total = panel.shape[1]
         if t_total < context + horizon:
             raise WindowError(
                 f"panel {i} has {t_total} buckets; needs at least {context + horizon}"
             )
-        for start in range(t_total - context - horizon + 1):
-            xs.append(panel[:, start : start + context])
-            ys.append(panel[:, start + context : start + context + horizon])
-    if not xs:
+        if panel.shape != panels[0].shape:
+            raise WindowError(f"panel {i} has shape {panel.shape}; panel 0 has {panels[0].shape}")
+    if not len(panels):
         raise WindowError("no panels to cut windows from")
-    return np.stack(xs), np.stack(ys)
+    return np.lib.stride_tricks.sliding_window_view(np.asarray(panels), context + horizon, axis=-1)
+
+
+def collect_windows(panels, context, horizon):
+    """Sliding (window, future) pairs from every panel of `panels` (see
+    `_pairs`), stacked for batching: panel by panel, start by start."""
+    pairs = _pairs(panels, context, horizon)
+    n = pairs.shape[1]
+    # reshape copies the transposed views: x and y are C-ordered arrays of their own
+    x = pairs[..., :context].transpose(0, 2, 1, 3).reshape(-1, n, context)
+    y = pairs[..., context:].transpose(0, 2, 1, 3).reshape(-1, n, horizon)
+    return x, y
 
 
 def train_statistic(model, panels):
-    """Minimize original-scale MSE over sliding windows; returns per-epoch loss."""
+    """Minimize original-scale MSE over sliding windows; returns per-epoch loss.
+    Each batch gathers its own pairs from one view of the panels."""
     c = model.config
-    x, y = collect_windows(panels, c.context, c.horizon_train)
+    pairs = _pairs(panels, c.context, c.horizon_train)
+    starts = pairs.shape[2]
     rng = np.random.default_rng([c.seed, 0xDA])
 
     def batches():
-        order = rng.permutation(len(x))
+        order = rng.permutation(len(pairs) * starts)
         return [(order[lo : lo + c.batch], 1.0) for lo in range(0, len(order), c.batch)]
 
     def loss_fn(idx):
-        normed, mu, delta = revin_normalize(x[idx])
+        room, start = np.divmod(idx, starts)
+        batch = pairs[room, :, start]  # (B, N, context + horizon)
+        normed, mu, delta = revin_normalize(batch[..., : c.context])
         pred_norm, _ = model.forward(Tensor(normed))
         pred = pred_norm * Tensor(delta) + Tensor(mu)
-        diff = pred + T.mul(Tensor(y[idx]), -1.0)
+        diff = pred + T.mul(Tensor(batch[..., c.context :]), -1.0)
         return T.tmean(T.mul(diff, diff))
 
     return list(train_epochs(model.store, loss_fn, batches, c.lr, c.epochs))

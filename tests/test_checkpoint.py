@@ -184,6 +184,27 @@ def test_never_stepped_store_saves_no_moments(tmp_path):
     assert sorted(stepped.moments_m) == ["enc.b", "enc.w"]
 
 
+def test_a_store_without_optimizer_state_round_trips_as_never_stepped(tmp_path):
+    store = trained_store(8)
+    store.drop_optimizer_state()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store)
+    arrays, m, v, manifest = read_checkpoint(path)
+    assert manifest["step"] == 0 and manifest["moments"] == [] and m == {} and v == {}
+    with open_archive(path) as (_, zf):
+        assert sorted(zf.namelist()) == ["manifest.json", "param/enc.b", "param/enc.w"]
+    # the same bytes as a store of these values that never stepped
+    never = clone_shapes(store)
+    never.load_arrays({name: p.data for name, p in store.items()})
+    save_checkpoint(tmp_path / "never.ckpt", never)
+    assert path.read_bytes() == (tmp_path / "never.ckpt").read_bytes()
+    stepped = trained_store(9)
+    load_checkpoint(path, stepped)
+    assert stepped.step == 0 and stepped.moments_m == {} and stepped.moments_v == {}
+    for name, p in store.items():
+        assert stepped[name].data.tobytes() == p.data.tobytes()
+
+
 # damage: (field, bit mask). The method and flags are those of the first
 # central-directory entry, the manifest's; the offset is the end record's.
 HEADER_FLIPS = {

@@ -216,6 +216,36 @@ def test_parameters_are_views_of_one_buffer():
         store.add("c", np.zeros(1))
 
 
+def test_dropping_the_optimizer_state_leaves_a_never_stepped_store():
+    rng = np.random.default_rng(5)
+    store = ParamStore()
+    store.add("w", rng.normal(size=(3, 2)))
+    store.add("b", rng.normal(size=2))
+    for _ in range(3):
+        for _, p in store.items():
+            p.grad = rng.normal(size=p.data.shape)
+        adam_step(store, lr=1e-2)
+    values = store.values.copy()
+    store.drop_optimizer_state()
+    # the parameters only: no moments, no gradient buffer, no gradient, no step
+    assert store.moments_m == {} and store.moments_v == {} and store.step == 0
+    assert store._m is None and store._v is None and store._g is None
+    assert all(p.grad is None for _, p in store.items())
+    assert np.array_equal(store.values, values) and shares_buffer(store)
+    # its next step is the first step of a store that never stepped
+    fresh = ParamStore()
+    for name, p in store.items():
+        fresh.add(name, p.data.copy())
+    grads = {name: rng.normal(size=p.data.shape) for name, p in store.items()}
+    for s in (store, fresh):
+        for name, p in s.items():
+            p.grad = grads[name]
+        adam_step(s, lr=1e-2)
+    assert store.step == fresh.step == 1
+    assert np.array_equal(store.values, fresh.values)
+    assert np.array_equal(store._m, fresh._m) and np.array_equal(store._v, fresh._v)
+
+
 def test_load_arrays_writes_into_the_buffer():
     store = make_store(0.0)
     store.load_arrays({"w": np.array([5.0])})

@@ -277,6 +277,53 @@ def test_checkpoint_reuse_restores_same_models(art, tmp_path):
         assert p.data.tobytes() == again.prod_model.store[name].data.tobytes()
 
 
+def at_rest(store):
+    """Parameters only: no Adam moments, gradient buffer, gradient or step."""
+    return (store.moments_m == {} and store.moments_v == {} and store._m is None
+            and store._v is None and store._g is None and store.step == 0
+            and all(p.grad is None for _, p in store.items()))
+
+
+def test_prepared_and_loaded_forecasters_hold_parameters_only(tmp_path):
+    trained = pipeline.prepare(TINY, out_dir=tmp_path, reuse=True)
+    files = {p.name: p.read_bytes() for p in tmp_path.glob("*.ckpt")}
+    reused = pipeline.prepare(TINY, out_dir=tmp_path, reuse=True)
+    assert "train_prod" in trained.timings and "train_prod" not in reused.timings
+    data = pipeline.training_digest(trained.world, trained.train_rooms)
+    for kind in pipeline.FORECASTERS:
+        (path,) = tmp_path.glob(f"{kind}fore-*.ckpt")
+        loaded = pipeline.load_forecaster(path, kind, trained.world.hierarchy, data)
+        for prepared in (trained, reused):
+            assert at_rest(getattr(prepared, f"{kind}_model").store)
+        assert at_rest(loaded.store)
+        # the checkpoint keeps the full optimizer state: a moment pair per parameter
+        arrays, m, v, manifest = checkpoint.read_checkpoint(path)
+        assert manifest["step"] > 0 and sorted(m) == sorted(v) == sorted(arrays)
+        with checkpoint.open_archive(path) as (_, zf):
+            names = set(zf.namelist())
+        assert {f"{part}/{name}" for part in ("m", "v") for name in arrays} <= names
+    # and neither the reuse nor the loads rewrote a byte of it
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("*.ckpt")} == files
+
+
+def test_a_forecaster_at_rest_forecasts_the_same_floats(art):
+    world, c = art.world, art.stat_model.config
+    stat, prod = (pipeline.train_forecaster(model_cfg, world, art.train_rooms)[0]
+                  for model_cfg in pipeline.model_configs(TINY).values())
+    assert not at_rest(stat.store) and not at_rest(prod.store)
+    windows = pipeline._windows(world.panels, art.bank.room, art.bank.bucket, c.context)
+    for busy, idle in zip(statfore.forecast_batch(stat, windows, c.horizon_train),
+                          statfore.forecast_batch(art.stat_model, windows, c.horizon_train)):
+        assert np.array_equal(busy, idle)
+    for r in (0, 1):
+        ends = np.arange(len(world.events[r]))
+        for busy, idle in zip(
+            prodfore.forecast_prefixes(prod, world.events[r], ends, TINY.rank.k_enc),
+            prodfore.forecast_prefixes(art.prod_model, world.events[r], ends, TINY.rank.k_enc),
+        ):
+            assert np.array_equal(busy, idle)
+
+
 def test_checkpoint_cache_is_keyed_by_the_training_data(tmp_path):
     first = pipeline.prepare(TINY, out_dir=tmp_path, reuse=True)
     other = dataclasses.replace(TINY, sim=dataclasses.replace(TINY.sim, streams=15))
@@ -333,14 +380,21 @@ def test_a_checkpoint_trained_by_other_code_is_retrained(tmp_path, monkeypatch):
     assert set(new.values()).isdisjoint(old.values())
 
 
+def unpinned_env():
+    """This environment without the BLAS thread variables, for a fresh
+    interpreter that imports this livesight."""
+    env = {k: v for k, v in os.environ.items() if k not in livesight.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(livesight.__file__).resolve().parents[1])
+    return env
+
+
 def test_a_checkpoint_trained_with_other_blas_threads_is_retrained(tmp_path):
     # numpy is already loaded here, so each run is a fresh interpreter that
     # imports livesight first, as the CLI does
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({k: to_dict(TINY)[k] for k in ("sim", "stat", "prod", "rank")}))
     out = tmp_path / "out"
-    env = {k: v for k, v in os.environ.items() if k not in livesight.BLAS_THREAD_VARS}
-    env["PYTHONPATH"] = str(Path(livesight.__file__).resolve().parents[1])
+    env = unpinned_env()
 
     def run(**threads):
         subprocess.run([sys.executable, "-m", "livesight.cli", "run", "--config", str(config),
@@ -355,6 +409,19 @@ def test_a_checkpoint_trained_with_other_blas_threads_is_retrained(tmp_path):
     assert len(first) == 2 and len(second) == 4
     assert {name: second[name] for name in first} == first
     assert len(list(out.glob("prodfore-*.ckpt"))) == 2
+
+
+def test_numpy_imported_before_livesight_keys_its_own_checkpoints():
+    # the pin does not reach a numpy that is already loaded: with the thread
+    # variables unset, it runs numpy's own thread count, not one thread
+    code = ("import {first}; from livesight import pipeline; "
+            "print(pipeline.forecaster_key(pipeline.StatConfig(), 'data'))")
+    pinned, unpinned = (
+        subprocess.run([sys.executable, "-c", code.format(first=first)], env=unpinned_env(),
+                       capture_output=True, text=True, check=True).stdout
+        for first in ("livesight", "numpy")
+    )
+    assert pinned != unpinned
 
 
 def test_a_wrongly_typed_checkpoint_config_is_named(art, tmp_path):

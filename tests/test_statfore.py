@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from livesight import tensor as T
 from livesight.config import StatConfig
 from livesight.errors import ConfigurationError, DimensionError, WindowError
+from livesight.optim import train_epochs
 from livesight.pipeline import _stat_block
 from livesight.statfore import (
     StatisticModel,
@@ -168,6 +170,52 @@ def test_forecast_batch_memory_grows_by_its_output_only():
     assert peak(10 * cfg.batch) - peak(cfg.batch) <= 3 * extra_output
 
 
+def test_training_gathers_each_batch_instead_of_stacking_every_pair():
+    cfg = dataclasses.replace(TINY, epochs=1, batch=256)
+    panels = np.random.default_rng(3).poisson(10.0, size=(40, 4, 200)).astype(float)
+    x, y = collect_windows(panels, cfg.context, cfg.horizon_train)
+    stacked = x.nbytes + y.nbytes  # 7,520 pairs: 3.1 MB
+    del x, y
+    model = StatisticModel(cfg)
+    tracemalloc.start()
+    try:
+        train_statistic(model, panels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stacked / 2
+
+
+def stacked_training(model, panels):
+    """The trainer as it was: every (window, future) pair stacked up front."""
+    c = model.config
+    x, y = collect_windows(panels, c.context, c.horizon_train)
+    rng = np.random.default_rng([c.seed, 0xDA])
+
+    def batches():
+        order = rng.permutation(len(x))
+        return [(order[lo : lo + c.batch], 1.0) for lo in range(0, len(order), c.batch)]
+
+    def loss_fn(idx):
+        normed, mu, delta = revin_normalize(x[idx])
+        pred_norm, _ = model.forward(Tensor(normed))
+        pred = pred_norm * Tensor(delta) + Tensor(mu)
+        diff = pred + T.mul(Tensor(y[idx]), -1.0)
+        return T.tmean(T.mul(diff, diff))
+
+    return list(train_epochs(model.store, loss_fn, batches, c.lr, c.epochs))
+
+
+def test_gathered_batches_train_the_floats_of_stacked_pairs():
+    cfg = dataclasses.replace(TINY, epochs=2)
+    panels = np.stack([random_panel(seed, t=30) for seed in range(3)])
+    gathered, stacked = StatisticModel(cfg), StatisticModel(cfg)
+    assert train_statistic(gathered, panels) == stacked_training(stacked, panels)
+    assert np.array_equal(gathered.store.values, stacked.store.values)
+    assert np.array_equal(gathered.store._m, stacked.store._m)
+    assert np.array_equal(gathered.store._v, stacked.store._v)
+
+
 def test_train_horizon_must_cover_inference():
     with pytest.raises(ValueError):
         StatConfig(horizon_train=3, horizon_infer=5)
@@ -203,6 +251,11 @@ def test_collect_windows_stride_and_short_panel():
     assert np.array_equal(xs[:8], x) and np.array_equal(ys[:8], y) and len(xs) == 16
     with pytest.raises(WindowError, match="panel 1 has 10 buckets; needs at least 13"):
         collect_windows([panel, random_panel(4, n=2, t=10)], context=8, horizon=5)
+    # the pairs of all panels are one view, so the panels must share one shape
+    with pytest.raises(WindowError, match=r"panel 1 has shape \(2, 25\); panel 0 has \(2, 20\)"):
+        collect_windows([panel, random_panel(4, n=2, t=25)], context=8, horizon=5)
+    with pytest.raises(WindowError, match=r"panel 1 has shape \(3, 20\)"):
+        train_statistic(StatisticModel(TINY), [panel, random_panel(4, n=3, t=20)])
     # no panel, no window: named, not numpy's error from stacking nothing
     with pytest.raises(WindowError, match="no panels"):
         collect_windows(np.empty((0, 2, 20)), context=8, horizon=5)
