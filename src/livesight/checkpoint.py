@@ -2,9 +2,9 @@
 
 An archive is a zip file (stored, not compressed, with a fixed timestamp)
 holding a JSON manifest and one little-endian blob per array. A checkpoint
-holds a float64 blob per parameter and moment; `simgen` writes a dataset the
-same way. Writing the same state twice produces byte-identical files, so
-"did training touch this model?" reduces to comparing two files.
+holds a float64 blob per parameter; `simgen` writes a dataset the same way.
+Writing the same state twice produces byte-identical files, so "did training
+touch this model?" reduces to comparing two files.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import StateError
 
 _EPOCH = (1980, 1, 1, 0, 0, 0)
-_FORMAT = 1
+_FORMAT = 2
 
 
 def _manifest_bytes(manifest):
@@ -47,19 +47,14 @@ def _blob(array):
 
 
 def save_checkpoint(path, store, config_hash="", extra=None):
-    """Write the store's parameters, moments, and step counter to `path`."""
+    """Write the store's parameters to `path`."""
     manifest = {
         "format": _FORMAT,
         "config_hash": config_hash,
-        "step": store.step,
         "extra": extra or {},
         "params": {name: list(p.data.shape) for name, p in store.items()},
-        "moments": sorted(store.moments_m),
     }
     members = [(f"param/{name}", _blob(p.data)) for name, p in sorted(store.items())]
-    for name in sorted(store.moments_m):
-        members += [(f"m/{name}", _blob(store.moments_m[name])),
-                    (f"v/{name}", _blob(store.moments_v[name]))]
     write_archive(path, manifest, members)
 
 
@@ -99,23 +94,19 @@ def decode(blob, dtype, shape):
 
 
 def read_checkpoint(path):
-    """Return (arrays, moments_m, moments_v, manifest) from a checkpoint file."""
+    """Return (arrays, manifest) from a checkpoint file."""
     with open_archive(path) as (manifest, zf):
-        field(manifest, "format", lambda f: f == _FORMAT, "is not a supported checkpoint format")
+        field(manifest, "format", lambda f: f == _FORMAT,
+              f"is not the supported checkpoint format {_FORMAT}")
         field(manifest, "config_hash", lambda h: isinstance(h, str), "is not a string")
-        field(manifest, "step", lambda s: type(s) is int and s >= 0, "is not a step count")
         params = field(manifest, "params", lambda p: isinstance(p, dict), "is not an object")
-        moments = field(manifest, "moments", lambda ms: isinstance(ms, list) and all(
-            isinstance(n, str) and n in params for n in ms), "is not a list of parameter names")
         arrays = {n: decode(zf.read(f"param/{n}"), "<f8", s) for n, s in params.items()}
-        m = {n: decode(zf.read(f"m/{n}"), "<f8", params[n]) for n in moments}
-        v = {n: decode(zf.read(f"v/{n}"), "<f8", params[n]) for n in moments}
-    return arrays, m, v, manifest
+    return arrays, manifest
 
 
 def load_checkpoint(path, store, config_hash=None):
-    """Restore parameters, moments, and step counter into `store`."""
-    arrays, m, v, manifest = read_checkpoint(path)
+    """Restore the parameters of `store`."""
+    arrays, manifest = read_checkpoint(path)
     if config_hash is not None and manifest["config_hash"] != config_hash:
         raise StateError(
             f"{path} was trained on another config or dataset, or by other code or "
@@ -124,10 +115,8 @@ def load_checkpoint(path, store, config_hash=None):
         )
     try:
         store.load_arrays(arrays)
-        store.load_moments(m, v)
     except StateError as exc:
         raise StateError(f"{path}: {exc}") from exc
-    store.step = manifest["step"]
     return manifest
 
 

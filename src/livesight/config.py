@@ -187,6 +187,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_at_least(self, seed=0)
+        for name in ("stat", "prod"):  # `pipeline.model_configs` trains both at `seed`
+            if getattr(self, name).seed:
+                raise ConfigurationError(f"{name}.seed must be 0, got {getattr(self, name).seed}: "
+                                         "the forecasters train at `seed`, which --seed sets")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if self.sim.n_c3 < 2:

@@ -1,7 +1,8 @@
-"""Named parameter collections and the Adam update rule."""
+"""Named parameter collections, the Adam optimizer and the training loop."""
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -13,37 +14,29 @@ from .tensor import Tensor
 class ParamStore:
     """Insertion-ordered mapping of dotted names to trainable tensors.
 
-    Also owns the Adam moment buffers and step counter so a model's full
-    optimizer state travels with its parameters. Every parameter's data is a
-    view into one flat float64 buffer, `values`, and the moments are views
-    into two more (`moments_m`, `moments_v`: name -> array, empty until the
-    first step), so `adam_step` updates them all with a few vector ops. A
-    fourth flat buffer, reused across steps, receives a copy of every
-    parameter's gradient; `drop_optimizer_state` frees all three. Code
-    that restores state writes into the views (`load_arrays`, `load_moments`,
-    `values[:] = ...`): rebinding a `p.data` would leave it out of the update.
+    Every parameter's data is a view into one flat float64 buffer, `values`,
+    so `adam_step` updates them all with a few vector ops. The store holds
+    the parameters only: Adam's state belongs to an `Adam`, made for one
+    training run. Code that restores state writes into the views
+    (`load_arrays`, `values[:] = ...`): rebinding a `p.data` would leave it
+    out of the update.
     """
 
     def __init__(self):
         self._params = {}
         self.values = np.empty(0)
-        self._m = self._v = None
-        self._g = self._g_views = None
-        self.moments_m = {}
-        self.moments_v = {}
-        self.step = 0
+        self._optimizer = None  # a weak reference to the Adam made for this store
 
     def add(self, name, data):
         if name in self._params:
             raise StateError(f"duplicate parameter name {name!r}")
-        if self._m is not None:
-            raise StateError(f"cannot add parameter {name!r} after the first optimizer step")
+        if self._optimizer is not None and self._optimizer() is not None:
+            raise StateError(f"cannot add parameter {name!r} while an optimizer steps the store")
         arr = np.asarray(data, dtype=np.float64)
         t = Tensor(arr, requires_grad=True)
         self._params[name] = t
         # one copy of the buffer per parameter: stores hold a few dozen
         self.values = np.concatenate([self.values, arr.ravel()])
-        self._g = None
         for p, view in zip(self._params.values(), self._views(self.values).values()):
             p.data = view
         return t
@@ -55,30 +48,6 @@ class ParamStore:
             views[name] = flat[lo : lo + p.data.size].reshape(p.data.shape)
             lo += p.data.size
         return views
-
-    def _moments(self):
-        """The flat (m, v) buffers, zero-filled on first use."""
-        if self._m is None:
-            self._m, self._v = np.zeros_like(self.values), np.zeros_like(self.values)
-            self.moments_m, self.moments_v = self._views(self._m), self._views(self._v)
-        return self._m, self._v
-
-    def _gradients(self):
-        """Copy every parameter's `grad` into the flat gradient buffer, in
-        `values` order, and return the buffer."""
-        if self._g is None:
-            self._g = np.empty_like(self.values)
-            self._g_views = list(self._views(self._g).values())
-        for (name, p), view in zip(self._params.items(), self._g_views):
-            grad = p.grad
-            if grad is None:
-                raise StateError(f"parameter {name!r} has no gradient")
-            if grad.shape != view.shape:
-                raise StateError(
-                    f"parameter {name!r} gradient shape {grad.shape} != {view.shape}"
-                )
-            view[...] = grad
-        return self._g
 
     def __getitem__(self, name):
         try:
@@ -122,46 +91,52 @@ class ParamStore:
                 p.requires_grad = flag
 
     def load_arrays(self, arrays):
-        _write(self._views(self.values), arrays, "parameter")
+        """Copy arrays[name] into each parameter, checking names and shapes."""
+        views = self._views(self.values)
+        for name, view in views.items():
+            if name not in arrays:
+                raise StateError(f"checkpoint missing parameter {name!r}")
+            arr = np.asarray(arrays[name], dtype=np.float64)
+            if arr.shape != view.shape:
+                raise StateError(f"parameter {name!r} shape {arr.shape} != expected {view.shape}")
+            view[...] = arr
+        extra = set(arrays) - set(views)
+        if extra:
+            raise StateError(f"checkpoint has unknown parameters {sorted(extra)!r}")
 
-    def drop_optimizer_state(self):
-        """Keep the parameters only: free the Adam moments, the gradient
-        buffer and every parameter's gradient, and reset `step` to 0. The
-        store is then exactly an optimizer that never stepped, so a later save
-        claims no step whose moments it no longer holds. A forecaster at rest
-        (frozen, read by the ranker) holds nothing else."""
-        self.zero_grad()
-        self._m = self._v = self._g = self._g_views = None
-        self.moments_m, self.moments_v = {}, {}
+
+class Adam:
+    """Adam's state for one training run of `store`: the flat moments `m` and
+    `v`, a flat buffer `_g` reused for every step's gradients, and the step
+    count. `train_epochs` makes one per run, so the state dies with the loop.
+    While it lives, the store takes no new parameter.
+    """
+
+    def __init__(self, store):
+        self.store = store
         self.step = 0
+        self.m, self.v = np.zeros_like(store.values), np.zeros_like(store.values)
+        self._g = np.empty_like(store.values)
+        self._g_views = list(store._views(self._g).values())
+        store._optimizer = weakref.ref(self)
 
-    def load_moments(self, moments_m, moments_v):
-        """Write saved Adam moments into the moment buffers. None saved means
-        the optimizer never stepped: the store drops its optimizer state."""
-        if not moments_m and not moments_v:
-            self.drop_optimizer_state()
-            return
-        self._moments()
-        _write(self.moments_m, moments_m, "moment")
-        _write(self.moments_v, moments_v, "moment")
-
-
-def _write(views, arrays, kind):
-    """Copy arrays[name] into each view, checking names and shapes."""
-    for name, view in views.items():
-        if name not in arrays:
-            raise StateError(f"checkpoint missing {kind} {name!r}")
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != view.shape:
-            raise StateError(f"{kind} {name!r} shape {arr.shape} != expected {view.shape}")
-        view[...] = arr
-    extra = set(arrays) - set(views)
-    if extra:
-        raise StateError(f"checkpoint has unknown {kind}s {sorted(extra)!r}")
+    def gradients(self):
+        """Copy every parameter's `grad` into the flat gradient buffer, in
+        `values` order, and return the buffer."""
+        for (name, p), view in zip(self.store.items(), self._g_views):
+            grad = p.grad
+            if grad is None:
+                raise StateError(f"parameter {name!r} has no gradient")
+            if grad.shape != view.shape:
+                raise StateError(
+                    f"parameter {name!r} gradient shape {grad.shape} != {view.shape}"
+                )
+            view[...] = grad
+        return self._g
 
 
-def adam_step(store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update over every parameter in the store.
+def adam_step(adam, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update over every parameter of `adam`'s store.
 
     Requires every parameter to have a populated gradient; a missing gradient
     means the graph was wired wrong, and silently skipping it would mask that.
@@ -169,12 +144,12 @@ def adam_step(store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     arithmetic as a per-parameter loop. The gradient buffer is overwritten on
     the way, and one array the size of `values` is allocated per step.
     """
-    g = store._gradients()
-    store.step += 1
-    t = store.step
+    g = adam.gradients()
+    adam.step += 1
+    t = adam.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    m, v = store._moments()
+    m, v = adam.m, adam.v
     tmp = g * (1.0 - beta1)
     m *= beta1
     m += tmp
@@ -188,20 +163,22 @@ def adam_step(store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     np.sqrt(denom, out=denom)
     denom += eps
     update /= denom
-    store.values -= update
+    adam.store.values -= update
 
 
-def train_step(store, loss_fn, lr):
+def train_step(adam, loss_fn, lr):
     """One training step: build the loss with `loss_fn()`, backpropagate it
-    into freshly zeroed gradients, take an Adam step; returns the loss value.
+    into freshly zeroed gradients, take an Adam step and clear the gradients
+    it copied; returns the loss value.
 
     The step's graph lives only in this frame, so it is freed before the
     caller builds the next one.
     """
     loss = loss_fn()
-    store.zero_grad()
+    adam.store.zero_grad()
     loss.backward()
-    adam_step(store, lr=lr)
+    adam_step(adam, lr=lr)
+    adam.store.zero_grad()
     return float(loss.data)
 
 
@@ -209,8 +186,10 @@ def train_epochs(store, loss_fn, batches, lr, epochs):
     """The epoch loop of every trainer: each epoch takes one `train_step` on
     `loss_fn(batch)` per `(batch, weight)` pair of a fresh `batches()` list,
     then yields the weighted mean of the step losses. A caller that stops
-    iterating stops training."""
+    iterating stops training. The loop's `Adam` lives in its frame, so the
+    optimizer state is freed once the loop is exhausted or dropped."""
+    adam = Adam(store)
     for _ in range(epochs):
         pairs = batches()
-        losses = [train_step(store, lambda: loss_fn(batch), lr) for batch, _ in pairs]
+        losses = [train_step(adam, lambda: loss_fn(batch), lr) for batch, _ in pairs]
         yield float(np.average(losses, weights=[weight for _, weight in pairs]))

@@ -190,9 +190,9 @@ def save_forecaster(path, model, key):
 
 def load_forecaster(path, kind, hierarchy, data, key=None):
     """Rebuild a `kind` ("stat" or "prod") forecaster from its checkpoint's
-    parameters; the optimizer state it also holds is dropped. A
-    checkpoint of the other kind, or whose key is not `key` (by default its
-    saved config's key on `data`, a `training_digest`), raises StateError."""
+    parameters. A checkpoint of the other kind, or whose key is not `key` (by
+    default its saved config's key on `data`, a `training_digest`), raises
+    StateError."""
     with checkpoint.open_archive(path) as (manifest, _):
         extra = manifest.get("extra")
     config = extra.get("config", {}) if isinstance(extra, dict) else None
@@ -210,7 +210,6 @@ def load_forecaster(path, kind, hierarchy, data, key=None):
     checkpoint.load_checkpoint(
         path, model.store, config_hash=key or forecaster_key(model.config, data)
     )
-    model.store.drop_optimizer_state()
     return model
 
 
@@ -219,10 +218,9 @@ def prepare(cfg, out_dir=None, reuse=True):
 
     With `reuse`, each forecaster whose checkpoint in `out_dir` has the
     matching key is loaded instead of retrained. Either way the forecaster
-    then holds its parameters only: the ranker reads it and nothing trains it
-    again, so its optimizer state (kept in the checkpoint) is dropped. A
-    checkpoint's key (its file name and manifest `config_hash`, see
-    `forecaster_key`) hashes the model config, `training_digest`, the
+    holds its parameters only: its optimizer state lived only while it
+    trained. A checkpoint's key (its file name and manifest `config_hash`,
+    see `forecaster_key`) hashes the model config, `training_digest`, the
     trainer's source and `NUMERICS`, so another world in the same directory,
     changed training code, another numpy or another BLAS thread setting
     trains its own forecasters.
@@ -252,8 +250,6 @@ def prepare(cfg, out_dir=None, reuse=True):
         if out:
             out.mkdir(parents=True, exist_ok=True)
             save_forecaster(path, models[kind], key)
-        # at rest once saved, so its Adam state is freed before the next trains
-        models[kind].store.drop_optimizer_state()
     stat_model, prod_model = models["stat"], models["prod"]
 
     t0 = time.monotonic()

@@ -21,7 +21,7 @@ from livesight.checkpoint import (
 )
 from livesight.config import SimConfig, StatConfig
 from livesight.errors import LivesightError, StateError
-from livesight.optim import ParamStore, adam_step
+from livesight.optim import Adam, ParamStore, adam_step
 
 
 def read_manifest(path):
@@ -30,17 +30,23 @@ def read_manifest(path):
 
 
 def trained_store(seed=0):
-    """A store that has actually taken optimizer steps, so moments are live."""
+    """A store that has actually taken optimizer steps."""
     rng = np.random.default_rng(seed)
     store = ParamStore()
     store.add("enc.w", rng.normal(size=(4, 3)))
     store.add("enc.b", rng.normal(size=3))
+    adam = Adam(store)
     for _ in range(3):
-        loss = T.tsum(store["enc.w"] @ T.reshape(store["enc.b"], (3, 1)))
-        store.zero_grad()
-        loss.backward()
-        adam_step(store, lr=1e-2)
+        step_once(adam)
     return store
+
+
+def step_once(adam, lr=1e-2):
+    store = adam.store
+    loss = T.tsum(store["enc.w"] @ T.reshape(store["enc.b"], (3, 1)))
+    store.zero_grad()
+    loss.backward()
+    adam_step(adam, lr=lr)
 
 
 def clone_shapes(store):
@@ -57,11 +63,17 @@ def test_round_trip_bit_exact(tmp_path):
     fresh = clone_shapes(store)
     manifest = load_checkpoint(path, fresh, config_hash="abc123")
     assert manifest["config_hash"] == "abc123"
-    assert fresh.step == store.step
     for name, p in store.items():
         assert fresh[name].data.tobytes() == p.data.tobytes()
-        assert fresh.moments_m[name].tobytes() == store.moments_m[name].tobytes()
-        assert fresh.moments_v[name].tobytes() == store.moments_v[name].tobytes()
+
+
+def test_a_checkpoint_holds_its_manifest_and_parameters_only(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, trained_store(7), config_hash="h")
+    with open_archive(path) as (manifest, zf):
+        assert zf.namelist() == ["manifest.json", "param/enc.b", "param/enc.w"]
+    assert sorted(manifest) == ["config_hash", "extra", "format", "params"]
+    assert manifest["format"] == 2
 
 
 def test_saving_twice_is_byte_identical(tmp_path):
@@ -77,10 +89,7 @@ def test_training_changes_the_file(tmp_path):
     store = trained_store(2)
     a = tmp_path / "a.ckpt"
     save_checkpoint(a, store, config_hash="h")
-    loss = T.tsum(store["enc.w"] @ T.reshape(store["enc.b"], (3, 1)))
-    store.zero_grad()
-    loss.backward()
-    adam_step(store)
+    step_once(Adam(store), lr=1e-3)
     b = tmp_path / "b.ckpt"
     save_checkpoint(b, store, config_hash="h")
     assert file_digest(a) != file_digest(b)
@@ -111,24 +120,24 @@ def test_parameter_set_must_match(tmp_path):
         load_checkpoint(path, wrong_shape)
 
 
-def test_a_moment_mismatch_names_the_file(tmp_path):
-    # a manifest that lists one moment fewer than the store holds
+def test_a_parameter_missing_from_the_manifest_names_the_file(tmp_path):
+    # a manifest that lists one parameter fewer than the store holds
     store = trained_store(6)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, config_hash="h")
     with open_archive(path) as (manifest, zf):
         members = [(name, zf.read(name)) for name in zf.namelist()[1:]]
-    write_archive(path, {**manifest, "moments": ["enc.w"]}, members)
+    write_archive(path, {**manifest, "params": {"enc.w": [4, 3]}}, members)
     with pytest.raises(StateError) as info:
         load_checkpoint(path, clone_shapes(store))
-    assert str(info.value) == f"{path}: checkpoint missing moment 'enc.b'"
+    assert str(info.value) == f"{path}: checkpoint missing parameter 'enc.b'"
 
 
 def test_extra_metadata_survives(tmp_path):
     store = trained_store(5)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, config_hash="h", extra={"widths": {"stat": 280}})
-    _, _, _, manifest = read_checkpoint(path)
+    _, manifest = read_checkpoint(path)
     assert manifest["extra"] == {"widths": {"stat": 280}}
     assert manifest["params"]["enc.w"] == [4, 3]
 
@@ -141,68 +150,35 @@ def test_unsupported_format_rejected(tmp_path):
         read_checkpoint(path)
 
 
+def as_format_1(path):
+    """Rewrite the checkpoint `path` in format 1, which also held the Adam
+    step and a moment pair (`m/`, `v/`) per parameter."""
+    with open_archive(path) as (manifest, zf):
+        members = [(name, zf.read(name)) for name in zf.namelist()[1:]]
+    names = sorted(manifest["params"])
+    moments = [(f"{part}/{name}", bytes(len(dict(members)[f"param/{name}"])))
+               for name in names for part in ("m", "v")]
+    write_archive(path, {**manifest, "format": 1, "step": 3, "moments": names},
+                  members + moments)
+
+
+def test_a_format_1_checkpoint_is_refused_by_name(tmp_path):
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, trained_store(7), config_hash="h")
+    as_format_1(path)
+    message = re.escape(f"{path} is not a readable checkpoint: format 1 ")
+    with pytest.raises(StateError, match=message):
+        read_checkpoint(path)
+    with pytest.raises(StateError, match=message):
+        load_checkpoint(path, clone_shapes(trained_store(7)))
+
+
 def test_a_manifest_that_is_not_an_object_is_named(tmp_path):
     path = tmp_path / "list.ckpt"
     write_archive(path, [1], [])
     for read in (read_manifest, read_checkpoint):
         with pytest.raises(StateError, match=re.escape(f"{path} has no checkpoint manifest")):
             read(path)
-
-
-def step_once(store):
-    loss = T.tsum(store["enc.w"] @ T.reshape(store["enc.b"], (3, 1)))
-    store.zero_grad()
-    loss.backward()
-    adam_step(store, lr=1e-2)
-
-
-def test_loaded_state_lives_in_the_flat_buffers(tmp_path):
-    store = trained_store(6)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store, config_hash="h")
-    fresh = clone_shapes(store)
-    load_checkpoint(path, fresh)
-    assert all(np.shares_memory(p.data, fresh.values) for _, p in fresh.items())
-    # the next step reads the loaded moments and moves what the model reads
-    step_once(store)
-    step_once(fresh)
-    for name, p in store.items():
-        assert fresh[name].data.tobytes() == p.data.tobytes()
-        assert fresh.moments_v[name].tobytes() == store.moments_v[name].tobytes()
-
-
-def test_never_stepped_store_saves_no_moments(tmp_path):
-    store = clone_shapes(trained_store(7))
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store)
-    _, m, v, manifest = read_checkpoint(path)
-    assert manifest["moments"] == [] and m == {} and v == {}
-    stepped = trained_store(7)
-    load_checkpoint(path, stepped)
-    assert stepped.moments_m == {} and stepped.moments_v == {}
-    step_once(stepped)
-    assert sorted(stepped.moments_m) == ["enc.b", "enc.w"]
-
-
-def test_a_store_without_optimizer_state_round_trips_as_never_stepped(tmp_path):
-    store = trained_store(8)
-    store.drop_optimizer_state()
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store)
-    arrays, m, v, manifest = read_checkpoint(path)
-    assert manifest["step"] == 0 and manifest["moments"] == [] and m == {} and v == {}
-    with open_archive(path) as (_, zf):
-        assert sorted(zf.namelist()) == ["manifest.json", "param/enc.b", "param/enc.w"]
-    # the same bytes as a store of these values that never stepped
-    never = clone_shapes(store)
-    never.load_arrays({name: p.data for name, p in store.items()})
-    save_checkpoint(tmp_path / "never.ckpt", never)
-    assert path.read_bytes() == (tmp_path / "never.ckpt").read_bytes()
-    stepped = trained_store(9)
-    load_checkpoint(path, stepped)
-    assert stepped.step == 0 and stepped.moments_m == {} and stepped.moments_v == {}
-    for name, p in store.items():
-        assert stepped[name].data.tobytes() == p.data.tobytes()
 
 
 # damage: (field, bit mask). The method and flags are those of the first
@@ -238,8 +214,7 @@ def damaged_checkpoint(tmp_path, damage):
         at += {"method": 10, "flags": 8, "directory offset": 17}[field]
         path.write_bytes(data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :])
         return path, False
-    manifest = {"format": 1, "config_hash": "h", "step": 0, "extra": {},
-                "params": {"enc.w": [4, 3]}, "moments": []}
+    manifest = {"format": 2, "config_hash": "h", "extra": {}, "params": {"enc.w": [4, 3]}}
     with zipfile.ZipFile(path, "w") as zf:
         if damage == "wrong shape":
             manifest["params"]["enc.w"] = [5, 3]
@@ -375,3 +350,18 @@ def test_a_forecaster_config_that_disagrees_with_its_parameters_is_named(tiny_wo
     with pytest.raises(StateError) as info:
         pipeline.load_forecaster(path, "stat", world.hierarchy, data, key=key)
     assert str(info.value) == f"{path}: parameter 'proj.w' shape (32, 32) != expected (32, 16)"
+
+
+def test_a_format_1_forecaster_checkpoint_is_refused_by_name(tiny_world, tmp_path):
+    world = tiny_world
+    train_rooms, _ = pipeline.split_rooms(len(world.panels))
+    data = pipeline.training_digest(world, train_rooms)
+    cfg = StatConfig(epochs=1)
+    model, _ = pipeline.train_forecaster(cfg, world, train_rooms)
+    path = tmp_path / "stat.ckpt"
+    pipeline.save_forecaster(path, model, pipeline.forecaster_key(cfg, data))
+    as_format_1(path)
+    with pytest.raises(StateError) as info:
+        pipeline.load_forecaster(path, "stat", world.hierarchy, data)
+    assert str(info.value) == (f"{path} is not a readable checkpoint: format 1 is not "
+                               "the supported checkpoint format 2")

@@ -15,7 +15,7 @@ from livesight import tensor as T
 from livesight.config import ProdConfig, RankConfig, StatConfig
 from livesight.gradcheck import grad_check
 from livesight.layers import MASK_VALUE
-from livesight.optim import ParamStore, adam_step
+from livesight.optim import Adam, ParamStore, adam_step
 from livesight.prodfore import CategoryHierarchy, ProductModel
 from livesight.ranker import RankingModel, predict, rank_loss
 from livesight.statfore import StatisticModel
@@ -86,13 +86,14 @@ def ref_cross_entropy_grad(logits, labels, mask, g):
     return g * grad
 
 
-def ref_adam(store, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def ref_adam(adam, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """The flat update as it was: one concatenation of the gradients per step."""
-    store.step += 1
-    t = store.step
+    store = adam.store
+    adam.step += 1
+    t = adam.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    m, v = store._moments()
+    m, v = adam.m, adam.v
     g = np.concatenate([grads[name].ravel() for name in store.names()])
     m *= beta1
     m += (1.0 - beta1) * g
@@ -383,6 +384,7 @@ def test_adam_equals_the_concatenating_update():
         init = rng.normal(size=shape)
         store.add(name, init)
         ref.add(name, init)
+    adam, ref_state = Adam(store), Adam(ref)
     for step in range(6):
         if step in (2, 4):  # zero gradients, so only the moments move the values
             grads = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -392,11 +394,11 @@ def test_adam_equals_the_concatenating_update():
         for name, grad in grads.items():
             # a non-contiguous gradient is copied like a contiguous one
             store[name].grad = np.asfortranarray(grad) if grad.ndim == 2 else grad.copy()
-        adam_step(store, lr=1e-2)
-        ref_adam(ref, grads, lr=1e-2)
+        adam_step(adam, lr=1e-2)
+        ref_adam(ref_state, grads, lr=1e-2)
         assert_equal(store.values, ref.values)
-        assert_equal(store._m, ref._m)
-        assert_equal(store._v, ref._v)
+        assert_equal(adam.m, ref_state.m)
+        assert_equal(adam.v, ref_state.v)
         for name, grad in grads.items():  # the step reads the gradients, never writes them
             assert_equal(store[name].grad, grad)
 

@@ -1,4 +1,4 @@
-"""ParamStore bookkeeping, the Adam update rule and the training step."""
+"""ParamStore bookkeeping, the Adam optimizer and the training step."""
 
 import weakref
 
@@ -9,7 +9,7 @@ from livesight import optim, prodfore, ranker, statfore
 from livesight import tensor as T
 from livesight.config import ProdConfig, RankConfig, SimConfig, StatConfig
 from livesight.errors import StateError
-from livesight.optim import ParamStore, adam_step
+from livesight.optim import Adam, ParamStore, adam_step
 from livesight.simgen import gen_world
 
 
@@ -32,36 +32,38 @@ def test_store_rejects_duplicates_and_unknowns():
 
 def test_zero_gradient_leaves_parameters_unchanged():
     store = make_store(3.0)
+    adam = Adam(store)
     store["w"].grad = np.zeros(1)
-    adam_step(store)
+    adam_step(adam)
     assert np.array_equal(store["w"].data, [3.0])
-    assert np.array_equal(store.moments_m["w"], [0.0])
-    assert store.step == 1
+    assert np.array_equal(adam.m, [0.0])
+    assert adam.step == 1
 
 
 def test_first_step_magnitude_is_lr():
     # bias correction makes m_hat = v_hat = 1 on the first unit-gradient step
     store = make_store(0.0)
     store["w"].grad = np.ones(1)
-    adam_step(store, lr=1e-3)
+    adam_step(Adam(store), lr=1e-3)
     assert abs(store["w"].data[0] + 1e-3) < 1e-9
 
 
 def test_successive_identical_calls_accumulate_state():
     store = make_store(0.0)
+    adam = Adam(store)
     store["w"].grad = np.ones(1)
-    adam_step(store, lr=1e-3)
+    adam_step(adam, lr=1e-3)
     after_one = store["w"].data.copy()
-    m_one = store.moments_m["w"].copy()
+    m_one = adam.m.copy()
     store["w"].grad = np.ones(1)
-    adam_step(store, lr=1e-3)
+    adam_step(adam, lr=1e-3)
     assert not np.array_equal(store["w"].data, after_one)
-    assert not np.array_equal(store.moments_m["w"], m_one)
-    assert store.step == 2
+    assert not np.array_equal(adam.m, m_one)
+    assert adam.step == 2
     # momentum keeps moving the parameter even after the gradient vanishes
     store["w"].grad = np.zeros(1)
     before = store["w"].data.copy()
-    adam_step(store, lr=1e-3)
+    adam_step(adam, lr=1e-3)
     assert not np.array_equal(store["w"].data, before)
 
 
@@ -69,29 +71,33 @@ def test_missing_gradient_is_an_error():
     store = ParamStore()
     store.add("a", np.zeros(2))
     store.add("b", np.zeros(2))
+    adam = Adam(store)
     store["a"].grad = np.ones(2)
     with pytest.raises(StateError, match="'b'"):
-        adam_step(store)
+        adam_step(adam)
+    assert adam.step == 0 and np.array_equal(store.values, np.zeros(4))
 
 
 def test_gradient_of_another_shape_is_an_error():
     # a (3,) gradient would broadcast into the (2, 3) slot of the flat buffer
     store = ParamStore()
     store.add("w", np.zeros((2, 3)))
+    adam = Adam(store)
     store["w"].grad = np.ones(3)
     with pytest.raises(StateError, match="'w' gradient shape"):
-        adam_step(store)
-    assert store.step == 0
+        adam_step(adam)
+    assert adam.step == 0 and not adam.m.any() and not adam.v.any()
+    assert np.array_equal(store.values, np.zeros(6))
 
 
 def test_gradients_are_copied_into_one_reused_buffer():
     store = make_store(0.0)
-    store["w"].grad = np.ones(1)
-    adam_step(store)
-    buffer = store._g
-    store["w"].grad = np.ones(1)
-    adam_step(store)
-    assert store._g is buffer and buffer.size == store.values.size
+    adam = Adam(store)
+    buffer = adam._g
+    for _ in range(2):
+        store["w"].grad = np.ones(1)
+        adam_step(adam)
+        assert adam._g is buffer and buffer.size == store.values.size
 
 
 def test_adam_matches_reference_implementation():
@@ -100,6 +106,7 @@ def test_adam_matches_reference_implementation():
     x = rng.normal(size=2)
     store = ParamStore()
     store.add("x", x.copy())
+    adam = Adam(store)
 
     ref = x.copy()
     m = np.zeros(2)
@@ -108,7 +115,7 @@ def test_adam_matches_reference_implementation():
     for t in range(1, 4):
         g = 2.0 * ref  # d/dx of sum(x^2), evaluated where the reference sits
         store["x"].grad = 2.0 * store["x"].data
-        adam_step(store, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        adam_step(adam, lr=lr, beta1=b1, beta2=b2, eps=eps)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
@@ -122,12 +129,25 @@ def square_loss(store, scale):
     return T.tsum(T.mul(T.mul(store["w"], store["w"]), scale))
 
 
-def test_train_epochs_yields_the_weighted_mean_of_its_step_losses():
+def count_steps(monkeypatch):
+    """A list that `optim.adam_step` appends its Adam to at each call."""
+    stepped, step = [], optim.adam_step
+
+    def counted(adam, **kwargs):
+        stepped.append(adam)
+        step(adam, **kwargs)
+
+    monkeypatch.setattr(optim, "adam_step", counted)
+    return stepped
+
+
+def test_train_epochs_yields_the_weighted_mean_of_its_step_losses(monkeypatch):
     store = make_store(2.0)
     drawn, losses = [], []
+    stepped = count_steps(monkeypatch)
 
     def batches():
-        drawn.append(store.step)  # the steps taken when an epoch draws its batches
+        drawn.append(len(stepped))  # the steps taken when an epoch draws its batches
         return [(1.0, 1.0), (3.0, 3.0)]
 
     def loss_fn(scale):
@@ -136,7 +156,8 @@ def test_train_epochs_yields_the_weighted_mean_of_its_step_losses():
         return loss
 
     history = list(optim.train_epochs(store, loss_fn, batches, lr=0.1, epochs=3))
-    assert drawn == [0, 2, 4] and store.step == 6 and len(history) == 3
+    assert drawn == [0, 2, 4] and len(stepped) == 6 and len(history) == 3
+    assert stepped[-1].step == 6 and all(adam is stepped[0] for adam in stepped)
     for k, value in enumerate(history):
         first, second = losses[2 * k : 2 * k + 2]
         assert type(value) is float
@@ -144,14 +165,39 @@ def test_train_epochs_yields_the_weighted_mean_of_its_step_losses():
         assert value != pytest.approx((first + second) / 2.0)
 
 
-def test_breaking_out_of_train_epochs_stops_training():
+def test_breaking_out_of_train_epochs_stops_training(monkeypatch):
     store = make_store(2.0)
+    stepped = count_steps(monkeypatch)
     epochs = optim.train_epochs(store, lambda scale: square_loss(store, scale),
                                 lambda: [(1.0, 1.0)] * 3, lr=0.1, epochs=10)
     for k, _ in enumerate(epochs, 1):
         if k == 4:
             break
-    assert store.step == 4 * 3
+    assert len(stepped) == 4 * 3 and stepped[-1].step == 4 * 3
+
+
+def test_the_optimizer_and_the_gradients_die_with_the_epoch_loop(monkeypatch):
+    stepped = count_steps(monkeypatch)
+    store = make_store(2.0)
+
+    def epochs(n):
+        return optim.train_epochs(store, lambda scale: square_loss(store, scale),
+                                  lambda: [(1.0, 1.0)] * 2, lr=0.1, epochs=n)
+
+    history = list(epochs(3))  # exhausted
+    adam = weakref.ref(stepped[-1])
+    assert len(history) == 3 and len(stepped) == 6
+    stepped.clear()
+    assert adam() is None and store["w"].grad is None
+    loop = epochs(10)  # abandoned after two epochs, as the ranker's early stop does
+    next(loop), next(loop)
+    adam = weakref.ref(stepped[-1])
+    stepped.clear()
+    assert adam() is not None and store["w"].grad is None
+    del loop
+    assert adam() is None
+    # the store takes a parameter again once its optimizer is gone
+    store.add("b", np.zeros(1))
 
 
 def test_load_arrays_validates_names_and_shapes():
@@ -185,17 +231,19 @@ def test_flat_adam_equals_per_parameter_loop():
     ref = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     for name, arr in ref.items():
         store.add(name, arr)
+    adam = Adam(store)
     state = {}
     for t in range(1, 6):
         grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6) for name, shape in shapes.items()}
         for name, g in grads.items():
             store[name].grad = g
-        adam_step(store, lr=1e-2)
+        adam_step(adam, lr=1e-2)
         reference_adam(ref, grads, state, t, lr=1e-2)
         for name in shapes:
             assert np.array_equal(store[name].data, ref[name])
-            assert np.array_equal(store.moments_m[name], state[name][0])
-            assert np.array_equal(store.moments_v[name], state[name][1])
+        # the flat moments hold each parameter's, in store order
+        assert np.array_equal(adam.m, np.concatenate([state[n][0].ravel() for n in shapes]))
+        assert np.array_equal(adam.v, np.concatenate([state[n][1].ravel() for n in shapes]))
 
 
 def shares_buffer(store):
@@ -208,42 +256,15 @@ def test_parameters_are_views_of_one_buffer():
     b = store.add("b", np.arange(4.0))
     assert shares_buffer(store) and store.values.size == 10
     assert np.array_equal(b.data, np.arange(4.0))
-    assert store.moments_m == {} and store.moments_v == {}
+    adam = Adam(store)
+    with pytest.raises(StateError, match="'c' while an optimizer steps the store"):
+        store.add("c", np.zeros(1))
     for _, p in store.items():
         p.grad = np.ones_like(p.data)
-    adam_step(store)
-    with pytest.raises(StateError, match="after the first optimizer step"):
+    adam_step(adam)
+    assert shares_buffer(store) and adam.m.size == adam.v.size == store.values.size
+    with pytest.raises(StateError, match="'c' while an optimizer steps the store"):
         store.add("c", np.zeros(1))
-
-
-def test_dropping_the_optimizer_state_leaves_a_never_stepped_store():
-    rng = np.random.default_rng(5)
-    store = ParamStore()
-    store.add("w", rng.normal(size=(3, 2)))
-    store.add("b", rng.normal(size=2))
-    for _ in range(3):
-        for _, p in store.items():
-            p.grad = rng.normal(size=p.data.shape)
-        adam_step(store, lr=1e-2)
-    values = store.values.copy()
-    store.drop_optimizer_state()
-    # the parameters only: no moments, no gradient buffer, no gradient, no step
-    assert store.moments_m == {} and store.moments_v == {} and store.step == 0
-    assert store._m is None and store._v is None and store._g is None
-    assert all(p.grad is None for _, p in store.items())
-    assert np.array_equal(store.values, values) and shares_buffer(store)
-    # its next step is the first step of a store that never stepped
-    fresh = ParamStore()
-    for name, p in store.items():
-        fresh.add(name, p.data.copy())
-    grads = {name: rng.normal(size=p.data.shape) for name, p in store.items()}
-    for s in (store, fresh):
-        for name, p in s.items():
-            p.grad = grads[name]
-        adam_step(s, lr=1e-2)
-    assert store.step == fresh.step == 1
-    assert np.array_equal(store.values, fresh.values)
-    assert np.array_equal(store._m, fresh._m) and np.array_equal(store._v, fresh._v)
 
 
 def test_load_arrays_writes_into_the_buffer():
@@ -251,7 +272,7 @@ def test_load_arrays_writes_into_the_buffer():
     store.load_arrays({"w": np.array([5.0])})
     assert shares_buffer(store)
     store["w"].grad = np.ones(1)
-    adam_step(store, lr=1e-3)
+    adam_step(Adam(store), lr=1e-3)
     # the update reaches the tensor the model reads
     assert abs(store["w"].data[0] - (5.0 - 1e-3)) < 1e-9
 
@@ -331,8 +352,9 @@ def test_a_step_graph_is_gone_before_the_next_forward(monkeypatch, world, train)
 
     monkeypatch.setattr(T, "_node", spy_node)
     monkeypatch.setattr(T.Tensor, "backward", spy_backward)
-    model = train(world)
-    assert len(checked) >= model.store.step - 1 > 1
+    stepped = count_steps(monkeypatch)
+    train(world)
+    assert len(checked) >= len(stepped) - 1 > 1
     assert leaks == []
 
 
@@ -453,11 +475,12 @@ def reference_step(kept):
     """The step loop of the trainers before `train_step`: the loss (and so its
     graph) stays referenced, and backward keeps every closure."""
 
-    def step(store, loss_fn, lr):
+    def step(adam, loss_fn, lr):
         loss = loss_fn()
-        store.zero_grad()
+        adam.store.zero_grad()
         backward_keeping_closures(loss)
-        adam_step(store, lr=lr)
+        adam_step(adam, lr=lr)
+        adam.store.zero_grad()
         kept.append(loss)
         return float(loss.data)
 

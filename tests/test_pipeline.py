@@ -207,6 +207,16 @@ def test_stat_context_must_fit_before_the_first_sample():
     assert art.bank.bucket.min() == 32
 
 
+@pytest.mark.parametrize("section", ["stat", "prod"])
+def test_a_forecaster_seed_in_a_config_file_is_refused(section):
+    # both forecasters train at the experiment seed (`model_configs`): a
+    # section's own seed changed nothing but the config hash
+    message = f"^{section}.seed must be 0, got 5: the forecasters train at `seed`, which --seed sets$"
+    with pytest.raises(ConfigurationError, match=message):
+        from_dict({"seed": 7, section: {"seed": 5}})
+    assert getattr(from_dict({"seed": 7, section: {"seed": 0}}), section).seed == 0
+
+
 def training_case(section, name, bad, good, message, tag=""):
     return pytest.param(section, name, bad, good, message, id=f"{name}{tag}-{section}")
 
@@ -278,9 +288,10 @@ def test_checkpoint_reuse_restores_same_models(art, tmp_path):
 
 
 def at_rest(store):
-    """Parameters only: no Adam moments, gradient buffer, gradient or step."""
-    return (store.moments_m == {} and store.moments_v == {} and store._m is None
-            and store._v is None and store._g is None and store.step == 0
+    """Parameters only: no array but `values`, no gradient and no live optimizer."""
+    arrays = [name for name, value in vars(store).items() if isinstance(value, np.ndarray)]
+    optimizer = store._optimizer and store._optimizer()  # None, or a dead weak reference
+    return (arrays == ["values"] and optimizer is None
             and all(p.grad is None for _, p in store.items()))
 
 
@@ -296,32 +307,38 @@ def test_prepared_and_loaded_forecasters_hold_parameters_only(tmp_path):
         for prepared in (trained, reused):
             assert at_rest(getattr(prepared, f"{kind}_model").store)
         assert at_rest(loaded.store)
-        # the checkpoint keeps the full optimizer state: a moment pair per parameter
-        arrays, m, v, manifest = checkpoint.read_checkpoint(path)
-        assert manifest["step"] > 0 and sorted(m) == sorted(v) == sorted(arrays)
+        # the checkpoint holds the parameters only
+        arrays, manifest = checkpoint.read_checkpoint(path)
+        assert "step" not in manifest and "moments" not in manifest
         with checkpoint.open_archive(path) as (_, zf):
-            names = set(zf.namelist())
-        assert {f"{part}/{name}" for part in ("m", "v") for name in arrays} <= names
+            names = zf.namelist()
+        assert names == ["manifest.json", *(f"param/{name}" for name in sorted(arrays))]
     # and neither the reuse nor the loads rewrote a byte of it
     assert {p.name: p.read_bytes() for p in tmp_path.glob("*.ckpt")} == files
 
 
-def test_a_forecaster_at_rest_forecasts_the_same_floats(art):
+def test_a_forecaster_at_rest_forecasts_the_same_floats(art, tmp_path):
+    # a forecaster read back from its checkpoint forecasts the floats of the
+    # one that just trained
     world, c = art.world, art.stat_model.config
-    stat, prod = (pipeline.train_forecaster(model_cfg, world, art.train_rooms)[0]
-                  for model_cfg in pipeline.model_configs(TINY).values())
-    assert not at_rest(stat.store) and not at_rest(prod.store)
+    data = pipeline.training_digest(world, art.train_rooms)
+    loaded = {}
+    for kind, model in (("stat", art.stat_model), ("prod", art.prod_model)):
+        path = tmp_path / f"{kind}.ckpt"
+        key = pipeline.forecaster_key(model.config, data)
+        pipeline.save_forecaster(path, model, key)
+        loaded[kind] = pipeline.load_forecaster(path, kind, world.hierarchy, data, key=key)
     windows = pipeline._windows(world.panels, art.bank.room, art.bank.bucket, c.context)
-    for busy, idle in zip(statfore.forecast_batch(stat, windows, c.horizon_train),
-                          statfore.forecast_batch(art.stat_model, windows, c.horizon_train)):
-        assert np.array_equal(busy, idle)
+    for trained, read in zip(statfore.forecast_batch(art.stat_model, windows, c.horizon_train),
+                             statfore.forecast_batch(loaded["stat"], windows, c.horizon_train)):
+        assert np.array_equal(trained, read)
     for r in (0, 1):
         ends = np.arange(len(world.events[r]))
-        for busy, idle in zip(
-            prodfore.forecast_prefixes(prod, world.events[r], ends, TINY.rank.k_enc),
+        for trained, read in zip(
             prodfore.forecast_prefixes(art.prod_model, world.events[r], ends, TINY.rank.k_enc),
+            prodfore.forecast_prefixes(loaded["prod"], world.events[r], ends, TINY.rank.k_enc),
         ):
-            assert np.array_equal(busy, idle)
+            assert np.array_equal(trained, read)
 
 
 def test_checkpoint_cache_is_keyed_by_the_training_data(tmp_path):

@@ -2,11 +2,12 @@
 
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from livesight import ranker, simgen
+from livesight import optim, ranker, simgen
 from livesight import tensor as T
 from livesight.config import SERVICES, RankConfig, SimConfig
 from livesight.errors import (
@@ -18,7 +19,7 @@ from livesight.errors import (
     VocabularyError,
 )
 from livesight.gradcheck import grad_check
-from livesight.optim import adam_step
+from livesight.optim import Adam, adam_step
 from livesight.ranker import (
     NORM_CHUNK,
     ForesightBank,
@@ -431,7 +432,7 @@ def test_restored_best_state_stays_in_the_flat_buffer():
     before = model.forward(*x).data.copy()
     for _, p in model.store.items():
         p.grad = np.ones_like(p.data)
-    adam_step(model.store, lr=1e-2)
+    adam_step(Adam(model.store), lr=1e-2)
     assert not np.array_equal(model.forward(*x).data, before)
 
 
@@ -458,6 +459,25 @@ def test_training_stops_three_epochs_after_the_best_and_restores_it(monkeypatch)
     at_two, _, _ = train_ranker(samples, "+both", dataclasses.replace(CFG, epochs=2),
                                 bank=bank, rows=rows)
     assert np.array_equal(model.store.values, at_two.store.values)
+
+
+def test_an_early_stopped_ranker_keeps_no_optimizer_state(monkeypatch):
+    # the epoch loop is abandoned at the early stop: its Adam dies with it,
+    # and the last step cleared the gradients it copied
+    samples, bank, rows = dataset(120)
+    scripted_validation(monkeypatch, [5.0, 4.0, 6.0, 6.0, 6.0])
+    made, make = [], optim.Adam
+
+    def spy(store):
+        adam = make(store)
+        made.append(weakref.ref(adam))
+        return adam
+
+    monkeypatch.setattr(optim, "Adam", spy)
+    model, _, history = train_ranker(samples, "+both", CFG, bank=bank, rows=rows)
+    assert len(history) == 5 < CFG.epochs and len(made) == 1
+    assert made[0]() is None
+    assert all(p.grad is None for _, p in model.store.items())
 
 
 def test_split_samples_partitions_every_sample():

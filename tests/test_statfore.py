@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from livesight import optim
 from livesight import tensor as T
 from livesight.config import StatConfig
 from livesight.errors import ConfigurationError, DimensionError, WindowError
-from livesight.optim import train_epochs
+from livesight.optim import Adam, train_epochs
 from livesight.pipeline import _stat_block
 from livesight.statfore import (
     StatisticModel,
@@ -206,14 +207,22 @@ def stacked_training(model, panels):
     return list(train_epochs(model.store, loss_fn, batches, c.lr, c.epochs))
 
 
-def test_gathered_batches_train_the_floats_of_stacked_pairs():
+def test_gathered_batches_train_the_floats_of_stacked_pairs(monkeypatch):
+    adams = []  # each run's optimizer, kept to compare its moments
+
+    def kept(store):
+        adams.append(Adam(store))
+        return adams[-1]
+
+    monkeypatch.setattr(optim, "Adam", kept)
     cfg = dataclasses.replace(TINY, epochs=2)
     panels = np.stack([random_panel(seed, t=30) for seed in range(3)])
     gathered, stacked = StatisticModel(cfg), StatisticModel(cfg)
     assert train_statistic(gathered, panels) == stacked_training(stacked, panels)
     assert np.array_equal(gathered.store.values, stacked.store.values)
-    assert np.array_equal(gathered.store._m, stacked.store._m)
-    assert np.array_equal(gathered.store._v, stacked.store._v)
+    assert len(adams) == 2 and adams[0].step == adams[1].step > 0
+    assert np.array_equal(adams[0].m, adams[1].m)
+    assert np.array_equal(adams[0].v, adams[1].v)
 
 
 def test_train_horizon_must_cover_inference():
