@@ -10,7 +10,6 @@ touch this model?" reduces to comparing two files.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import zipfile
 import zlib
@@ -29,21 +28,21 @@ def _manifest_bytes(manifest):
 
 
 def write_archive(path, manifest, members):
-    """Write `manifest.json` and then each `(name, bytes)` of `members` to the
-    zip file `path`, stored with a fixed timestamp so that equal input gives
-    equal bytes."""
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
-        for name, payload in [("manifest.json", _manifest_bytes(manifest)), *members]:
+    """Write `manifest.json` and then each `(name, payload)` of `members` to
+    the zip file `path`, stored with a fixed timestamp so that equal input
+    gives equal bytes. A payload is bytes, or an array whose C-order bytes
+    (in its dtype's byte order) stream into the file: a C-contiguous array is
+    not copied."""
+    members = [("manifest.json", _manifest_bytes(manifest)), *members]
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, payload in members:
             info = zipfile.ZipInfo(name, date_time=_EPOCH)
             info.external_attr = 0o600 << 16
-            zf.writestr(info, payload)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def _blob(array):
-    return np.ascontiguousarray(array, dtype="<f8").tobytes()
+            if isinstance(payload, np.ndarray):  # a flat view: zero-size shapes allowed
+                payload = np.ascontiguousarray(payload).reshape(-1).view(np.uint8)
+            info.file_size = len(payload)  # as `ZipFile.writestr` sets it
+            with zf.open(info, "w") as dest:
+                dest.write(payload)
 
 
 def save_checkpoint(path, store, config_hash="", extra=None):
@@ -54,7 +53,8 @@ def save_checkpoint(path, store, config_hash="", extra=None):
         "extra": extra or {},
         "params": {name: list(p.data.shape) for name, p in store.items()},
     }
-    members = [(f"param/{name}", _blob(p.data)) for name, p in sorted(store.items())]
+    members = [(f"param/{name}", np.asarray(p.data, dtype="<f8"))
+               for name, p in sorted(store.items())]
     write_archive(path, manifest, members)
 
 

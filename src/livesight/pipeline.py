@@ -4,7 +4,8 @@ Stages: generate world -> train statistic forecaster -> train product
 forecaster -> precompute the foresight bank -> train ranker variants ->
 write CSV reports. Foresight models are cached as checkpoints keyed by
 config, training-data hash, trainer source hash and numerics, on every path
-that trains or loads them, so ablations don't retrain them.
+that trains or loads them, so ablations don't retrain them, and the
+foresight bank is saved beside them, so they don't rebuild it either.
 """
 
 from __future__ import annotations
@@ -69,64 +70,77 @@ def _stat_block(steps, enc, horizon, channels=slice(None)):
     return np.concatenate(parts, axis=1)
 
 
+def _bank(world, stat_model, prod_model, k_enc, column):
+    """(bank, rows): the ForesightBank over the world's sample keys, with each
+    forecast column `column(name, shape)` gives, and each sample's row. Built
+    or loaded, a bank gets its keys and rows from the world by this code."""
+    span = world.config.buckets  # every bucket index is below it
+    samples = world.samples
+    codes, rows = np.unique(samples.room * span + samples.bucket, return_inverse=True)
+    keys = np.stack(np.divmod(codes, span), axis=1)  # (room index, bucket) per row
+    ends = simgen.on_show(world, keys[:, 0], keys[:, 1])
+    prods, prod_row = np.unique(np.stack([keys[:, 0], ends], axis=1), axis=0, return_inverse=True)
+    c, n, k, p = stat_model.config, world.panels.shape[1], len(keys), len(prods)
+    shapes = {"stat_steps": (k, n, c.horizon_train), "stat": (k, n * c.horizon_infer + n * c.d_model),
+              "dist": (p, prod_model.hierarchy.n_c3), "prod_enc": (p, k_enc * prod_model.config.d_model)}
+    columns = {name: column(name, shape) for name, shape in shapes.items()}
+    # the ranker's stat block already holds every channel encoding: the
+    # stat_enc column is a view into it rather than a second copy
+    enc = columns["stat"][:, n * c.horizon_infer :].reshape(k, n, c.d_model)
+    bank = ranker.ForesightBank(room=keys[:, 0], bucket=keys[:, 1], stat_enc=enc, prod_row=prod_row,
+                                prod_key=prods, d_mix=prod_model.config.d_model, **columns)
+    return bank, rows
+
+
+def _freeze(bank):
+    for f in dataclasses.fields(bank):
+        if isinstance(col := getattr(bank, f.name), np.ndarray):
+            col.flags.writeable = False
+    return bank
+
+
 def build_foresight_bank(world, stat_model, prod_model, k_enc):
     """Foresight constants for every (room, bucket) that appears in a sample.
 
     Returns (bank, rows): a ForesightBank with a row per distinct key and a
     product row per distinct (room, event on show), and each sample's row.
+    The bank's columns are read-only.
     """
-    c = stat_model.config
-    span = world.config.buckets  # every bucket index is below it
-    samples = world.samples
-    codes, rows = np.unique(samples.room * span + samples.bucket, return_inverse=True)
-    keys = np.stack(np.divmod(codes, span), axis=1)  # (room index, bucket) per row
-    n, h = world.panels.shape[1], c.horizon_infer
-    steps = np.empty((len(keys), n, c.horizon_train))
-    stat = np.empty((len(keys), n * h + n * c.d_model))
-    # the ranker's stat block already holds every channel encoding: the
-    # stat_enc column is a view into it rather than a second copy
-    enc = stat[:, n * h :].reshape(len(keys), n, c.d_model)
-    ends = simgen.on_show(world, keys[:, 0], keys[:, 1])
-    prods, prod_row = np.unique(np.stack([keys[:, 0], ends], axis=1), axis=0, return_inverse=True)
-    dist = np.empty((len(prods), prod_model.hierarchy.n_c3))
-    prod_enc = np.empty((len(prods), k_enc * prod_model.config.d_model))
+    bank, rows = _bank(world, stat_model, prod_model, k_enc, lambda _, shape: np.empty(shape))
+    c, prods = stat_model.config, bank.prod_key
     # filled room by room: each room's windows, and its distinct prefixes, form one batch
-    for r in np.unique(keys[:, 0]):
-        sel, mine = keys[:, 0] == r, prods[:, 0] == r
-        windows = _windows(world.panels, keys[sel, 0], keys[sel, 1], c.context)
-        steps[sel], enc[sel] = statfore.forecast_batch(stat_model, windows, c.horizon_train)
-        dist[mine], prod_enc[mine] = prodfore.forecast_prefixes(
+    for r in np.unique(bank.room):
+        sel, mine = bank.room == r, prods[:, 0] == r
+        windows = _windows(world.panels, bank.room[sel], bank.bucket[sel], c.context)
+        bank.stat_steps[sel], bank.stat_enc[sel] = statfore.forecast_batch(
+            stat_model, windows, c.horizon_train
+        )
+        bank.dist[mine], bank.prod_enc[mine] = prodfore.forecast_prefixes(
             prod_model, world.events[r], prods[mine, 1], k_enc
         )
-    stat[:, : n * h] = _stat_block(steps, None, h)
-    bank = ranker.ForesightBank(
-        room=keys[:, 0],
-        bucket=keys[:, 1],
-        stat_steps=steps,
-        stat_enc=enc,
-        stat=stat,
-        prod_row=prod_row,
-        prod_key=prods,
-        dist=dist,
-        prod_enc=prod_enc,
-        d_mix=prod_model.config.d_model,
-    )
-    return bank, rows
+    h = c.horizon_infer
+    bank.stat[:, : world.panels.shape[1] * h] = _stat_block(bank.stat_steps, None, h)
+    return _freeze(bank), rows
+
+
+def _digest(arrays):
+    """SHA-256 of the arrays' dtypes, shapes and bytes, in order."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr)
+    return h.hexdigest()
 
 
 def training_digest(world, train_rooms):
     """SHA-256 of what the forecasters train on: the train rooms' panel values
     and product events, and the category hierarchy."""
-    h = hashlib.sha256()
     hier = world.hierarchy
     arrays = [hier.c2_to_c1, hier.c3_to_c2, hier.p_to_c3]
     for i in train_rooms:
         arrays += [world.panels[i], world.events[i]]
-    for arr in arrays:
-        arr = np.asarray(arr)
-        h.update(f"{arr.dtype.str}{arr.shape}".encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
+    return _digest(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +227,54 @@ def load_forecaster(path, kind, hierarchy, data, key=None):
     return model
 
 
+# ---------------------------------------------------------------------------
+# the foresight bank on disk: what the forecasters computed, beside their checkpoints
+
+# The source of the code that builds the bank and its rows.
+BANK_SHA256 = hashlib.sha256(b"\0".join(
+    Path(f).read_bytes() for f in (__file__, simgen.__file__, ranker.__file__)
+)).hexdigest()
+BANK_COLUMNS = ("stat_steps", "stat", "dist", "prod_enc")
+
+
+def bank_key(world, forecaster_keys, k_enc):
+    """A saved bank's key: its two forecasters' keys, `k_enc`, a digest of
+    what the bank reads from the world, and `BANK_SHA256`."""
+    samples = world.samples
+    read = [world.panels, *world.events, *world.event_buckets, samples.room, samples.bucket]
+    return config_hash({"forecasters": forecaster_keys, "k_enc": k_enc, "code_sha256": BANK_SHA256,
+                        "buckets": world.config.buckets, "world_sha256": _digest(read)})
+
+
+def save_bank(path, bank, key):
+    """Write the bank's forecast columns to `path`, each streamed from its array."""
+    columns = [(name, np.asarray(getattr(bank, name), dtype="<f8")) for name in BANK_COLUMNS]
+    arrays = {name: [a.dtype.str, list(a.shape)] for name, a in columns}
+    checkpoint.write_archive(path, {"config_hash": key, "d_mix": bank.d_mix, "arrays": arrays},
+                             columns)
+
+
+def load_bank(path, key, world, stat_model, prod_model, k_enc):
+    """(bank, rows) as `build_foresight_bank` gives them, with the forecast
+    columns read from the file `save_bank` wrote under `key`. An unreadable
+    file, another key or `d_mix`, or a column whose dtype or shape these
+    forecasters and this world do not give raises StateError naming the file."""
+    d_mix = prod_model.config.d_model
+    with checkpoint.open_archive(path, what="foresight bank") as (manifest, zf):
+        checkpoint.field(manifest, "config_hash", lambda h: h == key, f"is not the key {key!r}")
+        checkpoint.field(manifest, "d_mix", lambda d: d == d_mix, f"is not {d_mix}")
+        arrays = checkpoint.field(manifest, "arrays", lambda a: isinstance(a, dict),
+                                  "is not an object")
+
+        def column(name, shape):  # a read-only view of the member's bytes: one copy
+            if arrays.get(name) != ["<f8", list(shape)]:
+                raise ValueError(f"column {name} is {arrays.get(name)}, not ['<f8', {list(shape)}]")
+            return np.frombuffer(zf.read(name), "<f8").reshape(shape)
+
+        bank, rows = _bank(world, stat_model, prod_model, k_enc, column)
+    return _freeze(bank), rows
+
+
 def prepare(cfg, out_dir=None, reuse=True):
     """Generate (or regenerate) the world and produce trained foresight models.
 
@@ -223,7 +285,8 @@ def prepare(cfg, out_dir=None, reuse=True):
     see `forecaster_key`) hashes the model config, `training_digest`, the
     trainer's source and `NUMERICS`, so another world in the same directory,
     changed training code, another numpy or another BLAS thread setting
-    trains its own forecasters.
+    trains its own forecasters. The foresight bank is saved and reused the
+    same way, beside them (`bank_key`).
     """
     timings = {}
     t0 = time.monotonic()
@@ -237,9 +300,9 @@ def prepare(cfg, out_dir=None, reuse=True):
 
     data = training_digest(world, train_rooms)
     out = Path(out_dir) if out_dir else None
-    models = {}
+    models, keys = {}, {}
     for kind, model_cfg in model_configs(cfg).items():
-        key = forecaster_key(model_cfg, data)
+        key = keys[kind] = forecaster_key(model_cfg, data)
         path = out / checkpoint_name(kind, key) if out else None
         if reuse and path and path.exists():
             models[kind] = load_forecaster(path, kind, world.hierarchy, data, key=key)
@@ -253,7 +316,14 @@ def prepare(cfg, out_dir=None, reuse=True):
     stat_model, prod_model = models["stat"], models["prod"]
 
     t0 = time.monotonic()
-    bank, rows = build_foresight_bank(world, stat_model, prod_model, k_enc=cfg.rank.k_enc)
+    key = bank_key(world, keys, cfg.rank.k_enc)
+    path = out / f"foresight-{key}.bank" if out else None
+    if reuse and path and path.exists():
+        bank, rows = load_bank(path, key, world, stat_model, prod_model, cfg.rank.k_enc)
+    else:
+        bank, rows = build_foresight_bank(world, stat_model, prod_model, k_enc=cfg.rank.k_enc)
+        if out:
+            save_bank(path, bank, key)
     timings["bank"] = time.monotonic() - t0
     return Artifacts(
         cfg=cfg,

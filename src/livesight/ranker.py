@@ -215,17 +215,18 @@ def _banked(bank, rows, use_stat, use_prod):
 
 
 def predict(model, batch_input, idx, batch):
-    """Probabilities (len(idx), n_tasks) of samples `idx`, forwarded `batch`
-    rows at a time, so no split's whole input is built at once.
+    """Probabilities (len(idx), n_tasks) of samples `idx`, forwarded about
+    `batch` rows at a time, so no split's whole input is built at once.
     `batch_input(idx)` assembles the trunk input parts of some samples.
 
-    Chunks start at multiples of `batch`, and a one-row tail joins the chunk
-    before it, since numpy multiplies a lone row with another BLAS routine.
     OpenBLAS's matrix-vector kernel, which the one-column task heads use,
-    blocks rows by four, so with `batch` a multiple of four every row gets
-    the same floats as in one forward over all of `idx`.
+    blocks rows by four, so chunks start at multiples of `batch` rounded up
+    to a multiple of four, and a one-row tail joins the chunk before it,
+    since numpy multiplies a lone row with another BLAS routine. So every
+    row gets the same floats as in one forward over all of `idx`.
     """
-    cuts = list(range(batch, len(idx), batch))
+    step = -(-batch // 4) * 4
+    cuts = list(range(step, len(idx), step))
     if cuts and len(idx) - cuts[-1] == 1:
         cuts.pop()
     chunks = np.split(idx, cuts)

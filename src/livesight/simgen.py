@@ -381,7 +381,7 @@ def export_dataset(world, dir_path):
     layout = _layout(world.config, counts)
     arrays = {name: np.ascontiguousarray(arrays[name], dtype=dtype)
               for name, (dtype, _) in layout.items()}
-    members = [(name, a.tobytes()) for name, a in arrays.items()]
+    members = list(arrays.items())  # hashed and written from the arrays, uncopied
     manifest = {
         "seed": world.seed,
         "config": to_dict(world.config),

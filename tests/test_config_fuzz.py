@@ -1,5 +1,6 @@
 """Seeded config fuzz: any config the CLI accepts either runs end to end or
-fails with a named error before any forecaster checkpoint is written.
+fails with a named error before any forecaster checkpoint or foresight bank
+is written.
 
 The cases are tiny configs at one epoch: every integer field at its floor and
 just below it, and seeded random configs with both services and long streams
@@ -97,11 +98,11 @@ CASES = [
 
 def run_or_refuse(data, root):
     """'ran' or 'refused' for a run into `root`/run; a refusal must be named
-    and leave no checkpoint."""
+    and leave no checkpoint and no foresight bank."""
     try:
         paths = pipeline.run_pipeline(from_dict({**data, "out_dir": str(root / "run")}))
     except LivesightError:
-        assert not list(root.rglob("*.ckpt"))
+        assert not list(root.rglob("*.ckpt")) and not list(root.rglob("*.bank"))
         return "refused"
     service = data["sim"].get("service", "shopping")
     variants = len(VARIANTS) if service == "shopping" else 2  # talent: base and +stat
@@ -123,3 +124,14 @@ def test_the_fuzz_runs_most_configs_end_to_end(tmp_path):
     outcomes = [run_or_refuse(random_config(np.random.default_rng(seed)), tmp_path / str(seed))
                 for seed in range(N_RANDOM, N_RANDOM + 10)]
     assert outcomes.count("ran") >= 7
+
+
+def test_a_zero_width_bank_round_trips(tmp_path, monkeypatch):
+    # at rank.k_enc = 0 the product encodings have no column
+    cfg = from_dict({**floor_case("rank", "k_enc", 0), "out_dir": str(tmp_path)})
+    built = pipeline.prepare(cfg, out_dir=tmp_path, reuse=True)
+    monkeypatch.setattr(pipeline, "build_foresight_bank", None)  # the bank must be loaded
+    loaded = pipeline.prepare(cfg, out_dir=tmp_path, reuse=True)
+    assert loaded.bank.prod_enc.shape == (len(loaded.bank.prod_key), 0)
+    for name in pipeline.BANK_COLUMNS:
+        assert np.array_equal(getattr(loaded.bank, name), getattr(built.bank, name))

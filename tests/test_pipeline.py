@@ -4,8 +4,10 @@ reuse, CSV formatting, and the ablations' column selections."""
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from livesight.config import (
     from_dict,
     to_dict,
 )
-from livesight.errors import ConfigurationError, DatasetError
+from livesight.errors import ConfigurationError, DatasetError, StateError
 from livesight.pipeline import split_rooms, write_csv
 
 TINY = ExperimentConfig(
@@ -395,6 +397,177 @@ def test_a_checkpoint_trained_by_other_code_is_retrained(tmp_path, monkeypatch):
     assert prod_head(warm) == {**old, **new} and len(old) == len(new) == 1
     assert len(list(warm.glob("statfore-*.ckpt"))) == 2
     assert set(new.values()).isdisjoint(old.values())
+    # the bank is keyed by its forecasters: the old one stays beside the new
+    assert len(list(warm.glob("foresight-*.bank"))) == 2
+
+
+def counted_builds(monkeypatch):
+    """A list that gets one entry per `build_foresight_bank` call from now on."""
+    calls, build = [], pipeline.build_foresight_bank
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_foresight_bank", counted)
+    return calls
+
+
+def test_run_and_the_ablations_build_the_bank_once(tmp_path, monkeypatch):
+    calls = counted_builds(monkeypatch)
+    shared = dataclasses.replace(TINY, out_dir=str(tmp_path / "shared"))
+    paths = list(pipeline.run_pipeline(shared).values())
+    paths += [pipeline.run_ablation(shared, which) for which in pipeline.ABLATIONS]
+    assert len(calls) == 1
+    assert len(list((tmp_path / "shared").glob("foresight-*.bank"))) == 1
+    # each study in a fresh directory builds its own bank: the same bytes
+    fresh = pipeline.run_pipeline(dataclasses.replace(TINY, out_dir=str(tmp_path / "run")))
+    fresh = list(fresh.values()) + [
+        pipeline.run_ablation(dataclasses.replace(TINY, out_dir=str(tmp_path / which)), which)
+        for which in pipeline.ABLATIONS
+    ]
+    assert len(calls) == 6
+    for mine, theirs in zip(paths, fresh):
+        assert mine.name == theirs.name and mine.read_bytes() == theirs.read_bytes()
+
+
+def test_a_loaded_bank_equals_the_built_one(tmp_path, monkeypatch):
+    built = pipeline.prepare(TINY, out_dir=tmp_path, reuse=True)
+    calls = counted_builds(monkeypatch)
+    loaded = pipeline.prepare(TINY, out_dir=tmp_path, reuse=True)
+    assert calls == []
+    assert np.array_equal(loaded.rows, built.rows)
+    for f in dataclasses.fields(built.bank):
+        mine, theirs = getattr(loaded.bank, f.name), getattr(built.bank, f.name)
+        if f.name == "d_mix":
+            assert mine == theirs
+            continue
+        assert np.array_equal(mine, theirs) and mine.dtype == theirs.dtype, f.name
+        # foresight stays frozen: no column of either bank takes a write
+        assert not mine.flags.writeable and not theirs.flags.writeable, f.name
+    for bank in (built.bank, loaded.bank):
+        assert np.shares_memory(bank.stat_enc, bank.stat)
+
+
+@pytest.mark.parametrize("change", ["k_enc", "world seed", "samples", "held-out panels",
+                                    "forecaster config", "code"])
+def test_a_bank_for_other_inputs_is_saved_beside_the_old_one(change, tmp_path, monkeypatch):
+    pipeline.prepare(TINY, out_dir=tmp_path, reuse=True)
+    (old,) = tmp_path.glob("*.bank")
+    blob = old.read_bytes()
+    cfg = TINY
+    if change == "k_enc":
+        cfg = dataclasses.replace(TINY, rank=dataclasses.replace(TINY.rank, k_enc=1))
+    elif change == "world seed":
+        cfg = dataclasses.replace(TINY, seed=6)
+    elif change == "samples":  # the same rooms, so the same forecasters
+        cfg = dataclasses.replace(TINY, sim=dataclasses.replace(TINY.sim, n_samples=250))
+    elif change == "held-out panels":  # no forecaster trains on them; same keys and rows
+        gen_world = pipeline.simgen.gen_world
+
+        def busier(*args):
+            world = gen_world(*args)
+            world.panels[pipeline.split_rooms(len(world.panels))[1]] += 1.0
+            return world
+
+        monkeypatch.setattr(pipeline.simgen, "gen_world", busier)
+    elif change == "forecaster config":
+        cfg = dataclasses.replace(TINY, stat=dataclasses.replace(TINY.stat, epochs=1))
+    else:  # stands in for an edit to pipeline.py, simgen.py or ranker.py
+        monkeypatch.setattr(pipeline, "BANK_SHA256", "0" * 64)
+    calls = counted_builds(monkeypatch)
+    art = pipeline.prepare(cfg, out_dir=tmp_path, reuse=True)
+    if change in ("samples", "held-out panels"):
+        assert "train_stat" not in art.timings and "train_prod" not in art.timings
+    assert len(calls) == 1
+    assert len(list(tmp_path.glob("*.bank"))) == 2 and old.read_bytes() == blob
+    again = pipeline.prepare(cfg, out_dir=tmp_path, reuse=True)
+    assert len(calls) == 1 and np.array_equal(again.bank.prod_enc, art.bank.prod_enc)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A prepared TINY run in its own directory: (artifacts, bank path, bank key)."""
+    out = tmp_path_factory.mktemp("saved")
+    art = pipeline.prepare(TINY, out_dir=out, reuse=True)
+    (path,) = out.glob("*.bank")
+    return art, path, path.stem.removeprefix("foresight-")
+
+
+def write_columns(path, key, d_mix, columns):
+    """A bank file as `save_bank` writes it, over any columns."""
+    arrays = {name: [a.dtype.str, list(a.shape)] for name, a in columns.items()}
+    checkpoint.write_archive(path, {"config_hash": key, "d_mix": d_mix, "arrays": arrays},
+                             list(columns.items()))
+
+
+# each damage, and what the error names after the file
+DAMAGES = {
+    "truncated": "File is not a zip file",
+    "other key": "config_hash '000000000000' is not the key",
+    "other d_mix": r"d_mix (\d+) is not (?!\1)\d+",
+    "missing column": r"column prod_enc is None, not \['<f8', \[\d+, \d+\]\]",
+    "narrower stat": r"column stat is \['<f8', \[(\d+), (\d+)\]\], not \['<f8', \[\1, (?!\2)",
+    "float32 dist": r"column dist is \['<f4', \[(\d+), (\d+)\]\], not \['<f8', \[\1, \2\]\]",
+    "one product row more": r"column dist is \['<f8', \[(\d+), \d+\]\], not \['<f8', \[(?!\1)",
+    "one key row fewer": r"column stat_steps is \['<f8', \[(\d+), 8, \d\]\], not \['<f8', \[(?!\1)",
+    "short member": "cannot reshape array",
+}
+
+
+def damaged_bank(damage, art, good, key, path):
+    """Write the bank file `good` (of `art`, saved under `key`) to `path` with `damage`."""
+    columns = {name: getattr(art.bank, name) for name in pipeline.BANK_COLUMNS}
+    d_mix = art.bank.d_mix
+    if damage == "truncated":
+        path.write_bytes(good.read_bytes()[: good.stat().st_size // 2])
+        return
+    if damage == "short member":  # the manifest declares the right shapes
+        write_columns(path, key, d_mix, {**columns, "dist": columns["dist"][:-1]})
+        with checkpoint.open_archive(path) as (manifest, zf):
+            members = [(name, zf.read(name)) for name in zf.namelist()[1:]]
+        manifest["arrays"]["dist"][1][0] += 1
+        checkpoint.write_archive(path, manifest, members)
+        return
+    if damage == "other key":
+        key = "0" * 12
+    elif damage == "other d_mix":
+        d_mix += 1
+    elif damage == "missing column":
+        del columns["prod_enc"]
+    elif damage == "narrower stat":
+        columns["stat"] = columns["stat"][:, 1:]
+    elif damage == "float32 dist":
+        columns["dist"] = columns["dist"].astype(np.float32)
+    elif damage == "one product row more":
+        columns["dist"] = np.concatenate([columns["dist"], columns["dist"][:1]])
+        columns["prod_enc"] = np.concatenate([columns["prod_enc"], columns["prod_enc"][:1]])
+    else:
+        columns["stat_steps"], columns["stat"] = columns["stat_steps"][1:], columns["stat"][1:]
+    write_columns(path, key, d_mix, columns)
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_a_damaged_bank_is_named(damage, saved, tmp_path):
+    art, good, key = saved
+    path = tmp_path / good.name
+    damaged_bank(damage, art, good, key, path)
+    with pytest.raises(StateError, match=f"^{re.escape(str(path))} is not a readable "
+                                         f"foresight bank: {DAMAGES[damage]}"):
+        pipeline.load_bank(path, key, art.world, art.stat_model, art.prod_model, TINY.rank.k_enc)
+
+
+def test_saving_a_bank_copies_no_column(saved, tmp_path):
+    art, good, key = saved
+    size = sum(getattr(art.bank, name).nbytes for name in pipeline.BANK_COLUMNS)
+    tracemalloc.start()
+    try:
+        pipeline.save_bank(tmp_path / good.name, art.bank, key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / good.name).read_bytes() == good.read_bytes()
+    assert size > 500_000 and peak < size / 20
 
 
 def unpinned_env():

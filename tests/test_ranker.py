@@ -417,9 +417,11 @@ def test_batched_scoring_equals_one_whole_forward(n):
 
     idx = rng.permutation(n)
     whole = model.forward(*batch_input(idx)).data
-    assert np.array_equal(predict(model, batch_input, idx, 128), whole)
-    # a batch off the BLAS kernels' row blocking may move the last bits only
-    assert np.allclose(predict(model, batch_input, idx, 7), whole, rtol=1e-14, atol=0)
+    # at any batch: the heads' matrix-vector kernel blocks rows by four, and a
+    # chunk that started off a multiple of four could get other last bits
+    moved = [batch for batch in [*range(1, 13), 128]
+             if not np.array_equal(predict(model, batch_input, idx, batch), whole)]
+    assert moved == []
 
 
 def test_restored_best_state_stays_in_the_flat_buffer():
