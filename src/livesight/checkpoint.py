@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import zipfile
 import zlib
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -32,17 +34,28 @@ def write_archive(path, manifest, members):
     the zip file `path`, stored with a fixed timestamp so that equal input
     gives equal bytes. A payload is bytes, or an array whose C-order bytes
     (in its dtype's byte order) stream into the file: a C-contiguous array is
-    not copied."""
+    not copied. The archive is written to a new file beside `path` and then
+    renamed onto it, so a write that fails or is killed part-way leaves the
+    old `path` (or none), never a cut-short one; on an exception the new file
+    is deleted."""
     members = [("manifest.json", _manifest_bytes(manifest)), *members]
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for name, payload in members:
-            info = zipfile.ZipInfo(name, date_time=_EPOCH)
-            info.external_attr = 0o600 << 16
-            if isinstance(payload, np.ndarray):  # a flat view: zero-size shapes allowed
-                payload = np.ascontiguousarray(payload).reshape(-1).view(np.uint8)
-            info.file_size = len(payload)  # as `ZipFile.writestr` sets it
-            with zf.open(info, "w") as dest:
-                dest.write(payload)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    zf = zipfile.ZipFile(tmp, "x", zipfile.ZIP_STORED)  # a name clash raises before the try
+    try:
+        with zf:
+            for name, payload in members:
+                info = zipfile.ZipInfo(name, date_time=_EPOCH)
+                info.external_attr = 0o600 << 16
+                if isinstance(payload, np.ndarray):  # a flat view: zero-size shapes allowed
+                    payload = np.ascontiguousarray(payload).reshape(-1).view(np.uint8)
+                info.file_size = len(payload)  # as `ZipFile.writestr` sets it
+                with zf.open(info, "w") as dest:
+                    dest.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path, store, config_hash="", extra=None):

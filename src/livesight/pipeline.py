@@ -76,7 +76,9 @@ def _bank(world, stat_model, prod_model, k_enc, column):
     or loaded, a bank gets its keys and rows from the world by this code."""
     span = world.config.buckets  # every bucket index is below it
     samples = world.samples
-    codes, rows = np.unique(samples.room * span + samples.bucket, return_inverse=True)
+    codes, rows = np.unique(np.multiply(samples.room, span, dtype=np.int64) + samples.bucket,
+                            return_inverse=True)
+    rows = rows.astype(np.int32)  # no bank that fits in memory has 2**31 rows
     keys = np.stack(np.divmod(codes, span), axis=1)  # (room index, bucket) per row
     ends = simgen.on_show(world, keys[:, 0], keys[:, 1])
     prods, prod_row = np.unique(np.stack([keys[:, 0], ends], axis=1), axis=0, return_inverse=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import checkpoint
 from .config import SAMPLE_BUCKET_FLOOR, SERVICES, SimConfig, from_dict, to_dict
-from .errors import DatasetError, DimensionError, ParseError, VocabularyError
+from .errors import DatasetError, DimensionError, LabelError, ParseError, VocabularyError
 from .layers import check_ids
 from .metrics import auc
 from .prodfore import CategoryHierarchy
@@ -65,19 +65,36 @@ FIELD_NAMES = (
 # users fall into this many click-propensity buckets
 CLICK_BUCKETS = 4
 
+# the widths a SampleTable holds its integer columns at: ids, rooms and
+# buckets fit int32, and labels are 0/1 (world.zip stores them all as <i8)
+WIDTHS = {"room": np.int32, "bucket": np.int32, "fields": np.int32, "labels": np.int8}
+
 
 def field_sizes(sim):
     """Each id field's vocabulary size in a world built from `sim`, in FIELD_NAMES order."""
     return (sim.users, sim.n_c1, sim.streams, sim.n_c1, sim.n_c3, 2, CLICK_BUCKETS)
 
 
+def _narrow(name, values, dtype):
+    """`values` as `dtype` (the same array if it is already), or DatasetError
+    if a value does not fit, which a cast would wrap."""
+    if values.dtype != dtype and values.size:
+        info = np.iinfo(dtype)
+        lo, hi = values.min(), values.max()
+        if lo < info.min or hi > info.max:
+            raise DatasetError(f"sample column {name!r} holds {lo if lo < info.min else hi}, "
+                               f"which {np.dtype(dtype)} cannot")
+    return values.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class SampleTable:
-    """Labeled exposures as aligned columns, one row per sample."""
+    """Labeled exposures as aligned columns, one row per sample, each integer
+    column at its width in WIDTHS."""
 
     room: np.ndarray  # (S,) index into the world's rooms
     bucket: np.ndarray  # (S,) time bucket of the exposure
-    fields: np.ndarray  # (S, len(FIELD_NAMES)) int64 ids, in FIELD_NAMES order
+    fields: np.ndarray  # (S, len(FIELD_NAMES)) ids, in FIELD_NAMES order
     labels: np.ndarray  # (S, len(tasks)) 0/1 labels
     weight: np.ndarray  # (S,) sample weights
     tasks: tuple  # the label columns' task names, in the service's order
@@ -93,6 +110,14 @@ class SampleTable:
                     f"sample column {name!r} has shape {getattr(self, name).shape}, not {shape}"
                 )
         check_ids(self.fields, self.vocab, FIELD_NAMES)
+        bad = np.argwhere((self.labels != 0) & (self.labels != 1))
+        if len(bad):
+            row, k = bad[0]
+            raise LabelError(f"sample {row}'s {self.tasks[k]} label {self.labels[row, k]} "
+                             "is not 0 or 1")
+        # narrowed only once checked: a value that does not fit raises, never wraps
+        for name, dtype in WIDTHS.items():
+            object.__setattr__(self, name, _narrow(name, getattr(self, name), dtype))
 
     def __len__(self):
         return len(self.room)
@@ -262,9 +287,9 @@ def gen_interactions(world, seed):
             if len(b) >= 3 else SAMPLE_BUCKET_FLOOR - 1 for b in world.event_buckets]
     # only the RNG draws are made per exposure; everything else follows from
     # them as array ops, in the order the draws were made
-    room = np.empty(cfg.n_samples, dtype=np.int64)
-    user = np.empty(cfg.n_samples, dtype=np.int64)
-    bucket = np.empty(cfg.n_samples, dtype=np.int64)
+    room = np.empty(cfg.n_samples, dtype=WIDTHS["room"])
+    user = np.empty(cfg.n_samples, dtype=WIDTHS["fields"])
+    bucket = np.empty(cfg.n_samples, dtype=WIDTHS["bucket"])
     draws = np.empty((cfg.n_samples, len(tasks)))  # one uniform per label
     kept = 0
     for _ in range(cfg.n_samples):
@@ -282,14 +307,16 @@ def gen_interactions(world, seed):
 
     labels = draws < _sigmoid(label_logits(world, room, user, bucket))
     # the user- and room-derived ids are gathers, filled after the draws
+    # column by column, so no wider copy of the table is built
     events, rows = _upcoming(world, room, bucket)
-    home, aff = world.home_c1[room], world.user_aff_bucket[user]
-    fields = np.stack(
-        [user, aff, room, home, events[rows, 3], (aff == home).astype(np.int64),
-         world.user_click_bucket[user]],
-        axis=1,
-    )
-    return SampleTable(room=room, bucket=bucket, fields=fields, labels=labels.astype(np.int64),
+    fields = np.empty((kept, len(FIELD_NAMES)), dtype=WIDTHS["fields"])
+    fields[:, 0], fields[:, 2] = user, room
+    fields[:, 1], fields[:, 3] = world.user_aff_bucket[user], world.home_c1[room]
+    fields[:, 4] = events[rows, 3]
+    fields[:, 5] = fields[:, 1] == fields[:, 3]
+    fields[:, 6] = world.user_click_bucket[user]
+    return SampleTable(room=room, bucket=bucket, fields=fields,
+                       labels=labels.view(WIDTHS["labels"]),  # 0/1 bytes, uncopied
                        weight=np.ones(kept), tasks=tasks, vocab=field_sizes(cfg))
 
 
@@ -473,6 +500,7 @@ def _world(path, a, cfg, seed):
     # past its stream would read another room's foresight
     _outside(path, "sample_room", a["sample_room"], 0, cfg.streams)
     _outside(path, "sample_bucket", a["sample_bucket"], SAMPLE_BUCKET_FLOOR, cfg.buckets)
+    _outside(path, "sample_labels", a["sample_labels"], 0, 2)
     first = event_buckets[offsets[a["sample_room"]]]  # no product is on show before it
     _reject(path, "sample_bucket", a["sample_bucket"], a["sample_bucket"] < first,
             "comes before its room's first event")

@@ -181,6 +181,26 @@ def test_a_manifest_that_is_not_an_object_is_named(tmp_path):
             read(path)
 
 
+def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path):
+    # the second member is no buffer, so the write raises after the manifest
+    # and the first member are in the file; the old archive must survive whole
+    # and nothing else may be left in the directory
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, trained_store(3), config_hash="old")
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_archive(path, {"config_hash": "new"}, [("a", np.zeros(4096)), ("b", [1, 2, 3])])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    with pytest.raises(TypeError):
+        write_archive(tmp_path / "new.ckpt", {}, [("b", [1, 2, 3])])
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    # a whole write replaces the file, and leaves no other
+    write_archive(path, {"config_hash": "new"}, [("a", b"x")])
+    assert read_manifest(path) == {"config_hash": "new"}
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 # damage: (field, bit mask). The method and flags are those of the first
 # central-directory entry, the manifest's; the offset is the end record's.
 HEADER_FLIPS = {

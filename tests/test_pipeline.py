@@ -112,7 +112,9 @@ def test_each_key_reads_the_product_forecast_of_its_own_prefix(art):
 
 def test_bank_rows_point_at_sample_keys(art):
     samples = art.world.samples
-    assert art.rows.shape == (len(samples),)
+    assert art.rows.shape == (len(samples),) and art.rows.dtype == np.int32
+    keys = samples.room.astype(np.int64) * TINY.sim.buckets + samples.bucket
+    assert np.array_equal(art.rows, np.unique(keys, return_inverse=True)[1])
     assert np.array_equal(art.bank.room[art.rows], samples.room)
     assert np.array_equal(art.bank.bucket[art.rows], samples.bucket)
 

@@ -12,7 +12,13 @@ import pytest
 
 from livesight.checkpoint import write_archive
 from livesight.config import SAMPLE_BUCKET_FLOOR, SERVICES, SimConfig
-from livesight.errors import ConfigurationError, DatasetError, ParseError, VocabularyError
+from livesight.errors import (
+    ConfigurationError,
+    DatasetError,
+    LabelError,
+    ParseError,
+    VocabularyError,
+)
 from livesight.prodfore import CategoryHierarchy
 from livesight.simgen import (
     CHANNELS,
@@ -420,7 +426,8 @@ def assert_same_world(back, world):
 def test_round_trip_preserves_world(tmp_path):
     # a non-default repeat_within_stay, which the imported config must carry
     worlds = [(dataclasses.replace(SMALL, repeat_within_stay=0.35), 8),
-              (dataclasses.replace(SMALL, service="talent", buckets=600), 5)]
+              (dataclasses.replace(SMALL, service="talent", buckets=600), 5),
+              (dataclasses.replace(SMALL, n_samples=300), 3)]  # the tiny CLI world
     for k, (cfg, seed) in enumerate(worlds):
         world = gen_world(cfg, seed=seed)
         manifest = export_dataset(world, tmp_path / f"ds{k}")
@@ -432,6 +439,36 @@ def test_round_trip_preserves_world(tmp_path):
         # export -> import -> export writes the same bytes
         export_dataset(back, tmp_path / f"again{k}")
         assert dataset_bytes(tmp_path / f"again{k}") == dataset_bytes(tmp_path / f"ds{k}")
+
+
+def test_sample_tables_hold_their_natural_widths(tmp_path):
+    # generated, imported and loop-built tables narrow to the same widths and
+    # values, while world.zip keeps every column as <i8
+    world = gen_world(SMALL, seed=9)
+    manifest = export_dataset(world, tmp_path / "ds")
+    back = import_dataset(tmp_path / "ds")
+    looped = looped_interactions(world, seed=[9, 0xC2])
+    widths = {"room": np.int32, "bucket": np.int32, "fields": np.int32, "labels": np.int8}
+    for name, width in widths.items():
+        for table in (world.samples, back.samples, looped):
+            assert getattr(table, name).dtype == width, name
+        assert np.array_equal(getattr(back.samples, name), getattr(world.samples, name)), name
+        assert np.array_equal(getattr(looped, name), getattr(world.samples, name)), name
+        assert manifest["arrays"][f"sample_{name}"][0] == "<i8"
+
+
+def test_a_value_too_wide_for_its_column_is_refused_not_wrapped():
+    samples = gen_world(SMALL, seed=9).samples
+    labels = samples.labels.astype(np.int64)
+    labels[3, 1] = 257  # int8 would wrap it to 1
+    with pytest.raises(LabelError, match="sample 3's cvr label 257 is not 0 or 1"):
+        dataclasses.replace(samples, labels=labels)
+    for name in ("room", "bucket"):
+        wide = getattr(samples, name).astype(np.int64)
+        wide[5] += 2**32  # int32 would wrap it back to itself
+        with pytest.raises(DatasetError, match=f"sample column '{name}' holds {wide[5]}, "
+                                               "which int32 cannot"):
+            dataclasses.replace(samples, **{name: wide})
 
 
 def test_same_seed_same_dataset_hash(tmp_path):
@@ -576,7 +613,8 @@ def test_room_without_a_row_names_its_panel_line(tmp_path, name):
 
 
 @pytest.mark.parametrize("field,bad", [("user_id", SMALL.users), ("click_bucket", -1),
-                                       ("item_c3", SMALL.n_c3)])
+                                       ("item_c3", SMALL.n_c3),
+                                       ("user_id", 2**32 + 3)])  # int32 would wrap it to 3
 def test_sample_id_outside_its_vocabulary_names_the_line(tmp_path, field, bad):
     def edit(arrays):
         arrays["sample_fields"][4, FIELD_NAMES.index(field)] = bad
@@ -584,6 +622,16 @@ def test_sample_id_outside_its_vocabulary_names_the_line(tmp_path, field, bad):
     ds, at = damaged_dataset(tmp_path, edit)
     with pytest.warns(UserWarning), pytest.raises(
         ParseError, match=at + re.escape(f"sample_fields[4]: {field} {bad} outside its vocabulary")
+    ):
+        import_dataset(ds)
+
+
+@pytest.mark.parametrize("bad", [2, 257, -1])
+def test_sample_label_outside_0_1_names_the_line(tmp_path, bad):
+    # 257 would wrap to 1 in the table's int8 labels
+    ds, at = damaged_dataset(tmp_path, set_value("sample_labels", (4, 1), bad))
+    with pytest.warns(UserWarning), pytest.raises(
+        ParseError, match=at + re.escape(f"sample_labels[4, 1] = {bad} outside [0, 2)")
     ):
         import_dataset(ds)
 
