@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -95,6 +96,15 @@ class SimConfig:
             raise ConfigurationError(
                 "event_gap_min must be >= 1 and event_gap_max >= event_gap_min, got "
                 f"event_gap_min={self.event_gap_min}, event_gap_max={self.event_gap_max}"
+            )
+        # numpy's Dirichlet sampler needs alpha > 0; the repeat chance is a probability
+        if not (math.isfinite(self.dirichlet_alpha) and self.dirichlet_alpha > 0):
+            raise ConfigurationError(
+                f"dirichlet_alpha must be finite and > 0, got {self.dirichlet_alpha}"
+            )
+        if not 0 <= self.repeat_within_stay <= 1:
+            raise ConfigurationError(
+                f"repeat_within_stay must be in [0, 1], got {self.repeat_within_stay}"
             )
         total = self.stay_level2 + self.move_level1 + self.jump
         if abs(total - 1.0) > 1e-9:

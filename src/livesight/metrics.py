@@ -1,6 +1,8 @@
 """Ranking and forecasting metrics: AUC, UAUC, GAUC, MSE, hit rate.
 
-AUC uses the Mann-Whitney statistic with half credit for ties. The sort-based
+AUC uses the Mann-Whitney statistic with half credit for ties. A NaN or
+infinite score comes from a diverged model, so the three AUCs refuse it
+rather than rank it. The sort-based
 implementation accumulates pair counts as exact integers, so it agrees with
 all-pairs brute force to the last bit, not just to a tolerance.
 """
@@ -19,9 +21,21 @@ def _validate_binary(labels):
     return labels.astype(np.int64)
 
 
+def _finite_scores(scores):
+    """`scores` as float64; UndefinedMetricError if one is NaN or infinite."""
+    scores = np.asarray(scores, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(scores.ravel()))
+    if len(bad):
+        raise UndefinedMetricError(
+            f"{len(bad)} of {scores.size} scores are not finite; the first is "
+            f"{scores.ravel()[bad[0]]} at {bad[0]}"
+        )
+    return scores
+
+
 def auc(scores, labels):
     """P(score of a positive > score of a negative) + 0.5 * P(tie)."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     labels = _validate_binary(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise DimensionError(
@@ -62,7 +76,7 @@ def _per_user(user_ids, scores, labels, weights=None):
     """AUC and summed weight of each user having both classes, in ascending
     user id; UndefinedMetricError if no user has both."""
     user_ids = np.asarray(user_ids)
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     labels = _validate_binary(labels)
     if not (user_ids.shape == scores.shape == labels.shape) or scores.ndim != 1:
         raise DimensionError("user_ids, scores, labels must share one 1-D shape")

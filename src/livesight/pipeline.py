@@ -61,13 +61,27 @@ def _windows(panels, rooms, buckets, context):
     return np.stack([panels[r, :, t - context + 1 : t + 1] for r, t in zip(rooms, buckets)])
 
 
+def _room_windows(panels, bank, context):
+    """(room, rows, windows) per room of the bank: the room, a mask of its
+    rows and their statistic windows, which form one batch."""
+    for r in np.unique(bank.room):
+        sel = bank.room == r
+        yield r, sel, _windows(panels, bank.room[sel], bank.bucket[sel], context)
+
+
 def _stat_block(steps, enc, horizon, channels=slice(None)):
     """Forecast steps 1..horizon of some channels, then their encodings (if
-    `enc` is given), flattened per key."""
-    parts = [steps[:, channels, :horizon].reshape(len(steps), -1)]
-    if enc is not None:
-        parts.append(enc[:, channels].reshape(len(steps), -1))
-    return np.concatenate(parts, axis=1)
+    `enc` is given), flattened per key. Each channel's part is copied straight
+    into the one (K, width) result."""
+    channels = np.arange(steps.shape[1])[channels]
+    parts = [steps[:, :, :horizon]] + ([] if enc is None else [enc])
+    out = np.empty((len(steps), len(channels) * sum(part.shape[2] for part in parts)))
+    lo = 0
+    for part in parts:
+        for ch in channels:
+            out[:, lo : lo + part.shape[2]] = part[:, ch]
+            lo += part.shape[2]
+    return out
 
 
 def _bank(world, stat_model, prod_model, k_enc, column):
@@ -111,9 +125,8 @@ def build_foresight_bank(world, stat_model, prod_model, k_enc):
     bank, rows = _bank(world, stat_model, prod_model, k_enc, lambda _, shape: np.empty(shape))
     c, prods = stat_model.config, bank.prod_key
     # filled room by room: each room's windows, and its distinct prefixes, form one batch
-    for r in np.unique(bank.room):
-        sel, mine = bank.room == r, prods[:, 0] == r
-        windows = _windows(world.panels, bank.room[sel], bank.bucket[sel], c.context)
+    for r, sel, windows in _room_windows(world.panels, bank, c.context):
+        mine = prods[:, 0] == r
         bank.stat_steps[sel], bank.stat_enc[sel] = statfore.forecast_batch(
             stat_model, windows, c.horizon_train
         )
@@ -422,14 +435,15 @@ def run_pipeline(cfg):
 
 def _stat_baseline_bank(art, method):
     """The bank with a forecast-only statistic block: the model's first
-    `horizon_infer` steps, or a window baseline's, for every row at once."""
+    `horizon_infer` steps, or a window baseline's, filled room by room."""
     bank, c = art.bank, art.stat_model.config
     if method == "model":
-        stat = _stat_block(bank.stat_steps, None, c.horizon_infer)
-    else:
-        windows = _windows(art.world.panels, bank.room, bank.bucket, c.context)
-        stat = statfore.baseline_forecast(windows, c.horizon_infer, method)
-    return dataclasses.replace(bank, stat=stat.reshape(len(bank), -1))
+        return dataclasses.replace(bank, stat=_stat_block(bank.stat_steps, None, c.horizon_infer))
+    stat = np.empty((len(bank), bank.stat_steps.shape[1] * c.horizon_infer))
+    for _, sel, windows in _room_windows(art.world.panels, bank, c.context):
+        forecast = statfore.baseline_forecast(windows, c.horizon_infer, method)
+        stat[sel] = forecast.reshape(len(windows), -1)
+    return dataclasses.replace(bank, stat=stat)
 
 
 def _prod_baseline_bank(art, method):
@@ -454,9 +468,13 @@ def run_ablation(cfg, which, art=None):
     if art is None:
         art = prepare(cfg, out_dir=out, reuse=True)
 
+    def plus_stat(stat):
+        # each block is passed straight in, so it is freed before the next is built
+        return train_variant(art, "+stat", dataclasses.replace(art.bank, stat=stat))[0]
+
     rows = []
     if which == "accuracy-stat":
-        stat_eval, _ = forecast_reports(art)
+        stat_eval = statfore.evaluate_statistic(art.stat_model, art.world.panels[art.eval_rooms])
         for method in ("mean", "latest", "model"):
             report, _ = train_variant(art, "+stat", _stat_baseline_bank(art, method))
             rows.append(
@@ -464,7 +482,9 @@ def run_ablation(cfg, which, art=None):
             )
         columns = ["method", "mse", "auc_ctr", "auc_cvr"]
     elif which == "accuracy-prod":
-        _, prod_eval = forecast_reports(art)
+        prod_eval = prodfore.evaluate_hitrate(
+            art.prod_model, [art.world.events[i] for i in art.eval_rooms]
+        )
         for method in ("most-frequent", "latest", "model"):
             report, _ = train_variant(art, "+prod", _prod_baseline_bank(art, method))
             rows.append(
@@ -478,8 +498,9 @@ def run_ablation(cfg, which, art=None):
             groups.setdefault(g, []).append(i)
         c = art.stat_model.config
         for group, channels in groups.items():
-            stat = _stat_block(art.bank.stat_steps, art.bank.stat_enc, c.horizon_infer, channels)
-            report, _ = train_variant(art, "+stat", dataclasses.replace(art.bank, stat=stat))
+            report = plus_stat(
+                _stat_block(art.bank.stat_steps, art.bank.stat_enc, c.horizon_infer, channels)
+            )
             rows.append(
                 [
                     group,
@@ -494,8 +515,7 @@ def run_ablation(cfg, which, art=None):
         per_step = statfore.mse_per_step(art.stat_model, art.world.panels[art.eval_rooms])
         base_report, _ = train_variant(art, "base")
         for h in range(1, art.stat_model.config.horizon_train + 1):
-            stat = _stat_block(art.bank.stat_steps, None, h)
-            report, _ = train_variant(art, "+stat", dataclasses.replace(art.bank, stat=stat))
+            report = plus_stat(_stat_block(art.bank.stat_steps, None, h))
             rows.append(
                 [
                     h,

@@ -90,17 +90,6 @@ def _pairs(panels, context, horizon):
     return np.lib.stride_tricks.sliding_window_view(np.asarray(panels), context + horizon, axis=-1)
 
 
-def collect_windows(panels, context, horizon):
-    """Sliding (window, future) pairs from every panel of `panels` (see
-    `_pairs`), stacked for batching: panel by panel, start by start."""
-    pairs = _pairs(panels, context, horizon)
-    n = pairs.shape[1]
-    # reshape copies the transposed views: x and y are C-ordered arrays of their own
-    x = pairs[..., :context].transpose(0, 2, 1, 3).reshape(-1, n, context)
-    y = pairs[..., context:].transpose(0, 2, 1, 3).reshape(-1, n, horizon)
-    return x, y
-
-
 def train_statistic(model, panels):
     """Minimize original-scale MSE over sliding windows; returns per-epoch loss.
     Each batch gathers its own pairs from one view of the panels."""
@@ -140,35 +129,57 @@ def baseline_forecast(window, horizon, method):
     return np.repeat(col, horizon, axis=-1)
 
 
+def _forecast(model, windows, horizon):
+    """Denormalized forecasts (first `horizon` steps) and encodings of stacked
+    windows (B, N, W), in one forward pass."""
+    normed, mu, delta = revin_normalize(windows)
+    pred_norm, enc = model.forward(Tensor(normed))
+    return pred_norm.data[:, :, :horizon] * delta + mu, enc.data
+
+
 def forecast_batch(model, windows, horizon):
     """Denormalized forecasts (first `horizon` steps) and encodings for stacked
     windows (B, N, W). Windows run `config.batch` at a time and give the floats
     of one pass over all B, since attention spans one window's channels."""
-    preds, encs = [], []
+    b = model.config.batch
     with model.store.frozen():
         # no windows still make one empty pass, for the (0, N, ·) shapes
-        for lo in range(0, max(len(windows), 1), model.config.batch):
-            normed, mu, delta = revin_normalize(windows[lo : lo + model.config.batch])
-            pred_norm, enc = model.forward(Tensor(normed))
-            preds.append(pred_norm.data[:, :, :horizon] * delta + mu)
-            encs.append(enc.data)
-    return np.concatenate(preds), np.concatenate(encs)
+        parts = [_forecast(model, windows[lo : lo + b], horizon)
+                 for lo in range(0, max(len(windows), 1), b)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _held_out(model, panels, horizon, baselines=()):
+    """{"model", "truth", *baselines}: the forecasts, the futures and the window
+    baselines, each (n, N, horizon), of the n (window, future) pairs of `panels`
+    (see `_pairs`), panel by panel and start by start. The pairs are gathered
+    `config.batch` at a time, as `forecast_batch` runs them, so no array of
+    every window exists."""
+    c = model.config
+    pairs = _pairs(panels, c.context, horizon)
+    starts = pairs.shape[2]
+    n = len(pairs) * starts
+    out = {name: np.empty((n, pairs.shape[1], horizon)) for name in ("model", "truth", *baselines)}
+    with model.store.frozen():
+        for lo in range(0, n, c.batch):
+            hi = min(lo + c.batch, n)
+            room, start = np.divmod(np.arange(lo, hi), starts)
+            batch = pairs[room, :, start]  # (B, N, context + horizon)
+            window = batch[..., : c.context]
+            out["model"][lo:hi] = _forecast(model, window, horizon)[0]
+            out["truth"][lo:hi] = batch[..., c.context :]
+            for method in baselines:
+                out[method][lo:hi] = baseline_forecast(window, horizon, method)
+    return out
 
 
 def evaluate_statistic(model, panels):
     """Original-scale MSE of the model and both baselines on held-out panels."""
-    c, h = model.config, model.config.horizon_infer
-    x, y = collect_windows(panels, c.context, h)
-    pred, _ = forecast_batch(model, x, h)
-    out = {"model": mse(pred, y)}
-    for method in ("mean", "latest"):
-        out[method] = mse(baseline_forecast(x, h, method), y)
-    return out
+    out = _held_out(model, panels, model.config.horizon_infer, ("mean", "latest"))
+    return {name: mse(out[name], out["truth"]) for name in ("model", "mean", "latest")}
 
 
 def mse_per_step(model, panels):
     """Model MSE at each horizon step 1..horizon_train, for the steps ablation."""
-    c = model.config
-    x, y = collect_windows(panels, c.context, c.horizon_train)
-    pred, _ = forecast_batch(model, x, c.horizon_train)
-    return np.mean((pred - y) ** 2, axis=(0, 1))
+    out = _held_out(model, panels, model.config.horizon_train)
+    return np.mean((out["model"] - out["truth"]) ** 2, axis=(0, 1))

@@ -3,11 +3,13 @@ fails with a named error before any forecaster checkpoint or foresight bank
 is written.
 
 The cases are tiny configs at one epoch: every integer field at its floor and
-just below it, and seeded random configs with both services and long streams
+just below it, the float fields with a range at its edges and past them, and
+seeded random configs with both services and long streams
 (more events than `prod.max_context`). numpy draws them; no `hypothesis`.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +43,11 @@ FLOORS = (
     + [(section, name, floor) for section in ("stat", "prod", "rank")
        for name, floor in (("epochs", 1), ("batch", 1), ("seed", 0))]
 )
+# (section, field, accepted at the edge, refused past it)
+EDGES = [
+    ("sim", "dirichlet_alpha", [0.05], [0, -1, math.inf, math.nan]),
+    ("sim", "repeat_within_stay", [0.0, 1.0], [-0.5, 1.5, math.inf, math.nan]),
+]
 N_RANDOM = 60
 
 
@@ -91,6 +98,11 @@ CASES = [
     for section, name, floor in FLOORS
     for shift in (0, -1)
 ] + [
+    pytest.param(floor_case(section, name, value), past, id=f"{where}-{section}.{name}={value}")
+    for section, name, edge, beyond in EDGES
+    for past, where, values in ((False, "edge", edge), (True, "past", beyond))
+    for value in values
+] + [
     pytest.param(random_config(np.random.default_rng(seed)), False, id=f"random-{seed}")
     for seed in range(N_RANDOM)
 ]
@@ -112,10 +124,10 @@ def run_or_refuse(data, root):
     return "ran"
 
 
-@pytest.mark.parametrize("data, below_floor", CASES)
-def test_a_config_runs_or_is_refused_by_name(data, below_floor, tmp_path):
+@pytest.mark.parametrize("data, invalid", CASES)
+def test_a_config_runs_or_is_refused_by_name(data, invalid, tmp_path):
     outcome = run_or_refuse(data, tmp_path)
-    if below_floor:
+    if invalid:
         assert outcome == "refused"
 
 

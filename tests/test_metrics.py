@@ -106,6 +106,20 @@ def test_auc_single_class_undefined():
         auc([0.1, 0.2], [0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_score_is_refused_by_every_auc(bad):
+    labels, users = [1, 0, 0, 1, 0], [0, 0, 0, 1, 1]
+    # five NaN scores used to give an AUC of 0.3333
+    with pytest.raises(UndefinedMetricError, match="5 of 5 scores are not finite"):
+        auc([bad] * 5, labels)
+    one = [0.9, 0.1, bad, 0.8, 0.2]
+    with pytest.raises(UndefinedMetricError, match=f"1 of 5 scores are not finite; the first is {bad} at 2"):
+        auc(one, labels)
+    for metric in (uauc, gauc):
+        with pytest.raises(UndefinedMetricError, match="1 of 5 scores are not finite"):
+            metric(users, one, labels)
+
+
 def test_auc_input_validation():
     with pytest.raises(LabelError):
         auc([0.1, 0.2], [1, 2])

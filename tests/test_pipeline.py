@@ -9,12 +9,13 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import livesight
-from livesight import checkpoint, metrics, pipeline, prodfore, statfore
+from livesight import checkpoint, metrics, pipeline, prodfore, ranker, statfore
 from livesight.config import (
     ExperimentConfig,
     ProdConfig,
@@ -26,6 +27,7 @@ from livesight.config import (
 )
 from livesight.errors import ConfigurationError, DatasetError, StateError
 from livesight.pipeline import split_rooms, write_csv
+from heap import traced_growth
 
 TINY = ExperimentConfig(
     seed=5,
@@ -666,6 +668,39 @@ def test_substituted_stat_bank_matches_baseline(art):
     n = art.world.panels.shape[1]
     idx = [ch * c.horizon_train + k for ch in range(n) for k in range(c.horizon_infer)]
     assert np.array_equal(model.stat, art.bank.stat_steps.reshape(len(bank), -1)[:, idx])
+
+
+@pytest.mark.parametrize("method", ["mean", "latest"])
+def test_baseline_bank_gives_the_floats_of_one_window_stack(art, method):
+    bank, c = art.bank, art.stat_model.config
+    windows = pipeline._windows(art.world.panels, bank.room, bank.bucket, c.context)
+    expect = statfore.baseline_forecast(windows, c.horizon_infer, method).reshape(len(bank), -1)
+    assert np.array_equal(pipeline._stat_baseline_bank(art, method).stat, expect)
+
+
+def test_baseline_bank_memory_grows_by_its_block_only():
+    # a default window is ~11 times its 3-step baseline, so one window stack
+    # over every key would break the bound
+    c, per_room = StatConfig(), 50
+    panels = np.random.default_rng(6).poisson(10.0, size=(10, 8, 96)).astype(float)
+
+    def substitute(rooms):
+        k = rooms * per_room
+        bank = ranker.ForesightBank(
+            room=np.repeat(np.arange(rooms), per_room),
+            bucket=np.tile(np.arange(c.context, c.context + per_room), rooms),
+            stat_steps=np.zeros((k, 8, c.horizon_train)), stat_enc=np.zeros((k, 8, 0)),
+            stat=np.zeros((k, 0)), prod_row=np.zeros(k, dtype=int),
+            prod_key=np.zeros((1, 2), dtype=int), dist=np.ones((1, 1)), prod_enc=np.zeros((1, 0)),
+            d_mix=1)
+        view = SimpleNamespace(bank=bank, stat_model=SimpleNamespace(config=c),
+                               world=SimpleNamespace(panels=panels))
+        return lambda: pipeline._stat_baseline_bank(view, "mean")
+
+    extra_block = 9 * per_room * 8 * c.horizon_infer * 8
+    small, large = substitute(1), substitute(10)
+    growth = traced_growth(lambda run: run(), small, large)
+    assert growth <= 3 * extra_block
 
 
 def test_substituted_prod_bank_onehot_drops_encodings(art):

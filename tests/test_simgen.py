@@ -176,6 +176,19 @@ def test_sizes_below_one_are_rejected(key, value):
         SimConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key, value, rule", [
+    ("dirichlet_alpha", -1, "finite and > 0"), ("dirichlet_alpha", 0, "finite and > 0"),
+    ("dirichlet_alpha", float("inf"), "finite and > 0"),
+    ("dirichlet_alpha", float("nan"), "finite and > 0"),
+    ("repeat_within_stay", 1.5, r"in \[0, 1\]"), ("repeat_within_stay", -0.5, r"in \[0, 1\]"),
+    ("repeat_within_stay", float("nan"), r"in \[0, 1\]"),
+])
+def test_float_settings_outside_their_range_are_named(key, value, rule):
+    # -1 used to end in numpy's bare "alpha < 0"; 1.5 ran as a probability
+    with pytest.raises(ConfigurationError, match=f"^{key} must be {rule}, got {value}$"):
+        SimConfig(**{key: value})
+
+
 def test_events_consistent_with_hierarchy(hierarchy):
     _, _, events, _ = stream(hierarchy, 200, seed=6, home_c1=3)
     p, c1, c2, c3 = events.T

@@ -15,7 +15,6 @@ from livesight.pipeline import _stat_block
 from livesight.statfore import (
     StatisticModel,
     baseline_forecast,
-    collect_windows,
     evaluate_statistic,
     forecast_batch,
     mse_per_step,
@@ -24,6 +23,13 @@ from livesight.statfore import (
     train_statistic,
 )
 from livesight.tensor import Tensor
+from heap import traced_growth
+from reference_stat import (
+    collect_windows,
+    concatenated_stat_block,
+    whole_block_evaluation,
+    whole_block_mse_per_step,
+)
 
 TINY = StatConfig(context=8, horizon_train=5, horizon_infer=3, d_model=8,
                   n_blocks=1, heads=2, d_ff=16, epochs=50, batch=16, lr=3e-3, seed=0)
@@ -156,19 +162,10 @@ def test_forecast_batch_memory_grows_by_its_output_only():
     model = StatisticModel(cfg)
     rng = np.random.default_rng(4)
     windows = rng.poisson(10.0, size=(10 * cfg.batch, 8, cfg.context)).astype(float)
-
-    def peak(n):
-        forecast_batch(model, windows[:n], cfg.horizon_infer)  # warm up
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            forecast_batch(model, windows[:n], cfg.horizon_infer)
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
     extra_output = 9 * cfg.batch * 8 * (cfg.horizon_infer + cfg.d_model) * 8
-    assert peak(10 * cfg.batch) - peak(cfg.batch) <= 3 * extra_output
+    growth = traced_growth(lambda n: forecast_batch(model, windows[:n], cfg.horizon_infer),
+                           cfg.batch, 10 * cfg.batch)
+    assert growth <= 3 * extra_output
 
 
 def test_training_gathers_each_batch_instead_of_stacking_every_pair():
@@ -250,6 +247,16 @@ def test_build_stat_foresight_width_and_zero():
     assert not zero.any()
 
 
+def test_stat_block_writes_the_concatenated_parts():
+    rng = np.random.default_rng(8)
+    steps, enc = rng.normal(size=(6, 4, 5)), rng.normal(size=(6, 4, 3))
+    for channels in (slice(None), slice(1, 3), [0, 3], [2]):
+        for e in (enc, None):
+            got = _stat_block(steps, e, 2, channels)
+            assert np.array_equal(got, concatenated_stat_block(steps, e, 2, channels))
+    assert _stat_block(steps, None, 2, []).shape == (6, 0)
+
+
 def test_collect_windows_stride_and_short_panel():
     panel = random_panel(3, n=2, t=20)
     x, y = collect_windows([panel], context=8, horizon=5)  # every start: a stride of 1
@@ -277,6 +284,28 @@ def test_evaluate_reports_model_and_baselines():
     out = evaluate_statistic(model, [random_panel(5)])
     assert set(out) == {"model", "mean", "latest"}
     assert all(v >= 0 for v in out.values())
+
+
+@pytest.mark.parametrize("batch", [5, 1000])  # one that splits a panel, one above every window
+def test_evaluation_gives_the_floats_of_the_whole_block(batch):
+    model = StatisticModel(dataclasses.replace(TINY, batch=batch))
+    panels = np.stack([random_panel(seed, t=27) for seed in range(3)])  # 17 or 15 pairs each
+    assert evaluate_statistic(model, panels) == whole_block_evaluation(model, panels)
+    assert np.array_equal(mse_per_step(model, panels), whole_block_mse_per_step(model, panels))
+
+
+@pytest.mark.parametrize("evaluate, kept", [(evaluate_statistic, ("model", "truth", "mean", "latest")),
+                                            (mse_per_step, ("model", "truth"))])
+def test_evaluation_memory_grows_by_its_kept_arrays_only(evaluate, kept):
+    # at the default model shapes a window and its encodings are several
+    # times its forecast, so stacking every window would break the bound
+    cfg = dataclasses.replace(StatConfig(), batch=8)
+    model = StatisticModel(cfg)
+    panels = np.random.default_rng(4).poisson(10.0, size=(10, 8, 60)).astype(float)
+    h = cfg.horizon_infer if evaluate is evaluate_statistic else cfg.horizon_train
+    starts = panels.shape[2] - cfg.context - h + 1
+    extra_kept = len(kept) * 9 * starts * 8 * h * 8  # nine more panels' arrays
+    assert traced_growth(lambda k: evaluate(model, panels[:k]), 1, 10) <= 3 * extra_kept
 
 
 def test_mse_per_step_shape():
