@@ -9,7 +9,6 @@ touch this model?" reduces to comparing two files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import zipfile
@@ -132,10 +131,3 @@ def load_checkpoint(path, store, config_hash=None):
         raise StateError(f"{path}: {exc}") from exc
     return manifest
 
-
-def file_digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -37,8 +37,8 @@ def _check_at_least(cfg, **floors):
 def _check_training(cfg):
     # numpy's generators take no negative seed
     _check_at_least(cfg, epochs=1, batch=1, seed=0)
-    if not cfg.lr > 0:
-        raise ConfigurationError(f"{type(cfg).__name__}.lr must be > 0, got {cfg.lr}")
+    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
+        raise ConfigurationError(f"{type(cfg).__name__}.lr must be finite and > 0, got {cfg.lr}")
 
 
 def _check_transformer(cfg):

@@ -29,7 +29,7 @@ from .config import (
     config_hash,
     to_dict,
 )
-from .errors import ConfigurationError, StateError
+from .errors import ConfigurationError, StateError, UndefinedMetricError
 from .prodfore import ProductModel
 from .statfore import StatisticModel
 
@@ -378,15 +378,19 @@ def forecast_reports(art):
 
 
 def write_csv(path, cfg, columns, rows):
-    """Deterministic CSV: hash+seed header, fixed float formatting."""
+    """Deterministic CSV: hash+seed header, fixed float formatting. A NaN or
+    infinite float cell raises UndefinedMetricError, and no file is written."""
+    path = Path(path)
     lines = [f"# config_hash={config_hash(cfg)} seed={cfg.seed}"]
     lines.append(",".join(columns))
     for row in rows:
         cells = []
-        for v in row:
+        for j, v in enumerate(row):
+            if isinstance(v, float) and not np.isfinite(v):
+                raise UndefinedMetricError(
+                    f"{path}: row {row[0]} has {columns[j]} = {v}, not finite")
             cells.append(f"{v:.6f}" if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -68,22 +68,11 @@ class CategoryHierarchy:
             p_to_c3=np.arange(n_products) // (n_products // n_c3),
         )
 
-    def parents_of_product(self, p):
-        c3 = int(self.p_to_c3[p])
-        c2 = int(self.c3_to_c2[c3])
-        return int(self.c2_to_c1[c2]), c2, c3
-
     def c3_children_of_c2(self, c2):
         return np.flatnonzero(self.c3_to_c2 == c2)
 
     def c3_children_of_c1(self, c1):
         return np.flatnonzero(self.c2_to_c1[self.c3_to_c2] == c1)
-
-
-@dataclass
-class ProdForecast:
-    distribution: np.ndarray  # (|C3|,) non-negative, sums to 1
-    encoding: np.ndarray  # (L-1, D) per-position encodings
 
 
 def as_events(events):
@@ -144,32 +133,16 @@ def truncate_context(events, max_context):
     return events[-max_context:] if len(events) > max_context else events
 
 
-def forecast_product(model, events):
-    """Forecast the next finest category after `events`, plus per-position encodings."""
-    events = truncate_context(as_events(events), model.config.max_context)
-    with model.store.frozen():
-        logits, enc = model.forward_positions(events[None])
-        probs = T.softmax(logits, axis=-1).data[0, -1]
-    return ProdForecast(distribution=probs.copy(), encoding=enc.data[0, 1:].copy())
-
-
-def forecast_all_prefixes(model, events):
-    """Distributions (L, |C3|) and encodings (L, D) for every prefix, one pass."""
-    events = truncate_context(as_events(events), model.config.max_context)
-    with model.store.frozen():
-        logits, enc = model.forward_positions(events[None])
-        return T.softmax(logits, axis=-1).data[0].copy(), enc.data[0].copy()
-
-
 def forecast_prefixes(model, events, ends, k_enc):
     """Forecast after each prefix `events[:end + 1]`, batched.
 
     Returns distributions (len(ends), |C3|) and the prefix's trailing `k_enc`
     per-position encodings, flattened and zero-filled to k_enc*D for short
-    prefixes: row by row what `forecast_product` gives for the same prefix.
-    Prefixes inside the context share one causal pass over the first
-    `max_context` events; each longer prefix runs over its own trailing
-    window, so no forecast reads an event after its end.
+    prefixes: row by row what one forward pass over the prefix alone (its
+    trailing `max_context` events) gives. Prefixes inside the context share
+    one causal pass over the first `max_context` events; each longer prefix
+    runs over its own trailing window, so no forecast reads an event after
+    its end.
     """
     events = as_events(events)
     m, d = model.config.max_context, model.config.d_model
@@ -178,7 +151,10 @@ def forecast_prefixes(model, events, ends, k_enc):
     enc_out = np.zeros((len(ends), k_enc * d))
     head = np.flatnonzero(ends < m)
     if len(head):
-        probs, enc = forecast_all_prefixes(model, events[:m])
+        with model.store.frozen():
+            logits, enc = model.forward_positions(events[None, :m])
+            probs = T.softmax(logits, axis=-1).data[0]
+        enc = enc.data[0]
         for i, cur in zip(head, ends[head]):
             dist[i] = probs[cur]
             # encodings exist for positions 1..cur; take the trailing k_enc
@@ -195,14 +171,12 @@ def forecast_prefixes(model, events, ends, k_enc):
     return dist, enc_out
 
 
-def _pad_batch(sequences, max_context):
-    lengths = [len(s) for s in sequences]
-    l_max = min(max(lengths), max_context)
+def _pad_batch(sequences):
+    l_max = max(len(s) for s in sequences)
     batch = np.zeros((len(sequences), l_max, 4), dtype=np.int64)
     labels = np.zeros((len(sequences), l_max), dtype=np.int64)
     mask = np.zeros((len(sequences), l_max))
     for i, seq in enumerate(sequences):
-        seq = truncate_context(as_events(seq), max_context)
         n = len(seq)
         batch[i, :n] = seq
         # position t predicts event t+1's level-3 category
@@ -234,9 +208,7 @@ def train_product(model, sequences):
     # sort once by length; shuffling batch ORDER keeps epochs stochastic while
     # each batch stays near-uniform in length
     crops.sort(key=len)
-    padded = [_pad_batch(crops[lo : lo + c.batch], c.max_context)
-              for lo in range(0, len(crops), c.batch)]
-    n_c3 = model.hierarchy.n_c3
+    padded = [_pad_batch(crops[lo : lo + c.batch]) for lo in range(0, len(crops), c.batch)]
     order_rng = np.random.default_rng([c.seed, 0x5E])
 
     def batches():  # weighted by supervised positions: the epoch loss is their mean
@@ -245,8 +217,7 @@ def train_product(model, sequences):
     def loss_fn(batch):
         events, labels, mask = batch
         logits, _ = model.forward_positions(events)
-        flat = T.reshape(logits, (-1, n_c3))
-        return T.softmax_cross_entropy(flat, labels.ravel(), mask=mask.ravel())
+        return T.softmax_cross_entropy(logits, labels, mask=mask)
 
     return list(train_epochs(model.store, loss_fn, batches, c.lr, c.epochs))
 

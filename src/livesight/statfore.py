@@ -134,7 +134,7 @@ def _forecast(model, windows, horizon):
     windows (B, N, W), in one forward pass."""
     normed, mu, delta = revin_normalize(windows)
     pred_norm, enc = model.forward(Tensor(normed))
-    return pred_norm.data[:, :, :horizon] * delta + mu, enc.data
+    return revin_denormalize(pred_norm.data[:, :, :horizon], mu, delta), enc.data
 
 
 def forecast_batch(model, windows, horizon):

@@ -463,17 +463,6 @@ def reshape(a, shape):
     return _node(data, (a,), backward)
 
 
-def swapaxes(a, ax1, ax2):
-    a = as_tensor(a)
-    data = np.swapaxes(a.data, ax1, ax2)
-    node = a.node
-
-    def backward(g):
-        node._accumulate(np.swapaxes(g, ax1, ax2))
-
-    return _node(data, (a,), backward)
-
-
 def take(a, key):
     """Basic (slice/int) indexing; gradient scatters back into place."""
     a = as_tensor(a)

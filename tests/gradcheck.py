@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, OracleError
+from livesight.errors import ConfigurationError, OracleError
 
 
 def grad_check(loss_fn, store, eps=1e-5, max_coords=256, seed=0):

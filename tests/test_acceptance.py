@@ -22,7 +22,6 @@ from livesight.config import (
     SimConfig,
     StatConfig,
 )
-from livesight.gradcheck import grad_check
 from livesight.metrics import auc
 from livesight.prodfore import CategoryHierarchy, ProductModel
 from livesight.ranker import RankingModel, rank_loss
@@ -32,10 +31,13 @@ from livesight.simgen import (
     STEADY,
     gen_stream,
     gen_world,
-    probe_future_vs_past,
 )
 from livesight.statfore import StatisticModel, revin_denormalize, revin_normalize
 from livesight.tensor import Tensor
+
+from gradcheck import grad_check
+from probe import probe_future_vs_past
+from reference_ops import file_digest, parents_of_product
 
 SEEDS = (101, 202, 303)
 
@@ -164,7 +166,7 @@ def test_criterion_2_gradients_match_central_differences():
         ProdConfig(d_model=8, n_blocks=1, heads=2, d_ff=16, max_context=16, seed=2), h
     )
     events = np.array(
-        [[p, *h.parents_of_product(p)] for p in (0, 7, 12, 7)], dtype=np.int64
+        [[p, *parents_of_product(h, p)] for p in (0, 7, 12, 7)], dtype=np.int64
     )[None]
     labels = events[0, 1:, 3]
 
@@ -287,10 +289,10 @@ def test_criterion_8_foresight_models_frozen_during_ranking(tmp_path):
 
     checkpoint.save_checkpoint(tmp_path / "stat_after.ckpt", art.stat_model.store)
     checkpoint.save_checkpoint(tmp_path / "prod_after.ckpt", art.prod_model.store)
-    stat_same = checkpoint.file_digest(tmp_path / "stat_before.ckpt") == checkpoint.file_digest(
+    stat_same = file_digest(tmp_path / "stat_before.ckpt") == file_digest(
         tmp_path / "stat_after.ckpt"
     )
-    prod_same = checkpoint.file_digest(tmp_path / "prod_before.ckpt") == checkpoint.file_digest(
+    prod_same = file_digest(tmp_path / "prod_before.ckpt") == file_digest(
         tmp_path / "prod_after.ckpt"
     )
 

@@ -12,7 +12,6 @@ import pytest
 from livesight import pipeline, simgen
 from livesight import tensor as T
 from livesight.checkpoint import (
-    file_digest,
     load_checkpoint,
     open_archive,
     read_checkpoint,
@@ -22,6 +21,8 @@ from livesight.checkpoint import (
 from livesight.config import SimConfig, StatConfig
 from livesight.errors import LivesightError, StateError
 from livesight.optim import Adam, ParamStore, adam_step
+
+from reference_ops import file_digest
 
 
 def read_manifest(path):

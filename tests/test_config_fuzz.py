@@ -47,6 +47,7 @@ FLOORS = (
 EDGES = [
     ("sim", "dirichlet_alpha", [0.05], [0, -1, math.inf, math.nan]),
     ("sim", "repeat_within_stay", [0.0, 1.0], [-0.5, 1.5, math.inf, math.nan]),
+    *((section, "lr", [1e-9], [0, -1, math.inf, math.nan]) for section in ("stat", "prod", "rank")),
 ]
 N_RANDOM = 60
 

@@ -5,9 +5,10 @@ import pytest
 
 from livesight import tensor as T
 from livesight.errors import OracleError
-from livesight.gradcheck import grad_check
 from livesight.optim import ParamStore
 from livesight.tensor import Tensor
+
+from gradcheck import grad_check
 
 
 def linear_setup(seed=0):

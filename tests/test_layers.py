@@ -5,7 +5,6 @@ import pytest
 
 from livesight import tensor as T
 from livesight.errors import ConfigurationError, DimensionError, VocabularyError
-from livesight.gradcheck import grad_check
 from livesight.layers import (
     MASK_VALUE,
     encoder,
@@ -17,7 +16,8 @@ from livesight.layers import (
 )
 from livesight.optim import ParamStore
 from livesight.tensor import Tensor
-from reference_ops import concat
+from gradcheck import grad_check
+from reference_ops import concat, swapaxes
 
 
 def test_dense_identity():
@@ -81,15 +81,15 @@ def composed_attention(tokens, heads, causal, params):
     dh = d // heads
 
     def split(x):  # (B, L, D) -> (B, H, L, dh)
-        return T.swapaxes(T.reshape(x, (b, length, heads, dh)), 1, 2)
+        return swapaxes(T.reshape(x, (b, length, heads, dh)), 1, 2)
 
     q = split(composed_dense(tokens, params["wq"], params["bq"]))
     k = split(composed_dense(tokens, params["wk"], params["bk"]))
     v = split(composed_dense(tokens, params["wv"], params["bv"]))
-    scores = T.mul(q @ T.swapaxes(k, -1, -2), 1.0 / np.sqrt(dh))
+    scores = T.mul(q @ swapaxes(k, -1, -2), 1.0 / np.sqrt(dh))
     if causal:
         scores = scores + Tensor(np.triu(np.full((length, length), MASK_VALUE), k=1))
-    mixed = T.swapaxes(T.softmax(scores, axis=-1) @ v, 1, 2)  # (B, L, H, dh)
+    mixed = swapaxes(T.softmax(scores, axis=-1) @ v, 1, 2)  # (B, L, H, dh)
     out = composed_dense(T.reshape(mixed, (b, length, d)), params["wo"], params["bo"])
     return T.reshape(out, (length, d)) if squeeze else out
 

@@ -25,9 +25,10 @@ from livesight.config import (
     from_dict,
     to_dict,
 )
-from livesight.errors import ConfigurationError, DatasetError, StateError
+from livesight.errors import ConfigurationError, DatasetError, StateError, UndefinedMetricError
 from livesight.pipeline import split_rooms, write_csv
 from heap import traced_growth
+from reference_ops import forecast_product
 
 TINY = ExperimentConfig(
     seed=5,
@@ -62,6 +63,17 @@ def test_write_csv_formats_and_headers(tmp_path):
     assert "seed=5" in text.splitlines()[0]
     assert "x,0.123457" in text  # floats fixed at 6 places
     assert "y,2" in text
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_write_csv_refuses_a_non_finite_cell(tmp_path, bad):
+    # a diverged model once wrote `model,MSE,nan` into a report
+    path = tmp_path / "r.csv"
+    rows = [["mean", "MSE", 1.5], ["model", "MSE", bad]]
+    message = f"^{re.escape(str(path))}: row model has value = {bad}, not finite$"
+    with pytest.raises(UndefinedMetricError, match=message):
+        write_csv(path, TINY, ["method", "metric", "value"], rows)
+    assert not path.exists()
 
 
 def test_bank_covers_every_sample(art):
@@ -100,7 +112,7 @@ def assert_each_key_reads_its_own_prefix(art):
     bank, model, k_enc = art.bank, art.prod_model, art.cfg.rank.k_enc
     cur = on_show_oracle(art.world, bank.room, bank.bucket)
     for k, (r, e) in enumerate(zip(bank.room, cur)):
-        fc = prodfore.forecast_product(model, art.world.events[r][: e + 1])
+        fc = forecast_product(model, art.world.events[r][: e + 1])
         tail = fc.encoding[-k_enc:].ravel()
         row = bank.prod_row[k]
         assert np.allclose(bank.dist[row], fc.distribution, rtol=0, atol=1e-12)
@@ -192,7 +204,7 @@ def test_hitrate_scores_every_position_of_long_streams(long_art):
     truths = []
     for seq in seqs:
         for k in range(1, len(seq)):
-            preds["model"].append(int(prodfore.forecast_product(model, seq[:k]).distribution.argmax()))
+            preds["model"].append(int(forecast_product(model, seq[:k]).distribution.argmax()))
             for method in ("latest", "most-frequent"):
                 preds[method].append(prodfore.baseline_category(seq[:k], method))
             truths.append(int(seq[k, 3]))
@@ -235,7 +247,7 @@ def training_case(section, name, bad, good, message, tag=""):
         for name in ("batch", "epochs")
     ]
     + [
-        training_case(section, "lr", bad, 1e-3, f"lr must be > 0, got {bad}", f"={bad}")
+        training_case(section, "lr", bad, 1e-3, f"lr must be finite and > 0, got {bad}", f"={bad}")
         for section in ("prod", "rank", "stat")
         for bad in (0, -1)
     ]

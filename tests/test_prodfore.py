@@ -10,7 +10,6 @@ from livesight import optim, prodfore
 from livesight import tensor as T
 from livesight.config import ProdConfig, SimConfig
 from livesight.errors import SequenceError
-from livesight.gradcheck import grad_check
 from livesight.metrics import hit_rate
 from livesight.prodfore import (
     CategoryHierarchy,
@@ -18,13 +17,14 @@ from livesight.prodfore import (
     as_events,
     baseline_category,
     evaluate_hitrate,
-    forecast_all_prefixes,
     forecast_prefixes,
-    forecast_product,
     train_product,
     truncate_context,
 )
 from livesight.simgen import gen_world
+
+from gradcheck import grad_check
+from reference_ops import forecast_product, parents_of_product
 
 TINY = ProdConfig(d_model=8, n_blocks=1, heads=2, d_ff=16, max_context=16,
                   epochs=100, batch=8, lr=6e-3, seed=0)
@@ -35,7 +35,7 @@ def small_hierarchy():
 
 
 def event_for(h, p):
-    c1, c2, c3 = h.parents_of_product(p)
+    c1, c2, c3 = parents_of_product(h, p)
     return [p, c1, c2, c3]
 
 
@@ -47,7 +47,7 @@ def test_hierarchy_parent_consistency():
     h = small_hierarchy()
     assert (h.n_c1, h.n_c2, h.n_c3, h.n_products) == (2, 4, 8, 16)
     for p in range(h.n_products):
-        c1, c2, c3 = h.parents_of_product(p)
+        c1, c2, c3 = parents_of_product(h, p)
         assert h.c2_to_c1[h.c3_to_c2[c3]] == c1
         assert c3 in h.c3_children_of_c2(c2)
         assert c3 in h.c3_children_of_c1(c1)
@@ -139,14 +139,14 @@ def test_memorizes_alternating_sequence():
     model = ProductModel(TINY, h)
     # A and B under different level-3 nodes, strictly alternating
     a, b = 0, 11
-    assert h.parents_of_product(a)[2] != h.parents_of_product(b)[2]
+    assert parents_of_product(h, a)[2] != parents_of_product(h, b)[2]
     seq = seq_for(h, [a, b] * 6)
     history = train_product(model, [seq])
     assert history[-1] < 0.05
     assert history[29] < history[0]
     # after an A the model must put its mass on B's finest category
     fc = forecast_product(model, seq_for(h, [b, a]))
-    assert int(fc.distribution.argmax()) == h.parents_of_product(b)[2]
+    assert int(fc.distribution.argmax()) == parents_of_product(h, b)[2]
 
 
 def test_forecast_distribution_properties():
@@ -158,7 +158,7 @@ def test_forecast_distribution_properties():
     assert abs(fc1.distribution.sum() - 1.0) < 1e-9
     assert (fc1.distribution >= 0).all()
     assert fc1.distribution.tobytes() == fc2.distribution.tobytes()
-    probs, enc = forecast_all_prefixes(model, events)
+    probs, enc = forecast_prefixes(model, events, np.arange(len(events)), k_enc=0)
     assert probs.shape == (3, h.n_c3)
     assert np.allclose(probs[-1], fc1.distribution)
 

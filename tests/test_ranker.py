@@ -18,7 +18,6 @@ from livesight.errors import (
     LabelError,
     VocabularyError,
 )
-from livesight.gradcheck import grad_check
 from livesight.optim import Adam, adam_step
 from livesight.ranker import (
     NORM_CHUNK,
@@ -32,6 +31,8 @@ from livesight.ranker import (
 )
 from livesight.simgen import SampleTable
 from livesight.tensor import Tensor
+
+from gradcheck import grad_check
 
 # vocabulary sizes of user_id, aff_bucket, author_id, room_category, item_c3,
 # cross_match and click_bucket, in FIELD_NAMES order

@@ -41,8 +41,9 @@ from livesight.simgen import (
     import_dataset,
     label_logits,
     on_show,
-    probe_future_vs_past,
 )
+
+from probe import probe_future_vs_past
 
 SMALL = SimConfig(streams=10, users=50, n_samples=600)
 BASE_RATES = np.array([c[2] for c in CHANNELS])
