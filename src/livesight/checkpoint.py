@@ -106,13 +106,17 @@ def decode(blob, dtype, shape):
 
 
 def read_checkpoint(path):
-    """Return (arrays, manifest) from a checkpoint file."""
+    """Return (arrays, manifest) from a checkpoint file; a non-finite
+    parameter raises StateError naming the file and the parameter."""
     with open_archive(path) as (manifest, zf):
         field(manifest, "format", lambda f: f == _FORMAT,
               f"is not the supported checkpoint format {_FORMAT}")
         field(manifest, "config_hash", lambda h: isinstance(h, str), "is not a string")
         params = field(manifest, "params", lambda p: isinstance(p, dict), "is not an object")
         arrays = {n: decode(zf.read(f"param/{n}"), "<f8", s) for n, s in params.items()}
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise StateError(f"{path}: parameter {name!r} holds a non-finite value")
     return arrays, manifest
 
 

@@ -97,15 +97,19 @@ class SimConfig:
                 "event_gap_min must be >= 1 and event_gap_max >= event_gap_min, got "
                 f"event_gap_min={self.event_gap_min}, event_gap_max={self.event_gap_max}"
             )
-        # numpy's Dirichlet sampler needs alpha > 0; the repeat chance is a probability
+        # numpy's Dirichlet sampler needs alpha > 0; the repeat chance and the
+        # category kernel are probabilities (a NaN fails `0 <= p <= 1`)
         if not (math.isfinite(self.dirichlet_alpha) and self.dirichlet_alpha > 0):
             raise ConfigurationError(
                 f"dirichlet_alpha must be finite and > 0, got {self.dirichlet_alpha}"
             )
-        if not 0 <= self.repeat_within_stay <= 1:
-            raise ConfigurationError(
-                f"repeat_within_stay must be in [0, 1], got {self.repeat_within_stay}"
-            )
+        for name in ("repeat_within_stay", "stay_level2", "move_level1", "jump"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigurationError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("click_affinity_coeff", "click_highlight_coeff", "click_bias",
+                     "future_affinity_coeff", "future_grab_coeff", "future_bias"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         total = self.stay_level2 + self.move_level1 + self.jump
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"category kernel probabilities sum to {total}, not 1")

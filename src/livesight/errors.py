@@ -42,6 +42,10 @@ class StateError(LivesightError, RuntimeError):
     """Mutable training state is missing or inconsistent."""
 
 
+class TrainingError(LivesightError, FloatingPointError):
+    """Training left a model's loss or parameters non-finite."""
+
+
 class OracleError(LivesightError, RuntimeError):
     """The independent gradient oracle cannot run (e.g. non-deterministic closure)."""
 

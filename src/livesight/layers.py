@@ -71,18 +71,15 @@ def init_attention(store, prefix, d_model, rng):
 def multi_head_attention(tokens, heads, causal, params):
     """Scaled dot-product attention with per-head and output projections.
 
-    `tokens` is (L, D) or (B, L, D). With `causal` set, position t attends
+    `tokens` is (B, L, D). With `causal` set, position t attends
     only to positions <= t; otherwise attention is full (used across channel
     tokens in the statistic model). The graph holds three nodes: the scores
     (Q and K from one GEMM), the softmax, and the mixing of the value heads
     with the output projection.
     """
     tokens = T.as_tensor(tokens)
-    squeeze = tokens.ndim == 2
-    if squeeze:
-        tokens = T.reshape(tokens, (1,) + tokens.shape)
     if tokens.ndim != 3:
-        raise DimensionError(f"attention expects 2-D or 3-D tokens, got {tokens.shape}")
+        raise DimensionError(f"attention expects 3-D tokens, got {tokens.shape}")
     _, length, d = tokens.shape
     if heads < 1 or d % heads != 0:
         raise ConfigurationError(f"model width {d} not divisible by {heads} heads")
@@ -90,12 +87,9 @@ def multi_head_attention(tokens, heads, causal, params):
     scores = T.attention_scores(
         tokens, heads, mask, params["wq"], params["bq"], params["wk"], params["bk"]
     )
-    out = T.attention_mix(
-        T.softmax(scores, axis=-1), tokens, params["wv"], params["bv"], params["wo"], params["bo"]
+    return T.attention_mix(
+        T.softmax(scores), tokens, params["wv"], params["bv"], params["wo"], params["bo"]
     )
-    if squeeze:
-        out = T.reshape(out, (length, d))
-    return out
 
 
 def init_transformer_block(store, prefix, d_model, d_ff, rng):

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import StateError
+from .errors import StateError, TrainingError
 from .tensor import Tensor
 
 
@@ -182,14 +182,21 @@ def train_step(adam, loss_fn, lr):
     return float(loss.data)
 
 
-def train_epochs(store, loss_fn, batches, lr, epochs):
+def train_epochs(name, store, loss_fn, batches, lr, epochs):
     """The epoch loop of every trainer: each epoch takes one `train_step` on
     `loss_fn(batch)` per `(batch, weight)` pair of a fresh `batches()` list,
     then yields the weighted mean of the step losses. A caller that stops
     iterating stops training. The loop's `Adam` lives in its frame, so the
-    optimizer state is freed once the loop is exhausted or dropped."""
+    optimizer state is freed once the loop is exhausted or dropped. An epoch
+    whose loss or parameters are not finite raises TrainingError naming
+    `name`, the model trained, and the epoch instead of being yielded."""
     adam = Adam(store)
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         pairs = batches()
         losses = [train_step(adam, lambda: loss_fn(batch), lr) for batch, _ in pairs]
-        yield float(np.average(losses, weights=[weight for _, weight in pairs]))
+        loss = float(np.average(losses, weights=[weight for _, weight in pairs]))
+        bad = np.count_nonzero(~np.isfinite(store.values))
+        if bad or not np.isfinite(loss):
+            raise TrainingError(f"the {name} diverged in epoch {epoch}: loss {loss}, "
+                                f"{bad} of {store.values.size} parameters not finite")
+        yield loss

@@ -108,7 +108,14 @@ def _bank(world, stat_model, prod_model, k_enc, column):
     return bank, rows
 
 
-def _freeze(bank):
+def _freeze(bank, where=""):
+    """`bank` with its columns read-only. A non-finite forecast cell raises
+    StateError naming the column after `where` (the file it came from): a min
+    and a max propagate any NaN, so no mask the size of a column is built."""
+    for name in BANK_COLUMNS:
+        col = getattr(bank, name)
+        if col.size and not (np.isfinite(col.min()) and np.isfinite(col.max())):
+            raise StateError(f"{where}foresight bank column {name} holds a non-finite value")
     for f in dataclasses.fields(bank):
         if isinstance(col := getattr(bank, f.name), np.ndarray):
             col.flags.writeable = False
@@ -273,7 +280,8 @@ def load_bank(path, key, world, stat_model, prod_model, k_enc):
     """(bank, rows) as `build_foresight_bank` gives them, with the forecast
     columns read from the file `save_bank` wrote under `key`. An unreadable
     file, another key or `d_mix`, or a column whose dtype or shape these
-    forecasters and this world do not give raises StateError naming the file."""
+    forecasters and this world do not give, or a non-finite cell, raises
+    StateError naming the file."""
     d_mix = prod_model.config.d_model
     with checkpoint.open_archive(path, what="foresight bank") as (manifest, zf):
         checkpoint.field(manifest, "config_hash", lambda h: h == key, f"is not the key {key!r}")
@@ -287,7 +295,7 @@ def load_bank(path, key, world, stat_model, prod_model, k_enc):
             return np.frombuffer(zf.read(name), "<f8").reshape(shape)
 
         bank, rows = _bank(world, stat_model, prod_model, k_enc, column)
-    return _freeze(bank), rows
+    return _freeze(bank, f"{path}: "), rows
 
 
 def prepare(cfg, out_dir=None, reuse=True):

@@ -153,7 +153,7 @@ def forecast_prefixes(model, events, ends, k_enc):
     if len(head):
         with model.store.frozen():
             logits, enc = model.forward_positions(events[None, :m])
-            probs = T.softmax(logits, axis=-1).data[0]
+            probs = T.softmax(logits).data[0]
         enc = enc.data[0]
         for i, cur in zip(head, ends[head]):
             dist[i] = probs[cur]
@@ -165,7 +165,7 @@ def forecast_prefixes(model, events, ends, k_enc):
         windows = np.stack([events[end - m + 1 : end + 1] for end in ends[late]])
         with model.store.frozen():
             logits, enc = model.forward_positions(windows)
-            dist[late] = T.softmax(logits, axis=-1).data[:, -1]
+            dist[late] = T.softmax(logits).data[:, -1]
         tail = enc.data[:, max(1, m - k_enc) :].reshape(len(late), -1)
         enc_out[late, : tail.shape[1]] = tail
     return dist, enc_out
@@ -219,7 +219,7 @@ def train_product(model, sequences):
         logits, _ = model.forward_positions(events)
         return T.softmax_cross_entropy(logits, labels, mask=mask)
 
-    return list(train_epochs(model.store, loss_fn, batches, c.lr, c.epochs))
+    return list(train_epochs("product forecaster", model.store, loss_fn, batches, c.lr, c.epochs))
 
 
 def baseline_category(events, method):

@@ -25,7 +25,7 @@ import numpy as np
 from . import layers
 from . import metrics
 from . import tensor as T
-from .config import RankConfig
+from .config import VARIANTS, RankConfig
 from .errors import ConfigurationError, ContractError, DatasetError, DimensionError
 from .optim import ParamStore, train_epochs
 from .simgen import FIELD_NAMES
@@ -74,7 +74,7 @@ class ForesightBank:
 
 
 def _uses(variant):
-    if variant not in ("base", "+stat", "+prod", "+both"):
+    if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
     return variant in ("+stat", "+both"), variant in ("+prod", "+both")
 
@@ -316,7 +316,7 @@ def train_ranker(samples, variant, config, bank=None, rows=None):
     def loss_fn(idx):
         return rank_loss(model.forward(*batch_input(idx)), labels[idx])
 
-    epochs = train_epochs(model.store, loss_fn, batches, config.lr, config.epochs)
+    epochs = train_epochs(f"{variant} ranker", model.store, loss_fn, batches, config.lr, config.epochs)
     history = []
     best_val, best_state, best_epoch = np.inf, None, -1
     for epoch, loss in enumerate(epochs):

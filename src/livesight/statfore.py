@@ -111,7 +111,7 @@ def train_statistic(model, panels):
         diff = pred + T.mul(Tensor(batch[..., c.context :]), -1.0)
         return T.tmean(T.mul(diff, diff))
 
-    return list(train_epochs(model.store, loss_fn, batches, c.lr, c.epochs))
+    return list(train_epochs("statistic forecaster", model.store, loss_fn, batches, c.lr, c.epochs))
 
 
 def baseline_forecast(window, horizon, method):

@@ -86,7 +86,7 @@ def forecast_product(model, events):
     events = truncate_context(as_events(events), model.config.max_context)
     with model.store.frozen():
         logits, enc = model.forward_positions(events[None])
-        probs = T.softmax(logits, axis=-1).data[0, -1]
+        probs = T.softmax(logits).data[0, -1]
     return ProdForecast(distribution=probs.copy(), encoding=enc.data[0, 1:].copy())
 
 

@@ -35,6 +35,11 @@ def probe(**env):
     return json.loads(out)
 
 
+def test_the_suite_imports_livesight_before_numpy():
+    # tests/conftest.py's import: the checkpoint keys the tests see are the CLI's
+    assert livesight.NUMPY_FIRST is False
+
+
 def test_importing_livesight_pins_one_blas_thread():
     seen = probe()
     assert seen["env"] == dict.fromkeys(PINNED, "1")

@@ -174,6 +174,18 @@ def test_a_format_1_checkpoint_is_refused_by_name(tmp_path):
         load_checkpoint(path, clone_shapes(trained_store(7)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_parameter_is_refused_by_name(tmp_path, bad):
+    store = trained_store(10)
+    store["enc.b"].data[1] = bad
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, config_hash="h")
+    for read in (read_checkpoint, lambda p: load_checkpoint(p, clone_shapes(store))):
+        with pytest.raises(StateError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: parameter 'enc.b' holds a non-finite value"
+
+
 def test_a_manifest_that_is_not_an_object_is_named(tmp_path):
     path = tmp_path / "list.ckpt"
     write_archive(path, [1], [])

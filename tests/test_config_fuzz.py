@@ -3,9 +3,10 @@ fails with a named error before any forecaster checkpoint or foresight bank
 is written.
 
 The cases are tiny configs at one epoch: every integer field at its floor and
-just below it, the float fields with a range at its edges and past them, and
-seeded random configs with both services and long streams
-(more events than `prod.max_context`). numpy draws them; no `hypothesis`.
+just below it, the float fields with a range at its edges and past them (the
+category kernel's three probabilities together), and seeded random configs
+with both services and long streams (more events than `prod.max_context`).
+numpy draws them; no `hypothesis`.
 """
 
 import copy
@@ -43,11 +44,19 @@ FLOORS = (
     + [(section, name, floor) for section in ("stat", "prod", "rank")
        for name, floor in (("epochs", 1), ("batch", 1), ("seed", 0))]
 )
-# (section, field, accepted at the edge, refused past it)
+# the category kernel's three probabilities, set together since they sum to 1
+KERNEL = ("stay_level2", "move_level1", "jump")
+# (section, field or fields, accepted at the edge, refused past it)
 EDGES = [
     ("sim", "dirichlet_alpha", [0.05], [0, -1, math.inf, math.nan]),
     ("sim", "repeat_within_stay", [0.0, 1.0], [-0.5, 1.5, math.inf, math.nan]),
     *((section, "lr", [1e-9], [0, -1, math.inf, math.nan]) for section in ("stat", "prod", "rank")),
+    ("sim", KERNEL, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+     [(math.nan, 0.3, 0.1), (0.6, math.nan, 0.1), (0.6, 0.3, math.nan), (math.inf, 0.3, 0.1),
+      (1.2, -0.3, 0.1), (0.6, 0.5, -0.1), (-0.2, 0.3, 0.9)]),
+    *(("sim", name, [0.0], [math.inf, -math.inf, math.nan])
+      for name in ("click_affinity_coeff", "click_highlight_coeff", "click_bias",
+                   "future_affinity_coeff", "future_grab_coeff", "future_bias")),
 ]
 N_RANDOM = 60
 
@@ -88,23 +97,26 @@ def random_config(rng):
 
 
 def floor_case(section, name, value):
+    """BASE with `name` set to `value`, or each of a tuple of names to its value."""
     data = copy.deepcopy(BASE)
-    (data[section] if section else data)[name] = value
+    names, values = (name, value) if isinstance(name, tuple) else ((name,), (value,))
+    (data[section] if section else data).update(zip(names, values))
     return data
 
 
 CASES = [
-    pytest.param(floor_case(section, name, floor + shift), shift < 0,
+    pytest.param(floor_case(section, name, floor + shift), "refused" if shift else None,
                  id=f"{'below' if shift else 'at'}-{section + '.' if section else ''}{name}")
     for section, name, floor in FLOORS
     for shift in (0, -1)
 ] + [
-    pytest.param(floor_case(section, name, value), past, id=f"{where}-{section}.{name}={value}")
+    pytest.param(floor_case(section, name, value), expect,
+                 id=f"{where}-{section}.{'kernel' if name == KERNEL else name}={value}")
     for section, name, edge, beyond in EDGES
-    for past, where, values in ((False, "edge", edge), (True, "past", beyond))
+    for expect, where, values in (("ran", "edge", edge), ("refused", "past", beyond))
     for value in values
 ] + [
-    pytest.param(random_config(np.random.default_rng(seed)), False, id=f"random-{seed}")
+    pytest.param(random_config(np.random.default_rng(seed)), None, id=f"random-{seed}")
     for seed in range(N_RANDOM)
 ]
 
@@ -125,11 +137,12 @@ def run_or_refuse(data, root):
     return "ran"
 
 
-@pytest.mark.parametrize("data, invalid", CASES)
-def test_a_config_runs_or_is_refused_by_name(data, invalid, tmp_path):
+@pytest.mark.parametrize("data, expect", CASES)
+def test_a_config_runs_or_is_refused_by_name(data, expect, tmp_path):
+    # a value past an edge or below a floor is refused; one at an edge runs
     outcome = run_or_refuse(data, tmp_path)
-    if invalid:
-        assert outcome == "refused"
+    if expect:
+        assert outcome == expect
 
 
 def test_the_fuzz_runs_most_configs_end_to_end(tmp_path):

@@ -20,8 +20,8 @@ def linear_setup(seed=0):
     y = rng.normal(size=(8, 1))
 
     def loss():
-        pred = Tensor(x) @ store["w"] + store["b"]
-        return T.tmean((pred - Tensor(y)) * (pred - Tensor(y)))
+        diff = Tensor(x) @ store["w"] + store["b"] + Tensor(-y)
+        return T.tmean(diff * diff)
 
     return loss, store
 

@@ -74,9 +74,6 @@ def composed_dense(x, w, b):
 
 def composed_attention(tokens, heads, causal, params):
     """Attention from small graph ops: the reference for the fused T.attention."""
-    squeeze = tokens.ndim == 2
-    if squeeze:
-        tokens = T.reshape(tokens, (1,) + tokens.shape)
     b, length, d = tokens.shape
     dh = d // heads
 
@@ -89,9 +86,8 @@ def composed_attention(tokens, heads, causal, params):
     scores = T.mul(q @ swapaxes(k, -1, -2), 1.0 / np.sqrt(dh))
     if causal:
         scores = scores + Tensor(np.triu(np.full((length, length), MASK_VALUE), k=1))
-    mixed = swapaxes(T.softmax(scores, axis=-1) @ v, 1, 2)  # (B, L, H, dh)
-    out = composed_dense(T.reshape(mixed, (b, length, d)), params["wo"], params["bo"])
-    return T.reshape(out, (length, d)) if squeeze else out
+    mixed = swapaxes(T.softmax(scores) @ v, 1, 2)  # (B, L, H, dh)
+    return composed_dense(T.reshape(mixed, (b, length, d)), params["wo"], params["bo"])
 
 
 def outputs_and_gradients(build, store, probe):
@@ -123,7 +119,7 @@ def test_fused_dense_matches_composed_ops(shape):
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("causal", [True, False])
-@pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8)])
+@pytest.mark.parametrize("shape", [(1, 5, 8), (3, 5, 8)])
 def test_fused_attention_matches_composed_ops(shape, causal, heads):
     store, params, rng = _attention_setup(13)
     for name in params:  # non-zero biases, so their gradients are exercised
@@ -174,7 +170,7 @@ def _attention_setup(seed, d_model=8):
 
 def test_attention_single_token_is_value_projection():
     store, params, rng = _attention_setup(2)
-    tokens = Tensor(rng.normal(size=(1, 8)))
+    tokens = Tensor(rng.normal(size=(1, 1, 8)))
     out = multi_head_attention(tokens, heads=2, causal=False, params=params)
     expected = T.dense(
         T.dense(tokens, params["wv"], params["bv"]), params["wo"], params["bo"]
@@ -185,8 +181,8 @@ def test_attention_single_token_is_value_projection():
 def test_attention_identical_tokens_identical_rows():
     store, params, rng = _attention_setup(3)
     row = rng.normal(size=8)
-    tokens = Tensor(np.tile(row, (4, 1)))
-    out = multi_head_attention(tokens, heads=4, causal=False, params=params).data
+    tokens = Tensor(np.tile(row, (1, 4, 1)))
+    out = multi_head_attention(tokens, heads=4, causal=False, params=params).data[0]
     for i in range(1, 4):
         assert np.array_equal(out[i], out[0])
 
@@ -194,16 +190,16 @@ def test_attention_identical_tokens_identical_rows():
 def test_causal_mask_exact_invariance():
     """Perturbing a later token may not change earlier outputs by even one bit."""
     store, params, rng = _attention_setup(4)
-    base = rng.normal(size=(3, 8))
+    base = rng.normal(size=(1, 3, 8))
     bumped = base.copy()
-    bumped[2] += rng.normal(size=8)
-    out_a = multi_head_attention(Tensor(base), heads=2, causal=True, params=params).data
-    out_b = multi_head_attention(Tensor(bumped), heads=2, causal=True, params=params).data
+    bumped[0, 2] += rng.normal(size=8)
+    out_a = multi_head_attention(Tensor(base), heads=2, causal=True, params=params).data[0]
+    out_b = multi_head_attention(Tensor(bumped), heads=2, causal=True, params=params).data[0]
     assert out_a[0].tobytes() == out_b[0].tobytes()
     assert out_a[1].tobytes() == out_b[1].tobytes()
     assert not np.array_equal(out_a[2], out_b[2])
     # without the mask the perturbation leaks everywhere
-    full = multi_head_attention(Tensor(bumped), heads=2, causal=False, params=params).data
+    full = multi_head_attention(Tensor(bumped), heads=2, causal=False, params=params).data[0]
     assert not np.array_equal(full[0], out_a[0])
 
 
@@ -222,7 +218,7 @@ def test_causal_invariance_survives_full_encoder():
 def test_attention_head_divisibility():
     store, params, _ = _attention_setup(6)
     with pytest.raises(ConfigurationError):
-        multi_head_attention(Tensor(np.ones((2, 8))), heads=3, causal=False, params=params)
+        multi_head_attention(Tensor(np.ones((1, 2, 8))), heads=3, causal=False, params=params)
 
 
 def test_attention_batched_matches_loop():
@@ -230,14 +226,15 @@ def test_attention_batched_matches_loop():
     batch = rng.normal(size=(3, 5, 8))
     out = multi_head_attention(Tensor(batch), heads=2, causal=True, params=params).data
     for i in range(3):
-        single = multi_head_attention(Tensor(batch[i]), heads=2, causal=True, params=params)
-        assert np.allclose(out[i], single.data, atol=1e-12)
+        single = multi_head_attention(Tensor(batch[i : i + 1]), heads=2, causal=True,
+                                      params=params)
+        assert np.allclose(out[i], single.data[0], atol=1e-12)
 
 
 def test_attention_gradient_oracle():
     store, params, rng = _attention_setup(8)
-    x = store.add("x", rng.normal(size=(3, 8)))
-    probe = rng.normal(size=(3, 8))
+    x = store.add("x", rng.normal(size=(1, 3, 8)))
+    probe = rng.normal(size=(1, 3, 8))
 
     def loss():
         out = multi_head_attention(store["x"], heads=2, causal=True, params=params)

@@ -8,7 +8,7 @@ import pytest
 from livesight import optim, prodfore, ranker, statfore
 from livesight import tensor as T
 from livesight.config import ProdConfig, RankConfig, SimConfig, StatConfig
-from livesight.errors import StateError
+from livesight.errors import StateError, TrainingError
 from livesight.optim import Adam, ParamStore, adam_step
 from livesight.simgen import gen_world
 
@@ -155,7 +155,7 @@ def test_train_epochs_yields_the_weighted_mean_of_its_step_losses(monkeypatch):
         losses.append(float(loss.data))
         return loss
 
-    history = list(optim.train_epochs(store, loss_fn, batches, lr=0.1, epochs=3))
+    history = list(optim.train_epochs("model", store, loss_fn, batches, lr=0.1, epochs=3))
     assert drawn == [0, 2, 4] and len(stepped) == 6 and len(history) == 3
     assert stepped[-1].step == 6 and all(adam is stepped[0] for adam in stepped)
     for k, value in enumerate(history):
@@ -168,7 +168,7 @@ def test_train_epochs_yields_the_weighted_mean_of_its_step_losses(monkeypatch):
 def test_breaking_out_of_train_epochs_stops_training(monkeypatch):
     store = make_store(2.0)
     stepped = count_steps(monkeypatch)
-    epochs = optim.train_epochs(store, lambda scale: square_loss(store, scale),
+    epochs = optim.train_epochs("model", store, lambda scale: square_loss(store, scale),
                                 lambda: [(1.0, 1.0)] * 3, lr=0.1, epochs=10)
     for k, _ in enumerate(epochs, 1):
         if k == 4:
@@ -176,12 +176,37 @@ def test_breaking_out_of_train_epochs_stops_training(monkeypatch):
     assert len(stepped) == 4 * 3 and stepped[-1].step == 4 * 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_an_epoch_that_leaves_a_parameter_non_finite_is_refused(monkeypatch, bad):
+    store, step = make_store(2.0), optim.adam_step
+
+    def spoiling(adam, **kwargs):  # the last step of epoch 2 leaves `bad` behind
+        step(adam, **kwargs)
+        if adam.step == 4:
+            store.values[0] = bad
+
+    monkeypatch.setattr(optim, "adam_step", spoiling)
+    history = []
+    with pytest.raises(TrainingError, match=r"^the model diverged in epoch 2: .* 1 of 1 parameters"):
+        for loss in optim.train_epochs("model", store, lambda scale: square_loss(store, scale),
+                                       lambda: [(1.0, 1.0)] * 2, lr=0.1, epochs=3):
+            history.append(loss)
+    assert len(history) == 1 and np.isfinite(history[0])
+
+
+def test_an_epoch_with_a_non_finite_loss_is_refused():
+    store = make_store(2.0)
+    with pytest.raises(TrainingError, match=r"^the model diverged in epoch 1: loss inf, 0 of 1 "):
+        list(optim.train_epochs("model", store, lambda _: T.add(square_loss(store, 1.0), np.inf),
+                                lambda: [(1.0, 1.0)], lr=0.1, epochs=2))
+
+
 def test_the_optimizer_and_the_gradients_die_with_the_epoch_loop(monkeypatch):
     stepped = count_steps(monkeypatch)
     store = make_store(2.0)
 
     def epochs(n):
-        return optim.train_epochs(store, lambda scale: square_loss(store, scale),
+        return optim.train_epochs("model", store, lambda scale: square_loss(store, scale),
                                   lambda: [(1.0, 1.0)] * 2, lr=0.1, epochs=n)
 
     history = list(epochs(3))  # exhausted

@@ -25,7 +25,13 @@ from livesight.config import (
     from_dict,
     to_dict,
 )
-from livesight.errors import ConfigurationError, DatasetError, StateError, UndefinedMetricError
+from livesight.errors import (
+    ConfigurationError,
+    DatasetError,
+    StateError,
+    TrainingError,
+    UndefinedMetricError,
+)
 from livesight.pipeline import split_rooms, write_csv
 from heap import traced_growth
 from reference_ops import forecast_product
@@ -571,6 +577,45 @@ def test_a_damaged_bank_is_named(damage, saved, tmp_path):
     with pytest.raises(StateError, match=f"^{re.escape(str(path))} is not a readable "
                                          f"foresight bank: {DAMAGES[damage]}"):
         pipeline.load_bank(path, key, art.world, art.stat_model, art.prod_model, TINY.rank.k_enc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("column", pipeline.BANK_COLUMNS)
+def test_a_loaded_bank_with_a_non_finite_cell_is_named(column, bad, saved, tmp_path):
+    art, good, key = saved
+    columns = {name: getattr(art.bank, name).copy() for name in pipeline.BANK_COLUMNS}
+    columns[column].flat[columns[column].size // 2] = bad
+    path = tmp_path / good.name
+    write_columns(path, key, art.bank.d_mix, columns)
+    message = f"^{re.escape(str(path))}: foresight bank column {column} holds a non-finite value$"
+    with pytest.raises(StateError, match=message):
+        pipeline.load_bank(path, key, art.world, art.stat_model, art.prod_model, TINY.rank.k_enc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("module, name, column", [(statfore, "forecast_batch", "stat_steps"),
+                                                  (prodfore, "forecast_prefixes", "dist")])
+def test_a_built_bank_with_a_non_finite_cell_is_named(module, name, column, bad, art, monkeypatch):
+    forecast = getattr(module, name)
+
+    def spoiled(*args):  # one non-finite forecast cell in every room
+        values, encodings = forecast(*args)
+        values.flat[0] = bad
+        return values, encodings
+
+    monkeypatch.setattr(module, name, spoiled)
+    with pytest.raises(StateError, match=f"^foresight bank column {column} holds a non-finite value$"):
+        pipeline.build_foresight_bank(art.world, art.stat_model, art.prod_model, TINY.rank.k_enc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings, as in the CLI
+def test_a_diverging_forecaster_is_refused_before_anything_is_saved(tmp_path):
+    # a finite but huge learning rate passes the config check and leaves every
+    # statistic parameter NaN after one epoch
+    cfg = dataclasses.replace(TINY, stat=StatConfig(epochs=1, lr=1e300))
+    with pytest.raises(TrainingError, match="^the statistic forecaster diverged in epoch 1: "):
+        pipeline.prepare(cfg, out_dir=tmp_path / "run", reuse=True)
+    assert not list(tmp_path.rglob("*.ckpt")) and not list(tmp_path.rglob("*.bank"))
 
 
 def test_saving_a_bank_copies_no_column(saved, tmp_path):

@@ -201,7 +201,8 @@ def stacked_training(model, panels):
         diff = pred + T.mul(Tensor(y[idx]), -1.0)
         return T.tmean(T.mul(diff, diff))
 
-    return list(train_epochs(model.store, loss_fn, batches, c.lr, c.epochs))
+    return list(train_epochs("statistic forecaster", model.store, loss_fn, batches, c.lr,
+                             c.epochs))
 
 
 def test_gathered_batches_train_the_floats_of_stacked_pairs(monkeypatch):
